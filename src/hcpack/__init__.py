@@ -11,6 +11,7 @@ from .bisection import (
     separating_subset_line,
 )
 from .cycles import (
+    CrossLedger,
     CrossReport,
     HamCycle,
     Packing,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -43,6 +42,21 @@ def _load_instance(path: str) -> tuple[InstanceFile, PointSet]:
     except HcpackError as exc:
         raise DegenerateInput(f"{path}: {exc}") from exc
     return inst, ps
+
+
+def _packing_cycles(pf: PackingFile, n: int) -> List[HamCycle]:
+    """The file's cycles, each a vertex-distinct cycle over indices 0..n-1;
+    its removed edges must stay in range too."""
+    try:
+        cycles = [HamCycle(tuple(c)) for c in pf.cycles]
+    except ValueError as exc:
+        raise DegenerateInput(str(exc)) from exc
+    in_range = all(0 <= v < n for c in cycles for v in c.order) and all(
+        0 <= v < n for per_cycle in pf.removed_edges for e in per_cycle for v in e
+    )
+    if not in_range:
+        raise DegenerateInput("packing references an index out of range")
+    return cycles
 
 
 def _relabel_wheel(cycles, ps: PointSet) -> List[List[int]]:
@@ -116,12 +130,9 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
     report["hash_match"] = True
     try:
-        cycles = [HamCycle(tuple(c)) for c in pf.cycles]
-    except ValueError as exc:
+        cycles = _packing_cycles(pf, n)
+    except DegenerateInput as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if any(not all(0 <= v < n for v in c.order) for c in cycles):
-        print("error: cycle references an index out of range", file=sys.stderr)
         return EXIT_INPUT
     report.update(verify_packing(cycles, n, oracle_for(ps)))
     _emit_verify(report, args.json)
@@ -152,11 +163,8 @@ def cmd_oracle(args) -> int:
     except DegenerateInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    cap = args.max_n
-    if cap is None:
-        cap = int(os.environ.get("HCP_MAX_ORACLE_N", 8))
     try:
-        rep = max_packing_exact(ps, max_n=cap)
+        rep = max_packing_exact(ps, max_n=args.max_n)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -179,13 +187,13 @@ def cmd_render(args) -> int:
     try:
         inst, ps = _load_instance(args.instance)
         pf = PackingFile.load(args.packing)
+        cycles = _packing_cycles(pf, len(ps))
     except DegenerateInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if pf.instance_hash != inst.digest():
         print("error: packing digest does not match this instance", file=sys.stderr)
         return EXIT_INPUT
-    cycles = [HamCycle(tuple(c)) for c in pf.cycles]
     svg = render_svg(ps, cycles, pf.removed_edges or None)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

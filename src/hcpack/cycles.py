@@ -1,9 +1,10 @@
-"""Hamiltonian cycles, packings, and the boundary-edge structure predicates."""
+"""Hamiltonian cycles, packings, crossing accounting, and the boundary-edge
+structure predicates."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigMismatch
 from .geometry import Config, CrossingOracle, Edge, edge
@@ -62,6 +63,7 @@ class Packing:
 @dataclass
 class CrossReport:
     counts: Dict[Edge, int]
+    pairs: List[Tuple[Edge, Edge]] = field(default_factory=list)
     max_count: int = field(init=False)
 
     def __post_init__(self):
@@ -72,27 +74,71 @@ def verify_hamiltonian(c: HamCycle, n: int) -> bool:
     return sorted(c.order) == list(range(n))
 
 
-def crossing_report(c: HamCycle, oracle: CrossingOracle) -> CrossReport:
-    """Per-edge count of other cycle edges properly crossing it.
+def crossing_report(
+    c: Union[HamCycle, Sequence[Edge]], oracle: CrossingOracle
+) -> CrossReport:
+    """Per-edge count of the other edges properly crossing it, plus the
+    crossing pairs, for a cycle or any list of distinct edges.
 
-    Cycle edges sharing a vertex are adjacent in the cycle and never counted.
+    Edges sharing a vertex never cross and are not passed to the oracle.
     """
-    es = c.edges()
+    es = c.edges() if isinstance(c, HamCycle) else tuple(c)
     counts = {e: 0 for e in es}
-    for i in range(len(es)):
-        a, b = es[i]
+    pairs = []
+    for i, e1 in enumerate(es):
+        a, b = e1
         for j in range(i + 1, len(es)):
             e2 = es[j]
             if a in e2 or b in e2:
                 continue
-            if oracle(es[i], e2):
-                counts[es[i]] += 1
+            if oracle(e1, e2):
+                counts[e1] += 1
                 counts[e2] += 1
-    return CrossReport(counts)
+                pairs.append((e1, e2))
+    return CrossReport(counts, pairs)
+
+
+class CrossLedger:
+    """Edge set grown and shrunk one edge at a time, never holding an edge
+    crossed twice.
+
+    `crossed[e]` lists the ledger edges that properly cross `e`.
+    """
+
+    def __init__(self, oracle: CrossingOracle):
+        self.oracle = oracle
+        self.crossed: Dict[Edge, List[Edge]] = {}
+
+    def add(self, e: Edge) -> bool:
+        """Insert `e`; refuse it if present or if any edge would then be
+        crossed twice."""
+        crossed, oracle = self.crossed, self.oracle
+        if e in crossed:
+            return False
+        a, b = e
+        hit: List[Edge] = []
+        for f, f_hits in crossed.items():
+            if a in f or b in f:
+                continue
+            if oracle(e, f):
+                if f_hits or hit:
+                    return False
+                hit.append(f)
+        crossed[e] = hit
+        for f in hit:
+            crossed[f].append(e)
+        return True
+
+    def remove(self, e: Edge) -> None:
+        for f in self.crossed.pop(e):
+            self.crossed[f].remove(e)
 
 
 def is_one_plane(c: HamCycle, oracle: CrossingOracle) -> bool:
-    return crossing_report(c, oracle).max_count <= 1
+    """No cycle edge is properly crossed more than once; stops at the
+    first edge that would be."""
+    ledger = CrossLedger(oracle)
+    return all(ledger.add(e) for e in c.edges())
 
 
 def are_edge_disjoint(a: HamCycle, b: HamCycle) -> bool:

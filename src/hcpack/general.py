@@ -23,9 +23,19 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .bisection import Bisection, bisecting_lines, ham_sandwich_cuts, separating_subset_line
-from .cycles import HamCycle, Packing, crossing_report, is_one_plane
+from .cycles import CrossLedger, HamCycle, Packing, crossing_report, is_one_plane
 from .errors import MarchFailed, NoJoinFound, NotSeparable, PackingIncomplete, StillCrossing
-from .geometry import CrossingOracle, Edge, Point, PointSet, coordinate_oracle, edge, segments_properly_cross
+from .geometry import (
+    CrossingOracle,
+    Edge,
+    PointSet,
+    Side,
+    coordinate_oracle,
+    edge,
+    orientation,
+    segments_properly_cross,  # unused here; perfbench/tracer.py patches this name
+    side_of_line,
+)
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,6 @@ def _sgn(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _orient(p: Point, q: Point, r: Point) -> int:
-    return _sgn((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
-
-
 class _March:
     """One backtracking march over a fixed bisection."""
 
@@ -100,8 +106,7 @@ class _March:
         self.forbidden = forbidden
         self.node_cap = node_cap
         self.nodes = 0
-        self.edges: List[Edge] = []
-        self.counts: Dict[Edge, int] = {}
+        self.ledger = CrossLedger(coordinate_oracle(points))
         self.adj: Dict[int, List[int]] = {i: [] for i in left + right}
         self.stone: Optional[Edge] = None
 
@@ -116,34 +121,19 @@ class _March:
         return _sgn((pw.x - pu.x) * (-dy) - (pw.y - pu.y) * (-dx))
 
     def _side(self, u: int, w: int, i: int) -> int:
-        return _orient(self.points[u], self.points[w], self.points[i])
+        return orientation(self.points[u], self.points[w], self.points[i])
 
     # -- incremental edge bookkeeping ----------------------------------------
-    def _try_add(self, u: int, w: int):
+    def _try_add(self, u: int, w: int) -> bool:
         e = edge(u, w)
-        if e in self.forbidden or e in self.counts:
-            return None
-        pu, pw = self.points[u], self.points[w]
-        hit = []
-        for f in self.edges:
-            if segments_properly_cross((pu, pw), (self.points[f[0]], self.points[f[1]])):
-                if self.counts[f] >= 1 or hit:
-                    return None
-                hit.append(f)
-        self.counts[e] = len(hit)
-        for f in hit:
-            self.counts[f] += 1
-        self.edges.append(e)
+        if e in self.forbidden or not self.ledger.add(e):
+            return False
         self.adj[u].append(w)
         self.adj[w].append(u)
-        return hit
+        return True
 
-    def _undo(self, u: int, w: int, hit) -> None:
-        e = edge(u, w)
-        self.edges.pop()
-        del self.counts[e]
-        for f in hit:
-            self.counts[f] -= 1
+    def _undo(self, u: int, w: int) -> None:
+        self.ledger.remove(edge(u, w))
         self.adj[u].pop()
         self.adj[w].pop()
 
@@ -209,8 +199,7 @@ class _March:
             return cyc, None
         r1, r2 = set(self.left0), set(self.right0)
         for v1, v2, _ in self._valid_pairs(r1, r2):
-            hit = self._try_add(v1, v2)
-            if hit is None:
+            if not self._try_add(v1, v2):
                 continue
             r1.discard(v1)
             r2.discard(v2)
@@ -226,7 +215,7 @@ class _March:
                 return HamCycle(tuple(cyc)), self.stone
             r1.add(v1)
             r2.add(v2)
-            self._undo(v1, v2, hit)
+            self._undo(v1, v2)
         raise MarchFailed(f"march exhausted after {self.nodes} nodes")
 
     def _dfs(self, r1, r2, e1, e2) -> bool:
@@ -234,20 +223,15 @@ class _March:
         if self.nodes > self.node_cap:
             raise MarchFailed(f"node cap {self.node_cap} hit")
         if not r1 and not r2:
-            hit = self._try_add(e1, e2)
-            if hit is not None:
-                return True
-            return False
+            return self._try_add(e1, e2)
         for ri, ei_, eo_ in ((r1, e1, e2), (r2, e2, e1)):
             ro = r2 if ri is r1 else r1
             if not ro and len(ri) == 1:
                 w = next(iter(ri))
-                h1 = self._try_add(ei_, w)
-                if h1 is None:
+                if not self._try_add(ei_, w):
                     return False
-                h2 = self._try_add(eo_, w)
-                if h2 is None:
-                    self._undo(ei_, w, h1)
+                if not self._try_add(eo_, w):
+                    self._undo(ei_, w)
                     return False
                 self.stone = edge(ei_, w)
                 return True
@@ -255,12 +239,10 @@ class _March:
         for mv in self._moves(pairs, r1, r2, e1, e2):
             if mv[0] == "rung":
                 _, v1, v2 = mv
-                h1 = self._try_add(e1, v2)
-                if h1 is None:
+                if not self._try_add(e1, v2):
                     continue
-                h2 = self._try_add(e2, v1)
-                if h2 is None:
-                    self._undo(e1, v2, h1)
+                if not self._try_add(e2, v1):
+                    self._undo(e1, v2)
                     continue
                 r1.discard(v1)
                 r2.discard(v2)
@@ -268,18 +250,16 @@ class _March:
                     return True
                 r1.add(v1)
                 r2.add(v2)
-                self._undo(e2, v1, h2)
-                self._undo(e1, v2, h1)
+                self._undo(e2, v1)
+                self._undo(e1, v2)
             else:
                 _, vi, vo, si = mv
                 ei_, eo_ = (e1, e2) if si == 1 else (e2, e1)
                 ri, ro = (r1, r2) if si == 1 else (r2, r1)
-                h1 = self._try_add(vi, eo_)
-                if h1 is None:
+                if not self._try_add(vi, eo_):
                     continue
-                h2 = self._try_add(vi, vo)
-                if h2 is None:
-                    self._undo(vi, eo_, h1)
+                if not self._try_add(vi, vo):
+                    self._undo(vi, eo_)
                     continue
                 ri.discard(vi)
                 ro.discard(vo)
@@ -288,8 +268,8 @@ class _March:
                     return True
                 ri.add(vi)
                 ro.add(vo)
-                self._undo(vi, vo, h2)
-                self._undo(vi, eo_, h1)
+                self._undo(vi, vo)
+                self._undo(vi, eo_)
         return False
 
 
@@ -377,78 +357,25 @@ def uncross(c: HamCycle, pair: Tuple[Edge, Edge], oracle: CrossingOracle) -> Ham
     return new
 
 
-def _crossing_pairs(c: HamCycle, oracle: CrossingOracle) -> List[Tuple[Edge, Edge]]:
-    es = c.edges()
-    out = []
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            a, b = es[i], es[j]
-            if a[0] in b or a[1] in b:
-                continue
-            if oracle(a, b):
-                out.append((a, b))
-    return sorted(out)
-
-
-def _splice(c1: HamCycle, c2: HamCycle, e1: Edge, e2: Edge, pattern: int):
-    n1, n2 = len(c1), len(c2)
-    u2, u1 = _oriented_edge_positions(c1, e1)[::-1]
-    # path of c1 from successor u2 around to u1
-    p1 = []
-    pos1 = {v: i for i, v in enumerate(c1.order)}
-    i = pos1[u2]
-    for _ in range(n1):
-        p1.append(c1.order[i])
-        i = (i + 1) % n1
-    v2, v1 = _oriented_edge_positions(c2, e2)[::-1]
-    p2 = []
-    pos2 = {v: i for i, v in enumerate(c2.order)}
-    i = pos2[v2]
-    for _ in range(n2):
-        p2.append(c2.order[i])
-        i = (i + 1) % n2
-    if pattern == 0:
-        added = (edge(u1, v1), edge(u2, v2))
-        merged = tuple(p1 + p2[::-1])
-    else:
-        added = (edge(u1, v2), edge(u2, v1))
-        merged = tuple(p1 + p2)
-    return HamCycle(merged), added
+def _splice(c1: HamCycle, c2: HamCycle, u2: int, v2: int, pattern: int) -> HamCycle:
+    """c1 read forward from `u2`, then c2 read backward from the
+    predecessor of `v2` (pattern 0) or forward from `v2` (pattern 1)."""
+    i, j = c1.order.index(u2), c2.order.index(v2)
+    p1 = c1.order[i:] + c1.order[:i]
+    p2 = c2.order[j:] + c2.order[:j]
+    return HamCycle(p1 + (p2[::-1] if pattern == 0 else p2))
 
 
 class _JoinScreen:
-    """Incremental crossing accounting for candidate joins of two cycles."""
+    """Crossing accounting for candidate joins of two vertex-disjoint cycles."""
 
     def __init__(self, c1: HamCycle, c2: HamCycle, oracle: CrossingOracle):
         self.oracle = oracle
         self.es1, self.es2 = c1.edges(), c2.edges()
-        self.cnt1 = crossing_report(c1, oracle).counts
-        self.cnt2 = crossing_report(c2, oracle).counts
-        self.x1 = set()
-        for i in range(len(self.es1)):
-            for j in range(i + 1, len(self.es1)):
-                a, b = self.es1[i], self.es1[j]
-                if a[0] not in b and a[1] not in b and oracle(a, b):
-                    self.x1.add((a, b))
-                    self.x1.add((b, a))
-        self.x2 = set()
-        for i in range(len(self.es2)):
-            for j in range(i + 1, len(self.es2)):
-                a, b = self.es2[i], self.es2[j]
-                if a[0] not in b and a[1] not in b and oracle(a, b):
-                    self.x2.add((a, b))
-                    self.x2.add((b, a))
-        self.x12 = set()
-        self.row1 = {f: 0 for f in self.es1}
-        self.row2 = {g: 0 for g in self.es2}
-        for f in self.es1:
-            for g in self.es2:
-                if f[0] in g or f[1] in g:
-                    continue
-                if oracle(f, g):
-                    self.x12.add((f, g))
-                    self.row1[f] += 1
-                    self.row2[g] += 1
+        self.edges = self.es1 + self.es2
+        rep = crossing_report(self.edges, oracle)
+        self.counts = rep.counts
+        self.crossing = {p for f, g in rep.pairs for p in ((f, g), (g, f))}
         self._rows: Dict[Edge, Dict[Edge, bool]] = {}
 
     def _cross(self, a: Edge, f: Edge) -> bool:
@@ -463,30 +390,18 @@ class _JoinScreen:
 
     def candidate_ok(self, r1: Edge, r2: Edge, a1: Edge, a2: Edge) -> bool:
         """All merged-cycle crossing counts stay <= 1."""
-        for f in self.es1:
-            if f == r1:
+        cross, crossing = self._cross, self.crossing
+        for f in self.edges:
+            if f == r1 or f == r2:
                 continue
-            c = self.cnt1[f] - ((f, r1) in self.x1) + self.row1[f]
-            c -= (f, r2) in self.x12
-            c += self._cross(a1, f) + self._cross(a2, f)
-            if c > 1:
-                return False
-        for g in self.es2:
-            if g == r2:
-                continue
-            c = self.cnt2[g] - ((g, r2) in self.x2) + self.row2[g]
-            c -= (r1, g) in self.x12
-            c += self._cross(a1, g) + self._cross(a2, g)
-            if c > 1:
+            c = self.counts[f] - ((f, r1) in crossing) - ((f, r2) in crossing)
+            if c + cross(a1, f) + cross(a2, f) > 1:
                 return False
         for a, other in ((a1, a2), (a2, a1)):
-            c = int(self._cross(a, other))
-            for f in self.es1:
-                if f != r1:
-                    c += self._cross(a, f)
-            for g in self.es2:
-                if g != r2:
-                    c += self._cross(a, g)
+            c = cross(a, other)
+            for f in self.edges:
+                if f != r1 and f != r2:
+                    c += cross(a, f)
             if c > 1:
                 return False
         return True
@@ -494,14 +409,20 @@ class _JoinScreen:
 
 def _plain_join(c1, c2, forbidden, oracle, extra_uncross=()):
     screen = _JoinScreen(c1, c2, oracle)
+    succ1 = dict(zip(c1.order, c1.order[1:] + c1.order[:1]))
+    succ2 = dict(zip(c2.order, c2.order[1:] + c2.order[:1]))
     for r1 in sorted(screen.es1):
+        u1, u2 = r1 if succ1[r1[0]] == r1[1] else r1[::-1]
         for r2 in sorted(screen.es2):
-            for pattern in (0, 1):
-                merged, added = _splice(c1, c2, r1, r2, pattern)
+            v1, v2 = r2 if succ2[r2[0]] == r2[1] else r2[::-1]
+            for pattern, added in enumerate(
+                ((edge(u1, v1), edge(u2, v2)), (edge(u1, v2), edge(u2, v1)))
+            ):
                 if added[0] in forbidden or added[1] in forbidden:
                     continue
                 if not screen.candidate_ok(r1, r2, added[0], added[1]):
                     continue
+                merged = _splice(c1, c2, u2, v2, pattern)
                 if not is_one_plane(merged, oracle):
                     continue
                 return merged, JoinMove(
@@ -527,7 +448,7 @@ def join_cycles(
         return r
 
     def uncross_variants(c):
-        for pair in _crossing_pairs(c, oracle):
+        for pair in sorted(crossing_report(c, oracle).pairs):
             try:
                 nc = uncross(c, pair, oracle)
             except StillCrossing:
@@ -625,7 +546,7 @@ def _run_level(points, parts, stones, used, variant, oracle):
             left_all = {
                 i
                 for i in list(A) + list(B)
-                if _side_positive(line, points[i])
+                if side_of_line(line, points[i]) is Side.LEFT
             }
             part_cuts[a_idx] = _bisection_from_cut(line, left_all, A)
             part_cuts[b_idx] = _bisection_from_cut(line, left_all, B)
@@ -709,11 +630,6 @@ def _run_level(points, parts, stones, used, variant, oracle):
                 break
     stones_out = {remap[i]: Stone(s.v, s.w, remap[i]) for i, s in new_stones.items()}
     return merged, moves, order, stones_out, cut_case
-
-
-def _side_positive(line, p: Point) -> bool:
-    dx, dy = line.direction
-    return dx * (p.y - line.anchor.y) - dy * (p.x - line.anchor.x) > 0
 
 
 def pack_general_detailed(

@@ -69,12 +69,19 @@ class InstanceFile:
         except (OSError, json.JSONDecodeError) as exc:
             raise DegenerateInput(f"cannot read instance file {path}: {exc}") from exc
         try:
-            points = [(int(x), int(y)) for x, y in doc["points"]]
+            points = [(x, y) for x, y in doc["points"]]
             config = str(doc["config"])
             center = doc.get("center_index")
             seed = doc.get("seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise DegenerateInput(f"malformed instance file {path}: {exc}") from exc
+        values = [v for p in points for v in p] + ([] if center is None else [center])
+        bad = [v for v in values if not isinstance(v, int) or isinstance(v, bool)]
+        if bad:
+            raise DegenerateInput(
+                f"malformed instance file {path}: coordinates and center_index "
+                f"must be integers, got {bad[0]!r}"
+            )
         return cls(points=points, config=config, center_index=center, seed=seed)
 
 

@@ -2,9 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
 measured runtimes.  The general-position corpora are frozen by the seed
-formulas below.
+formulas below, and the packers' output on them by the digests below.
 """
 
+import hashlib
 import os
 import time
 
@@ -20,7 +21,7 @@ from hcpack import (
     is_one_plane,
     max_packing_exact,
     pack_convex,
-    pack_general,
+    pack_general_detailed,
     pack_wheel,
     property_sweep,
     radial_edge_count,
@@ -36,6 +37,12 @@ GENERAL_CORPUS_A = [(n, 31 * s + n) for n in range(5, 33)
                     for s in range(8 if n <= 8 else 7)][:200]
 GENERAL_CORPUS_B = [(n, 7777 * s + n) for n in (8, 16, 17, 32, 33)
                     for s in range(50)]
+
+# sha256 over every march cycle of corpus A, and over every packed cycle and
+# join move of corpus B.  A change that alters either output must say why and
+# record the new digest here.
+CORPUS_A_MARCH_DIGEST = "989d75e892ed6c899a518098e927165443ddd12ea38d50b87713ee2ac028e2f1"
+CORPUS_B_PACK_DIGEST = "b0807b860d5133e671b61ecd0efbc649bea91e0668f3555a818e632afce6d03e"
 
 
 def report(name, ok, elapsed, detail=""):
@@ -107,13 +114,16 @@ def test_criterion_4_structure_predicates():
 def test_criterion_5_single_cycle_corpus():
     assert len(GENERAL_CORPUS_A) == 200
     t0 = time.time()
+    digest = hashlib.sha256()
     for n, seed in GENERAL_CORPUS_A:
         ps = generate(Config.GENERAL, n, seed=seed).to_point_set()
         cyc, _, _ = march_cycle(ps, range(n))
+        digest.update(repr((n, seed, cyc.order)).encode())
         assert verify_hamiltonian(cyc, n), f"n={n} seed={seed}"
         assert is_one_plane(cyc, coordinate_oracle(ps.points)), f"n={n} seed={seed}"
         if n <= 8:
             assert cyc.canonical() in enumerate_1phc(ps), f"n={n} seed={seed}"
+    assert digest.hexdigest() == CORPUS_A_MARCH_DIGEST, "march output changed"
     elapsed = time.time() - t0
     report("5 ladder march on 200 seeded instances", elapsed < 30.0, elapsed)
 
@@ -122,10 +132,19 @@ def test_criterion_6_general_packing_corpus():
     assert len(GENERAL_CORPUS_B) == 250
     t0 = time.time()
     incomplete = 0
+    digest = hashlib.sha256()
     for n, seed in GENERAL_CORPUS_B:
         k = n.bit_length() - 1
         ps = generate(Config.GENERAL, n, seed=seed).to_point_set()
-        packing = pack_general(ps)  # PackingIncomplete would propagate
+        result = pack_general_detailed(ps)  # PackingIncomplete would propagate
+        packing = result.packing
+        digest.update(repr((
+            n,
+            seed,
+            [c.order for c in packing.cycles],
+            [[(mv.removed, mv.added, mv.created_uncrossings) for mv in moves]
+             for moves in result.join_log],
+        )).encode())
         assert len(packing) >= k - 1, f"n={n} seed={seed}: {len(packing)} < {k - 1}"
         orc = coordinate_oracle(ps.points)
         seen = set()
@@ -135,6 +154,7 @@ def test_criterion_6_general_packing_corpus():
             es = set(c.edges())
             assert not (es & seen), f"n={n} seed={seed}: shared edge"
             seen |= es
+    assert digest.hexdigest() == CORPUS_B_PACK_DIGEST, "packing or join moves changed"
     elapsed = time.time() - t0
     report(
         "6 recursive packing, 250 instances, zero incomplete",

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hcpack import (
     Config,
+    CrossLedger,
     HamCycle,
     are_edge_disjoint,
     boundary_edge_count,
@@ -13,6 +15,7 @@ from hcpack import (
     check_diagonal_sides,
     check_companion_edges,
     convex_oracle,
+    coordinate_oracle,
     crossing_report,
     is_one_plane,
     verify_hamiltonian,
@@ -20,7 +23,7 @@ from hcpack import (
 )
 from hcpack.errors import ConfigMismatch
 
-from conftest import enumerated
+from conftest import enumerated, general_instance
 
 
 def test_verify_hamiltonian():
@@ -60,6 +63,45 @@ def test_crossing_report_rotation_reversal_invariant(perm, rot, flip):
     r2 = crossing_report(other, orc)
     assert r1.counts == r2.counts
     assert r1.max_count == r2.max_count
+
+
+def _every_ham_cycle(n):
+    for perm in permutations(range(1, n)):
+        if perm[0] < perm[-1]:
+            yield HamCycle((0,) + perm)
+
+
+def _ledger_state(ledger):
+    return {e: sorted(hits) for e, hits in ledger.crossed.items()}
+
+
+@pytest.mark.parametrize(
+    "n, orc",
+    [(n, convex_oracle(n)) for n in range(3, 8)]
+    + [(7, coordinate_oracle(general_instance(7, seed).points)) for seed in range(3)],
+    ids=[f"convex{n}" for n in range(3, 8)] + [f"general7-seed{s}" for s in range(3)],
+)
+def test_crossing_report_and_ledger_agree(n, orc):
+    """The bulk and incremental forms on every Hamiltonian cycle."""
+    for c in _every_ham_cycle(n):
+        report = crossing_report(c, orc)
+        assert is_one_plane(c, orc) == (report.max_count <= 1), c
+        per_edge = Counter(e for pair in report.pairs for e in pair)
+        assert {e: per_edge[e] for e in c.edges()} == report.counts, c
+        ledger = CrossLedger(orc)
+        for e in c.edges():
+            before = _ledger_state(ledger)
+            if ledger.add(e):
+                assert not ledger.add(e)  # already present
+                ledger.remove(e)
+                assert _ledger_state(ledger) == before, (c, e)
+                assert ledger.add(e)
+            else:
+                assert _ledger_state(ledger) == before, (c, e)
+        assert (len(ledger.crossed) == n) == (report.max_count <= 1), c
+        if report.max_count <= 1:
+            held = {(e, f) for e, hits in ledger.crossed.items() for f in hits}
+            assert held == {p for e, f in report.pairs for p in ((e, f), (f, e))}, c
 
 
 def test_are_edge_disjoint():

@@ -4,7 +4,7 @@ import pytest
 
 from hcpack import Config, generate, pack_convex, render_svg
 from hcpack.cli import main
-from hcpack.errors import InvalidN
+from hcpack.errors import DegenerateInput, InvalidN
 from hcpack.instances import InstanceFile, PackingFile
 
 
@@ -180,6 +180,62 @@ def test_render_deterministic_and_dashed():
     s2 = render_svg(ps, packing.cycles, removed)
     assert s1 == s2
     assert "stroke-dasharray" in s1
+
+
+def _edited_copy(tmp_path, config, n, edit):
+    """Generate an instance, apply `edit` to its JSON document, save both."""
+    good = tmp_path / f"{config}{n}.json"
+    run_cli("generate", "--config", config, "--n", str(n), "--seed", "1", "--out", str(good))
+    doc = json.loads(good.read_text())
+    edit(doc)
+    bad = tmp_path / f"{config}{n}.bad.json"
+    bad.write_text(json.dumps(doc))
+    return good, bad
+
+
+@pytest.mark.parametrize("spoil", [lambda x: x + 0.5, lambda x: True], ids=["half", "bool"])
+def test_cli_rejects_non_integer_coordinate(tmp_path, capsys, spoil):
+    def edit(doc):
+        doc["points"][0][0] = spoil(doc["points"][0][0])
+
+    _, bad = _edited_copy(tmp_path, "convex", 6, edit)
+    with pytest.raises(DegenerateInput):
+        InstanceFile.load(str(bad))
+    assert run_cli("pack", "--in", str(bad), "--out", str(tmp_path / "x.json")) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["9", True, 9.0])
+def test_cli_rejects_non_integer_center(tmp_path, capsys, value):
+    def edit(doc):
+        doc["center_index"] = value
+
+    good, bad = _edited_copy(tmp_path, "wheel", 10, edit)
+    assert InstanceFile.load(str(good)).center_index == 9
+    assert run_cli("pack", "--in", str(bad), "--out", str(tmp_path / "x.json")) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["cycle", "removed"])
+def test_cli_render_index_out_of_range(tmp_path, capsys, where):
+    inst = tmp_path / "c6.json"
+    pack = tmp_path / "c6.pack.json"
+    run_cli("generate", "--config", "convex", "--n", "6", "--seed", "1", "--out", str(inst))
+    run_cli("pack", "--in", str(inst), "--out", str(pack))
+    doc = json.loads(pack.read_text())
+    if where == "cycle":
+        doc["cycles"][0][0] = 6
+    else:
+        doc["removed_edges"] = [[[0, 99]]]
+    pack.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for cmd in ("render", "verify"):
+        argv = [cmd, "--instance", str(inst), "--packing", str(pack)]
+        if cmd == "render":
+            argv += ["--out", str(tmp_path / "x.svg")]
+        assert run_cli(*argv) == 2, cmd
+        assert "out of range" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_cli_missing_file_exit_code(tmp_path):
