@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
 )
 from .general import pack_general_detailed
-from .geometry import Config, PointSet, oracle_for
+from .geometry import Config, PointSet, oracle_for, wheel_relabeling
 from .instances import InstanceFile, PackingFile, generate
 from .oracle import max_packing_exact
 from .render import render_svg
@@ -59,11 +59,14 @@ def _packing_cycles(pf: PackingFile, n: int) -> List[HamCycle]:
     return cycles
 
 
-def _relabel_wheel(cycles, ps: PointSet) -> List[List[int]]:
-    """Map sentinel labels (rim 0..m-1 ccw, center last) to file indices."""
-    rim = ps.rim_order()
-    mapping = rim + [ps.center_index]
-    return [[mapping[v] for v in c.order] for c in cycles]
+def _guaranteed_cycles(config: Config, n: int) -> int:
+    """Cycles the packer guarantees: floor(n/3) convex, floor((n-1)/3)
+    wheel, k-1 for general n = 2^k + h."""
+    if config is Config.CONVEX:
+        return n // 3
+    if config is Config.WHEEL:
+        return (n - 1) // 3
+    return n.bit_length() - 2
 
 
 def cmd_generate(args) -> int:
@@ -89,8 +92,8 @@ def cmd_pack(args) -> int:
         if ps.config is Config.CONVEX:
             cycles = [list(c.order) for c in pack_convex(n).cycles]
         elif ps.config is Config.WHEEL:
-            packing = pack_wheel(n)
-            cycles = _relabel_wheel(packing.cycles, ps)
+            _, to_file = wheel_relabeling(n, ps.center_index)
+            cycles = [[to_file[v] for v in c.order] for c in pack_wheel(n).cycles]
         else:
             result = pack_general_detailed(ps)
             cycles = [list(c.order) for c in result.packing.cycles]
@@ -122,7 +125,14 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     n = len(ps)
-    report: dict = {"n": n, "config": ps.config.value, "cycle_count": len(pf.cycles)}
+    guaranteed = _guaranteed_cycles(ps.config, n)
+    report: dict = {
+        "n": n,
+        "config": ps.config.value,
+        "cycle_count": len(pf.cycles),
+        "guaranteed": guaranteed,
+        "meets_guarantee": len(pf.cycles) >= guaranteed,
+    }
     if pf.instance_hash != inst.digest():
         report["hash_match"] = False
         report["ok"] = False
@@ -135,6 +145,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report.update(verify_packing(cycles, n, oracle_for(ps)))
+    report["ok"] = report["ok"] and bool(cycles)
     _emit_verify(report, args.json)
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
@@ -154,6 +165,10 @@ def _emit_verify(report: dict, as_json: bool) -> None:
             f"max_crossings={rc['max_crossings']} [{status}]"
         )
     print(f"  pairwise edge-disjoint: {report['all_disjoint']}")
+    print(
+        f"  cycles: {report['cycle_count']} of {report['guaranteed']} guaranteed "
+        f"(meets guarantee: {report['meets_guarantee']})"
+    )
     print("PASS" if report["ok"] else "FAIL")
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigMismatch
-from .geometry import Config, CrossingOracle, Edge, edge
+from .geometry import Config, CrossingOracle, Edge, edge, wheel_relabeling
 
 
 @dataclass(frozen=True)
@@ -145,18 +145,6 @@ def are_edge_disjoint(a: HamCycle, b: HamCycle) -> bool:
     return not (set(a.edges()) & set(b.edges()))
 
 
-def _rim_relabel(c: HamCycle, n: int, center_index: int) -> Tuple[Tuple[int, ...], int]:
-    """Map a wheel cycle to rim labels 0..m-1 plus sentinel m."""
-    m = n - 1
-
-    def relabel(v):
-        if v == center_index:
-            return m
-        return v if v < center_index else v - 1
-
-    return tuple(relabel(v) for v in c.order), m
-
-
 def boundary_edge_count(
     c: HamCycle,
     n: int,
@@ -171,8 +159,8 @@ def boundary_edge_count(
     if config is Config.GENERAL:
         raise ConfigMismatch("boundary edges are defined for convex and wheel sets")
     if config is Config.WHEEL:
-        order, m = _rim_relabel(c, n, n - 1 if center_index is None else center_index)
-        cyc = HamCycle(order)
+        label, _ = wheel_relabeling(n, center_index)
+        cyc, m = HamCycle(tuple(label[v] for v in c.order)), n - 1
         return sum(
             1
             for a, b in cyc.edges()
@@ -290,8 +278,8 @@ def check_wheel_boundary(
 ) -> bool:
     """Wheel version: two boundary edges minimum, one per side of each rim
     diagonal."""
-    order, m = _rim_relabel(c, n, n - 1 if center_index is None else center_index)
-    cyc = HamCycle(order)
+    label, _ = wheel_relabeling(n, center_index)
+    cyc, m = HamCycle(tuple(label[v] for v in c.order)), n - 1
     rim_edges = [e for e in cyc.edges() if m not in e]
     boundary = [e for e in rim_edges if (e[1] - e[0]) % m in (1, m - 1)]
     if len(boundary) < 2:

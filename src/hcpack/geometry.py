@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import combinations
+from math import gcd
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -197,12 +197,29 @@ def convex_hull(points: Sequence[Point]) -> list[int]:
     return hull
 
 
+def primitive_direction(p: Point, q: Point) -> Tuple[int, int]:
+    """Primitive, sign-normalised direction of the line through p and q, so
+    that r lies on that line iff `primitive_direction(p, r)` is the same;
+    (0, 0) iff p == q."""
+    dx, dy = q.x - p.x, q.y - p.y
+    g = gcd(dx, dy)
+    if g == 0:
+        return (0, 0)
+    if dx < 0 or (dx == 0 and dy < 0):
+        g = -g
+    return (dx // g, dy // g)
+
+
 def in_general_position(points: Sequence[Point]) -> bool:
-    if len(set((p.x, p.y) for p in points)) != len(points):
-        return False
-    for i, j, k in combinations(range(len(points)), 3):
-        if orientation(points[i], points[j], points[k]) == Orientation.COLLINEAR:
-            return False
+    """Distinct points, no three collinear: per point, the directions to the
+    later points must be nonzero and distinct.  O(n^2) time, O(n) memory."""
+    for i, p in enumerate(points):
+        seen = set()
+        for j in range(i + 1, len(points)):
+            d = primitive_direction(p, points[j])
+            if d == (0, 0) or d in seen:
+                return False
+            seen.add(d)
     return True
 
 
@@ -212,6 +229,9 @@ class PointSet:
 
     Convex sets list their points in ccw convex-position order; wheel sets
     have an even count with one center and the rim in ccw circular order.
+    Each configuration is checked for exactly what its crossing oracle
+    assumes; the convex and wheel checks imply general position, so only
+    general sets test it directly.
     """
 
     points: Tuple[Point, ...]
@@ -223,8 +243,6 @@ class PointSet:
         n = len(self.points)
         if n < 3:
             raise DegenerateInput("need at least 3 points")
-        if not in_general_position(self.points):
-            raise DegenerateInput("duplicate or collinear points")
         if self.config is Config.CONVEX:
             if self.center_index is not None:
                 raise ConfigMismatch("convex sets have no center")
@@ -235,11 +253,16 @@ class PointSet:
                 raise InvalidN(f"wheel sets need even n, got {n}")
             if self.center_index is None or not 0 <= self.center_index < n:
                 raise DegenerateInput("wheel sets need a valid center_index")
-            rim = [p for i, p in enumerate(self.points) if i != self.center_index]
-            if not _is_ccw_convex_order(tuple(rim)):
+            rim = [self.points[i] for i in self.rim_order()]
+            if not _is_ccw_convex_order(rim):
                 raise DegenerateInput("rim is not in ccw circular order")
-        elif self.center_index is not None:
-            raise ConfigMismatch("center_index only applies to wheel sets")
+            if not _wheel_arcs_agree(rim, self.points[self.center_index]):
+                raise DegenerateInput("center is not on the long-arc side of every rim chord")
+        else:
+            if self.center_index is not None:
+                raise ConfigMismatch("center_index only applies to wheel sets")
+            if not in_general_position(self.points):
+                raise DegenerateInput("duplicate or collinear points")
 
     def __len__(self):
         return len(self.points)
@@ -248,18 +271,59 @@ class PointSet:
         """Original indices of the rim in listed (ccw) order; wheel only."""
         if self.config is not Config.WHEEL:
             raise ConfigMismatch("rim_order needs a wheel set")
-        return [i for i in range(len(self.points)) if i != self.center_index]
+        return wheel_relabeling(len(self.points), self.center_index)[1][:-1]
 
 
-def _is_ccw_convex_order(points: Tuple[Point, ...]) -> bool:
-    n = len(points)
-    if n < 3:
+def _is_ccw_convex_order(points: Sequence[Point]) -> bool:
+    """The points are the vertices of their convex hull, listed ccw from any
+    start; O(n log n).
+
+    The hull drops duplicates and points on a hull edge, so a pass also
+    means no three points are collinear.  Every vertex turning left is not
+    enough: a pentagram listing of a regular pentagon turns left throughout.
+    """
+    try:
+        hull = convex_hull(points)
+    except DegenerateInput:
         return False
-    for i in range(n):
-        if orientation(points[i], points[(i + 1) % n], points[(i + 2) % n]) != Orientation.CCW:
-            return False
+    if 0 not in hull:
+        return False
+    k = hull.index(0)
+    return hull[k:] + hull[:k] == list(range(len(points)))
+
+
+def _wheel_arcs_agree(rim: Sequence[Point], center: Point) -> bool:
+    """The center lies strictly on the long-arc side of every rim chord:
+    ccw of (rim[a], rim[b]) exactly when the ccw arc from a to b is the
+    shorter one.  With a convex rim of odd size this decides every crossing
+    exactly as `wheel_cross` does; O(m^2).
+    """
+    m = len(rim)
+    for a in range(m):
+        pa = rim[a]
+        for b in range(a + 1, m):
+            turn = orientation(pa, rim[b], center)
+            short = (b - a) % m < (a - b) % m
+            if turn != (Orientation.CCW if short else Orientation.CW):
+                return False
     return True
 
+
+def wheel_relabeling(
+    n: int, center_index: Optional[int] = None
+) -> Tuple[list[int], list[int]]:
+    """The maps between the file indices of a wheel with n points and its
+    sentinel labels (rim 0..n-2 in listed ccw order, center n-1).
+
+    Returns `(to_sentinel, to_file)`, each a list indexed by the label it
+    maps from; the center defaults to the last point.
+    """
+    center = n - 1 if center_index is None else center_index
+    to_file = [v for v in range(n) if v != center] + [center]
+    to_sentinel = [0] * n
+    for s, v in enumerate(to_file):
+        to_sentinel[v] = s
+    return to_sentinel, to_file
 
 
 def convex_oracle(n: int) -> CrossingOracle:
@@ -276,17 +340,10 @@ def wheel_oracle(n: int, center_index: Optional[int] = None) -> CrossingOracle:
     the sentinel convention internally.
     """
     m = n - 1
-    center = n - 1 if center_index is None else center_index
-
-    def relabel(v: int) -> int:
-        if v == center:
-            return m
-        return v if v < center else v - 1
+    label, _ = wheel_relabeling(n, center_index)
 
     def oracle(e1: Edge, e2: Edge) -> bool:
-        a, b = relabel(e1[0]), relabel(e1[1])
-        c, d = relabel(e2[0]), relabel(e2[1])
-        return wheel_cross(m, (a, b), (c, d))
+        return wheel_cross(m, (label[e1[0]], label[e1[1]]), (label[e2[0]], label[e2[1]]))
 
     return oracle
 

@@ -1,10 +1,9 @@
 """Instance generation and the JSON file formats.
 
 Files carry integer coordinates only, serialized with a fixed key order so
-the content digest is stable.  Generated convex and wheel instances are
-validated against the combinatorial crossing oracle before being emitted;
-a failed validation retries deterministically with a fresh jitter or a
-larger radius.
+the content digest is stable.  Generated instances pass `PointSet`
+validation before being emitted; a failed validation retries
+deterministically with a fresh jitter or a larger radius.
 """
 
 from __future__ import annotations
@@ -14,21 +13,26 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import DegenerateInput, InvalidN
 from .geometry import (
     Config,
     Point,
     PointSet,
-    convex_hull,
-    coordinate_oracle,
-    edge,
-    in_general_position,
-    oracle_for,
+    coordinate_oracle,  # unused here; perfbench/tracer.py patches this name
+    primitive_direction,
 )
 
 RADIUS = 10**6
+
+
+def _require_integers(values: Iterable, what: str) -> None:
+    """JSON integers only: a float, a string or `true` is malformed input."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise DegenerateInput(f"malformed {what} must be integers, got {v!r}")
 
 
 @dataclass
@@ -75,13 +79,8 @@ class InstanceFile:
             seed = doc.get("seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise DegenerateInput(f"malformed instance file {path}: {exc}") from exc
-        values = [v for p in points for v in p] + ([] if center is None else [center])
-        bad = [v for v in values if not isinstance(v, int) or isinstance(v, bool)]
-        if bad:
-            raise DegenerateInput(
-                f"malformed instance file {path}: coordinates and center_index "
-                f"must be integers, got {bad[0]!r}"
-            )
+        values = chain((v for p in points for v in p), [] if center is None else [center])
+        _require_integers(values, f"instance file {path}: coordinates and center_index")
         return cls(points=points, config=config, center_index=center, seed=seed)
 
 
@@ -113,14 +112,16 @@ class PackingFile:
         except (OSError, json.JSONDecodeError) as exc:
             raise DegenerateInput(f"cannot read packing file {path}: {exc}") from exc
         try:
-            cycles = [[int(v) for v in cyc] for cyc in doc["cycles"]]
+            cycles = [list(cyc) for cyc in doc["cycles"]]
             digest = str(doc["instance_hash"])
             removed = [
-                [(int(a), int(b)) for a, b in per_cycle]
+                [(a, b) for a, b in per_cycle]
                 for per_cycle in doc.get("removed_edges", [])
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise DegenerateInput(f"malformed packing file {path}: {exc}") from exc
+        values = chain((v for c in cycles for v in c), (v for r in removed for e in r for v in e))
+        _require_integers(values, f"packing file {path}: cycle vertices and removed edges")
         return cls(instance_hash=digest, cycles=cycles, removed_edges=removed)
 
 
@@ -143,65 +144,44 @@ def _convex_points(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
             (x + rng.randint(-band, band), y + rng.randint(-band, band))
             for x, y in raw
         ]
-        candidates = [Point(x, y) for x, y in pts]
-        if not in_general_position(candidates):
-            continue
         try:
-            hull = convex_hull(candidates)
+            PointSet(tuple(Point(x, y) for x, y in pts), Config.CONVEX)
         except DegenerateInput:
-            continue
-        if sorted(hull) != list(range(n)):
-            continue
-        k = hull.index(0)
-        if hull[k:] + hull[:k] != list(range(n)):
             continue
         return pts
     raise DegenerateInput(f"could not draw a convex instance with n={n}")
 
 
 def _wheel_points(n: int) -> List[Tuple[int, int]]:
-    m = n - 1
+    # rounding can put the center on the wrong side of a near-diameter
+    # chord; a larger radius shrinks the rounding error relative to it
     radius = RADIUS
     for _ in range(8):
-        rim = _regular_polygon(m, radius)
-        pts = [Point(x, y) for x, y in rim] + [Point(0, 0)]
-        if in_general_position(pts):
-            ps = PointSet(tuple(pts), Config.WHEEL, center_index=n - 1)
-            if _wheel_agreement(ps):
-                return [(p.x, p.y) for p in pts]
-        radius *= 10
+        pts = _regular_polygon(n - 1, radius) + [(0, 0)]
+        try:
+            PointSet(tuple(Point(x, y) for x, y in pts), Config.WHEEL, center_index=n - 1)
+        except DegenerateInput:
+            radius *= 10
+            continue
+        return pts
     raise DegenerateInput(f"could not draw a wheel instance with n={n}")
-
-
-def _wheel_agreement(ps: PointSet) -> bool:
-    """Rounded coordinates must reproduce every combinatorial crossing."""
-    comb = oracle_for(ps)
-    coords = coordinate_oracle(ps.points)
-    n = len(ps)
-    es = [edge(a, b) for a in range(n) for b in range(a + 1, n)]
-    for i, e1 in enumerate(es):
-        for e2 in es[i + 1 :]:
-            if e1[0] in e2 or e1[1] in e2:
-                continue
-            if comb(e1, e2) != coords(e1, e2):
-                return False
-    return True
 
 
 def _general_points(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
     rng = random.Random(seed)
     pts: List[Point] = []
+    # later[i]: primitive directions from pts[i] to the points drawn after it,
+    # so a candidate repeating a point or collinear with two costs O(len(pts))
+    later: List[set] = []
     while len(pts) < n:
         cand = Point(rng.randint(-RADIUS, RADIUS), rng.randint(-RADIUS, RADIUS))
-        if any(cand == p for p in pts):
+        dirs = [primitive_direction(a, cand) for a in pts]
+        if any(d == (0, 0) or d in seen for d, seen in zip(dirs, later)):
             continue
-        if any(
-            (b.x - a.x) * (cand.y - a.y) - (b.y - a.y) * (cand.x - a.x) == 0
-            for i, a in enumerate(pts)
-            for b in pts[i + 1 :]
-        ):
-            continue
+        for d, seen in zip(dirs, later):
+            seen.add(d)
         pts.append(cand)
+        later.append(set())
     return [(p.x, p.y) for p in pts]
 
 

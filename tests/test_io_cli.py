@@ -267,3 +267,62 @@ def test_cli_wheel_center_not_last(tmp_path, capsys):
     doc = json.loads(open(pack).read())
     # every cycle visits the center (index 0) exactly once
     assert all(c.count(0) == 1 for c in doc["cycles"])
+
+
+@pytest.mark.parametrize("spoil", [lambda v: v + 0.5, lambda v: True, str],
+                         ids=["half", "bool", "string"])
+@pytest.mark.parametrize("where", ["cycle", "removed"])
+def test_cli_verify_rejects_non_integer_vertex(tmp_path, capsys, spoil, where):
+    inst = tmp_path / "c6.json"
+    pack = tmp_path / "c6.pack.json"
+    run_cli("generate", "--config", "convex", "--n", "6", "--seed", "1", "--out", str(inst))
+    run_cli("pack", "--in", str(inst), "--out", str(pack))
+    doc = json.loads(pack.read_text())
+    if where == "cycle":
+        # a half-integer vertex used to be read as int(0.5) == 0 and PASS
+        doc["cycles"] = [[spoil(c[0])] + c[1:] for c in doc["cycles"]]
+    else:
+        doc["removed_edges"] = [[[spoil(0), 3]], []]
+    pack.write_text(json.dumps(doc))
+    with pytest.raises(DegenerateInput):
+        PackingFile.load(str(pack))
+    capsys.readouterr()
+    assert run_cli("verify", "--instance", str(inst), "--packing", str(pack)) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
+def test_cli_verify_reports_guarantee(tmp_path, capsys):
+    inst = tmp_path / "c9.json"
+    pack = tmp_path / "c9.pack.json"
+    run_cli("generate", "--config", "convex", "--n", "9", "--seed", "1", "--out", str(inst))
+    run_cli("pack", "--in", str(inst), "--out", str(pack))
+    doc = json.loads(pack.read_text())
+    doc["cycles"] = doc["cycles"][:2]
+    pack.write_text(json.dumps(doc))
+    capsys.readouterr()
+    # fewer cycles than guaranteed is reported, but a valid packing still passes
+    assert run_cli("verify", "--instance", str(inst), "--packing", str(pack)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "PASS"
+    assert "2 of 3 guaranteed" in lines[-2] and "meets guarantee: False" in lines[-2]
+    assert run_cli("verify", "--instance", str(inst), "--packing", str(pack), "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["guaranteed"] == 3 and report["meets_guarantee"] is False
+
+
+@pytest.mark.parametrize("config,n,guaranteed", [
+    ("convex", 6, 2), ("wheel", 10, 3), ("general", 17, 3),
+])
+def test_cli_verify_fails_empty_packing(tmp_path, capsys, config, n, guaranteed):
+    inst = tmp_path / "i.json"
+    pack = tmp_path / "p.json"
+    run_cli("generate", "--config", config, "--n", str(n), "--seed", "1", "--out", str(inst))
+    PackingFile(InstanceFile.load(str(inst)).digest(), []).save(str(pack))
+    capsys.readouterr()
+    assert run_cli("verify", "--instance", str(inst), "--packing", str(pack)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL"
+    assert f"0 of {guaranteed} guaranteed" in lines[-2]
+    assert run_cli("verify", "--instance", str(inst), "--packing", str(pack), "--json") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["guaranteed"] == guaranteed
