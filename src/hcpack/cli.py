@@ -1,7 +1,9 @@
 """Command-line surface: generate, pack, verify, oracle, render.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 construction or packing failure.
+3 construction or packing failure, or any other package error that
+reaches the top level, 4 an internal error (an unexpected exception).
+Exit 1 means only that a packing failed verification.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import List, Optional
 
 from .cycles import HamCycle, verify_packing
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CONSTRUCT = 3
+EXIT_INTERNAL = 4
 
 
 def _load_instance(path: str) -> tuple[InstanceFile, PointSet]:
@@ -257,7 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except HcpackError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCT
+    except Exception as exc:  # not BaseException: interrupts still propagate
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

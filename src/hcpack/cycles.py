@@ -3,11 +3,12 @@ structure predicates."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigMismatch
-from .geometry import Config, CrossingOracle, Edge, edge, wheel_relabeling
+from .geometry import Config, CrossingOracle, Edge, RingOracle, edge, wheel_relabeling
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,19 @@ def crossing_report(
     """Per-edge count of the other edges properly crossing it, plus the
     crossing pairs, for a cycle or any list of distinct edges.
 
-    Edges sharing a vertex never cross and are not passed to the oracle.
+    A `RingOracle` (convex and wheel sets) is answered by one sweep around
+    the ring in O(E log E + K) for K crossing pairs; any other oracle is
+    asked about every pair of edges that share no vertex.  Both give the
+    pairs in edge-list order.
     """
     es = c.edges() if isinstance(c, HamCycle) else tuple(c)
     counts = {e: 0 for e in es}
+    if isinstance(oracle, RingOracle):
+        pairs = [(es[i], es[j]) for i, j in _ring_crossings(es, oracle)]
+        for e1, e2 in pairs:
+            counts[e1] += 1
+            counts[e2] += 1
+        return CrossReport(counts, pairs)
     pairs = []
     for i, e1 in enumerate(es):
         a, b = e1
@@ -96,6 +106,50 @@ def crossing_report(
                 counts[e2] += 1
                 pairs.append((e1, e2))
     return CrossReport(counts, pairs)
+
+
+def _ring_crossings(es: Sequence[Edge], ring: RingOracle) -> List[Tuple[int, int]]:
+    """Index pairs i < j, ascending, of the edges of `es` that cross.
+
+    Rim chords (lo, hi) and (lo', hi') cross iff lo < lo' < hi < hi'.  The
+    sweep visits chords by ascending high end, the ones sharing a high end
+    by descending low end: when chord x closes, the chords still open that
+    started after lo[x] are exactly the ones crossing it.  A wheel's
+    radials, to rim position j, cross the chords whose short arc holds j.
+    """
+    m, label = ring.m, ring.label
+    n, count = len(label), len(es)
+    lo, hi, chords, radials = [], [], [], []
+    for i, (a, b) in enumerate(es):
+        if not (0 <= a < n and 0 <= b < n) or a == b:
+            raise ValueError(f"edge {(a, b)} is not two distinct vertices of 0..{n - 1}")
+        a, b = label[a], label[b]
+        if a > b:
+            a, b = b, a
+        lo.append(a)
+        hi.append(b)
+        (radials if b == m else chords).append(i)
+    opening = sorted(lo[i] * count + i for i in chords)  # start keys, ascending
+    started = []  # start keys of the open chords, ascending
+    k = 0
+    hits = []  # i * count + j
+    for x in sorted(chords, key=lambda i: hi[i] * n - lo[i]):
+        while k < len(opening) and opening[k] < hi[x] * count:
+            started.append(opening[k])
+            k += 1
+        del started[bisect_left(started, lo[x] * count + x)]
+        for key in started[bisect_left(started, (lo[x] + 1) * count):]:
+            y = key % count
+            hits.append(x * count + y if x < y else y * count + x)
+    for r in radials:
+        j = lo[r]
+        for x in chords:
+            a, b = lo[x], hi[x]
+            inside = a < j < b
+            if inside if 2 * (b - a) < m else not (inside or j == a or j == b):
+                hits.append(r * count + x if r < x else x * count + r)
+    hits.sort()
+    return [divmod(h, count) for h in hits]
 
 
 class CrossLedger:
@@ -308,11 +362,21 @@ def verify_packing(cycles: Sequence[HamCycle], n: int, oracle: CrossingOracle) -
     k = len(cycles)
     disjoint = [[True] * k for _ in range(k)]
     all_disjoint = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = are_edge_disjoint(cycles[i], cycles[j])
-            disjoint[i][j] = disjoint[j][i] = d
-            all_disjoint = all_disjoint and d
+    # one mark per edge (a, b), a < b, at a * n + b; a cycle that meets a
+    # marked edge, or leaves 0..n-1, gets its row checked pair by pair
+    marked = bytearray(n * n)
+    for i, c in enumerate(cycles):
+        shared = False
+        for a, b in c.edges():
+            if not (0 <= a and b < n) or marked[a * n + b]:
+                shared = True
+            else:
+                marked[a * n + b] = 1
+        if shared:
+            for j in range(i):
+                d = are_edge_disjoint(c, cycles[j])
+                disjoint[i][j] = disjoint[j][i] = d
+                all_disjoint = all_disjoint and d
     ok = all_disjoint and all(
         r["hamiltonian"] and r["one_plane"] for r in per_cycle
     )

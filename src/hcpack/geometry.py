@@ -326,26 +326,41 @@ def wheel_relabeling(
     return to_sentinel, to_file
 
 
-def convex_oracle(n: int) -> CrossingOracle:
-    def oracle(e1: Edge, e2: Edge) -> bool:
-        return convex_cross(n, e1, e2)
+class RingOracle:
+    """Crossing oracle for points on a ring: convex position, or a wheel.
 
-    return oracle
+    `label[v]` is the ring position (0..m-1, ccw) of vertex `v`; on a wheel
+    the center is labelled `m`, and `wheel` makes calls go to `wheel_cross`
+    instead of `convex_cross`.  Calling it decides one pair as those do;
+    `cycles.crossing_report` reads `m` and `label` to find every crossing
+    of an edge list in one sweep around the ring.
+    """
+
+    __slots__ = ("m", "label", "wheel")
+
+    def __init__(self, m: int, label: Sequence[int], wheel: bool):
+        if wheel and m % 2 == 0:
+            raise ValueError("rim count must be odd")
+        self.m, self.label, self.wheel = m, label, wheel
+
+    def __call__(self, e1: Edge, e2: Edge) -> bool:
+        if not self.wheel:
+            return convex_cross(self.m, e1, e2)
+        label = self.label
+        return wheel_cross(self.m, (label[e1[0]], label[e1[1]]), (label[e2[0]], label[e2[1]]))
 
 
-def wheel_oracle(n: int, center_index: Optional[int] = None) -> CrossingOracle:
+def convex_oracle(n: int) -> RingOracle:
+    return RingOracle(n, range(n), False)
+
+
+def wheel_oracle(n: int, center_index: Optional[int] = None) -> RingOracle:
     """Oracle over original indices of a wheel set with n points total.
 
     Defaults to the center stored last; otherwise indices are relabeled to
     the sentinel convention internally.
     """
-    m = n - 1
-    label, _ = wheel_relabeling(n, center_index)
-
-    def oracle(e1: Edge, e2: Edge) -> bool:
-        return wheel_cross(m, (label[e1[0]], label[e1[1]]), (label[e2[0]], label[e2[1]]))
-
-    return oracle
+    return RingOracle(n - 1, wheel_relabeling(n, center_index)[0], True)
 
 
 def coordinate_oracle(points: Sequence[Point]) -> CrossingOracle:

@@ -29,9 +29,9 @@ from .cycles import (
     HamCycle,
     Packing,
     crossing_report,  # unused here; perfbench/tracer.py patches this name
-    is_one_plane,
+    is_one_plane,  # unused here; perfbench/tracer.py patches this name
     radial_edge_count,
-    verify_hamiltonian,
+    verify_packing,
 )
 from .errors import ConstructionFailed, InvalidN, NonHamiltonian
 from .geometry import convex_oracle, edge as edge_of, wheel_oracle
@@ -121,16 +121,8 @@ def generate_zigzag(spec: ZigzagSpec) -> HamCycle:
 
 
 def _verify_family(cycles, n, oracle, label):
-    seen = set()
-    for c in cycles:
-        if not verify_hamiltonian(c, n):
-            raise ConstructionFailed(f"{label}: cycle not Hamiltonian: {c.order}")
-        if not is_one_plane(c, oracle):
-            raise ConstructionFailed(f"{label}: cycle not 1-plane: {c.order}")
-        es = set(c.edges())
-        if es & seen:
-            raise ConstructionFailed(f"{label}: shared edges {es & seen}")
-        seen |= es
+    if not verify_packing(cycles, n, oracle)["ok"]:
+        raise ConstructionFailed(f"{label}: cycles are not Hamiltonian, 1-plane and edge-disjoint")
 
 
 def pack_convex(n: int) -> Packing:

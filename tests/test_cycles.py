@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +18,14 @@ from hcpack import (
     coordinate_oracle,
     crossing_report,
     is_one_plane,
+    pack_convex,
+    pack_wheel,
     verify_hamiltonian,
     verify_packing,
+    wheel_oracle,
 )
 from hcpack.errors import ConfigMismatch
+from hcpack.geometry import RingOracle
 
 from conftest import enumerated, general_instance
 
@@ -102,6 +106,108 @@ def test_crossing_report_and_ledger_agree(n, orc):
         if report.max_count <= 1:
             held = {(e, f) for e, hits in ledger.crossed.items() for f in hits}
             assert held == {p for e, f in report.pairs for p in ((e, f), (f, e))}, c
+
+
+def _pairwise(orc):
+    """The same oracle hidden from the ring sweep: the pairwise scan."""
+    return lambda e1, e2: orc(e1, e2)
+
+
+def _assert_same_report(es, orc):
+    ring, scan = crossing_report(es, orc), crossing_report(es, _pairwise(orc))
+    assert list(ring.counts.items()) == list(scan.counts.items()), es
+    assert ring.pairs == scan.pairs, es
+    assert ring.max_count == scan.max_count, es
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_ring_report_matches_pairwise_on_every_cycle(n):
+    orcs = [convex_oracle(n)]
+    if n % 2 == 0:
+        orcs += [wheel_oracle(n, center) for center in range(n)]
+    for c in _every_ham_cycle(n):
+        for orc in orcs:
+            _assert_same_report(c, orc)
+
+
+@st.composite
+def _ring_edge_lists(draw):
+    wheel = draw(st.booleans())
+    n = draw(st.integers(2, 6).map(lambda h: 2 * h) if wheel else st.integers(3, 12))
+    orc = wheel_oracle(n, draw(st.integers(0, n - 1))) if wheel else convex_oracle(n)
+    es = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+    flips = draw(st.lists(st.booleans(), min_size=len(es), max_size=len(es)))
+    return [e[::-1] if f else e for e, f in zip(es, flips)], orc
+
+
+@given(_ring_edge_lists())
+def test_ring_report_matches_pairwise_on_edge_lists(case):
+    _assert_same_report(*case)
+
+
+@pytest.mark.parametrize(
+    "orc, es",
+    [
+        (convex_oracle(5), [(0, 2), (1, 5)]),
+        (convex_oracle(5), [(-1, 2), (0, 3)]),
+        (wheel_oracle(6), [(0, 6), (1, 3)]),
+        (wheel_oracle(6, 2), [(1, 3), (-1, 4)]),
+        (convex_oracle(5), [(2, 2), (0, 3)]),
+    ],
+)
+def test_ring_report_rejects_bad_edge(orc, es):
+    with pytest.raises(ValueError):
+        crossing_report(es, orc)
+
+
+class _CountingRing(RingOracle):
+    def __init__(self, base):
+        super().__init__(base.m, base.label, base.wheel)
+        self.calls = 0
+
+    def __call__(self, e1, e2):
+        self.calls += 1
+        return super().__call__(e1, e2)
+
+
+@pytest.mark.parametrize("pack, make_oracle, n", [
+    (pack_convex, convex_oracle, 192),
+    (pack_wheel, wheel_oracle, 64),
+])
+def test_ring_report_asks_no_pair(pack, make_oracle, n):
+    """Convex and wheel reports never fall back to asking each pair."""
+    counting = _CountingRing(make_oracle(n))
+    for c in pack(n).cycles:
+        assert crossing_report(c, counting).max_count <= 1
+    assert counting.calls == 0
+
+
+def _pairwise_disjoint(cycles):
+    return [[i == j or are_edge_disjoint(a, b) for j, b in enumerate(cycles)]
+            for i, a in enumerate(cycles)]
+
+
+def test_verify_packing_disjointness_matrix():
+    never = lambda e1, e2: False  # noqa: E731
+    # three cycles through the edge (0, 1), and one edge-disjoint from the first
+    cycles = [HamCycle(o) for o in (
+        (0, 1, 2, 3, 4, 5), (0, 1, 3, 5, 2, 4), (1, 0, 3, 2, 5, 4), (0, 2, 4, 1, 5, 3),
+    )]
+    report = verify_packing(cycles, 6, never)
+    assert report["pairwise_disjoint"] == _pairwise_disjoint(cycles)
+    assert not report["all_disjoint"] and not report["ok"]
+
+
+@given(st.lists(st.permutations(range(6)), max_size=5), st.integers(-8, 14))
+def test_verify_packing_disjointness_matches_pairwise(orders, stray):
+    # `stray` replaces vertex 5 in the first cycle, leaving 0..5 unless 0..4
+    cycles = [HamCycle(o) for o in orders]
+    if cycles and stray not in cycles[0].order:
+        cycles[0] = HamCycle(tuple(stray if v == 5 else v for v in cycles[0].order))
+    report = verify_packing(cycles, 6, lambda e1, e2: False)
+    expected = _pairwise_disjoint(cycles)
+    assert report["pairwise_disjoint"] == expected
+    assert report["all_disjoint"] == all(all(row) for row in expected)
 
 
 def test_are_edge_disjoint():

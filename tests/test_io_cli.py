@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hcpack import Config, generate, pack_convex, render_svg
+from hcpack import Config, cli, generate, pack_convex, render_svg
 from hcpack.cli import main
 from hcpack.errors import DegenerateInput, InvalidN
 from hcpack.instances import InstanceFile, PackingFile
@@ -240,6 +240,31 @@ def test_cli_render_index_out_of_range(tmp_path, capsys, where):
 
 def test_cli_missing_file_exit_code(tmp_path):
     assert run_cli("oracle", "--in", str(tmp_path / "nope.json")) == 2
+
+
+@pytest.mark.parametrize("exc, code", [
+    (RuntimeError("boom"), 4),
+    (KeyError("boom"), 4),
+    (InvalidN("boom"), 3),
+])
+def test_cli_top_level_guard(tmp_path, capsys, monkeypatch, exc, code):
+    """An escaping exception never exits 1, which means verification failed."""
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_generate", raising)
+    argv = ("generate", "--config", "convex", "--n", "6", "--out", str(tmp_path / "c.json"))
+    assert run_cli(*argv) == code
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {type(exc).__name__}: {exc}"
+
+
+def test_cli_guard_lets_interrupts_through(tmp_path, monkeypatch):
+    def raising(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_generate", raising)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("generate", "--config", "convex", "--n", "6", "--out", str(tmp_path / "c.json"))
 
 
 def test_cli_oracle_env_cap(tmp_path, capsys, monkeypatch):
