@@ -18,6 +18,7 @@ dead partition at the bottom backtracks into different cuts above.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -29,12 +30,10 @@ from .geometry import (
     CrossingOracle,
     Edge,
     PointSet,
-    Side,
     coordinate_oracle,
     edge,
     orientation,
     segments_properly_cross,  # unused here; perfbench/tracer.py patches this name
-    side_of_line,
 )
 
 
@@ -44,7 +43,6 @@ class Stone:
 
     v: int
     w: int
-    part_id: Optional[int] = None
 
     def pair(self) -> Edge:
         return edge(self.v, self.w)
@@ -312,18 +310,6 @@ def march_cycle(
 # uncrossing and joining
 
 
-def _oriented_edge_positions(c: HamCycle, e: Edge) -> Tuple[int, int]:
-    """(u, v) with v the cycle successor of u and {u, v} == e."""
-    n = len(c)
-    pos = {v: i for i, v in enumerate(c.order)}
-    i, j = pos[e[0]], pos[e[1]]
-    if (i + 1) % n == j:
-        return e[0], e[1]
-    if (j + 1) % n == i:
-        return e[1], e[0]
-    raise ValueError(f"{e} is not an edge of the cycle")
-
-
 def uncross(c: HamCycle, pair: Tuple[Edge, Edge], oracle: CrossingOracle) -> HamCycle:
     """Replace a crossing pair by the single-cycle reconnection.
 
@@ -333,25 +319,19 @@ def uncross(c: HamCycle, pair: Tuple[Edge, Edge], oracle: CrossingOracle) -> Ham
     e1, e2 = pair
     if not oracle(e1, e2):
         raise ValueError(f"{e1} and {e2} do not cross")
+    # rotate so that e1 closes the ring; e2 is then ring[k-1], ring[k]
     n = len(c)
-    u1, u2 = _oriented_edge_positions(c, e1)
-    u3, u4 = _oriented_edge_positions(c, e2)
-    pos = {v: i for i, v in enumerate(c.order)}
-    arc1 = []
-    i = pos[u2]
-    while True:
-        arc1.append(c.order[i])
-        if c.order[i] == u3:
-            break
-        i = (i + 1) % n
-    arc2 = []
-    i = pos[u4]
-    while True:
-        arc2.append(c.order[i])
-        if c.order[i] == u1:
-            break
-        i = (i + 1) % n
-    new = HamCycle(tuple(arc2 + arc1[::-1]))
+    i, j = sorted(map(c.order.index, e1))
+    if j == i + 1:
+        ring = c.order[j:] + c.order[:j]
+    elif (i, j) == (0, n - 1):
+        ring = c.order
+    else:
+        raise ValueError(f"{e1} is not an edge of the cycle")
+    p, k = sorted(map(ring.index, e2))
+    if k != p + 1:
+        raise ValueError(f"{e2} is not an edge of the cycle")
+    new = HamCycle(ring[k:] + ring[k - 1 :: -1])
     if not is_one_plane(new, oracle):
         raise StillCrossing(f"uncrossing {pair} leaves a double crossing")
     return new
@@ -453,7 +433,8 @@ def join_cycles(
                 nc = uncross(c, pair, oracle)
             except StillCrossing:
                 continue
-            created = tuple(e for e in nc.edges() if e not in set(c.edges()))
+            old = set(c.edges())
+            created = tuple(e for e in nc.edges() if e not in old)
             if any(e in forbidden for e in created):
                 continue
             yield nc, (pair, created)
@@ -491,8 +472,6 @@ def _ccw_part_order(parts: List[Tuple[int, ...]], points) -> List[Tuple[int, ...
         sy = sum(points[i].y for i in part)
         return (total * sx - len(part) * gx, total * sy - len(part) * gy)
 
-    import functools
-
     def cmp(p1, p2):
         v1, v2 = vec(p1), vec(p2)
         h1 = 0 if (v1[1] > 0 or (v1[1] == 0 and v1[0] > 0)) else 1
@@ -519,21 +498,55 @@ def _bisection_from_cut(line, cls_left, part) -> Bisection:
     return Bisection(line, left, right)
 
 
+def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Stone]]:
+    """The halves of each (cut, stones) pair in ccw order, and the stone
+    each half keeps."""
+    parts = _ccw_part_order(
+        [tuple(sorted(half)) for cut, _ in cuts for half in (cut.left, cut.right)], points
+    )
+    stones: Dict[int, Stone] = {}
+    for _, sts in cuts:
+        for st in sts:
+            for pi, p in enumerate(parts):
+                if st.v in p and st.w in p:
+                    stones[pi] = st
+    return parts, stones
+
+
+def _fold(cycles: List[HamCycle], used, oracle) -> Tuple[HamCycle, List[JoinMove]]:
+    """Join the part cycles into one, greedily in ccw order; a stuck fold
+    restarts from the next seed cycle."""
+    last_err: Optional[Exception] = None
+    for seed in range(len(cycles)):
+        rest = cycles[:seed] + cycles[seed + 1 :]
+        merged, moves = cycles[seed], []
+        while rest:
+            for j, c in enumerate(rest):
+                try:
+                    merged, mv = join_cycles(merged, c, used, oracle)
+                except NoJoinFound as exc:
+                    last_err = exc
+                    continue
+                moves.append(mv)
+                del rest[j]
+                break
+            else:
+                last_err = NoJoinFound(f"fold stuck: {last_err}")
+                break
+        else:
+            return merged, moves
+    raise NoJoinFound(str(last_err))
+
+
 def _run_level(points, parts, stones, used, variant, oracle):
     """One attempt at a level: marches per part plus the joining fold."""
     part_cuts: List[Optional[Bisection]] = [None] * len(parts)
     cut_case: Dict[int, str] = {}
     for t in range(0, len(parts), 2):
-        a_idx, b_idx = t, t + 1
-        A, B = parts[a_idx], parts[b_idx]
-        st_a, st_b = stones.get(a_idx), stones.get(b_idx)
-        hs = None
+        A, B = parts[t], parts[t + 1]
+        st_a, st_b = stones.get(t), stones.get(t + 1)
         if st_a is not None:
             hs = _nth(ham_sandwich_cuts(points, A, B, pair=(st_a.v, st_a.w)), variant)
-            if hs is not None and st_b is not None:
-                left_all = set(hs[1][0]) | set(hs[1][2])
-                if (st_b.v in left_all) != (st_b.w in left_all):
-                    hs = None
             case = "case1"
         elif st_b is not None:
             hs = _nth(ham_sandwich_cuts(points, B, A, pair=(st_b.v, st_b.w)), variant)
@@ -541,18 +554,18 @@ def _run_level(points, parts, stones, used, variant, oracle):
         else:
             hs = _nth(ham_sandwich_cuts(points, A, B), variant)
             case = "ham-sandwich"
-        if hs is not None:
-            line, _parts4 = hs
-            left_all = {
-                i
-                for i in list(A) + list(B)
-                if side_of_line(line, points[i]) is Side.LEFT
-            }
-            part_cuts[a_idx] = _bisection_from_cut(line, left_all, A)
-            part_cuts[b_idx] = _bisection_from_cut(line, left_all, B)
-            cut_case[a_idx] = cut_case[b_idx] = case
+        if hs is None:
+            continue
+        # the cut puts exactly the points of l1 and l2 strictly left
+        line, (l1, _, l2, _) = hs
+        left_all = set(l1) | set(l2)
+        if st_a is not None and st_b is not None and (st_b.v in left_all) != (st_b.w in left_all):
+            continue
+        part_cuts[t] = _bisection_from_cut(line, left_all, A)
+        part_cuts[t + 1] = _bisection_from_cut(line, left_all, B)
+        cut_case[t] = cut_case[t + 1] = case
     part_cycles: List[HamCycle] = []
-    child_info = []
+    child_cuts = []
     for pi, part in enumerate(parts):
         st = stones.get(pi)
         cut = part_cuts[pi]
@@ -583,53 +596,10 @@ def _run_level(points, parts, stones, used, variant, oracle):
         if cut is None:
             cut_case.setdefault(pi, "unconstrained")
         part_cycles.append(cyc)
-        child_info.append((used_cut.left, used_cut.right, new_stones))
-    # fold the per-part cycles into one cycle, greedily in ccw order
-    last_err: Optional[Exception] = None
-    merged = None
-    moves: List[JoinMove] = []
-    for seed_idx in range(len(part_cycles)):
-        try:
-            remaining = list(range(len(part_cycles)))
-            m = part_cycles[remaining.pop(seed_idx)]
-            trial_moves = []
-            while remaining:
-                for j, idx in enumerate(remaining):
-                    try:
-                        m, mv = join_cycles(m, part_cycles[idx], used, oracle)
-                        trial_moves.append(mv)
-                        remaining.pop(j)
-                        break
-                    except NoJoinFound as exc:
-                        last_err = exc
-                else:
-                    raise NoJoinFound(f"fold stuck: {last_err}")
-            merged = m
-            moves = trial_moves
-            break
-        except NoJoinFound as exc:
-            last_err = exc
-    if merged is None:
-        raise NoJoinFound(str(last_err))
-    new_parts: List[Tuple[int, ...]] = []
-    new_stones: Dict[int, Stone] = {}
-    for left, right, sts in child_info:
-        for half in (left, right):
-            new_parts.append(tuple(sorted(half)))
-            for st in sts:
-                if st.v in half and st.w in half:
-                    new_stones[len(new_parts) - 1] = Stone(st.v, st.w, len(new_parts) - 1)
-    order = _ccw_part_order(new_parts, points)
-    remap = {}
-    taken = set()
-    for oldi, p in enumerate(new_parts):
-        for newi, q in enumerate(order):
-            if p == q and newi not in taken:
-                remap[oldi] = newi
-                taken.add(newi)
-                break
-    stones_out = {remap[i]: Stone(s.v, s.w, remap[i]) for i, s in new_stones.items()}
-    return merged, moves, order, stones_out, cut_case
+        child_cuts.append((used_cut, new_stones))
+    merged, moves = _fold(part_cycles, used, oracle)
+    parts_out, stones_out = _next_level(child_cuts, points)
+    return merged, moves, parts_out, stones_out, cut_case
 
 
 def pack_general_detailed(
@@ -651,25 +621,26 @@ def pack_general_detailed(
     if k < 2:
         raise ValueError("need n >= 4")
     oracle = coordinate_oracle(points)
-    counter = [0]
-    last_err: List[Optional[Exception]] = [None]
-    best: List[List[HamCycle]] = [[]]
+    counter = 0
+    last_err: Optional[Exception] = None
+    best: List[HamCycle] = []
 
     def solve(level, parts, stones, used, cycles, levels_acc, moves_acc):
-        if len(cycles) > len(best[0]):
-            best[0] = list(cycles)
+        nonlocal counter, last_err, best
+        if len(cycles) > len(best):
+            best = list(cycles)
         if level > k - 1:
             return cycles, levels_acc, moves_acc
         for variant in range(per_level_variants):
-            if counter[0] >= budget:
+            if counter >= budget:
                 return None
-            counter[0] += 1
+            counter += 1
             try:
                 merged, moves, parts2, stones2, cut_case = _run_level(
                     points, parts, stones, used, variant, oracle
                 )
             except (MarchFailed, NoJoinFound) as exc:
-                last_err[0] = exc
+                last_err = exc
                 continue
             lv = LevelParts(parts=list(parts2), stones=dict(stones2), cut_case=cut_case)
             res = solve(
@@ -692,16 +663,9 @@ def pack_general_detailed(
         try:
             cyc, cut, stones_l = march_cycle(points, range(n), bisection=cuts)
         except MarchFailed as exc:
-            last_err[0] = exc
+            last_err = exc
             continue
-        parts = _ccw_part_order(
-            [tuple(sorted(cut.left)), tuple(sorted(cut.right))], points
-        )
-        stones: Dict[int, Stone] = {}
-        for st in stones_l:
-            for pi, p in enumerate(parts):
-                if st.v in p and st.w in p:
-                    stones[pi] = Stone(st.v, st.w, pi)
+        parts, stones = _next_level([(cut, stones_l)], points)
         level1 = LevelParts(parts=list(parts), stones=dict(stones))
         res = solve(2, parts, stones, set(cyc.edges()), [cyc], [level1], [[]])
         if res is not None:
@@ -711,9 +675,9 @@ def pack_general_detailed(
                 tree.used_edges |= set(c.edges())
             return GeneralPackResult(Packing(tuple(cycles)), tree, moves_acc)
     raise PackingIncomplete(
-        f"search exhausted ({counter[0]} level attempts): {last_err[0]}",
-        level=len(best[0]) + 1,
-        cycles=best[0],
+        f"search exhausted ({counter} level attempts): {last_err}",
+        level=len(best) + 1,
+        cycles=best,
     )
 
 

@@ -12,29 +12,27 @@ All three cycle families are alternating zigzags around the hull:
 
 Rotating anchors in steps of (n+3)/2 for odd n, or 3 for even n, tiles the
 boundary so the k = floor(n/3) cycles stay pairwise edge-disjoint.  The
-wheel packing reuses the odd-n rim zigzag and splices the center into one
-chord per cycle, searched so radial edges stay distinct and each cycle
-stays 1-plane.
+wheel packing takes the zigzags on its n-1 rim points (odd, so
+THREE_BOUNDARY) and splices the center into one chord per cycle: the first
+slot, in a fixed order, whose cycle shares no edge with the cycles already
+chosen and stays 1-plane.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
 from .cycles import (
-    CrossLedger,
     HamCycle,
     Packing,
-    crossing_report,  # unused here; perfbench/tracer.py patches this name
+    crossing_report,
     is_one_plane,  # unused here; perfbench/tracer.py patches this name
-    radial_edge_count,
     verify_packing,
 )
 from .errors import ConstructionFailed, InvalidN, NonHamiltonian
-from .geometry import convex_oracle, edge as edge_of, wheel_oracle
+from .geometry import convex_oracle, wheel_oracle
 
 
 class BoundaryPlan(Enum):
@@ -125,86 +123,62 @@ def _verify_family(cycles, n, oracle, label):
         raise ConstructionFailed(f"{label}: cycles are not Hamiltonian, 1-plane and edge-disjoint")
 
 
+def _zigzags(n: int) -> list[HamCycle]:
+    """The floor(n/3) convex zigzag cycles on n points, unverified."""
+    k = n // 3
+    if n % 2 == 1:
+        m = (n - 1) // 2
+        return [
+            generate_zigzag(ZigzagSpec(n, ((m + 2) * i) % n, BoundaryPlan.THREE_BOUNDARY))
+            for i in range(k)
+        ]
+    t_a = (k + 1) // 2
+    return [
+        generate_zigzag(ZigzagSpec(n, 3 * i, BoundaryPlan.TWO_BOUNDARY)) for i in range(t_a)
+    ] + [
+        generate_zigzag(ZigzagSpec(n, 3 * j + 2, BoundaryPlan.FOUR_BOUNDARY))
+        for j in range(k - t_a)
+    ]
+
+
 def pack_convex(n: int) -> Packing:
     """floor(n/3) pairwise edge-disjoint 1-plane Hamiltonian cycles."""
     if n < 3:
         raise InvalidN(f"need n >= 3, got {n}")
-    k = n // 3
-    cycles = []
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        for i in range(k):
-            spec = ZigzagSpec(n, ((m + 2) * i) % n, BoundaryPlan.THREE_BOUNDARY)
-            cycles.append(generate_zigzag(spec))
-    else:
-        t_a = (k + 1) // 2
-        for i in range(t_a):
-            cycles.append(generate_zigzag(ZigzagSpec(n, 3 * i, BoundaryPlan.TWO_BOUNDARY)))
-        for j in range(k - t_a):
-            cycles.append(
-                generate_zigzag(ZigzagSpec(n, 3 * j + 2, BoundaryPlan.FOUR_BOUNDARY))
-            )
+    cycles = _zigzags(n)
     _verify_family(cycles, n, convex_oracle(n), f"pack_convex({n})")
-    if len(cycles) != k:
-        raise ConstructionFailed(f"expected {k} cycles, built {len(cycles)}")
     return Packing(tuple(cycles))
 
 
 def pack_wheel(n: int) -> Packing:
     """floor((n-1)/3) cycles on the wheel; center stored as index n-1.
 
-    Each rim zigzag gets the center spliced into one chord.  The preferred
-    splice slot is the chord between the last two zigzag turns; when that
-    slot would reuse a radial edge or break 1-planarity for larger rims,
-    the next verifying chord position is taken instead.
+    The rims are the convex zigzags on the n-1 rim points
+    (`_zigzags(n - 1)`), and each gets the center spliced into one chord.
+    The preferred splice slot is the chord between the last two zigzag
+    turns; when that slot is a boundary edge, shares an edge with an
+    earlier cycle or breaks 1-planarity, the next chord position is taken
+    instead.
     """
     if n % 2 != 0 or n < 10:
         raise InvalidN(f"wheel packing needs even n >= 10, got {n}")
     m = n - 1
-    mu = (m - 1) // 2
-    k = m // 3
     oracle = wheel_oracle(n)
-    used_radial: set[int] = set()
-    used_edges: set = set()
+    slots = [m - 3] + [p for p in range(m - 1, -1, -1) if p != m - 3]
+    used: set = set()
     cycles = []
-    for i in range(k):
-        anchor = ((mu + 2) * i) % m
-        rim = [(anchor + o) % m for o in _offsets_three(m)]
-        ledger = CrossLedger(oracle)
-        if not all(ledger.add(e) for e in HamCycle(tuple(rim)).edges()):
-            raise ConstructionFailed(f"pack_wheel({n}): rim zigzag {i} is not 1-plane")
-        chosen = None
-        slots = [m - 3] + [p for p in range(m - 1, -1, -1) if p != m - 3]
+    for i, zigzag in enumerate(_zigzags(m)):
+        rim = zigzag.order
         for pos in slots:
             u, v = rim[pos], rim[(pos + 1) % m]
             if (v - u) % m in (1, m - 1):
                 continue  # splicing a boundary edge would drop below three
-            if u in used_radial or v in used_radial:
-                continue
-            # 1-planarity: swap the chord for both radials, then restore the rim
-            uv = edge_of(u, v)
-            ledger.remove(uv)
-            placed = list(itertools.takewhile(ledger.add, (edge_of(u, n - 1), edge_of(v, n - 1))))
-            for rad in placed:
-                ledger.remove(rad)
-            ledger.add(uv)
-            if len(placed) < 2:
-                continue
-            cand = HamCycle(tuple(rim[: pos + 1] + [n - 1] + rim[pos + 1 :]))
-            if set(cand.edges()) & used_edges:
-                continue
-            chosen = (cand, u, v)
-            break
-        if chosen is None:
+            cand = HamCycle(rim[: pos + 1] + (n - 1,) + rim[pos + 1 :])
+            if used.isdisjoint(cand.edges()) and crossing_report(cand, oracle).max_count <= 1:
+                break
+        else:
             raise ConstructionFailed(f"pack_wheel({n}): no splice slot for cycle {i}")
-        cand, u, v = chosen
-        used_radial |= {u, v}
-        used_edges |= set(cand.edges())
+        used.update(cand.edges())
         cycles.append(cand)
-    for c in cycles:
-        if radial_edge_count(c, n) != 2:
-            raise ConstructionFailed(f"pack_wheel({n}): radial count != 2")
     _verify_family(cycles, n, oracle, f"pack_wheel({n})")
-    if len(cycles) != k:
-        raise ConstructionFailed(f"expected {k} cycles, built {len(cycles)}")
     return Packing(tuple(cycles))

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from hcpack import Config, Point, PointSet, enumerate_1phc, generate
+from hcpack.geometry import RingOracle
 
 
 def regular_polygon_points(n, radius=10**6, twist=True):
@@ -13,6 +14,18 @@ def regular_polygon_points(n, radius=10**6, twist=True):
         ang = 2 * math.pi * i / n + (math.pi / (4 * n) if twist else 0)
         pts.append(Point(round(radius * math.cos(ang)), round(radius * math.sin(ang))))
     return pts
+
+
+class CountingRing(RingOracle):
+    """A ring oracle that counts the pairs it is asked to decide."""
+
+    def __init__(self, base):
+        super().__init__(base.m, base.label, base.wheel)
+        self.calls = 0
+
+    def __call__(self, e1, e2):
+        self.calls += 1
+        return super().__call__(e1, e2)
 
 
 @lru_cache(maxsize=None)

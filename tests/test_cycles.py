@@ -25,9 +25,8 @@ from hcpack import (
     wheel_oracle,
 )
 from hcpack.errors import ConfigMismatch
-from hcpack.geometry import RingOracle
 
-from conftest import enumerated, general_instance
+from conftest import CountingRing, enumerated, general_instance
 
 
 def test_verify_hamiltonian():
@@ -160,23 +159,13 @@ def test_ring_report_rejects_bad_edge(orc, es):
         crossing_report(es, orc)
 
 
-class _CountingRing(RingOracle):
-    def __init__(self, base):
-        super().__init__(base.m, base.label, base.wheel)
-        self.calls = 0
-
-    def __call__(self, e1, e2):
-        self.calls += 1
-        return super().__call__(e1, e2)
-
-
 @pytest.mark.parametrize("pack, make_oracle, n", [
     (pack_convex, convex_oracle, 192),
     (pack_wheel, wheel_oracle, 64),
 ])
 def test_ring_report_asks_no_pair(pack, make_oracle, n):
     """Convex and wheel reports never fall back to asking each pair."""
-    counting = _CountingRing(make_oracle(n))
+    counting = CountingRing(make_oracle(n))
     for c in pack(n).cycles:
         assert crossing_report(c, counting).max_count <= 1
     assert counting.calls == 0

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from hcpack import (
@@ -6,6 +9,7 @@ from hcpack import (
     march_cycle,
     are_edge_disjoint,
     coordinate_oracle,
+    crossing_report,
     edge,
     enumerate_1phc,
     is_one_plane,
@@ -125,6 +129,62 @@ def test_uncross_removes_crossing_from_one_plane_cycle():
     assert is_one_plane(fixed, orc)
     removed = set(crossing[0])
     assert not (removed & set(fixed.edges()))
+
+
+def _single_cycle_reconnection(cyc, e1, e2):
+    """The edge set left by swapping e1, e2 for the two edges that keep
+    one Hamiltonian cycle (the other reconnection splits it in two)."""
+    rest = set(cyc.edges()) - {e1, e2}
+    (a, b), (c, d) = e1, e2
+    for added in ((edge(a, c), edge(b, d)), (edge(a, d), edge(b, c))):
+        # every vertex keeps degree two, so one cycle means connected
+        adj = {v: set() for v in cyc.order}
+        for u, w in list(rest) + list(added):
+            adj[u].add(w)
+            adj[w].add(u)
+        seen, todo = {a}, [a]
+        while todo:
+            for w in adj[todo.pop()] - seen:
+                seen.add(w)
+                todo.append(w)
+        if len(seen) == len(cyc):
+            return rest | set(added)
+    raise AssertionError("neither reconnection keeps one cycle")
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_uncross_property_on_random_cycles(n):
+    """uncross either refuses with StillCrossing, exactly when the single
+    reconnection is not 1-plane, or returns that reconnection; a crossing
+    pair that is not two cycle edges is a ValueError."""
+    rng = random.Random(n)
+    all_edges = list(combinations(range(n), 2))
+    for seed in range(3):
+        ps = general_instance(n, seed)
+        orc = coordinate_oracle(ps.points)
+        for _ in range(12):
+            order = list(range(n))
+            rng.shuffle(order)
+            cyc = HamCycle(tuple(order))
+            es = set(cyc.edges())
+            for e1, e2 in combinations(sorted(es), 2):
+                if set(e1) & set(e2) or not orc(e1, e2):
+                    continue
+                want = _single_cycle_reconnection(cyc, e1, e2)
+                plane = crossing_report(sorted(want), orc).max_count <= 1
+                for pair in ((e1, e2), (e2, e1)):
+                    if not plane:
+                        with pytest.raises(StillCrossing):
+                            uncross(cyc, pair, orc)
+                        continue
+                    got = uncross(cyc, pair, orc)
+                    assert verify_hamiltonian(got, n)
+                    assert set(got.edges()) == want
+            for e1, e2 in combinations(all_edges, 2):
+                if (e1 in es and e2 in es) or set(e1) & set(e2) or not orc(e1, e2):
+                    continue
+                with pytest.raises(ValueError):
+                    uncross(cyc, (e1, e2), orc)
 
 
 def test_join_two_triangles():

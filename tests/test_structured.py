@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hcpack import (
@@ -16,8 +18,16 @@ from hcpack import (
     verify_hamiltonian,
     wheel_oracle,
 )
+from hcpack import structured
 from hcpack.errors import InvalidN
 from hcpack.geometry import Config
+
+from conftest import CountingRing
+
+# sha256 over the cycle orders of pack_convex(n), n = 3..130, then of
+# pack_wheel(n), even n = 10..80, recorded before pack_wheel took its rims
+# from the convex zigzags; a change to it means a packer's output changed.
+STRUCTURED_PACKINGS_DIGEST = "c26aff931c2f14c4efd241f5fd2ec70ea0d48463fc0e365a95a5a468973ef167"
 
 # Frozen reference packings used as regression fixtures.
 REF_CONVEX_12 = [
@@ -203,3 +213,25 @@ def test_pack_wheel_boundary_edges_used_once():
             if n - 1 not in e and (e[1] - e[0]) % m in (1, m - 1)
         ]
         assert len(boundary_used) == len(set(boundary_used))
+
+
+def test_structured_packings_unchanged():
+    digest = hashlib.sha256()
+    for n in range(3, 131):
+        digest.update(repr([c.order for c in pack_convex(n).cycles]).encode())
+    for n in range(10, 81, 2):
+        digest.update(repr([c.order for c in pack_wheel(n).cycles]).encode())
+    assert digest.hexdigest() == STRUCTURED_PACKINGS_DIGEST
+
+
+def test_pack_wheel_splice_search_asks_no_pair(monkeypatch):
+    """The splice search reads crossings from ring sweeps, not pair by pair."""
+    made = []
+
+    def counting_oracle(n):
+        made.append(CountingRing(wheel_oracle(n)))
+        return made[-1]
+
+    monkeypatch.setattr(structured, "wheel_oracle", counting_oracle)
+    assert len(pack_wheel(64)) == 21
+    assert made and all(o.calls == 0 for o in made)
