@@ -92,16 +92,12 @@ def _threshold_line(points, left, right, e) -> OrientedLine:
     hi = min(_cross(e, points[i]) for i in left) if left else None
     # functional f(p) = a*x + b*y with (a, b) = (-ey, ex); f == cross(e, .)
     a, b = -e[1], e[0]
-    if lo is None:
-        targets = [2 * hi - 1, 2 * hi - 2]
-    elif hi is None:
-        targets = [2 * lo + 1, 2 * lo + 2]
-    else:
-        targets = [t for t in (2 * lo + 1, 2 * lo + 2) if t < 2 * hi]
-    for t in targets:
-        anchor = _anchor_for(2 * a, 2 * b, -t)
-        if anchor is not None:
-            return OrientedLine(anchor, (2 * b, -2 * a))
+    # the one integer threshold, lo + 1 or hi - 1; a half-integer one has
+    # no anchor on the doubled grid, since gcd(2a, 2b) is even
+    t = hi - 1 if lo is None else lo + 1
+    anchor = _anchor_for(a, b, -t) if hi is None or t < hi else None
+    if anchor is not None:
+        return OrientedLine(anchor, (2 * b, -2 * a))
     # no representable threshold on the doubled grid: tilt once more
     a2, b2 = 2 * a, 2 * b
     idx = list(left) + list(right)
@@ -113,7 +109,8 @@ def _threshold_line(points, left, right, e) -> OrientedLine:
     lo3 = max(f3(i) for i in right)
     hi3 = min(f3(i) for i in left)
     t3 = (lo3 // g3 + 1) * g3
-    assert lo3 < t3 < hi3, "tilt normalization failed"
+    if not lo3 < t3 < hi3:
+        raise ArithmeticError("tilt normalization failed")
     anchor = _anchor_for(a3, b3, -t3)
     return OrientedLine(anchor, (b3, -a3))
 
@@ -168,7 +165,8 @@ def ham_sandwich_cuts(
     s2: Sequence[int],
     pair: Optional[Tuple[int, int]] = None,
 ) -> Iterator[Tuple[OrientedLine, FourParts]]:
-    """Stream of simultaneous bisections of s1 and s2 (distinct splits).
+    """Stream of simultaneous bisections of disjoint s1 and s2 (distinct
+    splits).
 
     With `pair`, only cuts keeping both pair members in the same part of
     s1 are yielded.
@@ -177,18 +175,22 @@ def ham_sandwich_cuts(
     s1 = sorted(s1)
     s2 = sorted(s2)
     both = s1 + s2
+    in_s1 = set(s1)
+    if len(set(both)) != len(both):
+        raise ValueError("s1 and s2 must be disjoint sets")
     seen = set()
     for d, sense in _pair_directions(points, s1, s2):
         e = _tilted(points, both, d, sense)
         order = sorted(both, key=lambda i: -_cross(e, points[i]))
+        l1 = 0  # running count of s1 in the prefix order[:t]
         for t in range(1, len(both)):
-            left = set(order[:t])
-            l1 = sum(1 for i in s1 if i in left)
-            l2 = sum(1 for i in s2 if i in left)
+            l1 += order[t - 1] in in_s1
+            l2 = t - l1
             # floor(|s|/2) strictly on each side; an odd set's extra point
             # may land on either side
             if abs(2 * l1 - len(s1)) > 1 or abs(2 * l2 - len(s2)) > 1:
                 continue
+            left = set(order[:t])
             if pair is not None and (pair[0] in left) != (pair[1] in left):
                 continue
             key = frozenset(left)

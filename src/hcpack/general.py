@@ -2,12 +2,14 @@
 
 The cycle builder is a ladder march down a bisecting line: it keeps one
 dangling chain end per side and repeatedly links the next extreme pair
-across the line.  The written-down move rules leave several geometric
-cases open, so the march runs as a depth-first search: rule-conforming
-moves are tried first, relaxed variants after, every added edge keeps
-incremental crossing counts, and any branch that would cross an edge
-twice (or touch a forbidden edge) is cut immediately.  Whatever survives
-to a full cycle is a verified 1-plane Hamiltonian cycle by construction.
+across the line: the one hull bridge of the remaining points from one
+side to the other.  The written-down move rules leave several geometric
+cases open, so the march runs as a depth-first search: each step tries
+that pair's rung and its two bridges, rule-conforming moves first, every
+added edge keeps incremental crossing counts, and any branch that would
+cross an edge twice (or touch a forbidden edge) is cut immediately.
+Whatever survives to a full cycle is a verified 1-plane Hamiltonian cycle
+by construction.
 
 The packer stacks such cycles level by level: each level bisects every
 part (paired ham-sandwich cuts, stone pairs kept together when possible),
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .bisection import Bisection, bisecting_lines, ham_sandwich_cuts, separating_subset_line
@@ -30,11 +32,16 @@ from .geometry import (
     CrossingOracle,
     Edge,
     PointSet,
+    convex_hull,
     coordinate_oracle,
     edge,
     orientation,
     segments_properly_cross,  # unused here; perfbench/tracer.py patches this name
 )
+
+NODE_CAP = 50000  # march search nodes per bisection
+MAX_CUTS = 60  # bisecting lines a free march tries
+PER_LEVEL_VARIANTS = 8  # cut variants tried per level
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,8 @@ class Stone:
 
 @dataclass
 class LevelParts:
-    """Parts of one level in counter-clockwise label order."""
+    """Parts of one level in counter-clockwise label order; `cut_case`
+    names how each part was cut for its march, once a level marched on it."""
 
     parts: List[Tuple[int, ...]]
     stones: Dict[int, Stone]
@@ -87,36 +95,39 @@ class GeneralPackResult:
 # ladder march
 
 
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 class _March:
-    """One backtracking march over a fixed bisection."""
+    """One backtracking march over a fixed bisection.
 
-    def __init__(self, points, bisection: Bisection, forbidden, node_cap):
+    Every point gets the key `cross(d, p)` along the line direction `d`; the
+    line separates the sides, so every right key lies on one side `bs` of
+    every left key.
+    """
+
+    def __init__(self, points, bisection: Bisection, forbidden):
         self.points = points
         left, right = list(bisection.left), list(bisection.right)
         if len(left) < len(right):
             left, right = right, left
         self.left0, self.right0 = left, right
-        self.d = bisection.line.direction
+        dx, dy = bisection.line.direction
+        self.key = {i: dx * points[i].y - dy * points[i].x for i in left + right}
+        lo, hi = min(self.key[i] for i in left), max(self.key[i] for i in left)
+        if all(self.key[i] > hi for i in right):
+            self.bs = 1
+        elif all(self.key[i] < lo for i in right):
+            self.bs = -1
+        else:
+            raise ValueError("the bisection's line does not separate its sides")
         self.forbidden = forbidden
-        self.node_cap = node_cap
         self.nodes = 0
         self.ledger = CrossLedger(coordinate_oracle(points))
         self.adj: Dict[int, List[int]] = {i: [] for i in left + right}
         self.stone: Optional[Edge] = None
 
     # -- geometry helpers ---------------------------------------------------
-    def _h(self, i: int) -> int:
-        dx, dy = self.d
-        return dx * self.points[i].x + dy * self.points[i].y
-
     def _below_side(self, u: int, w: int) -> int:
-        dx, dy = self.d
-        pu, pw = self.points[u], self.points[w]
-        return _sgn((pw.x - pu.x) * (-dy) - (pw.y - pu.y) * (-dx))
+        d = self.key[w] - self.key[u]
+        return (d > 0) - (d < 0)
 
     def _side(self, u: int, w: int, i: int) -> int:
         return orientation(self.points[u], self.points[w], self.points[i])
@@ -136,55 +147,40 @@ class _March:
         self.adj[w].pop()
 
     # -- move generation ------------------------------------------------------
-    def _valid_pairs(self, r1, r2):
-        active = r1 | r2
-        out = []
-        for v1 in r1:
-            for v2 in r2:
-                bs = self._below_side(v1, v2)
-                if bs == 0:
-                    continue
-                if all(
-                    self._side(v1, v2, i) == bs
-                    for i in active
-                    if i not in (v1, v2)
-                ):
-                    out.append((v1, v2, bs))
-        out.sort(key=lambda t: (-(self._h(t[0]) + self._h(t[1])), t[0], t[1]))
-        return out
+    def _bridge(self, r1, r2) -> Optional[Tuple[int, int]]:
+        """The paper's next extreme pair: the edge (v1, v2), v1 in r1 and
+        v2 in r2, with every other remaining point on side `bs` of v1 -> v2.
 
-    def _moves(self, pairs, r1, r2, e1, e2):
-        """Rungs and bridges, rule-conforming first, relaxed variants after."""
-        moves = []
-        seen = set()
+        It is the hull edge of r1 | r2 running ccw from r1 to r2 (bs > 0) or
+        from r2 to r1 (bs < 0).  The bisecting line separates r1 from r2, so
+        the hull boundary crosses it exactly twice, once in each direction,
+        and the pair is unique.  None if a side is empty.
+        """
+        if not r1 or not r2:
+            return None
+        if len(r1) == len(r2) == 1:
+            return next(iter(r1)), next(iter(r2))
+        idx = list(r1 | r2)
+        hull = [idx[h] for h in convex_hull([self.points[i] for i in idx])]
+        src, dst = (r1, r2) if self.bs > 0 else (r2, r1)
+        a, b = next((a, b) for a, b in zip(hull, hull[1:] + hull[:1]) if a in src and b in dst)
+        return (a, b) if self.bs > 0 else (b, a)
 
-        def push(kind, key, payload):
-            if key not in seen:
-                seen.add(key)
-                moves.append((kind,) + payload)
-
-        for v1, v2, bs in pairs:
-            if self._side(v1, v2, e1) == -bs and self._side(v1, v2, e2) == -bs:
-                push("rung", ("r", v1, v2), (v1, v2))
-        for v1, v2, bs in pairs:
-            for vi, ei, vo, si in ((v1, e1, v2, 1), (v2, e2, v1, 2)):
-                lbs = self._below_side(vi, ei)
-                if lbs == 0:
-                    continue
-                eo = e2 if si == 1 else e1
-                if self._side(vi, ei, eo) != -lbs:
-                    continue
-                ok = all(
-                    self._side(vi, ei, i) == lbs for i in (r1 | r2) if i != vi
-                )
-                if ok:
-                    push("bridge", ("b", vi, vo, si), (vi, vo, si))
-        for v1, v2, bs in pairs:
-            push("rung", ("r", v1, v2), (v1, v2))
-        for v1, v2, bs in pairs:
-            push("bridge", ("b", v1, v2, 1), (v1, v2, 1))
-            push("bridge", ("b", v2, v1, 2), (v2, v1, 2))
-        return moves
+    def _moves(self, pair, r1, r2, e1, e2):
+        """The rung and the two bridges of `pair`, rule-conforming first."""
+        v1, v2 = pair
+        side, bs = self._side, self.bs
+        moves = [("rung", v1, v2), ("bridge", v1, v2, 1), ("bridge", v2, v1, 2)]
+        conforming = [side(v1, v2, e1) == -bs and side(v1, v2, e2) == -bs]
+        for vi, ei, eo in ((v1, e1, e2), (v2, e2, e1)):
+            lbs = self._below_side(vi, ei)
+            conforming.append(
+                lbs != 0
+                and side(vi, ei, eo) == -lbs
+                and all(side(vi, ei, i) == lbs for i in r1 | r2 if i != vi)
+            )
+        flagged = list(zip(moves, conforming))
+        return [m for m, ok in flagged if ok] + [m for m, ok in flagged if not ok]
 
     # -- search ---------------------------------------------------------------
     def run(self) -> Tuple[HamCycle, Optional[Edge]]:
@@ -196,9 +192,9 @@ class _March:
                 raise MarchFailed("triangle edge forbidden")
             return cyc, None
         r1, r2 = set(self.left0), set(self.right0)
-        for v1, v2, _ in self._valid_pairs(r1, r2):
-            if not self._try_add(v1, v2):
-                continue
+        pair = self._bridge(r1, r2)
+        if pair is not None and self._try_add(*pair):
+            v1, v2 = pair
             r1.discard(v1)
             r2.discard(v2)
             if self._dfs(r1, r2, v1, v2):
@@ -211,15 +207,12 @@ class _March:
                     prev = cyc[-1]
                     cyc.append(nxt)
                 return HamCycle(tuple(cyc)), self.stone
-            r1.add(v1)
-            r2.add(v2)
-            self._undo(v1, v2)
         raise MarchFailed(f"march exhausted after {self.nodes} nodes")
 
     def _dfs(self, r1, r2, e1, e2) -> bool:
         self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise MarchFailed(f"node cap {self.node_cap} hit")
+        if self.nodes > NODE_CAP:
+            raise MarchFailed(f"node cap {NODE_CAP} hit")
         if not r1 and not r2:
             return self._try_add(e1, e2)
         for ri, ei_, eo_ in ((r1, e1, e2), (r2, e2, e1)):
@@ -233,8 +226,10 @@ class _March:
                     return False
                 self.stone = edge(ei_, w)
                 return True
-        pairs = self._valid_pairs(r1, r2)
-        for mv in self._moves(pairs, r1, r2, e1, e2):
+        pair = self._bridge(r1, r2)
+        if pair is None:
+            return False
+        for mv in self._moves(pair, r1, r2, e1, e2):
             if mv[0] == "rung":
                 _, v1, v2 = mv
                 if not self._try_add(e1, v2):
@@ -276,8 +271,6 @@ def march_cycle(
     subset: Sequence[int],
     bisection: Optional[Bisection] = None,
     forbidden: FrozenSet[Edge] = frozenset(),
-    node_cap: int = 50000,
-    max_cuts: int = 60,
 ) -> Tuple[HamCycle, Bisection, List[Stone]]:
     """A verified 1-plane Hamiltonian cycle on `subset` via the ladder march.
 
@@ -293,11 +286,11 @@ def march_cycle(
     if bisection is not None:
         cuts = iter([bisection])
     else:
-        cuts = itertools.islice(bisecting_lines(points, sub), max_cuts)
+        cuts = itertools.islice(bisecting_lines(points, sub), MAX_CUTS)
     last = None
     for cut in cuts:
         try:
-            cyc, stone = _March(points, cut, forbidden, node_cap).run()
+            cyc, stone = _March(points, cut, forbidden).run()
         except MarchFailed as exc:
             last = exc
             continue
@@ -604,7 +597,6 @@ def _run_level(points, parts, stones, used, variant, oracle):
 
 def pack_general_detailed(
     ps,
-    per_level_variants: int = 8,
     budget: int = 200,
 ) -> GeneralPackResult:
     """At least k-1 edge-disjoint 1-plane Hamiltonian cycles on n = 2^k + h
@@ -631,7 +623,7 @@ def pack_general_detailed(
             best = list(cycles)
         if level > k - 1:
             return cycles, levels_acc, moves_acc
-        for variant in range(per_level_variants):
+        for variant in range(PER_LEVEL_VARIANTS):
             if counter >= budget:
                 return None
             counter += 1
@@ -642,21 +634,23 @@ def pack_general_detailed(
             except (MarchFailed, NoJoinFound) as exc:
                 last_err = exc
                 continue
-            lv = LevelParts(parts=list(parts2), stones=dict(stones2), cut_case=cut_case)
+            # copies: backtracking branches share levels_acc
+            marched = replace(levels_acc[-1], cut_case=cut_case)
+            lv = LevelParts(parts=list(parts2), stones=dict(stones2))
             res = solve(
                 level + 1,
                 parts2,
                 stones2,
                 used | set(merged.edges()),
                 cycles + [merged],
-                levels_acc + [lv],
+                levels_acc[:-1] + [marched, lv],
                 moves_acc + [moves],
             )
             if res is not None:
                 return res
         return None
 
-    for v1 in range(per_level_variants):
+    for v1 in range(PER_LEVEL_VARIANTS):
         cuts = _nth(bisecting_lines(points, range(n)), v1)
         if cuts is None:
             break

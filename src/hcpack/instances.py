@@ -35,6 +35,16 @@ def _require_integers(values: Iterable, what: str) -> None:
             raise DegenerateInput(f"malformed {what} must be integers, got {v!r}")
 
 
+def _read_json(path: str, what: str):
+    """The parsed JSON document at `path`; unreadable or invalid JSON is
+    malformed input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DegenerateInput(f"cannot read {what} {path}: {exc}") from exc
+
+
 @dataclass
 class InstanceFile:
     points: List[Tuple[int, int]]
@@ -67,11 +77,7 @@ class InstanceFile:
 
     @classmethod
     def load(cls, path: str) -> "InstanceFile":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DegenerateInput(f"cannot read instance file {path}: {exc}") from exc
+        doc = _read_json(path, "instance file")
         try:
             points = [(x, y) for x, y in doc["points"]]
             config = str(doc["config"])
@@ -106,11 +112,7 @@ class PackingFile:
 
     @classmethod
     def load(cls, path: str) -> "PackingFile":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DegenerateInput(f"cannot read packing file {path}: {exc}") from exc
+        doc = _read_json(path, "packing file")
         try:
             cycles = [list(cyc) for cyc in doc["cycles"]]
             digest = str(doc["instance_hash"])

@@ -86,6 +86,12 @@ def test_ham_sandwich_singletons():
     assert len(parts[2]) + len(parts[3]) == 1
 
 
+def test_ham_sandwich_rejects_overlapping_sets():
+    ps = general_instance(8, 3)
+    with pytest.raises(ValueError):
+        ham_sandwich(ps, [0, 1, 2, 3], [3, 4, 5, 6])
+
+
 def test_constrained_ham_sandwich_keeps_pair_together():
     ps = general_instance(16, 11)
     s1, s2 = list(range(8)), list(range(8, 16))

@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -19,8 +20,10 @@ from hcpack import (
     uncross,
     verify_hamiltonian,
 )
-from hcpack.bisection import cut_at
+from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
 from hcpack.errors import StillCrossing
+from hcpack.general import _March
+from hcpack.geometry import orientation
 
 from conftest import general_instance
 
@@ -91,6 +94,67 @@ def test_march_cycle_on_subset():
     cyc, _, _ = march_cycle(ps, sub)
     assert sorted(cyc.order) == sub
     assert is_one_plane(cyc, coordinate_oracle(ps.points))
+
+
+def extreme_pairs(points, d, r1, r2):
+    """Reference rule: the pairs (v1, v2) of r1 x r2 with every other point
+    of r1 | r2 strictly on the side of v1 -> v2 on which v2 lies below v1
+    across the line direction d."""
+    dx, dy = d
+    out = []
+    for v1 in r1:
+        for v2 in r2:
+            p, q = points[v1], points[v2]
+            below = (q.x - p.x) * (-dy) - (q.y - p.y) * (-dx)
+            bs = (below > 0) - (below < 0)
+            if bs and all(
+                orientation(p, q, points[i]) == bs for i in r1 | r2 if i not in (v1, v2)
+            ):
+                out.append((v1, v2))
+    return out
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_march_bridge_is_the_one_extreme_pair(n):
+    rng = random.Random(n)
+    for seed in range(3):
+        ps = general_instance(n, 40 + seed)
+        for cut in islice(bisecting_lines(ps, range(n)), 3):
+            march = _March(ps.points, cut, frozenset())
+            left, right = march.left0, march.right0
+            for _ in range(20):
+                r1 = set(rng.sample(left, rng.randint(1, len(left))))
+                r2 = set(rng.sample(right, rng.randint(1, len(right))))
+                want = extreme_pairs(ps.points, cut.line.direction, r1, r2)
+                assert len(want) == 1, (n, seed, r1, r2, want)
+                assert march._bridge(r1, r2) == want[0], (n, seed, r1, r2)
+            assert march._bridge(set(), set(right)) is None
+            assert march._bridge(set(left), set()) is None
+
+
+def test_march_cycle_rejects_a_line_that_does_not_separate():
+    ps = general_instance(10, 4)
+    bi = bisecting_line(ps, range(10))
+    # swap one point across the line: the line no longer separates the sides
+    left = bi.left[1:] + bi.right[:1]
+    right = bi.right[1:] + bi.left[:1]
+    with pytest.raises(ValueError):
+        march_cycle(ps, range(10), bisection=Bisection(bi.line, left, right))
+
+
+# sha256 over march_cycle's cycle and stones for n = 48, 64, 96, 128 and
+# seeds 1-3, recorded before the march's pair search became a hull bridge
+LARGE_MARCH_DIGEST = "9b920f61e0236ea2f4b52ddda5bfe46a26f94baa3d079a7c3922c76d6ee1d9dc"
+
+
+def test_large_march_unchanged():
+    digest = hashlib.sha256()
+    for n in (48, 64, 96, 128):
+        for seed in (1, 2, 3):
+            ps = general_instance(n, seed)
+            cyc, _, stones = march_cycle(ps, range(n))
+            digest.update(repr((n, seed, cyc.order, [(s.v, s.w) for s in stones])).encode())
+    assert digest.hexdigest() == LARGE_MARCH_DIGEST
 
 
 def test_uncross_quadrilateral():
@@ -271,6 +335,20 @@ def test_partition_tree_structure():
     assert res.tree.used_edges == set().union(
         *(set(c.edges()) for c in res.packing.cycles)
     )
+
+
+@pytest.mark.parametrize("n,seed", [(17, 6), (16, 0), (32, 3), (33, 1)])
+def test_partition_tree_cut_cases_name_their_own_parts(n, seed):
+    levels = pack_general_detailed(general_instance(n, seed)).tree.levels
+    for level in levels:
+        assert set(level.cut_case) <= set(range(len(level.parts)))
+    # every level but the last was cut and marched on, part by part
+    for level in levels[:-1]:
+        assert set(level.cut_case) == set(range(len(level.parts)))
+        assert set(level.cut_case.values()) <= {
+            "case1", "case2", "ham-sandwich", "unconstrained"
+        }
+    assert levels[-1].cut_case == {}
 
 
 def test_march_cycle_raises_when_everything_forbidden():
