@@ -27,7 +27,14 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .bisection import Bisection, bisecting_lines, ham_sandwich_cuts, separating_subset_line
 from .cycles import CrossLedger, HamCycle, Packing, crossing_report, is_one_plane
-from .errors import MarchFailed, NoJoinFound, NotSeparable, PackingIncomplete, StillCrossing
+from .errors import (
+    InvalidN,
+    MarchFailed,
+    NoJoinFound,
+    NotSeparable,
+    PackingIncomplete,
+    StillCrossing,
+)
 from .geometry import (
     CrossingOracle,
     Edge,
@@ -604,14 +611,14 @@ def pack_general_detailed(
 
     Levels are searched depth-first over cut variants; a level whose parts
     cannot host fresh cycles backtracks into different cuts above.  Raises
-    PackingIncomplete (with the cycles found so far) if the search ends
-    without reaching k-1 cycles.
+    InvalidN below 4 points, and PackingIncomplete (with the cycles found
+    so far) if the search ends without reaching k-1 cycles.
     """
     points = ps.points if isinstance(ps, PointSet) else tuple(ps)
     n = len(points)
     k = n.bit_length() - 1
     if k < 2:
-        raise ValueError("need n >= 4")
+        raise InvalidN(f"general packing needs n >= 4, got {n}")
     oracle = coordinate_oracle(points)
     counter = 0
     last_err: Optional[Exception] = None

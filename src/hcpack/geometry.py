@@ -4,7 +4,10 @@ Everything here is integer arithmetic on immutable values: Python ints never
 overflow, so every predicate is exact regardless of coordinate size.  The
 combinatorial oracles (`convex_cross`, `wheel_cross`) decide crossings from
 vertex indices alone, which is what makes verification on convex and wheel
-configurations independent of any coordinate approximation.
+configurations independent of any coordinate approximation.  The
+general-position oracle (`coordinate_oracle`) reads flat integer lists of
+the coordinates and computes its determinants inline; on any zero
+determinant it defers to `segments_properly_cross`.
 """
 
 from __future__ import annotations
@@ -364,10 +367,38 @@ def wheel_oracle(n: int, center_index: Optional[int] = None) -> RingOracle:
 
 
 def coordinate_oracle(points: Sequence[Point]) -> CrossingOracle:
+    """Exact crossing test over vertex indices of `points`.
+
+    The coordinates are copied once into two flat integer lists, and each
+    call works on those: a shared index never crosses, and otherwise the
+    orientation determinants are computed inline.  A pair with a zero
+    determinant (a duplicate point, a touching endpoint, a collinear pair)
+    goes to `segments_properly_cross` on the real points, looked up at call
+    time, so degenerate input gets exactly that function's answer or its
+    CollinearOverlap.
+    """
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+
     def oracle(e1: Edge, e2: Edge) -> bool:
-        return segments_properly_cross(
-            (points[e1[0]], points[e1[1]]), (points[e2[0]], points[e2[1]])
-        )
+        a, b = e1
+        c, d = e2
+        if a == c or a == d or b == c or b == d:
+            return False
+        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+        cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
+        ux, uy = dx - cx, dy - cy
+        d1 = ux * (ay - cy) - uy * (ax - cx)
+        d2 = ux * (by - cy) - uy * (bx - cx)
+        if d1 and d2:
+            if (d1 > 0) == (d2 > 0):
+                return False  # both ends on one side of (c, d)
+            vx, vy = bx - ax, by - ay
+            d3 = vx * (cy - ay) - vy * (cx - ax)
+            d4 = vx * (dy - ay) - vy * (dx - ax)
+            if d3 and d4:
+                return (d3 > 0) != (d4 > 0)
+        return segments_properly_cross((points[a], points[b]), (points[c], points[d]))
 
     return oracle
 

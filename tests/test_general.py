@@ -19,11 +19,13 @@ from hcpack import (
     pack_general_detailed,
     uncross,
     verify_hamiltonian,
+    verify_packing,
 )
+from hcpack import geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
 from hcpack.errors import StillCrossing
 from hcpack.general import _March
-from hcpack.geometry import orientation
+from hcpack.geometry import oracle_for, orientation
 
 from conftest import general_instance
 
@@ -416,3 +418,25 @@ def test_pack_general_scales_past_corpus_sizes():
         es = set(c.edges())
         assert not (es & seen)
         seen |= es
+
+
+def test_general_position_pack_never_leaves_the_integer_kernel(monkeypatch):
+    """On validated general-position input no determinant is 0, so neither
+    the pack nor its verification hands a pair to segments_properly_cross."""
+    calls = []
+    fallback = geometry.segments_properly_cross
+
+    def counting(e1, e2):
+        calls.append((e1, e2))
+        return fallback(e1, e2)
+
+    monkeypatch.setattr(geometry, "segments_properly_cross", counting)
+    ps = general_instance(20, 1)
+    cycles = pack_general(ps).cycles
+    assert len(cycles) >= 3
+    assert verify_packing(cycles, 20, oracle_for(ps))["ok"]
+    assert calls == []
+    # the counter sees a fallback: a touching endpoint is a zero determinant
+    touch = coordinate_oracle([Point(0, 0), Point(2, 0), Point(1, 0), Point(1, 1)])
+    assert not touch((0, 1), (2, 3))
+    assert len(calls) == 1

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from hcpack import (
     Side,
     convex_cross,
     convex_hull,
+    coordinate_oracle,
     in_general_position,
     orientation,
     segments_properly_cross,
@@ -79,6 +81,59 @@ def test_segments_cross_symmetric(a, b, c, d):
             segments_properly_cross((c, d), (a, b))
         return
     assert r1 == segments_properly_cross((c, d), (a, b))
+
+
+def _crossing_outcome(decide, e1, e2):
+    try:
+        return decide(e1, e2)
+    except CollinearOverlap:
+        return "overlap"
+
+
+def _assert_oracle_matches_segments(pts):
+    """`coordinate_oracle` on every ordered pair of index edges, shared
+    indices included, against `segments_properly_cross` on the points."""
+    orc = coordinate_oracle(pts)
+    edges = list(permutations(range(len(pts)), 2))
+    seen = set()
+    for e1 in edges:
+        for e2 in edges:
+            want = _crossing_outcome(
+                segments_properly_cross,
+                (pts[e1[0]], pts[e1[1]]),
+                (pts[e2[0]], pts[e2[1]]),
+            )
+            assert _crossing_outcome(orc, e1, e2) == want, (pts, e1, e2)
+            seen.add(want)
+    return seen
+
+
+def test_coordinate_oracle_matches_segments_on_a_tiny_grid():
+    # a 4 x 4 grid: duplicates, collinear triples and overlaps are common
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(12):
+        pts = [Point(rng.randrange(4), rng.randrange(4)) for _ in range(8)]
+        seen |= _assert_oracle_matches_segments(pts)
+    assert seen == {True, False, "overlap"}
+
+
+def test_coordinate_oracle_matches_segments_near_1e30():
+    # coordinates one unit apart at 10**30, where doubles cannot tell them
+    big = 10**30
+    values = (-big, -big + 1, 0, 1, big - 1, big)
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(12):
+        pts = [Point(rng.choice(values), rng.choice(values)) for _ in range(8)]
+        seen |= _assert_oracle_matches_segments(pts)
+    assert seen == {True, False, "overlap"}
+    # (0, 0)-(2B, 2B + 1) passes half a unit above (B, B)
+    pts = [Point(0, 0), Point(2 * big, 2 * big + 1), Point(big, big),
+           Point(big, big + 1), Point(big, big + 2)]
+    orc = coordinate_oracle(pts)
+    assert orc((0, 1), (2, 3))
+    assert not orc((0, 1), (3, 4))
 
 
 def test_convex_cross_examples():

@@ -112,6 +112,18 @@ def test_cli_general_pack(tmp_path, capsys):
     assert len(doc["cycles"]) >= 3  # n=17 -> k=4 -> at least 3
 
 
+def test_cli_general_pack_too_small_is_a_packing_failure(tmp_path, capsys):
+    inst = tmp_path / "g3.json"
+    assert run_cli("generate", "--config", "general", "--n", "3", "--seed", "1",
+                   "--out", str(inst)) == 0
+    capsys.readouterr()
+    assert run_cli("pack", "--in", str(inst), "--out", str(tmp_path / "g3.pack.json")) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "n >= 4" in err
+    assert not (tmp_path / "g3.pack.json").exists()
+
+
 def test_cli_verify_rejects_corrupted_packing(tmp_path, capsys):
     inst = tmp_path / "c6.json"
     pack = tmp_path / "c6.pack.json"
