@@ -184,7 +184,7 @@ def cmd_oracle(args) -> int:
         return EXIT_INPUT
     try:
         rep = max_packing_exact(ps, max_n=args.max_n)
-    except TooLarge as exc:
+    except (TooLarge, InvalidN) as exc:  # a cap too small or not a number
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(

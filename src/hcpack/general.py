@@ -347,48 +347,132 @@ def _splice(c1: HamCycle, c2: HamCycle, u2: int, v2: int, pattern: int) -> HamCy
 
 
 class _JoinScreen:
-    """Crossing accounting for candidate joins of two vertex-disjoint cycles."""
+    """Crossing accounting for candidate joins of two vertex-disjoint cycles.
 
-    def __init__(self, c1: HamCycle, c2: HamCycle, oracle: CrossingOracle):
-        self.oracle = oracle
+    An added edge shares one endpoint with each removed edge, so it crosses
+    neither, and the screen edges it hits do not depend on the candidate:
+    `hits(a)` memoizes them in edge order and stops at 2, since an added
+    edge crossed twice fails every candidate it is in.  Both cycles are
+    1-plane, so a candidate `(r1, r2, a1, a2)` can only fail on the added
+    edges or on an edge whose count changes or is already over 1:
+
+    - either added edge has 2 hits;
+    - `a1` crosses `a2` and either added edge has a hit;
+    - some hit edge or edge crossed twice in the union (`over`), other than
+      `r1` and `r2`, ends with `counts[f] - [f x r1] - [f x r2]` plus its
+      hits by `a1` and `a2` above 1.
+
+    The hits come from side masks, built once per screen with one integer
+    determinant per vertex and edge: `left[w]` has a bit for each screen
+    edge whose line `w` lies strictly left of, `on[w]` one for each edge
+    whose line passes through `w` without ending there.  Only edges whose
+    line separates the ends of `a`, or passes through one, need the two
+    determinants of their own ends against `a`'s line.  Any zero
+    determinant goes to the oracle, so degenerate input gets the oracle's
+    answer (or its CollinearOverlap); in general position only incident
+    edges give zeros, and those never cross.  The same masks give the
+    screen's own crossing counts and pairs.
+    """
+
+    def __init__(
+        self, c1: HamCycle, c2: HamCycle, xs: List[int], ys: List[int], oracle: CrossingOracle
+    ):
+        self.xs, self.ys, self.oracle = xs, ys, oracle
         self.es1, self.es2 = c1.edges(), c2.edges()
-        self.edges = self.es1 + self.es2
-        rep = crossing_report(self.edges, oracle)
-        self.counts = rep.counts
-        self.crossing = {p for f, g in rep.pairs for p in ((f, g), (g, f))}
-        self._rows: Dict[Edge, Dict[Edge, bool]] = {}
+        edges = self.edges = self.es1 + self.es2
+        self.index = {e: i for i, e in enumerate(edges)}
+        lines = [(xs[c], ys[c], xs[d] - xs[c], ys[d] - ys[c]) for c, d in edges]
+        inc = self.inc = dict.fromkeys(c1.order + c2.order, 0)
+        for i, (c, d) in enumerate(edges):
+            inc[c] |= 1 << i
+            inc[d] |= 1 << i
+        left, on = self.left, self.on = {}, {}
+        for w in inc:
+            wx, wy = xs[w], ys[w]
+            lm = om = 0
+            bit = 1
+            for cx, cy, ux, uy in lines:
+                det = ux * (wy - cy) - uy * (wx - cx)
+                if det > 0:
+                    lm |= bit
+                elif not det:
+                    om |= bit
+                bit <<= 1
+            left[w], on[w] = lm, om & ~inc[w]
+        # the screen's own crossings: pair (i, j), i < j, crosses when each
+        # edge's ends lie strictly on opposite sides of the other's line
+        counts = self.counts = [0] * len(edges)
+        crossed = self.crossed = [0] * len(edges)  # bit j of crossed[i]: i x j
+        for i, (c, d) in enumerate(edges):
+            zero = on[c] | on[d]
+            m = ((left[c] ^ left[d]) | zero) & ~(inc[c] | inc[d]) & -(2 << i)
+            while m:
+                low = m & -m
+                m ^= low
+                j = low.bit_length() - 1
+                p, q = edges[j]
+                if zero & low or (on[p] | on[q]) >> i & 1:
+                    hit = oracle(edges[i], edges[j])
+                else:
+                    hit = (left[p] ^ left[q]) >> i & 1
+                if hit:
+                    counts[i] += 1
+                    counts[j] += 1
+                    crossed[i] |= low
+                    crossed[j] |= 1 << i
+        self.over = tuple(i for i, c in enumerate(counts) if c > 1)
+        self._hits: Dict[Edge, Tuple[int, ...]] = {}
 
-    def _cross(self, a: Edge, f: Edge) -> bool:
-        if a[0] in f or a[1] in f:
-            return False
-        row = self._rows.setdefault(a, {})
-        v = row.get(f)
-        if v is None:
-            v = self.oracle(a, f)
-            row[f] = v
-        return v
+    def hits(self, a: Edge) -> Tuple[int, ...]:
+        """Indices of the first (at most 2) screen edges `a` crosses."""
+        h = self._hits.get(a)
+        if h is not None:
+            return h
+        u, v = a
+        left, on, xs, ys, edges = self.left, self.on, self.xs, self.ys, self.edges
+        zero = on[u] | on[v]
+        m = ((left[u] ^ left[v]) | zero) & ~(self.inc[u] | self.inc[v])
+        ux, uy = xs[u], ys[u]
+        vx, vy = xs[v] - ux, ys[v] - uy
+        found: List[int] = []
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            c, d = edges[j]
+            d3 = vx * (ys[c] - uy) - vy * (xs[c] - ux)
+            d4 = vx * (ys[d] - uy) - vy * (xs[d] - ux)
+            if zero & low or not d3 or not d4:
+                hit = self.oracle(a, edges[j])
+            else:
+                hit = (d3 > 0) != (d4 > 0)
+            if hit:
+                found.append(j)
+                if len(found) == 2:
+                    break
+        h = self._hits[a] = tuple(found)
+        return h
 
     def candidate_ok(self, r1: Edge, r2: Edge, a1: Edge, a2: Edge) -> bool:
         """All merged-cycle crossing counts stay <= 1."""
-        cross, crossing = self._cross, self.crossing
-        for f in self.edges:
-            if f == r1 or f == r2:
+        h1, h2 = self.hits(a1), self.hits(a2)
+        if len(h1) > 1 or len(h2) > 1:
+            return False
+        if (h1 or h2) and self.oracle(a1, a2):
+            return False
+        i1, i2 = self.index[r1], self.index[r2]
+        counts, crossed = self.counts, self.crossed
+        for f in h1 + h2 + self.over:
+            if f == i1 or f == i2:
                 continue
-            c = self.counts[f] - ((f, r1) in crossing) - ((f, r2) in crossing)
-            if c + cross(a1, f) + cross(a2, f) > 1:
-                return False
-        for a, other in ((a1, a2), (a2, a1)):
-            c = cross(a, other)
-            for f in self.edges:
-                if f != r1 and f != r2:
-                    c += cross(a, f)
-            if c > 1:
+            x = crossed[f]
+            if counts[f] - (x >> i1 & 1) - (x >> i2 & 1) + (f in h1) + (f in h2) > 1:
                 return False
         return True
 
 
-def _plain_join(c1, c2, forbidden, oracle, extra_uncross=()):
-    screen = _JoinScreen(c1, c2, oracle)
+def _plain_join(c1, c2, forbidden, xs, ys, oracle, extra_uncross=()):
+    screen = _JoinScreen(c1, c2, xs, ys, oracle)
     succ1 = dict(zip(c1.order, c1.order[1:] + c1.order[:1]))
     succ2 = dict(zip(c2.order, c2.order[1:] + c2.order[:1]))
     for r1 in sorted(screen.es1):
@@ -415,15 +499,20 @@ def join_cycles(
     c1: HamCycle,
     c2: HamCycle,
     forbidden: FrozenSet[Edge],
-    oracle: CrossingOracle,
+    ps,
 ) -> Tuple[HamCycle, JoinMove]:
-    """Merge two vertex-disjoint 1-plane cycles into one.
+    """Merge two vertex-disjoint 1-plane cycles on the points `ps` (a
+    PointSet or a point sequence) into one.
 
     Plain exchange pairs are tried in canonical order, then variants that
     first uncross one cycle, then both.  Added and created edges must avoid
-    `forbidden`.
+    `forbidden`.  Crossings are decided exactly on the points' integer
+    coordinates, through `coordinate_oracle` wherever a determinant is 0.
     """
-    r = _plain_join(c1, c2, forbidden, oracle)
+    points = ps.points if isinstance(ps, PointSet) else tuple(ps)
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    oracle = coordinate_oracle(points)
+    r = _plain_join(c1, c2, forbidden, xs, ys, oracle)
     if r:
         return r
 
@@ -443,12 +532,12 @@ def join_cycles(
         base, other = (c1, c2) if which == 0 else (c2, c1)
         for nc, record in uncross_variants(base):
             a, b = (nc, other) if which == 0 else (other, nc)
-            r = _plain_join(a, b, forbidden, oracle, extra_uncross=[record])
+            r = _plain_join(a, b, forbidden, xs, ys, oracle, extra_uncross=[record])
             if r:
                 return r
     for nc1, rec1 in uncross_variants(c1):
         for nc2, rec2 in uncross_variants(c2):
-            r = _plain_join(nc1, nc2, forbidden, oracle, extra_uncross=[rec1, rec2])
+            r = _plain_join(nc1, nc2, forbidden, xs, ys, oracle, extra_uncross=[rec1, rec2])
             if r:
                 return r
     raise NoJoinFound(
@@ -513,7 +602,7 @@ def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Stone]]:
     return parts, stones
 
 
-def _fold(cycles: List[HamCycle], used, oracle) -> Tuple[HamCycle, List[JoinMove]]:
+def _fold(cycles: List[HamCycle], used, points) -> Tuple[HamCycle, List[JoinMove]]:
     """Join the part cycles into one, greedily in ccw order; a stuck fold
     restarts from the next seed cycle."""
     last_err: Optional[Exception] = None
@@ -523,7 +612,7 @@ def _fold(cycles: List[HamCycle], used, oracle) -> Tuple[HamCycle, List[JoinMove
         while rest:
             for j, c in enumerate(rest):
                 try:
-                    merged, mv = join_cycles(merged, c, used, oracle)
+                    merged, mv = join_cycles(merged, c, used, points)
                 except NoJoinFound as exc:
                     last_err = exc
                     continue
@@ -538,7 +627,7 @@ def _fold(cycles: List[HamCycle], used, oracle) -> Tuple[HamCycle, List[JoinMove
     raise NoJoinFound(str(last_err))
 
 
-def _run_level(points, parts, stones, used, variant, oracle):
+def _run_level(points, parts, stones, used, variant):
     """One attempt at a level: marches per part plus the joining fold."""
     part_cuts: List[Optional[Bisection]] = [None] * len(parts)
     cut_case: Dict[int, str] = {}
@@ -597,7 +686,7 @@ def _run_level(points, parts, stones, used, variant, oracle):
             cut_case.setdefault(pi, "unconstrained")
         part_cycles.append(cyc)
         child_cuts.append((used_cut, new_stones))
-    merged, moves = _fold(part_cycles, used, oracle)
+    merged, moves = _fold(part_cycles, used, points)
     parts_out, stones_out = _next_level(child_cuts, points)
     return merged, moves, parts_out, stones_out, cut_case
 
@@ -619,7 +708,6 @@ def pack_general_detailed(
     k = n.bit_length() - 1
     if k < 2:
         raise InvalidN(f"general packing needs n >= 4, got {n}")
-    oracle = coordinate_oracle(points)
     counter = 0
     last_err: Optional[Exception] = None
     best: List[HamCycle] = []
@@ -636,7 +724,7 @@ def pack_general_detailed(
             counter += 1
             try:
                 merged, moves, parts2, stones2, cut_case = _run_level(
-                    points, parts, stones, used, variant, oracle
+                    points, parts, stones, used, variant
                 )
             except (MarchFailed, NoJoinFound) as exc:
                 last_err = exc

@@ -23,7 +23,7 @@ from .cycles import (
     check_companion_edges,
     radial_edge_count,
 )
-from .errors import TooLarge
+from .errors import InvalidN, TooLarge
 from .geometry import Config, CrossingOracle, Edge, PointSet, edge, oracle_for
 
 DEFAULT_CAP = 8
@@ -33,7 +33,13 @@ ENV_CAP = "HCP_MAX_ORACLE_N"
 def _cap(explicit: Optional[int]) -> int:
     if explicit is not None:
         return explicit
-    return int(os.environ.get(ENV_CAP, DEFAULT_CAP))
+    raw = os.environ.get(ENV_CAP)
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidN(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 @dataclass

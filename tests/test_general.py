@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -21,10 +21,10 @@ from hcpack import (
     verify_hamiltonian,
     verify_packing,
 )
-from hcpack import geometry
+from hcpack import general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
-from hcpack.errors import StillCrossing
-from hcpack.general import _March
+from hcpack.errors import CollinearOverlap, StillCrossing
+from hcpack.general import _JoinScreen, _March, _splice
 from hcpack.geometry import oracle_for, orientation
 
 from conftest import general_instance
@@ -159,6 +159,26 @@ def test_large_march_unchanged():
     assert digest.hexdigest() == LARGE_MARCH_DIGEST
 
 
+# sha256 over pack_general_detailed's cycles and join moves for n = 48
+# (seeds 1-5) and n = 64 (seed 1), recorded before the join screen moved
+# to side masks; corpus B stops at n = 33
+LARGE_PACK_DIGEST = "eedae45e7034ab7aec981514e7d37fb8e93c382aecb0ebfa2a9e69d9e8aa8d55"
+
+
+def test_large_pack_unchanged():
+    digest = hashlib.sha256()
+    for n, seed in [(48, 1), (48, 2), (48, 3), (48, 4), (48, 5), (64, 1)]:
+        result = pack_general_detailed(general_instance(n, seed))
+        digest.update(repr((
+            n,
+            seed,
+            [c.order for c in result.packing.cycles],
+            [[(mv.removed, mv.added, mv.created_uncrossings) for mv in moves]
+             for moves in result.join_log],
+        )).encode())
+    assert digest.hexdigest() == LARGE_PACK_DIGEST
+
+
 def test_uncross_quadrilateral():
     # the crossed quadrilateral has a unique plane reconnection
     pts = [Point(0, 0), Point(10, 1), Point(11, 10), Point(1, 11)]
@@ -258,7 +278,7 @@ def test_join_two_triangles():
            Point(100, 0), Point(110, 2), Point(104, 10)]
     orc = coordinate_oracle(pts)
     c1, c2 = HamCycle((0, 1, 2)), HamCycle((3, 4, 5))
-    merged, move = join_cycles(c1, c2, frozenset(), orc)
+    merged, move = join_cycles(c1, c2, frozenset(), pts)
     assert verify_hamiltonian(merged, 6)
     assert is_one_plane(merged, orc)
     assert len(move.added) == 2 and len(move.removed) == 2
@@ -273,8 +293,8 @@ def test_join_respects_forbidden():
            Point(100, 0), Point(110, 2), Point(104, 10)]
     orc = coordinate_oracle(pts)
     c1, c2 = HamCycle((0, 1, 2)), HamCycle((3, 4, 5))
-    base, move = join_cycles(c1, c2, frozenset(), orc)
-    merged, move2 = join_cycles(c1, c2, frozenset(move.added), orc)
+    base, move = join_cycles(c1, c2, frozenset(), pts)
+    merged, move2 = join_cycles(c1, c2, frozenset(move.added), pts)
     assert not (set(move2.added) & set(move.added))
     assert is_one_plane(merged, orc)
 
@@ -367,18 +387,123 @@ def test_march_cycle_raises_when_everything_forbidden():
 
 
 def test_join_cycles_raises_when_links_forbidden():
-    from itertools import product
-
     from hcpack.errors import NoJoinFound
 
     pts = [Point(0, 0), Point(10, 1), Point(5, 9),
            Point(100, 0), Point(110, 2), Point(104, 10)]
-    orc = coordinate_oracle(pts)
     cross_links = frozenset(
         tuple(sorted(e)) for e in product(range(3), range(3, 6))
     )
     with pytest.raises(NoJoinFound):
-        join_cycles(HamCycle((0, 1, 2)), HamCycle((3, 4, 5)), cross_links, orc)
+        join_cycles(HamCycle((0, 1, 2)), HamCycle((3, 4, 5)), cross_links, pts)
+
+
+def _merged(c1, c2, r1, r2, a1):
+    """The cycle spliced from c1 and c2 by removing r1 and r2 and adding
+    a1 and its partner."""
+    succ = dict(zip(c1.order, c1.order[1:] + c1.order[:1]))
+    succ.update(zip(c2.order, c2.order[1:] + c2.order[:1]))
+    u1, u2 = r1 if succ[r1[0]] == r1[1] else r1[::-1]
+    v1, v2 = r2 if succ[r2[0]] == r2[1] else r2[::-1]
+    return _splice(c1, c2, u2, v2, 0 if a1 in (edge(u1, v1), edge(u2, v2)) else 1)
+
+
+def _exchanges(c1, c2):
+    """Every exchange of c1 and c2, as (r1, r2, a1, a2)."""
+    for r1, r2 in product(c1.edges(), c2.edges()):
+        for v1, v2 in (r2, r2[::-1]):
+            yield r1, r2, edge(r1[0], v1), edge(r1[1], v2)
+
+
+def _assert_screen_exact(c1, c2, pts, oracle):
+    """candidate_ok agrees with the splice's own 1-plane check on every
+    exchange; returns the screen."""
+    screen = _JoinScreen(c1, c2, [p.x for p in pts], [p.y for p in pts], oracle)
+    for r1, r2, a1, a2 in _exchanges(c1, c2):
+        merged = _merged(c1, c2, r1, r2, a1)
+        want = (set(c1.edges()) | set(c2.edges()) | {a1, a2}) - {r1, r2}
+        assert set(merged.edges()) == want
+        assert screen.candidate_ok(r1, r2, a1, a2) == is_one_plane(merged, oracle), (r1, r2, a1, a2)
+    return screen
+
+
+@pytest.mark.parametrize("n", [16, 17, 32, 33])
+def test_join_screen_agrees_with_splice_check_while_packing(n, monkeypatch):
+    screens = []
+
+    class Recording(_JoinScreen):
+        def __init__(self, c1, c2, *args):
+            super().__init__(c1, c2, *args)
+            self.cycles, self.asked = (c1, c2), []
+            screens.append(self)
+
+        def candidate_ok(self, *cand):
+            ok = super().candidate_ok(*cand)
+            self.asked.append((cand, ok))
+            return ok
+
+    monkeypatch.setattr(general, "_JoinScreen", Recording)
+    outcomes = set()
+    for seed in (1, 2, 3):
+        ps = general_instance(n, seed)
+        orc = coordinate_oracle(ps.points)
+        screens.clear()
+        pack_general_detailed(ps)
+        assert screens
+        for screen in screens:
+            for (r1, r2, a1, a2), ok in screen.asked:
+                assert ok == is_one_plane(_merged(*screen.cycles, r1, r2, a1), orc)
+                outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_join_screen_counts_an_edge_crossed_twice():
+    # the square's two upright sides both cross the triangle's base
+    pts = [Point(0, 0), Point(20, 0), Point(10, -10),
+           Point(4, 3), Point(16, 3), Point(16, -3), Point(4, -3)]
+    orc = coordinate_oracle(pts)
+    c1, c2 = HamCycle((0, 1, 2)), HamCycle((3, 4, 5, 6))
+    screen = _assert_screen_exact(c1, c2, pts, orc)
+    assert [screen.edges[f] for f in screen.over] == [(0, 1)]
+    # some exchange fails on the base alone: its added edges cross nothing
+    assert any(
+        not screen.hits(a1) and not screen.hits(a2) and not screen.candidate_ok(r1, r2, a1, a2)
+        for r1, r2, a1, a2 in _exchanges(c1, c2)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_screen_exact_on_interleaved_cycles(seed):
+    # two marched cycles on interleaved halves cross each other often
+    ps = general_instance(14, 100 + seed)
+    order = random.Random(seed).sample(range(14), 14)
+    c1, _, _ = march_cycle(ps, order[:7])
+    c2, _, _ = march_cycle(ps, order[7:])
+    _assert_screen_exact(c1, c2, ps.points, coordinate_oracle(ps.points))
+
+
+def test_join_screen_sends_zero_determinants_to_the_oracle():
+    # 1, 2 and 3 lie on one line; the added edge (2, 3) runs through
+    # vertex 1 and so only touches edge (0, 1)
+    pts = [Point(5, 5), Point(3, 1), Point(1, 1), Point(5, 1), Point(0, 2), Point(3, 2)]
+    base = coordinate_oracle(pts)
+    asked = []
+
+    def oracle(e1, e2):
+        asked.append({e1, e2})
+        return base(e1, e2)
+
+    c1, c2 = HamCycle((0, 1, 2)), HamCycle((3, 4, 5))
+    _assert_screen_exact(c1, c2, pts, base)
+    screen = _JoinScreen(c1, c2, [p.x for p in pts], [p.y for p in pts], oracle)
+    assert screen.on[3]  # on the line of edge (1, 2)
+    assert screen.hits((2, 3)) == ()
+    assert {(0, 1), (2, 3)} in asked
+    # collinear overlap is the oracle's error, raised by the screen too
+    overlap = [Point(0, 0), Point(10, 0), Point(5, 8), Point(4, 0), Point(14, 0), Point(9, -6)]
+    with pytest.raises(CollinearOverlap):
+        _JoinScreen(c1, c2, [p.x for p in overlap], [p.y for p in overlap],
+                    coordinate_oracle(overlap))
 
 
 def test_pack_general_incomplete_is_honest():

@@ -290,6 +290,18 @@ def test_cli_oracle_env_cap(tmp_path, capsys, monkeypatch):
     assert doc["max_packing_size"] == 3
 
 
+@pytest.mark.parametrize("raw", ["abc", "", "8.5"])
+def test_cli_oracle_malformed_env_cap(tmp_path, capsys, monkeypatch, raw):
+    inst = tmp_path / "c6.json"
+    run_cli("generate", "--config", "convex", "--n", "6", "--seed", "1", "--out", str(inst))
+    monkeypatch.setenv("HCP_MAX_ORACLE_N", raw)
+    capsys.readouterr()
+    assert run_cli("oracle", "--in", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "HCP_MAX_ORACLE_N" in err
+
+
 def test_cli_wheel_center_not_last(tmp_path, capsys):
     # a hand-rolled wheel file may store the center anywhere; packing and
     # verification must agree through the relabeling

@@ -14,7 +14,7 @@ from hcpack import (
     oracle_for,
     property_sweep,
 )
-from hcpack.errors import TooLarge
+from hcpack.errors import InvalidN, TooLarge
 
 from conftest import convex_instance, enumerated, wheel_instance
 
@@ -90,6 +90,14 @@ def test_enumeration_cap_env_override(monkeypatch):
     with pytest.raises(TooLarge):
         enumerate_1phc(convex_instance(5))
     assert len(enumerate_1phc(convex_instance(4))) == 3
+
+
+def test_enumeration_cap_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("HCP_MAX_ORACLE_N", "abc")
+    with pytest.raises(InvalidN):
+        enumerate_1phc(convex_instance(4))
+    # an explicit cap does not read the variable
+    assert len(enumerate_1phc(convex_instance(4), max_n=4)) == 3
 
 
 def naive_max_packing(cycles):
