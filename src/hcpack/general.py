@@ -49,6 +49,7 @@ from .geometry import (
 NODE_CAP = 50000  # march search nodes per bisection
 MAX_CUTS = 60  # bisecting lines a free march tries
 PER_LEVEL_VARIANTS = 8  # cut variants tried per level
+LEVEL_ATTEMPTS = 200  # level attempts one pack may make
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,16 @@ class _March:
         return (a, b) if self.bs > 0 else (b, a)
 
     def _moves(self, pair, r1, r2, e1, e2):
-        """The rung and the two bridges of `pair`, rule-conforming first."""
+        """The rung and the two bridges of `pair`, rule-conforming first, as
+        (first edge, second edge, new chain ends).  Each takes v1 from r1 and
+        v2 from r2."""
         v1, v2 = pair
         side, bs = self._side, self.bs
-        moves = [("rung", v1, v2), ("bridge", v1, v2, 1), ("bridge", v2, v1, 2)]
+        moves = [
+            ((e1, v2), (e2, v1), (v1, v2)),
+            ((v1, e2), (v1, v2), (e1, v2)),
+            ((v2, e1), (v2, v1), (v1, e2)),
+        ]
         conforming = [side(v1, v2, e1) == -bs and side(v1, v2, e2) == -bs]
         for vi, ei, eo in ((v1, e1, e2), (v2, e2, e1)):
             lbs = self._below_side(vi, ei)
@@ -236,40 +243,21 @@ class _March:
         pair = self._bridge(r1, r2)
         if pair is None:
             return False
-        for mv in self._moves(pair, r1, r2, e1, e2):
-            if mv[0] == "rung":
-                _, v1, v2 = mv
-                if not self._try_add(e1, v2):
-                    continue
-                if not self._try_add(e2, v1):
-                    self._undo(e1, v2)
-                    continue
-                r1.discard(v1)
-                r2.discard(v2)
-                if self._dfs(r1, r2, v1, v2):
-                    return True
-                r1.add(v1)
-                r2.add(v2)
-                self._undo(e2, v1)
-                self._undo(e1, v2)
-            else:
-                _, vi, vo, si = mv
-                ei_, eo_ = (e1, e2) if si == 1 else (e2, e1)
-                ri, ro = (r1, r2) if si == 1 else (r2, r1)
-                if not self._try_add(vi, eo_):
-                    continue
-                if not self._try_add(vi, vo):
-                    self._undo(vi, eo_)
-                    continue
-                ri.discard(vi)
-                ro.discard(vo)
-                ne1, ne2 = (e1, vo) if si == 1 else (vo, e2)
-                if self._dfs(r1, r2, ne1, ne2):
-                    return True
-                ri.add(vi)
-                ro.add(vo)
-                self._undo(vi, vo)
-                self._undo(vi, eo_)
+        v1, v2 = pair
+        for first, second, ends in self._moves(pair, r1, r2, e1, e2):
+            if not self._try_add(*first):
+                continue
+            if not self._try_add(*second):
+                self._undo(*first)
+                continue
+            r1.discard(v1)
+            r2.discard(v2)
+            if self._dfs(r1, r2, *ends):
+                return True
+            r1.add(v1)
+            r2.add(v2)
+            self._undo(*second)
+            self._undo(*first)
         return False
 
 
@@ -528,18 +516,18 @@ def join_cycles(
                 continue
             yield nc, (pair, created)
 
-    for which in (0, 1):
-        base, other = (c1, c2) if which == 0 else (c2, c1)
+    variants = ([], [])  # each cycle's uncross variants, built once
+    for which, (base, other) in enumerate(((c1, c2), (c2, c1))):
         for nc, record in uncross_variants(base):
+            variants[which].append((nc, record))
             a, b = (nc, other) if which == 0 else (other, nc)
             r = _plain_join(a, b, forbidden, xs, ys, oracle, extra_uncross=[record])
             if r:
                 return r
-    for nc1, rec1 in uncross_variants(c1):
-        for nc2, rec2 in uncross_variants(c2):
-            r = _plain_join(nc1, nc2, forbidden, xs, ys, oracle, extra_uncross=[rec1, rec2])
-            if r:
-                return r
+    for (nc1, rec1), (nc2, rec2) in itertools.product(*variants):
+        r = _plain_join(nc1, nc2, forbidden, xs, ys, oracle, extra_uncross=[rec1, rec2])
+        if r:
+            return r
     raise NoJoinFound(
         f"no join for cycles of size {len(c1)} and {len(c2)} "
         f"with {len(forbidden)} forbidden edges"
@@ -691,10 +679,7 @@ def _run_level(points, parts, stones, used, variant):
     return merged, moves, parts_out, stones_out, cut_case
 
 
-def pack_general_detailed(
-    ps,
-    budget: int = 200,
-) -> GeneralPackResult:
+def pack_general_detailed(ps) -> GeneralPackResult:
     """At least k-1 edge-disjoint 1-plane Hamiltonian cycles on n = 2^k + h
     points.
 
@@ -719,7 +704,7 @@ def pack_general_detailed(
         if level > k - 1:
             return cycles, levels_acc, moves_acc
         for variant in range(PER_LEVEL_VARIANTS):
-            if counter >= budget:
+            if counter >= LEVEL_ATTEMPTS:
                 return None
             counter += 1
             try:
@@ -770,5 +755,5 @@ def pack_general_detailed(
     )
 
 
-def pack_general(ps, **kwargs) -> Packing:
-    return pack_general_detailed(ps, **kwargs).packing
+def pack_general(ps) -> Packing:
+    return pack_general_detailed(ps).packing

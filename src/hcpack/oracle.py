@@ -1,10 +1,13 @@
 """Exhaustive ground truth at small n.
 
-Enumeration fixes the smallest vertex first and kills reflections by
-requiring second < last, so each cycle appears exactly once.  Crossing
-counts are maintained incrementally along the search path: a branch dies
-the moment any edge would be crossed twice, which keeps the full sweep at
-n = 10 comfortably under a minute.
+Enumeration numbers the edges between subset positions once and gives
+each a bitmask of the edges that cross it.  The search fixes the smallest
+vertex first and carries its path as two masks: the edges placed, and
+those already crossed once.  An edge is refused when it crosses two path
+edges or a crossed one, so a branch dies the moment any edge would be
+crossed twice.  Reflections are killed by requiring second < last, and a
+branch stops as soon as no unused vertex above the second remains, so
+each cycle appears exactly once and already in canonical form.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .cycles import (
     HamCycle,
@@ -24,7 +27,7 @@ from .cycles import (
     radial_edge_count,
 )
 from .errors import InvalidN, TooLarge
-from .geometry import Config, CrossingOracle, Edge, PointSet, edge, oracle_for
+from .geometry import Config, Edge, PointSet, edge, oracle_for
 
 DEFAULT_CAP = 8
 ENV_CAP = "HCP_MAX_ORACLE_N"
@@ -51,20 +54,6 @@ class EnumerationReport:
     witness: Packing
 
 
-def _cross_table(vertices: Sequence[int], oracle: CrossingOracle) -> Dict[Tuple[Edge, Edge], bool]:
-    """Crossing lookup for every non-adjacent edge pair over `vertices`."""
-    es = [edge(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
-    table: Dict[Tuple[Edge, Edge], bool] = {}
-    for i, e1 in enumerate(es):
-        for e2 in es[i + 1 :]:
-            if e1[0] in e2 or e1[1] in e2:
-                continue
-            v = oracle(e1, e2)
-            table[(e1, e2)] = v
-            table[(e2, e1)] = v
-    return table
-
-
 def enumerate_1phc(
     ps: PointSet,
     subset: Optional[Sequence[int]] = None,
@@ -76,59 +65,51 @@ def enumerate_1phc(
     if len(vertices) > cap:
         raise TooLarge(f"{len(vertices)} points exceeds the cap of {cap}")
     oracle = oracle_for(ps)
-    table = _cross_table(vertices, oracle)
     n = len(vertices)
-    start = vertices[0]
-    rest = vertices[1:]
+    es = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cross = [0] * len(es)  # cross[a]: the mask of edges that cross edge a
+    for a, (i, j) in enumerate(es):
+        for b in range(a + 1, len(es)):
+            k, l = es[b]
+            if len({i, j, k, l}) == 4 and oracle(
+                edge(vertices[i], vertices[j]), edge(vertices[k], vertices[l])
+            ):
+                cross[a] |= 1 << b
+                cross[b] |= 1 << a
+    # step[i][j]: the bit of the edge between positions i and j, and its cross mask
+    step = [[(0, 0)] * n for _ in range(n)]
+    for a, (i, j) in enumerate(es):
+        step[i][j] = step[j][i] = (1 << a, cross[a])
     out: List[HamCycle] = []
-    order = [start]
-    path_edges: List[Edge] = []
-    counts: Dict[Edge, int] = {}
-    used = {v: False for v in vertices}
-    used[start] = True
+    order = [0]
 
-    # A table lookup, not CrossLedger: a call per pair made the check benchmark 12-16% slower.
-    def crossings_with_path(e: Edge):
-        hit = []
-        for f in path_edges:
-            if f[0] in e or f[1] in e:
-                continue
-            if table[(e, f)]:
-                if counts[f] >= 1 or hit:
-                    return None
-                hit.append(f)
-        return hit
-
-    def rec():
-        if len(order) == n:
-            if order[1] > order[-1]:
-                return
-            closing = edge(order[-1], start)
-            if crossings_with_path(closing) is not None:
-                out.append(HamCycle(tuple(order)).canonical())
+    # `crossed` holds the edges crossed once: a new edge may cross one path edge, and not a crossed one.
+    def rec(last: int, unused: int, edges: int, crossed: int) -> None:
+        row = step[last]
+        if not unused:
+            hit = row[0][1] & edges
+            if not (hit & crossed or hit & (hit - 1)):
+                out.append(HamCycle(tuple(vertices[p] for p in order)))
             return
-        for v in rest:
-            if used[v]:
+        # A cycle is kept with order[1] < order[-1], so a vertex above order[1] must remain.
+        if len(order) > 1 and not unused >> order[1]:
+            return
+        for v in range(1, n):
+            if not unused >> v & 1:
                 continue
-            e = edge(order[-1], v)
-            hit = crossings_with_path(e)
-            if hit is None:
-                continue
-            used[v] = True
+            b, c = row[v]
+            hit = c & edges
+            if hit:
+                if hit & crossed or hit & (hit - 1):
+                    continue
+                now = crossed | hit | b
+            else:
+                now = crossed
             order.append(v)
-            path_edges.append(e)
-            counts[e] = len(hit)
-            for f in hit:
-                counts[f] += 1
-            rec()
-            for f in hit:
-                counts[f] -= 1
-            del counts[e]
-            path_edges.pop()
+            rec(v, unused ^ 1 << v, edges | b, now)
             order.pop()
-            used[v] = False
 
-    rec()
+    rec(0, (1 << n) - 2, 0, 0)
     return out
 
 

@@ -6,10 +6,7 @@ formulas below, and the packers' output on them by the digests below.
 """
 
 import hashlib
-import os
 import time
-
-import pytest
 
 from hcpack import (
     Config,
@@ -88,16 +85,12 @@ def test_criterion_3_tightness():
     report("3 exhaustive tightness (convex 3..8, wheel 10)", elapsed < 120.0, elapsed)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HCP_ORACLE_N9"),
-    reason="n=9 exhaustive check runs only with HCP_ORACLE_N9=1",
-)
-def test_criterion_3_optional_n9():
+def test_criterion_3_convex_n9():
     t0 = time.time()
     rep = max_packing_exact(convex_instance(9), max_n=9)
     assert rep.max_packing_size == 3
     elapsed = time.time() - t0
-    report("3b optional convex n=9 tightness", elapsed < 600.0, elapsed)
+    report("3b convex n=9 tightness", elapsed < 600.0, elapsed)
 
 
 def test_criterion_4_structure_predicates():

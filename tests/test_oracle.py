@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations, permutations
 
@@ -9,6 +10,7 @@ from hcpack import (
     PointSet,
     are_edge_disjoint,
     enumerate_1phc,
+    generate,
     is_one_plane,
     max_packing_exact,
     oracle_for,
@@ -16,7 +18,7 @@ from hcpack import (
 )
 from hcpack.errors import InvalidN, TooLarge
 
-from conftest import convex_instance, enumerated, wheel_instance
+from conftest import convex_instance, enumerated, general_instance, wheel_instance
 
 # independently derived with a brute-force permutation enumerator; the
 # values for n <= 7 are re-derived below on every run
@@ -192,3 +194,37 @@ def test_property_sweep_small_wheels(n, count):
     rep = property_sweep(wheel_instance(n), max_n=10)
     assert rep["counterexamples"] == []
     assert rep["cycles_checked"] == count
+
+
+# sha256 over enumerate_1phc's lists, in order, and the max_packing_exact
+# witnesses below; recorded before the search moved to edge bitmasks
+ENUMERATION_DIGEST = "06d2008f7d7eda98be2cd5cd6e763831b6cb32eeecb05033a3c702ec8c85e296"
+
+
+def test_enumeration_unchanged():
+    digest = hashlib.sha256()
+
+    def run(tag, ps, subset=None):
+        try:
+            got = [c.order for c in enumerate_1phc(ps, subset, max_n=10)]
+        except ValueError as exc:  # a 2-vertex subset has no cycle to build
+            got = type(exc).__name__
+        digest.update(repr((tag, got)).encode())
+
+    for n in range(3, 11):
+        for seed in (0, 1):
+            run(("convex", n, seed), generate(Config.CONVEX, n, seed=seed).to_point_set())
+    for n in range(4, 11, 2):
+        run(("wheel", n), wheel_instance(n))
+    for n in range(3, 9):
+        for seed in range(3):
+            ps = general_instance(n, seed)
+            run(("general", n, seed), ps)
+            run(("general-sub", n, seed), ps, list(range(1, n)))
+    for config, ps in ((Config.CONVEX, convex_instance(11)), (Config.WHEEL, wheel_instance(10))):
+        rep = max_packing_exact(ps, max_n=11)
+        digest.update(repr((
+            config.value, len(ps), rep.one_plane_count, rep.max_packing_size,
+            [c.order for c in rep.witness.cycles],
+        )).encode())
+    assert digest.hexdigest() == ENUMERATION_DIGEST
