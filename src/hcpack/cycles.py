@@ -1,14 +1,20 @@
 """Hamiltonian cycles, packings, crossing accounting, and the boundary-edge
-structure predicates."""
+structure predicates.
+
+The structure predicates read a cycle on one ring: convex indices, or a
+wheel's rim positions (`_rim_edges`).  They share one boundary test
+(`geometry.ring_boundary`) and one diagonal-side rule (`_sides_hold`)."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigMismatch
-from .geometry import Config, CrossingOracle, Edge, RingOracle, edge, wheel_relabeling
+from .geometry import (
+    Config, CrossingOracle, Edge, RingOracle, edge, ring_boundary, short_arc, wheel_relabeling,
+)
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ def _ring_crossings(es: Sequence[Edge], ring: RingOracle) -> List[Tuple[int, int
         for x in chords:
             a, b = lo[x], hi[x]
             inside = a < j < b
-            if inside if 2 * (b - a) < m else not (inside or j == a or j == b):
+            if inside if short_arc(a, b, m) else not (inside or j == a or j == b):
                 hits.append(r * count + x if r < x else x * count + r)
     hits.sort()
     return [divmod(h, count) for h in hits]
@@ -199,11 +205,35 @@ def are_edge_disjoint(a: HamCycle, b: HamCycle) -> bool:
     return not (set(a.edges()) & set(b.edges()))
 
 
+def _boundary_starts(edges: Iterable[Edge], m: int) -> List[int]:
+    """The start k of each boundary edge (k, k+1 mod m) among `edges`."""
+    return [a if (b - a) % m == 1 else b for a, b in edges if ring_boundary(a, b, m)]
+
+
+def _rim_edges(c: HamCycle, n: int, center_index: Optional[int]) -> Tuple[int, List[Edge]]:
+    """The rim size m = n - 1 of a wheel and the cycle's rim edges in rim
+    positions (0..m-1, ccw); radial edges are dropped."""
+    label, m = wheel_relabeling(n, center_index)[0], n - 1
+    return m, [edge(label[a], label[b]) for a, b in c.edges() if m not in (label[a], label[b])]
+
+
+def _sides_hold(edges: Sequence[Edge], m: int, need: Callable[[int, int], int]) -> bool:
+    """Every diagonal (a, b) among `edges` leaves at least `need(i, j)`
+    boundary edges on each side (i, j) in ((a, b), (b, a)): the side from i
+    ccw to j holds the boundary edges (k, k+1) with i <= k < j cyclically."""
+    starts = _boundary_starts(edges, m)
+    for a, b in edges:
+        if ring_boundary(a, b, m):
+            continue
+        for i, j in ((a, b), (b, a)):
+            span = (j - i) % m
+            if sum((k - i) % m < span for k in starts) < need(i, j):
+                return False
+    return True
+
+
 def boundary_edge_count(
-    c: HamCycle,
-    n: int,
-    config: Config = Config.CONVEX,
-    center_index: Optional[int] = None,
+    c: HamCycle, n: int, config: Config = Config.CONVEX, center_index: Optional[int] = None
 ) -> int:
     """Number of cycle edges joining cyclically consecutive hull indices.
 
@@ -213,14 +243,9 @@ def boundary_edge_count(
     if config is Config.GENERAL:
         raise ConfigMismatch("boundary edges are defined for convex and wheel sets")
     if config is Config.WHEEL:
-        label, _ = wheel_relabeling(n, center_index)
-        cyc, m = HamCycle(tuple(label[v] for v in c.order)), n - 1
-        return sum(
-            1
-            for a, b in cyc.edges()
-            if m not in (a, b) and (b - a) % m in (1, m - 1)
-        )
-    return sum(1 for a, b in c.edges() if (b - a) % n in (1, n - 1))
+        m, rim = _rim_edges(c, n, center_index)
+        return len(_boundary_starts(rim, m))
+    return len(_boundary_starts(c.edges(), n))
 
 
 def radial_edge_count(c: HamCycle, n: int, center_index: Optional[int] = None) -> int:
@@ -230,38 +255,16 @@ def radial_edge_count(c: HamCycle, n: int, center_index: Optional[int] = None) -
 
 def check_boundary_minimum(c: HamCycle, n: int) -> bool:
     """Boundary-edge minimum on a convex set: 2 for even n, 3 for odd n."""
-    need = 2 if n % 2 == 0 else 3
-    return boundary_edge_count(c, n) >= need
-
-
-def _boundary_on_side(c_edges: Iterable[Edge], i: int, j: int, n: int) -> int:
-    """Boundary edges (k, k+1) of the cycle with i <= k < j cyclically."""
-    span = (j - i) % n
-    count = 0
-    for a, b in c_edges:
-        if (b - a) % n in (1, n - 1):
-            k = a if (b - a) % n == 1 else b
-            if (k - i) % n < span:
-                count += 1
-    return count
+    return boundary_edge_count(c, n) >= (2 if n % 2 == 0 else 3)
 
 
 def check_diagonal_sides(c: HamCycle, n: int) -> bool:
     """Every diagonal of the cycle leaves enough boundary edges on each side.
 
-    A side with an odd vertex count needs one boundary edge, an even side
-    needs two.
+    A side from i to j has (j - i) % n + 1 vertices: an odd count needs one
+    boundary edge, an even count two.
     """
-    es = c.edges()
-    for a, b in es:
-        if (b - a) % n in (1, n - 1):
-            continue
-        for i, j in ((a, b), (b, a)):
-            size = (j - i) % n + 1
-            need = 1 if size % 2 == 1 else 2
-            if _boundary_on_side(es, i, j, n) < need:
-                return False
-    return True
+    return _sides_hold(c.edges(), n, lambda i, j: 1 + (j - i) % n % 2)
 
 
 def _companions_present(edges_set: set[Edge], k: int, n: int) -> bool:
@@ -281,20 +284,12 @@ def check_companion_edges(c: HamCycle, n: int) -> bool:
     if n < 4:
         return True
     es = set(c.edges())
-    starts = [
-        a if (b - a) % n == 1 else b
-        for a, b in es
-        if (b - a) % n in (1, n - 1)
-    ]
+    starts = _boundary_starts(es, n)
     if len(starts) == 2:
         return all(_companions_present(es, k, n) for k in starts)
     if len(starts) == 3:
-        start_set = set(starts)
-        for k in starts:
-            single = ((k - 1) % n not in start_set) and ((k + 1) % n not in start_set)
-            if single and _companions_present(es, k, n):
-                return True
-        return False
+        single = [k for k in starts if (k - 1) % n not in starts and (k + 1) % n not in starts]
+        return any(_companions_present(es, k, n) for k in single)
     return True
 
 
@@ -309,55 +304,32 @@ def check_path_boundary(path: Sequence[int], n: int) -> bool:
     """
     path = list(path)
     path_edges = [edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    boundary = [e for e in path_edges if (e[1] - e[0]) % n in (1, n - 1)]
-    i, j = path[0], path[-1]
-    need = 1 if (j - i) % n in (1, n - 1) else 2
-    if len(boundary) < need:
+    ends = (path[0], path[-1])
+    if len(_boundary_starts(path_edges, n)) < (1 if ring_boundary(*ends, n) else 2):
         return False
-    pendants = {path[0], path[-1]}
-    for a, b in path_edges:
-        if (b - a) % n in (1, n - 1):
-            continue
-        for lo, hi in ((a, b), (b, a)):
-            span = (hi - lo) % n
-            if any(0 < (v - lo) % n < span for v in pendants):
-                continue
-            if _boundary_on_side(path_edges, lo, hi, n) < 1:
-                return False
-    return True
+    return _sides_hold(
+        path_edges, n, lambda i, j: 0 if any(0 < (v - i) % n < (j - i) % n for v in ends) else 1
+    )
 
 
-def check_wheel_boundary(
-    c: HamCycle, n: int, center_index: Optional[int] = None
-) -> bool:
+def check_wheel_boundary(c: HamCycle, n: int, center_index: Optional[int] = None) -> bool:
     """Wheel version: two boundary edges minimum, one per side of each rim
     diagonal."""
-    label, _ = wheel_relabeling(n, center_index)
-    cyc, m = HamCycle(tuple(label[v] for v in c.order)), n - 1
-    rim_edges = [e for e in cyc.edges() if m not in e]
-    boundary = [e for e in rim_edges if (e[1] - e[0]) % m in (1, m - 1)]
-    if len(boundary) < 2:
-        return False
-    for a, b in rim_edges:
-        if (b - a) % m in (1, m - 1):
-            continue
-        for lo, hi in ((a, b), (b, a)):
-            if _boundary_on_side(rim_edges, lo, hi, m) < 1:
-                return False
-    return True
+    m, rim = _rim_edges(c, n, center_index)
+    return len(_boundary_starts(rim, m)) >= 2 and _sides_hold(rim, m, lambda i, j: 1)
 
 
 def verify_packing(cycles: Sequence[HamCycle], n: int, oracle: CrossingOracle) -> dict:
     """Full verification report: Hamiltonicity, crossings, disjointness."""
     per_cycle = []
     for c in cycles:
-        report = crossing_report(c, oracle)
+        # a vertex outside 0..n-1 is not a point of the set: the cycle is
+        # neither Hamiltonian nor 1-plane, and the oracle is not asked
+        ham = verify_hamiltonian(c, n)
+        in_range = ham or all(0 <= v < n for v in c.order)
+        worst = crossing_report(c, oracle).max_count if in_range else None
         per_cycle.append(
-            {
-                "hamiltonian": verify_hamiltonian(c, n),
-                "max_crossings": report.max_count,
-                "one_plane": report.max_count <= 1,
-            }
+            {"hamiltonian": ham, "max_crossings": worst, "one_plane": in_range and worst <= 1}
         )
     k = len(cycles)
     disjoint = [[True] * k for _ in range(k)]

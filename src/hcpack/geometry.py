@@ -126,6 +126,16 @@ def segments_properly_cross(e1: Tuple[Point, Point], e2: Tuple[Point, Point]) ->
     return False
 
 
+def ring_boundary(a: int, b: int, m: int) -> bool:
+    """Positions a and b are neighbours on a ring of m: a boundary edge."""
+    return (b - a) % m in (1, m - 1)
+
+
+def short_arc(a: int, b: int, m: int) -> bool:
+    """The ccw arc from a to b is the shorter one on a ring of odd size m."""
+    return (b - a) % m < (a - b) % m
+
+
 def _in_open_arc(x: int, lo: int, hi: int, n: int) -> bool:
     """x strictly inside the ccw arc from lo to hi on 0..n-1."""
     return (x - lo) % n < (hi - lo) % n and x != lo
@@ -169,10 +179,7 @@ def wheel_cross(m: int, e1: Edge, e2: Edge) -> bool:
         j = c if d == m else d
         p, q = e1
     # the radial to j crosses chord (p,q) iff j lies in the shorter arc
-    if (q - p) % m < (p - q) % m:
-        lo, hi = p, q
-    else:
-        lo, hi = q, p
+    lo, hi = (p, q) if short_arc(p, q, m) else (q, p)
     return _in_open_arc(j, lo, hi, m)
 
 
@@ -306,8 +313,7 @@ def _wheel_arcs_agree(rim: Sequence[Point], center: Point) -> bool:
         pa = rim[a]
         for b in range(a + 1, m):
             turn = orientation(pa, rim[b], center)
-            short = (b - a) % m < (a - b) % m
-            if turn != (Orientation.CCW if short else Orientation.CW):
+            if turn != (Orientation.CCW if short_arc(a, b, m) else Orientation.CW):
                 return False
     return True
 

@@ -85,6 +85,8 @@ class InstanceFile:
             seed = doc.get("seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise DegenerateInput(f"malformed instance file {path}: {exc}") from exc
+        if config not in {c.value for c in Config}:
+            raise DegenerateInput(f"malformed instance file {path}: unknown config {config!r}")
         values = chain((v for p in points for v in p), [] if center is None else [center])
         _require_integers(values, f"instance file {path}: coordinates and center_index")
         return cls(points=points, config=config, center_index=center, seed=seed)

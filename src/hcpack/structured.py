@@ -32,7 +32,7 @@ from .cycles import (
     verify_packing,
 )
 from .errors import ConstructionFailed, InvalidN, NonHamiltonian
-from .geometry import convex_oracle, wheel_oracle
+from .geometry import convex_oracle, ring_boundary, wheel_oracle
 
 
 class BoundaryPlan(Enum):
@@ -171,7 +171,7 @@ def pack_wheel(n: int) -> Packing:
         rim = zigzag.order
         for pos in slots:
             u, v = rim[pos], rim[(pos + 1) % m]
-            if (v - u) % m in (1, m - 1):
+            if ring_boundary(u, v, m):
                 continue  # splicing a boundary edge would drop below three
             cand = HamCycle(rim[: pos + 1] + (n - 1,) + rim[pos + 1 :])
             if used.isdisjoint(cand.edges()) and crossing_report(cand, oracle).max_count <= 1:

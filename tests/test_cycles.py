@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -14,12 +15,14 @@ from hcpack import (
     check_path_boundary,
     check_diagonal_sides,
     check_companion_edges,
+    check_wheel_boundary,
     convex_oracle,
     coordinate_oracle,
     crossing_report,
     is_one_plane,
     pack_convex,
     pack_wheel,
+    radial_edge_count,
     verify_hamiltonian,
     verify_packing,
     wheel_oracle,
@@ -199,6 +202,27 @@ def test_verify_packing_disjointness_matches_pairwise(orders, stray):
     assert report["all_disjoint"] == all(all(row) for row in expected)
 
 
+def _in_range_only(orc, n):
+    """`orc`, failing the test if asked about a vertex outside 0..n-1."""
+    def ask(e1, e2):
+        assert all(0 <= v < n for v in e1 + e2), (e1, e2)
+        return orc(e1, e2)
+    return ask
+
+
+@pytest.mark.parametrize("orc", [
+    convex_oracle(5),
+    _in_range_only(coordinate_oracle(general_instance(5, 0).points), 5),
+], ids=["convex", "general"])
+@pytest.mark.parametrize("stray", [5, 9, -1])
+def test_verify_packing_vertex_out_of_range(orc, stray):
+    cycles = [HamCycle((0, 1, 2, 3, 4)), HamCycle((0, 2, 4, 1, stray))]
+    report = verify_packing(cycles, 5, orc)
+    assert report["cycles"][0]["hamiltonian"] and report["cycles"][0]["one_plane"]
+    assert report["cycles"][1] == {"hamiltonian": False, "max_crossings": None, "one_plane": False}
+    assert not report["ok"]
+
+
 def test_are_edge_disjoint():
     a = HamCycle((0, 1, 2, 3))
     b = HamCycle((0, 2, 1, 3))
@@ -312,3 +336,29 @@ def test_packing_edge_budget():
     for n in (9, 12, 15):
         p = pack_convex(n)
         assert len(p.edge_union()) == len(p) * n <= n * (n - 1) // 2
+
+
+# sha256 over every structure-predicate verdict below; recorded before the
+# predicates moved onto one rim view, boundary test and side rule
+STRUCTURE_VERDICT_DIGEST = "13ddd43390e72f08e4403a6e2d34b1e05d0e0118cb3e781bfdf823128cc04629"
+
+
+def test_structure_predicates_unchanged():
+    digest = hashlib.sha256()
+    for n in range(4, 9):
+        for c in _every_ham_cycle(n):
+            digest.update(repr((
+                "convex", c.order, boundary_edge_count(c, n), check_boundary_minimum(c, n),
+                check_diagonal_sides(c, n), check_companion_edges(c, n),
+            )).encode())
+    for n in (6, 8):
+        for center in (n - 1, 0, 2):
+            for c in _every_ham_cycle(n):
+                digest.update(repr((
+                    "wheel", center, c.order, boundary_edge_count(c, n, Config.WHEEL, center),
+                    radial_edge_count(c, n, center), check_wheel_boundary(c, n, center),
+                )).encode())
+    for n in range(3, 8):
+        for path in permutations(range(n)):
+            digest.update(repr(("path", path, check_path_boundary(path, n))).encode())
+    assert digest.hexdigest() == STRUCTURE_VERDICT_DIGEST

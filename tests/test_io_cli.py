@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hcpack import Config, cli, generate, pack_convex, render_svg
+from hcpack import Config, cli, generate, pack_convex, pack_general_detailed, render_svg
 from hcpack.cli import main
 from hcpack.errors import DegenerateInput, InvalidN
 from hcpack.instances import InstanceFile, PackingFile
@@ -248,6 +248,47 @@ def test_cli_render_index_out_of_range(tmp_path, capsys, where):
         assert run_cli(*argv) == 2, cmd
         assert "out of range" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_cli_rejects_unknown_config(tmp_path, capsys):
+    def edit(doc):
+        doc["config"] = "foo"
+
+    good, bad = _edited_copy(tmp_path, "convex", 6, edit)
+    pack = tmp_path / "c6.pack.json"
+    run_cli("pack", "--in", str(good), "--out", str(pack))
+    with pytest.raises(DegenerateInput):
+        InstanceFile.load(str(bad))
+    capsys.readouterr()
+    for argv in (
+        ["pack", "--in", str(bad), "--out", str(tmp_path / "x.json")],
+        ["verify", "--instance", str(bad), "--packing", str(pack)],
+        ["oracle", "--in", str(bad)],
+        ["render", "--instance", str(bad), "--packing", str(pack), "--out", str(tmp_path / "x.svg")],
+    ):
+        assert run_cli(*argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown config 'foo'" in err, (argv[0], err)
+
+
+def test_cli_packing_records_uncross_moves(tmp_path, capsys):
+    """General n = 8, seed 37 joins its second cycle with one created
+    uncrossing: all four removed edges reach the file, verify and render."""
+    inst, pack, svg = (tmp_path / f for f in ("g8.json", "g8.pack.json", "g8.svg"))
+    assert run_cli("generate", "--config", "general", "--n", "8", "--seed", "37",
+                   "--out", str(inst)) == 0
+    assert run_cli("pack", "--in", str(inst), "--out", str(pack)) == 0
+    log = pack_general_detailed(InstanceFile.load(str(inst)).to_point_set()).join_log
+    assert any(mv.created_uncrossings for moves in log for mv in moves)
+    removed = json.loads(pack.read_text())["removed_edges"]
+    assert removed == [[list(e) for mv in moves for e in mv.removed_edges()] for moves in log]
+    assert [len(r) for r in removed].count(4) == 1
+    capsys.readouterr()
+    assert run_cli("verify", "--instance", str(inst), "--packing", str(pack)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert run_cli("render", "--instance", str(inst), "--packing", str(pack),
+                   "--out", str(svg)) == 0
+    assert svg.read_text().count("stroke-dasharray") == sum(len(r) for r in removed)
 
 
 def test_cli_missing_file_exit_code(tmp_path):
