@@ -178,17 +178,21 @@ def ham_sandwich_cuts(
     in_s1 = set(s1)
     if len(set(both)) != len(both):
         raise ValueError("s1 and s2 must be disjoint sets")
+    xs, ys = [points[i].x for i in both], [points[i].y for i in both]
+    # floor(|s|/2) strictly on each side; an odd set's extra point may land
+    # on either side, so only these prefix lengths can balance both sets
+    n1, n2 = len(s1), len(s2)
+    t_lo = max(n1 // 2 + n2 // 2, 1)
+    t_hi = min((n1 + 1) // 2 + (n2 + 1) // 2, len(both) - 1)
     seen = set()
     for d, sense in _pair_directions(points, s1, s2):
-        e = _tilted(points, both, d, sense)
-        order = sorted(both, key=lambda i: -_cross(e, points[i]))
-        l1 = 0  # running count of s1 in the prefix order[:t]
-        for t in range(1, len(both)):
+        ex, ey = _tilted(points, both, d, sense)
+        keys = [ey * x - ex * y for x, y in zip(xs, ys)]  # -cross(e, p)
+        order = [both[j] for j in sorted(range(len(both)), key=keys.__getitem__)]
+        l1 = sum(i in in_s1 for i in order[: t_lo - 1])  # s1 in order[:t - 1]
+        for t in range(t_lo, t_hi + 1):
             l1 += order[t - 1] in in_s1
-            l2 = t - l1
-            # floor(|s|/2) strictly on each side; an odd set's extra point
-            # may land on either side
-            if abs(2 * l1 - len(s1)) > 1 or abs(2 * l2 - len(s2)) > 1:
+            if abs(2 * l1 - n1) > 1 or abs(2 * (t - l1) - n2) > 1:
                 continue
             left = set(order[:t])
             if pair is not None and (pair[0] in left) != (pair[1] in left):
@@ -197,7 +201,7 @@ def ham_sandwich_cuts(
             if key in seen:
                 continue
             seen.add(key)
-            line = _threshold_line(points, order[:t], order[t:], e)
+            line = _threshold_line(points, order[:t], order[t:], (ex, ey))
             parts = (
                 tuple(i for i in s1 if i in left),
                 tuple(i for i in s1 if i not in left),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .bisection import Bisection, bisecting_lines, ham_sandwich_cuts, separating_subset_line
-from .cycles import CrossLedger, HamCycle, Packing, crossing_report, is_one_plane
+from .cycles import HamCycle, Packing, crossing_report, is_one_plane
 from .errors import (
     InvalidN,
     MarchFailed,
@@ -42,7 +42,6 @@ from .geometry import (
     convex_hull,
     coordinate_oracle,
     edge,
-    orientation,
     segments_properly_cross,  # unused here; perfbench/tracer.py patches this name
 )
 
@@ -103,12 +102,71 @@ class GeneralPackResult:
 # ladder march
 
 
+class _FlatLedger:
+    """`CrossLedger`'s rule for the march, on flat integer coordinates.
+
+    Each ledger edge `(c, d)` keeps its line as `(ux, uy, k)`: a point p
+    lies on the side `ux * p.y - uy * p.x - k` of c -> d.  A pair is decided
+    inline exactly where `coordinate_oracle` decides it inline (the new
+    edge's ends against the old edge's line, then, if they straddle it, the
+    old edge's ends against the new line); any zero determinant goes to the
+    oracle itself.  Pairs are visited in `CrossLedger`'s order, so every
+    verdict, and on degenerate input every CollinearOverlap, is the same.
+    """
+
+    def __init__(self, xs: List[int], ys: List[int], oracle: CrossingOracle):
+        self.xs, self.ys, self.oracle = xs, ys, oracle
+        self.crossed: Dict[Edge, Tuple[int, int, int, List[Edge]]] = {}
+
+    def add(self, e: Edge) -> bool:
+        """Insert `e`; refuse it if present or if any edge would then be
+        crossed twice."""
+        crossed = self.crossed
+        if e in crossed:
+            return False
+        xs, ys = self.xs, self.ys
+        a, b = e
+        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+        vx, vy = bx - ax, by - ay
+        k = vx * ay - vy * ax
+        hit: List[Edge] = []
+        for f, (ux, uy, kf, f_hits) in crossed.items():
+            d1 = ux * ay - uy * ax - kf
+            d2 = ux * by - uy * bx - kf
+            if d1 and d2:
+                if (d1 > 0) == (d2 > 0):
+                    continue
+                c, d = f
+                d3 = vx * ys[c] - vy * xs[c] - k
+                d4 = vx * ys[d] - vy * xs[d] - k
+                if d3 and d4:
+                    if (d3 > 0) == (d4 > 0):
+                        continue
+                elif not self.oracle(e, f):
+                    continue
+            elif a in f or b in f or not self.oracle(e, f):
+                continue
+            if f_hits or hit:
+                return False
+            hit.append(f)
+        crossed[e] = (vx, vy, k, hit)
+        for f in hit:
+            crossed[f][3].append(e)
+        return True
+
+    def remove(self, e: Edge) -> None:
+        crossed = self.crossed
+        for f in crossed.pop(e)[3]:
+            crossed[f][3].remove(e)
+
+
 class _March:
     """One backtracking march over a fixed bisection.
 
     Every point gets the key `cross(d, p)` along the line direction `d`; the
     line separates the sides, so every right key lies on one side `bs` of
-    every left key.
+    every left key.  The coordinates are copied once into flat integer
+    lists, and each side is sorted once by `(key, -dot(d, p))`.
     """
 
     def __init__(self, points, bisection: Bisection, forbidden):
@@ -117,28 +175,25 @@ class _March:
         if len(left) < len(right):
             left, right = right, left
         self.left0, self.right0 = left, right
+        xs, ys = self.xs, self.ys = [p.x for p in points], [p.y for p in points]
         dx, dy = bisection.line.direction
-        self.key = {i: dx * points[i].y - dy * points[i].x for i in left + right}
-        lo, hi = min(self.key[i] for i in left), max(self.key[i] for i in left)
-        if all(self.key[i] > hi for i in right):
+        key = self.key = {i: dx * ys[i] - dy * xs[i] for i in left + right}
+        lo, hi = min(key[i] for i in left), max(key[i] for i in left)
+        if all(key[i] > hi for i in right):
             self.bs = 1
-        elif all(self.key[i] < lo for i in right):
+        elif all(key[i] < lo for i in right):
             self.bs = -1
         else:
             raise ValueError("the bisection's line does not separate its sides")
+        # the bridge's sweep order: the low-key side, then the high-key side
+        by_sweep = lambda i: (key[i], -dx * xs[i] - dy * ys[i])
+        low, high = (left, right) if self.bs > 0 else (right, left)
+        self.sweep = (sorted(low, key=by_sweep), sorted(high, key=by_sweep))
         self.forbidden = forbidden
         self.nodes = 0
-        self.ledger = CrossLedger(coordinate_oracle(points))
+        self.ledger = _FlatLedger(xs, ys, coordinate_oracle(points))
         self.adj: Dict[int, List[int]] = {i: [] for i in left + right}
         self.stone: Optional[Edge] = None
-
-    # -- geometry helpers ---------------------------------------------------
-    def _below_side(self, u: int, w: int) -> int:
-        d = self.key[w] - self.key[u]
-        return (d > 0) - (d < 0)
-
-    def _side(self, u: int, w: int, i: int) -> int:
-        return orientation(self.points[u], self.points[w], self.points[i])
 
     # -- incremental edge bookkeeping ----------------------------------------
     def _try_add(self, u: int, w: int) -> bool:
@@ -163,35 +218,78 @@ class _March:
         from r2 to r1 (bs < 0).  The bisecting line separates r1 from r2, so
         the hull boundary crosses it exactly twice, once in each direction,
         and the pair is unique.  None if a side is empty.
+
+        In the frame (key, -dot(d, p)), which keeps orientation, that edge
+        is the one edge of the lower monotone chain running from the
+        low-key side to the high-key side, so one pass over the sweep order
+        finds it.  A zero determinant (a duplicate or collinear triple)
+        hands the call to `_hull_bridge`.
         """
         if not r1 or not r2:
             return None
         if len(r1) == len(r2) == 1:
             return next(iter(r1)), next(iter(r2))
+        xs, ys = self.xs, self.ys
+        low, high = (r1, r2) if self.bs > 0 else (r2, r1)
+        chain: List[int] = []
+        for live, order in zip((low, high), self.sweep):
+            for i in order:
+                if i not in live:
+                    continue
+                px, py = xs[i], ys[i]
+                while len(chain) > 1:
+                    a, b = chain[-2], chain[-1]
+                    ax, ay = xs[a], ys[a]
+                    det = (xs[b] - ax) * (py - ay) - (ys[b] - ay) * (px - ax)
+                    if det > 0:
+                        break
+                    if not det:
+                        return self._hull_bridge(r1, r2)
+                    chain.pop()
+                chain.append(i)
+        k = next(j for j, i in enumerate(chain) if i in high)
+        a, b = chain[k - 1], chain[k]
+        return (a, b) if self.bs > 0 else (b, a)
+
+    def _hull_bridge(self, r1, r2) -> Tuple[int, int]:
+        """`_bridge` read off a fresh `convex_hull`: degenerate input gets
+        its pair or its DegenerateInput."""
         idx = list(r1 | r2)
         hull = [idx[h] for h in convex_hull([self.points[i] for i in idx])]
         src, dst = (r1, r2) if self.bs > 0 else (r2, r1)
         a, b = next((a, b) for a, b in zip(hull, hull[1:] + hull[:1]) if a in src and b in dst)
         return (a, b) if self.bs > 0 else (b, a)
 
+    def _on_side(self, u: int, w: int, s: int, pts) -> bool:
+        """Every point of `pts` other than u lies strictly on side s of u -> w."""
+        xs, ys = self.xs, self.ys
+        ux, uy = xs[w] - xs[u], ys[w] - ys[u]
+        k = ux * ys[u] - uy * xs[u]
+        for i in pts:
+            if i != u and (ux * ys[i] - uy * xs[i] - k) * s <= 0:
+                return False
+        return True
+
     def _moves(self, pair, r1, r2, e1, e2):
         """The rung and the two bridges of `pair`, rule-conforming first, as
         (first edge, second edge, new chain ends).  Each takes v1 from r1 and
         v2 from r2."""
         v1, v2 = pair
-        side, bs = self._side, self.bs
+        on_side, key = self._on_side, self.key
         moves = [
             ((e1, v2), (e2, v1), (v1, v2)),
             ((v1, e2), (v1, v2), (e1, v2)),
             ((v2, e1), (v2, v1), (v1, e2)),
         ]
-        conforming = [side(v1, v2, e1) == -bs and side(v1, v2, e2) == -bs]
+        conforming = [on_side(v1, v2, -self.bs, (e1, e2))]
         for vi, ei, eo in ((v1, e1, e2), (v2, e2, e1)):
-            lbs = self._below_side(vi, ei)
+            d = key[ei] - key[vi]
+            lbs = (d > 0) - (d < 0)
             conforming.append(
                 lbs != 0
-                and side(vi, ei, eo) == -lbs
-                and all(side(vi, ei, i) == lbs for i in r1 | r2 if i != vi)
+                and on_side(vi, ei, -lbs, (eo,))
+                and on_side(vi, ei, lbs, r1)
+                and on_side(vi, ei, lbs, r2)
             )
         flagged = list(zip(moves, conforming))
         return [m for m, ok in flagged if ok] + [m for m, ok in flagged if not ok]

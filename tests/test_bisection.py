@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hcpack import (
@@ -177,6 +179,51 @@ def test_ham_sandwich_two_against_two():
     line, parts = ham_sandwich(pts, [0, 1], [2, 3])
     assert len(parts[0]) == len(parts[1]) == 1
     assert len(parts[2]) == len(parts[3]) == 1
+
+
+def full_scan_cuts(points, s1, s2, pair=None):
+    """Reference ham_sandwich_cuts: each direction's order sorted by a key
+    per point, then every prefix length tested for balance."""
+    from hcpack.bisection import _cross, _pair_directions, _threshold_line, _tilted
+
+    s1, s2 = sorted(s1), sorted(s2)
+    both, seen = s1 + s2, set()
+    for d, sense in _pair_directions(points, s1, s2):
+        e = _tilted(points, both, d, sense)
+        order = sorted(both, key=lambda i: -_cross(e, points[i]))
+        for t in range(1, len(both)):
+            left = set(order[:t])
+            l1 = len(left & set(s1))
+            if abs(2 * l1 - len(s1)) > 1 or abs(2 * (t - l1) - len(s2)) > 1:
+                continue
+            if pair is not None and (pair[0] in left) != (pair[1] in left):
+                continue
+            if frozenset(left) in seen:
+                continue
+            seen.add(frozenset(left))
+            line = _threshold_line(points, order[:t], order[t:], e)
+            yield line, (
+                tuple(i for i in s1 if i in left),
+                tuple(i for i in s1 if i not in left),
+                tuple(i for i in s2 if i in left),
+                tuple(i for i in s2 if i not in left),
+            )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ham_sandwich_stream_matches_a_full_prefix_scan(seed):
+    from hcpack.bisection import ham_sandwich_cuts
+
+    rng = random.Random(seed)
+    n = rng.randint(2, 16)
+    points = general_instance(n, 200 + seed).points
+    idx = rng.sample(range(n), n)
+    cut = rng.randint(1, n - 1)
+    s1, s2 = idx[:cut], idx[cut:]
+    pairs = [None] + ([tuple(rng.sample(s1, 2))] if len(s1) > 1 else [])
+    for pair in pairs:
+        want = list(full_scan_cuts(points, s1, s2, pair))
+        assert list(ham_sandwich_cuts(points, s1, s2, pair=pair)) == want, (s1, s2, pair)
 
 
 from hypothesis import given, settings, strategies as st

@@ -21,11 +21,12 @@ from hcpack import (
     verify_hamiltonian,
     verify_packing,
 )
-from hcpack import general, geometry
+from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
-from hcpack.errors import CollinearOverlap, StillCrossing
-from hcpack.general import _JoinScreen, _March, _splice
-from hcpack.geometry import oracle_for, orientation
+from hcpack.cycles import CrossLedger
+from hcpack.errors import CollinearOverlap, MarchFailed, StillCrossing
+from hcpack.general import _FlatLedger, _JoinScreen, _March, _splice
+from hcpack.geometry import OrientedLine, convex_hull, oracle_for, orientation
 
 from conftest import general_instance
 
@@ -157,6 +158,154 @@ def test_large_march_unchanged():
             cyc, _, stones = march_cycle(ps, range(n))
             digest.update(repr((n, seed, cyc.order, [(s.v, s.w) for s in stones])).encode())
     assert digest.hexdigest() == LARGE_MARCH_DIGEST
+
+
+def hull_bridge(points, bs, r1, r2):
+    """Reference bridge: the edge of a fresh `convex_hull` of r1 | r2 running
+    ccw from r1 to r2 (bs > 0) or from r2 to r1 (bs < 0), as (v1, v2)."""
+    if not r1 or not r2:
+        return None
+    if len(r1) == len(r2) == 1:
+        return next(iter(r1)), next(iter(r2))
+    idx = sorted(r1 | r2)
+    hull = [idx[h] for h in convex_hull([points[i] for i in idx])]
+    src, dst = (r1, r2) if bs > 0 else (r2, r1)
+    a, b = next((a, b) for a, b in zip(hull, hull[1:] + hull[:1]) if a in src and b in dst)
+    return (a, b) if bs > 0 else (b, a)
+
+
+def test_march_bridge_matches_a_fresh_hull_at_every_node(monkeypatch):
+    bridge, fallback = _March._bridge, _March._hull_bridge
+    seen = []
+
+    def checked(self, r1, r2):
+        got = bridge(self, r1, r2)
+        assert got == hull_bridge(self.points, self.bs, r1, r2), (sorted(r1), sorted(r2))
+        seen.append(self.bs)
+        return got
+
+    def no_fallback(self, r1, r2):
+        raise AssertionError("a zero determinant in general position")
+
+    monkeypatch.setattr(_March, "_bridge", checked)
+    monkeypatch.setattr(_March, "_hull_bridge", no_fallback)
+    for n in (16, 17, 24, 32, 48, 64, 96, 128):
+        for seed in (1, 2, 3):
+            ps = general_instance(n, seed)
+            march_cycle(ps, range(n))
+            # the same sides under the reversed direction: the other sign of bs
+            bi = bisecting_line(ps, range(n))
+            dx, dy = bi.line.direction
+            flipped = Bisection(OrientedLine(bi.line.anchor, (-dx, -dy)), bi.left, bi.right)
+            try:
+                march_cycle(ps, range(n), bisection=flipped)
+            except MarchFailed:
+                pass
+    assert set(seen) == {1, -1} and len(seen) > 1000
+
+
+def degenerate_lists():
+    """300 seeded point lists on small grids, with duplicates and collinear
+    triples: n = 5..14, coordinates 0..g for g = 2..6."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, g = rng.randint(5, 14), rng.randint(2, 6)
+        yield seed, [Point(rng.randint(0, g), rng.randint(0, g)) for _ in range(n)]
+
+
+def march_outcome(points):
+    """march_cycle's cycle and stones on all of `points`, or the name of the
+    exception it raises."""
+    try:
+        cyc, _, stones = march_cycle(points, range(len(points)))
+    except Exception as exc:
+        return type(exc).__name__
+    return cyc.order, [(s.v, s.w) for s in stones]
+
+
+# sha256 over march_outcome of each degenerate list, recorded before the
+# march's bridge, move rule and ledger moved to flat integer coordinates
+DEGENERATE_MARCH_DIGEST = "4e36d6efb82bae0854d3cdac25007daf79432c80023326a515e6cea95fdca2c5"
+
+
+def test_degenerate_march_unchanged():
+    digest = hashlib.sha256()
+    outcomes = set()
+    for seed, points in degenerate_lists():
+        out = march_outcome(points)
+        outcomes.add(out if isinstance(out, str) else "cycle")
+        digest.update(repr((seed, out)).encode())
+    assert {"cycle", "DegenerateInput", "CollinearOverlap"} <= outcomes
+    assert digest.hexdigest() == DEGENERATE_MARCH_DIGEST
+
+
+def test_march_ledger_agrees_with_cross_ledger(monkeypatch):
+    """Every add and remove of the march's ledger gives CrossLedger's
+    verdict or exception and leaves the same crossing lists, in order."""
+    verdicts = set()
+
+    class Twin:
+        def __init__(self, xs, ys, oracle):
+            self.flat, self.ref = _FlatLedger(xs, ys, oracle), CrossLedger(oracle)
+
+        def same_state(self):
+            assert [(f, hits) for f, (*_, hits) in self.flat.crossed.items()] == list(
+                self.ref.crossed.items()
+            )
+
+        def add(self, e):
+            outcomes = []
+            for ledger in (self.ref, self.flat):
+                try:
+                    outcomes.append(ledger.add(e))
+                except CollinearOverlap as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1], e
+            self.same_state()
+            verdicts.add(outcomes[0])
+            if outcomes[0] is CollinearOverlap:
+                raise CollinearOverlap(f"{e} overlaps a ledger edge")
+            return outcomes[0]
+
+        def remove(self, e):
+            self.ref.remove(e)
+            self.flat.remove(e)
+            self.same_state()
+            verdicts.add("remove")
+
+    monkeypatch.setattr(general, "_FlatLedger", Twin)
+    for n in (16, 17, 24, 32, 48, 64):
+        for seed in (1, 2, 3):
+            march_cycle(general_instance(n, seed), range(n))
+    assert verdicts == {True, False, "remove"}
+    for _seed, points in degenerate_lists():
+        march_outcome(points)
+    assert CollinearOverlap in verdicts
+
+
+# perfbench/tracer.py patches these names on hcpack.general, where the
+# packer looks them up; each must stay there as its home module's object
+TRACED_ON_GENERAL = {
+    "coordinate_oracle": geometry,
+    "segments_properly_cross": geometry,
+    "is_one_plane": cycles,
+    "crossing_report": cycles,
+    "march_cycle": general,
+    "join_cycles": general,
+    "uncross": general,
+    "bisecting_lines": bisection,
+    "ham_sandwich_cuts": bisection,
+    "separating_subset_line": bisection,
+    "pack_general_detailed": general,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_ON_GENERAL))
+def test_traced_names_stay_on_general(name):
+    home = TRACED_ON_GENERAL[name]
+    assert name in vars(general)
+    assert vars(general)[name] is vars(home)[name]
+    assert vars(home)[name].__module__ == home.__name__
 
 
 # sha256 over pack_general_detailed's cycles and join moves for n = 48
