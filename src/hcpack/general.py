@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .bisection import Bisection, bisecting_lines, ham_sandwich_cuts, separating_subset_line
@@ -679,12 +679,12 @@ def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Stone]]:
     parts = _ccw_part_order(
         [tuple(sorted(half)) for cut, _ in cuts for half in (cut.left, cut.right)], points
     )
+    part_of = {i: pi for pi, p in enumerate(parts) for i in p}
     stones: Dict[int, Stone] = {}
     for _, sts in cuts:
         for st in sts:
-            for pi, p in enumerate(parts):
-                if st.v in p and st.w in p:
-                    stones[pi] = st
+            if part_of[st.v] == part_of[st.w]:
+                stones[part_of[st.v]] = st
     return parts, stones
 
 
@@ -718,27 +718,21 @@ def _run_level(points, parts, stones, used, variant):
     part_cuts: List[Optional[Bisection]] = [None] * len(parts)
     cut_case: Dict[int, str] = {}
     for t in range(0, len(parts), 2):
-        A, B = parts[t], parts[t + 1]
-        st_a, st_b = stones.get(t), stones.get(t + 1)
-        if st_a is not None:
-            hs = _nth(ham_sandwich_cuts(points, A, B, pair=(st_a.v, st_a.w)), variant)
-            case = "case1"
-        elif st_b is not None:
-            hs = _nth(ham_sandwich_cuts(points, B, A, pair=(st_b.v, st_b.w)), variant)
-            case = "case1"
-        else:
-            hs = _nth(ham_sandwich_cuts(points, A, B), variant)
-            case = "ham-sandwich"
+        # the stone's part goes first, so its pair stays on one side
+        first = t + 1 if t not in stones and t + 1 in stones else t
+        st, other = stones.get(first), stones.get(first ^ 1)
+        pair = st.pair() if st else None
+        hs = _nth(ham_sandwich_cuts(points, parts[first], parts[first ^ 1], pair=pair), variant)
         if hs is None:
             continue
         # the cut puts exactly the points of l1 and l2 strictly left
         line, (l1, _, l2, _) = hs
         left_all = set(l1) | set(l2)
-        if st_a is not None and st_b is not None and (st_b.v in left_all) != (st_b.w in left_all):
+        if other is not None and (other.v in left_all) != (other.w in left_all):
             continue
-        part_cuts[t] = _bisection_from_cut(line, left_all, A)
-        part_cuts[t + 1] = _bisection_from_cut(line, left_all, B)
-        cut_case[t] = cut_case[t + 1] = case
+        for pi in (t, t + 1):
+            part_cuts[pi] = _bisection_from_cut(line, left_all, parts[pi])
+            cut_case[pi] = "case1" if st else "ham-sandwich"
     part_cycles: List[HamCycle] = []
     child_cuts = []
     for pi, part in enumerate(parts):
@@ -750,26 +744,21 @@ def _run_level(points, parts, stones, used, variant):
                 line, grown = separating_subset_line(
                     points, part, (st.v, st.w), (len(part) + 1) // 2
                 )
-                grown_set = set(grown)
-                cut = _bisection_from_cut(line, grown_set, part)
-                cut_case[pi] = "case2"
             except NotSeparable:
-                cut = None
-                cut_case[pi] = "unconstrained"
+                pass
+            else:
+                cut = _bisection_from_cut(line, set(grown), part)
+                cut_case[pi] = "case2"
         try:
-            cyc, used_cut, new_stones = march_cycle(
-                points, part, bisection=cut, forbidden=used
-            )
+            cyc, used_cut, new_stones = march_cycle(points, part, bisection=cut, forbidden=used)
         except MarchFailed:
             if cut is None:
                 raise
             # the assigned cut admits no march; let the part pick its own
-            cyc, used_cut, new_stones = march_cycle(
-                points, part, bisection=None, forbidden=used
-            )
-            cut_case[pi] = "unconstrained"
+            cut = None
+            cyc, used_cut, new_stones = march_cycle(points, part, forbidden=used)
         if cut is None:
-            cut_case.setdefault(pi, "unconstrained")
+            cut_case[pi] = "unconstrained"
         part_cycles.append(cyc)
         child_cuts.append((used_cut, new_stones))
     merged, moves = _fold(part_cycles, used, points)
@@ -781,10 +770,14 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     """At least k-1 edge-disjoint 1-plane Hamiltonian cycles on n = 2^k + h
     points.
 
-    Levels are searched depth-first over cut variants; a level whose parts
-    cannot host fresh cycles backtracks into different cuts above.  Raises
-    InvalidN below 4 points, and PackingIncomplete (with the cycles found
-    so far) if the search ends without reaching k-1 cycles.
+    The search keeps one path of levels, each entry a level's cycle, its
+    join moves and the parts the next level marches on.  Each level tries
+    up to PER_LEVEL_VARIANTS cut variants depth-first; a level whose parts
+    cannot host a fresh cycle is popped, so the search backtracks into
+    different cuts above.  The whole pack makes at most LEVEL_ATTEMPTS
+    level attempts below level 1.  Raises InvalidN below 4 points, and
+    PackingIncomplete (with the longest path's cycles) if the search ends
+    without reaching k-1 cycles.
     """
     points = ps.points if isinstance(ps, PointSet) else tuple(ps)
     n = len(points)
@@ -794,58 +787,49 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     counter = 0
     last_err: Optional[Exception] = None
     best: List[HamCycle] = []
+    path: List[Tuple[HamCycle, List[JoinMove], LevelParts]] = []
 
-    def solve(level, parts, stones, used, cycles, levels_acc, moves_acc):
+    def solve(used) -> bool:
+        """Extend the path to k-1 levels.  A failed call may leave a stale
+        cut_case on path[-1]; its caller pops that entry."""
         nonlocal counter, last_err, best
-        if len(cycles) > len(best):
-            best = list(cycles)
-        if level > k - 1:
-            return cycles, levels_acc, moves_acc
+        if len(path) > len(best):
+            best = [c for c, _, _ in path]
+        if len(path) >= k - 1:
+            return True
+        marched = path[-1][2]
         for variant in range(PER_LEVEL_VARIANTS):
             if counter >= LEVEL_ATTEMPTS:
-                return None
+                return False
             counter += 1
             try:
-                merged, moves, parts2, stones2, cut_case = _run_level(
-                    points, parts, stones, used, variant
+                merged, moves, parts, stones, marched.cut_case = _run_level(
+                    points, marched.parts, marched.stones, used, variant
                 )
             except (MarchFailed, NoJoinFound) as exc:
                 last_err = exc
                 continue
-            # copies: backtracking branches share levels_acc
-            marched = replace(levels_acc[-1], cut_case=cut_case)
-            lv = LevelParts(parts=list(parts2), stones=dict(stones2))
-            res = solve(
-                level + 1,
-                parts2,
-                stones2,
-                used | set(merged.edges()),
-                cycles + [merged],
-                levels_acc[:-1] + [marched, lv],
-                moves_acc + [moves],
-            )
-            if res is not None:
-                return res
-        return None
+            path.append((merged, moves, LevelParts(parts, stones)))
+            if solve(used | set(merged.edges())):
+                return True
+            path.pop()
+        return False
 
     for v1 in range(PER_LEVEL_VARIANTS):
         cuts = _nth(bisecting_lines(points, range(n)), v1)
         if cuts is None:
             break
         try:
-            cyc, cut, stones_l = march_cycle(points, range(n), bisection=cuts)
+            cyc, cut, stones = march_cycle(points, range(n), bisection=cuts)
         except MarchFailed as exc:
             last_err = exc
             continue
-        parts, stones = _next_level([(cut, stones_l)], points)
-        level1 = LevelParts(parts=list(parts), stones=dict(stones))
-        res = solve(2, parts, stones, set(cyc.edges()), [cyc], [level1], [[]])
-        if res is not None:
-            cycles, levels_acc, moves_acc = res
-            tree = PartitionTree(levels=levels_acc)
-            for c in cycles:
-                tree.used_edges |= set(c.edges())
-            return GeneralPackResult(Packing(tuple(cycles)), tree, moves_acc)
+        path.append((cyc, [], LevelParts(*_next_level([(cut, stones)], points))))
+        if solve(set(cyc.edges())):
+            cycles, join_log, levels = zip(*path)
+            tree = PartitionTree(list(levels), set().union(*(c.edges() for c in cycles)))
+            return GeneralPackResult(Packing(cycles), tree, list(join_log))
+        path.pop()
     raise PackingIncomplete(
         f"search exhausted ({counter} level attempts): {last_err}",
         level=len(best) + 1,

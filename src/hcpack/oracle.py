@@ -24,6 +24,7 @@ from .cycles import (
     check_wheel_boundary,
     check_diagonal_sides,
     check_companion_edges,
+    crossing_report,
     radial_edge_count,
 )
 from .errors import InvalidN, TooLarge
@@ -67,15 +68,11 @@ def enumerate_1phc(
     oracle = oracle_for(ps)
     n = len(vertices)
     es = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ids = {edge(vertices[i], vertices[j]): a for a, (i, j) in enumerate(es)}
     cross = [0] * len(es)  # cross[a]: the mask of edges that cross edge a
-    for a, (i, j) in enumerate(es):
-        for b in range(a + 1, len(es)):
-            k, l = es[b]
-            if len({i, j, k, l}) == 4 and oracle(
-                edge(vertices[i], vertices[j]), edge(vertices[k], vertices[l])
-            ):
-                cross[a] |= 1 << b
-                cross[b] |= 1 << a
+    for e1, e2 in crossing_report(list(ids), oracle).pairs:
+        cross[ids[e1]] |= 1 << ids[e2]
+        cross[ids[e2]] |= 1 << ids[e1]
     # step[i][j]: the bit of the edge between positions i and j, and its cross mask
     step = [[(0, 0)] * n for _ in range(n)]
     for a, (i, j) in enumerate(es):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .cycles import (
     HamCycle,
@@ -60,15 +60,12 @@ def _offsets_four(n: int) -> list[int]:
 class ZigzagSpec:
     """Index schedule for one constructed cycle.
 
-    `pattern` is the resolved offset schedule relative to `anchor`; for
-    wheel cycles the center vertex is spliced in at `splice_pos`.
+    `pattern` is the resolved offset schedule relative to `anchor`.
     """
 
     n: int
     anchor: int
     plan: BoundaryPlan
-    center: Optional[int] = None
-    splice_pos: Optional[int] = None
     pattern: Tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -84,10 +81,6 @@ def generate_zigzag(spec: ZigzagSpec) -> HamCycle:
     seq = [(spec.anchor + o) % spec.n for o in spec.pattern]
     if len(set(seq)) != len(seq):
         raise NonHamiltonian(f"offset schedule revisits an index: {spec}")
-    if spec.splice_pos is not None:
-        if spec.center is None:
-            raise ValueError("splice_pos needs a center vertex")
-        seq = seq[: spec.splice_pos + 1] + [spec.center] + seq[spec.splice_pos + 1 :]
     return HamCycle(tuple(seq))
 
 

@@ -328,6 +328,51 @@ def test_large_pack_unchanged():
     assert digest.hexdigest() == LARGE_PACK_DIGEST
 
 
+# sha256 over the level search's full record for n = 16, 17, 32, 33, 48
+# (seeds 1-5), and over every PackingIncomplete under small LEVEL_ATTEMPTS,
+# recorded before the search moved to one path of levels
+LEVEL_SEARCH_DIGEST = "7aacec75e26a0808831552ba2da36c238633bf0a2cba3aa85f09d4bd4ab3d2c2"
+
+
+def test_level_search_unchanged(monkeypatch):
+    from hcpack.errors import PackingIncomplete
+
+    calls = [0]
+    run_level = general._run_level
+
+    def counted(*args):
+        calls[0] += 1
+        return run_level(*args)
+
+    monkeypatch.setattr(general, "_run_level", counted)
+    digest = hashlib.sha256()
+    for n, seed in product([16, 17, 32, 33, 48], range(1, 6)):
+        calls[0] = 0
+        result = pack_general_detailed(general_instance(n, seed))
+        digest.update(repr((
+            n,
+            seed,
+            [c.order for c in result.packing.cycles],
+            [(lv.parts,
+              sorted((pi, (st.v, st.w)) for pi, st in lv.stones.items()),
+              sorted(lv.cut_case.items()))
+             for lv in result.tree.levels],
+            sorted(result.tree.used_edges),
+            [[(mv.removed, mv.added, mv.created_uncrossings) for mv in moves]
+             for moves in result.join_log],
+            calls[0],
+        )).encode())
+    for attempts, n, seed in product([0, 1, 2, 3, 5], [16, 17, 32, 33], range(1, 6)):
+        monkeypatch.setattr(general, "LEVEL_ATTEMPTS", attempts)
+        try:
+            pack_general_detailed(general_instance(n, seed))
+            out = None
+        except PackingIncomplete as exc:
+            out = (str(exc), exc.level, [c.order for c in exc.cycles])
+        digest.update(repr((attempts, n, seed, out)).encode())
+    assert digest.hexdigest() == LEVEL_SEARCH_DIGEST
+
+
 def test_uncross_quadrilateral():
     # the crossed quadrilateral has a unique plane reconnection
     pts = [Point(0, 0), Point(10, 1), Point(11, 10), Point(1, 11)]

@@ -83,14 +83,6 @@ def test_zigzag_triangle():
     assert generate_zigzag(spec).order == (0, 1, 2)
 
 
-def test_zigzag_wheel_splice():
-    # green wheel cycle: rim zigzag with center spliced before the last turn
-    spec = ZigzagSpec(13, 0, BoundaryPlan.THREE_BOUNDARY, center=13, splice_pos=10)
-    cyc = generate_zigzag(spec)
-    assert canon_edges(cyc.edges()) == canon_edges(REF_WHEEL_14[0])
-    assert (4, 13) in cyc.edges() and (11, 13) in cyc.edges()
-
-
 def test_zigzag_plans_validate_parity():
     with pytest.raises(InvalidN):
         ZigzagSpec(12, 0, BoundaryPlan.THREE_BOUNDARY)
