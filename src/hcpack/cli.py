@@ -209,6 +209,7 @@ def cmd_oracle(args) -> int:
                 "one_plane_count": rep.one_plane_count,
                 "max_packing_size": rep.max_packing_size,
                 "witness": [list(c.order) for c in rep.witness.cycles],
+                "search_nodes": rep.search_nodes,
             },
             indent=2,
         )

@@ -162,6 +162,7 @@ def test_cli_oracle(tmp_path, capsys):
     assert doc["max_packing_size"] == 2
     assert doc["one_plane_count"] == 13
     assert doc["total_ham_cycles"] == 60
+    assert set(doc["search_nodes"]) == {"enumeration", "packing"}
 
 
 def test_cli_oracle_cap(tmp_path, capsys):

@@ -26,23 +26,49 @@ CONVEX_1PHC_COUNTS = {3: 1, 4: 3, 5: 6, 6: 13, 7: 29, 8: 65, 9: 148}
 WHEEL_10_1PHC_COUNT = 1044
 
 
-def naive_enumerate(ps):
+def naive_enumerate(ps, subset=None):
     """Permutation-based enumerator: the oracle for the fast one."""
-    n = len(ps)
+    first, *rest = sorted(subset) if subset is not None else range(len(ps))
     orc = oracle_for(ps)
     out = set()
-    for perm in permutations(range(1, n)):
-        cyc = HamCycle((0,) + perm)
+    for perm in permutations(rest):
+        cyc = HamCycle((first,) + perm)
         if is_one_plane(cyc, orc):
             out.add(cyc.canonical().order)
     return out
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-def test_enumeration_matches_naive(n):
-    ps = convex_instance(n)
-    fast = {c.order for c in enumerate_1phc(ps)}
-    assert fast == naive_enumerate(ps)
+def naive_cases(convex, wheel, general):
+    """(config, n, seed) parameters; convex cases keep the bare `n` as id."""
+    return (
+        [pytest.param("convex", n, None, id=str(n)) for n in convex]
+        + [pytest.param("wheel", n, None, id=f"wheel-{n}") for n in wheel]
+        + [pytest.param("general", n, s, id=f"general-{n}-{s}") for n in general for s in (0, 1, 2)]
+    )
+
+
+def naive_case(config, n, seed):
+    if config == "convex":
+        return convex_instance(n)
+    if config == "wheel":
+        return wheel_instance(n)
+    return general_instance(n, seed)
+
+
+@pytest.mark.parametrize("config,n,seed", naive_cases((3, 4, 5, 6, 7), (6, 8), (6, 7, 8)))
+def test_enumeration_matches_naive(config, n, seed):
+    ps = naive_case(config, n, seed)
+    fast = [c.order for c in enumerate_1phc(ps)]
+    assert len(fast) == len(set(fast))
+    assert set(fast) == naive_enumerate(ps)
+
+
+def test_enumeration_matches_naive_on_general_subset():
+    ps = general_instance(9, 1)
+    sub = [0, 2, 3, 5, 6, 8]
+    fast = [c.order for c in enumerate_1phc(ps, subset=sub, max_n=9)]
+    assert len(fast) == len(set(fast))
+    assert set(fast) == naive_enumerate(ps, sub)
 
 
 @pytest.mark.parametrize("n", sorted(CONVEX_1PHC_COUNTS))
@@ -103,27 +129,62 @@ def test_enumeration_cap_env_must_be_an_integer(monkeypatch):
 
 
 def naive_max_packing(cycles):
-    """Plain depth-first exhaustive packing search (no bounding)."""
-    best = 0
+    """Plain in-order depth-first exhaustive packing search (no bounding):
+    the first maximum packing it meets."""
+    best = []
+    chosen = []
 
-    def rec(idx, used, size):
+    def rec(idx, used):
         nonlocal best
-        best = max(best, size)
+        if len(chosen) > len(best):
+            best = list(chosen)
         for i in range(idx, len(cycles)):
             es = set(cycles[i].edges())
             if es & used:
                 continue
-            rec(i + 1, used | es, size + 1)
+            chosen.append(cycles[i])
+            rec(i + 1, used | es)
+            chosen.pop()
 
-    rec(0, set(), 0)
+    rec(0, set())
     return best
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_branch_and_bound_matches_naive(n):
-    ps = convex_instance(n)
+@pytest.mark.parametrize("config,n,seed", naive_cases((3, 4, 5, 6, 7), (8,), (7, 8)))
+def test_branch_and_bound_matches_naive(config, n, seed):
+    ps = naive_case(config, n, seed)
     rep = max_packing_exact(ps)
-    assert rep.max_packing_size == naive_max_packing(list(enumerate_1phc(ps)))
+    want = naive_max_packing(list(enumerate_1phc(ps)))
+    assert rep.max_packing_size == len(want)
+    assert list(rep.witness.cycles) == want
+
+
+@pytest.mark.parametrize("subset", [[], [3], [2, 5]])
+def test_fewer_than_three_vertices_rejected(subset):
+    ps = convex_instance(6)
+    for search in (enumerate_1phc, max_packing_exact):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            search(ps, subset=subset)
+
+
+# Search nodes visited on convex 11 and wheel 10.  Before the dead-vertex
+# prune and the packing bound over candidate bitsets, the same searches
+# visited 144926 / 55681 enumeration and 2895 / 7522 packing nodes.
+SEARCH_NODES = {
+    "convex": ({"enumeration": 42877, "packing": 44}, {"enumeration": 144926, "packing": 2895}),
+    "wheel": ({"enumeration": 24214, "packing": 76}, {"enumeration": 55681, "packing": 7522}),
+}
+
+
+@pytest.mark.parametrize("config", sorted(SEARCH_NODES))
+def test_search_nodes_pinned(config):
+    ps = convex_instance(11) if config == "convex" else wheel_instance(10)
+    rep = max_packing_exact(ps, max_n=11)
+    pinned, before = SEARCH_NODES[config]
+    assert rep.search_nodes == pinned
+    assert rep.search_nodes == max_packing_exact(ps, max_n=11).search_nodes
+    assert all(rep.search_nodes[k] < before[k] for k in before)
+    assert enumerate_1phc(ps, max_n=11).search_nodes == pinned["enumeration"]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
