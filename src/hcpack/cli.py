@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input or an
 ``--out`` path that cannot be written, 3 construction or packing failure,
-or any other package error that reaches the top level, 4 an internal error
-(an unexpected exception).  Exit 1 means only that a packing failed
+or any other package error, 4 an internal error (an unexpected exception).
+A command returns its own code only for success, a failed verification
+or an unwritable ``--out``; every other error escapes to `main`, which maps
+it to its code in one table.  Exit 1 means only that a packing failed
 verification.
 """
 
@@ -17,16 +19,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .cycles import HamCycle, verify_packing
-from .errors import (
-    ConstructionFailed,
-    DegenerateInput,
-    HcpackError,
-    InvalidN,
-    MarchFailed,
-    NoJoinFound,
-    PackingIncomplete,
-    TooLarge,
-)
+from .errors import DegenerateInput, HcpackError, InvalidN, PackingIncomplete, TooLarge
 from .general import pack_general_detailed
 from .geometry import Config, PointSet, oracle_for, wheel_relabeling
 from .instances import InstanceFile, PackingFile, generate
@@ -88,9 +81,8 @@ def _guaranteed_cycles(config: Config, n: int) -> int:
 def cmd_generate(args) -> int:
     try:
         inst = generate(Config(args.config), args.n, args.seed)
-    except (InvalidN, DegenerateInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except InvalidN as exc:  # a bad --n is malformed input
+        raise DegenerateInput(str(exc)) from exc
     if not _write_out(args.out, inst.save):
         return EXIT_INPUT
     print(f"wrote {args.out} ({args.config}, n={args.n})")
@@ -98,36 +90,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    try:
-        inst, ps = _load_instance(getattr(args, "in"))
-    except DegenerateInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    inst, ps = _load_instance(getattr(args, "in"))
     n = len(ps)
     removed: List[List[tuple[int, int]]] = []
-    try:
-        if ps.config is Config.CONVEX:
-            cycles = [list(c.order) for c in pack_convex(n).cycles]
-        elif ps.config is Config.WHEEL:
-            _, to_file = wheel_relabeling(n, ps.center_index)
-            cycles = [[to_file[v] for v in c.order] for c in pack_wheel(n).cycles]
-        else:
-            result = pack_general_detailed(ps)
-            cycles = [list(c.order) for c in result.packing.cycles]
-            removed = [[] for _ in cycles]
-            for ci, moves in enumerate(result.join_log):
-                for mv in moves:
-                    removed[ci].extend(mv.removed_edges())
-    except (ConstructionFailed, InvalidN, MarchFailed, NoJoinFound) as exc:
-        print(f"packing failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCT
-    except PackingIncomplete as exc:
-        print(
-            f"packing incomplete at level {exc.level}: {exc} "
-            f"({len(exc.cycles)} cycles found)",
-            file=sys.stderr,
-        )
-        return EXIT_CONSTRUCT
+    if ps.config is Config.CONVEX:
+        cycles = [list(c.order) for c in pack_convex(n).cycles]
+    elif ps.config is Config.WHEEL:
+        _, to_file = wheel_relabeling(n, ps.center_index)
+        cycles = [[to_file[v] for v in c.order] for c in pack_wheel(n).cycles]
+    else:
+        result = pack_general_detailed(ps)
+        cycles = [list(c.order) for c in result.packing.cycles]
+        removed = [[] for _ in cycles]
+        for ci, moves in enumerate(result.join_log):
+            for mv in moves:
+                removed[ci].extend(mv.removed_edges())
     pf = PackingFile(instance_hash=inst.digest(), cycles=cycles, removed_edges=removed)
     if not _write_out(args.out, pf.save):
         return EXIT_INPUT
@@ -136,12 +113,8 @@ def cmd_pack(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        inst, ps = _load_instance(args.instance)
-        pf = PackingFile.load(args.packing)
-    except DegenerateInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    inst, ps = _load_instance(args.instance)
+    pf = PackingFile.load(args.packing)
     n = len(ps)
     guaranteed = _guaranteed_cycles(ps.config, n)
     report: dict = {
@@ -157,11 +130,7 @@ def cmd_verify(args) -> int:
         _emit_verify(report, args.json)
         return EXIT_VERIFY
     report["hash_match"] = True
-    try:
-        cycles = _packing_cycles(pf, n)
-    except DegenerateInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cycles = _packing_cycles(pf, n)
     report.update(verify_packing(cycles, n, oracle_for(ps)))
     report["ok"] = report["ok"] and bool(cycles)
     _emit_verify(report, args.json)
@@ -191,16 +160,8 @@ def _emit_verify(report: dict, as_json: bool) -> None:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        _inst, ps = _load_instance(getattr(args, "in"))
-    except DegenerateInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        rep = max_packing_exact(ps, max_n=args.max_n)
-    except (TooLarge, InvalidN) as exc:  # a cap too small or not a number
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _inst, ps = _load_instance(getattr(args, "in"))
+    rep = max_packing_exact(ps, max_n=args.max_n)
     print(
         json.dumps(
             {
@@ -218,16 +179,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        inst, ps = _load_instance(args.instance)
-        pf = PackingFile.load(args.packing)
-        cycles = _packing_cycles(pf, len(ps))
-    except DegenerateInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    inst, ps = _load_instance(args.instance)
+    pf = PackingFile.load(args.packing)
+    cycles = _packing_cycles(pf, len(ps))
     if pf.instance_hash != inst.digest():
-        print("error: packing digest does not match this instance", file=sys.stderr)
-        return EXIT_INPUT
+        raise DegenerateInput("packing digest does not match this instance")
     svg = render_svg(ps, cycles, pf.removed_edges or None)
     if not _write_out(args.out, lambda path: Path(path).write_text(svg, encoding="utf-8")):
         return EXIT_INPUT
@@ -263,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exhaustive packing bound at small n")
     o.add_argument("--in", required=True)
     o.add_argument("--max-n", type=int, default=None,
-                   help="exhaustive cap (default 8, or HCP_MAX_ORACLE_N)")
+                   help="exhaustive cap (default 8)")
     o.set_defaults(func=cmd_oracle)
 
     r = sub.add_parser("render", help="draw a packing as SVG")
@@ -278,6 +234,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (DegenerateInput, TooLarge) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except PackingIncomplete as exc:
+        print(
+            f"packing incomplete at level {exc.level}: {exc} "
+            f"({len(exc.cycles)} cycles found)",
+            file=sys.stderr,
+        )
+        return EXIT_CONSTRUCT
     except HcpackError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCT

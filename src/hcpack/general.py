@@ -558,6 +558,8 @@ class _JoinScreen:
 
 
 def _plain_join(c1, c2, forbidden, xs, ys, oracle, extra_uncross=()):
+    """The first exchange in canonical order that avoids `forbidden` and
+    that the screen accepts; the screen is exact, so its splice is 1-plane."""
     screen = _JoinScreen(c1, c2, xs, ys, oracle)
     succ1 = dict(zip(c1.order, c1.order[1:] + c1.order[:1]))
     succ2 = dict(zip(c2.order, c2.order[1:] + c2.order[:1]))
@@ -572,10 +574,7 @@ def _plain_join(c1, c2, forbidden, xs, ys, oracle, extra_uncross=()):
                     continue
                 if not screen.candidate_ok(r1, r2, added[0], added[1]):
                     continue
-                merged = _splice(c1, c2, u2, v2, pattern)
-                if not is_one_plane(merged, oracle):
-                    continue
-                return merged, JoinMove(
+                return _splice(c1, c2, u2, v2, pattern), JoinMove(
                     removed=(r1, r2), added=added, created_uncrossings=tuple(extra_uncross)
                 )
     return None
@@ -815,10 +814,7 @@ def pack_general_detailed(ps) -> GeneralPackResult:
             path.pop()
         return False
 
-    for v1 in range(PER_LEVEL_VARIANTS):
-        cuts = _nth(bisecting_lines(points, range(n)), v1)
-        if cuts is None:
-            break
+    for cuts in itertools.islice(bisecting_lines(points, range(n)), PER_LEVEL_VARIANTS):
         try:
             cyc, cut, stones = march_cycle(points, range(n), bisection=cuts)
         except MarchFailed as exc:

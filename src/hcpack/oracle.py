@@ -28,7 +28,6 @@ first maximum in index order, exactly as an unbounded search finds it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -42,23 +41,10 @@ from .cycles import (
     crossing_report,
     radial_edge_count,
 )
-from .errors import InvalidN, TooLarge
+from .errors import TooLarge
 from .geometry import Config, Edge, PointSet, edge, oracle_for
 
 DEFAULT_CAP = 8
-ENV_CAP = "HCP_MAX_ORACLE_N"
-
-
-def _cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidN(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -84,7 +70,7 @@ def enumerate_1phc(
     vertices = sorted(subset) if subset is not None else list(range(len(ps)))
     if len(vertices) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    cap = _cap(max_n)
+    cap = DEFAULT_CAP if max_n is None else max_n
     if len(vertices) > cap:
         raise TooLarge(f"{len(vertices)} points exceeds the cap of {cap}")
     oracle = oracle_for(ps)

@@ -651,6 +651,28 @@ def test_join_screen_agrees_with_splice_check_while_packing(n, monkeypatch):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("n", [16, 17, 32, 33])
+def test_join_splices_an_accepted_candidate_without_a_second_check(n, monkeypatch):
+    """The screen is exact (see the test above), so the only 1-plane pass
+    a general pack makes is the one inside each `uncross`."""
+    calls = {"is_one_plane": 0, "uncross": 0}
+
+    def counted(name):
+        fn = getattr(general, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(general, name, wrapper)
+
+    counted("is_one_plane")
+    counted("uncross")
+    for seed in (1, 2, 3):
+        pack_general_detailed(general_instance(n, seed))
+    assert calls["is_one_plane"] == calls["uncross"]
+
+
 def test_join_screen_counts_an_edge_crossed_twice():
     # the square's two upright sides both cross the triangle's base
     pts = [Point(0, 0), Point(20, 0), Point(10, -10),

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from hcpack import Config, cli, generate, pack_convex, pack_general_detailed, render_svg
+from hcpack import (
+    Config, cli, errors, general, generate, pack_convex, pack_general_detailed, render_svg,
+)
 from hcpack.cli import main
-from hcpack.errors import DegenerateInput, InvalidN
+from hcpack.errors import DegenerateInput, HcpackError, InvalidN, PackingIncomplete, TooLarge
 from hcpack.instances import InstanceFile, PackingFile
 
 
@@ -356,6 +358,61 @@ def test_cli_top_level_guard(tmp_path, capsys, monkeypatch, exc, code):
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {type(exc).__name__}: {exc}"
 
 
+def _package_errors():
+    return [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, HcpackError)]
+
+
+@pytest.mark.parametrize("cls", _package_errors(), ids=lambda c: c.__name__)
+def test_cli_failure_table(tmp_path, capsys, monkeypatch, cls):
+    """main maps every package error to its documented code, never to 1."""
+    exc = cls("boom", level=2, cycles=[]) if cls is PackingIncomplete else cls("boom")
+
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_pack", raising)
+    code = run_cli("pack", "--in", str(tmp_path / "i.json"), "--out", str(tmp_path / "p.json"))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    if cls in (DegenerateInput, TooLarge):
+        assert (code, err) == (2, "error: boom\n")
+    elif cls is PackingIncomplete:
+        assert (code, err) == (3, "packing incomplete at level 2: boom (0 cycles found)\n")
+    else:
+        assert (code, err) == (3, f"error: {cls.__name__}: boom\n")
+
+
+def test_cli_generate_bad_n_is_malformed_input(tmp_path, capsys):
+    out = tmp_path / "w13.json"
+    assert run_cli("generate", "--config", "wheel", "--n", "13", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: wheel instances need even n >= 4\n"
+    assert not out.exists()
+
+
+def test_cli_render_rejects_another_instances_packing(tmp_path, capsys):
+    a, b, pack, svg = (tmp_path / f for f in ("a.json", "b.json", "a.pack.json", "b.svg"))
+    run_cli("generate", "--config", "convex", "--n", "9", "--seed", "1", "--out", str(a))
+    run_cli("generate", "--config", "convex", "--n", "9", "--seed", "2", "--out", str(b))
+    run_cli("pack", "--in", str(a), "--out", str(pack))
+    capsys.readouterr()
+    assert run_cli("render", "--instance", str(b), "--packing", str(pack),
+                   "--out", str(svg)) == 2
+    assert capsys.readouterr().err == "error: packing digest does not match this instance\n"
+    assert not svg.exists()
+
+
+def test_cli_general_pack_incomplete(tmp_path, capsys, monkeypatch):
+    inst, pack = tmp_path / "g16.json", tmp_path / "g16.pack.json"
+    run_cli("generate", "--config", "general", "--n", "16", "--seed", "0", "--out", str(inst))
+    monkeypatch.setattr(general, "LEVEL_ATTEMPTS", 0)
+    capsys.readouterr()
+    assert run_cli("pack", "--in", str(inst), "--out", str(pack)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("packing incomplete at level ")
+    assert not pack.exists()
+
+
 def test_cli_guard_lets_interrupts_through(tmp_path, monkeypatch):
     def raising(args):
         raise KeyboardInterrupt
@@ -365,27 +422,14 @@ def test_cli_guard_lets_interrupts_through(tmp_path, monkeypatch):
         run_cli("generate", "--config", "convex", "--n", "6", "--out", str(tmp_path / "c.json"))
 
 
-def test_cli_oracle_env_cap(tmp_path, capsys, monkeypatch):
+def test_cli_oracle_max_n(tmp_path, capsys):
     inst = tmp_path / "c9.json"
     run_cli("generate", "--config", "convex", "--n", "9", "--seed", "1", "--out", str(inst))
     assert run_cli("oracle", "--in", str(inst)) == 2  # default cap is 8
-    monkeypatch.setenv("HCP_MAX_ORACLE_N", "9")
     capsys.readouterr()
-    assert run_cli("oracle", "--in", str(inst)) == 0
+    assert run_cli("oracle", "--in", str(inst), "--max-n", "9") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["max_packing_size"] == 3
-
-
-@pytest.mark.parametrize("raw", ["abc", "", "8.5"])
-def test_cli_oracle_malformed_env_cap(tmp_path, capsys, monkeypatch, raw):
-    inst = tmp_path / "c6.json"
-    run_cli("generate", "--config", "convex", "--n", "6", "--seed", "1", "--out", str(inst))
-    monkeypatch.setenv("HCP_MAX_ORACLE_N", raw)
-    capsys.readouterr()
-    assert run_cli("oracle", "--in", str(inst)) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.count("\n") == 1 and "HCP_MAX_ORACLE_N" in err
 
 
 def test_cli_wheel_center_not_last(tmp_path, capsys):

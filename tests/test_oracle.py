@@ -16,7 +16,7 @@ from hcpack import (
     oracle_for,
     property_sweep,
 )
-from hcpack.errors import InvalidN, TooLarge
+from hcpack.errors import TooLarge
 
 from conftest import convex_instance, enumerated, general_instance, wheel_instance
 
@@ -110,22 +110,9 @@ def test_enumeration_rotation_invariant_count():
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
         enumerate_1phc(convex_instance(12))
-    assert len(enumerate_1phc(convex_instance(9), max_n=9)) == CONVEX_1PHC_COUNTS[9]
-
-
-def test_enumeration_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HCP_MAX_ORACLE_N", "4")
     with pytest.raises(TooLarge):
-        enumerate_1phc(convex_instance(5))
-    assert len(enumerate_1phc(convex_instance(4))) == 3
-
-
-def test_enumeration_cap_env_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("HCP_MAX_ORACLE_N", "abc")
-    with pytest.raises(InvalidN):
-        enumerate_1phc(convex_instance(4))
-    # an explicit cap does not read the variable
-    assert len(enumerate_1phc(convex_instance(4), max_n=4)) == 3
+        enumerate_1phc(convex_instance(5), max_n=4)
+    assert len(enumerate_1phc(convex_instance(9), max_n=9)) == CONVEX_1PHC_COUNTS[9]
 
 
 def naive_max_packing(cycles):
