@@ -1,28 +1,38 @@
 """Exhaustive ground truth at small n.
 
-Enumeration numbers the edges between subset positions once and gives
-each a bitmask of the edges that cross it.  The search fixes the smallest
-vertex first and grows one path, carrying two masks beside the edges
-placed: `once`, the edges that cross a path edge, and `dead`, the edges
-no completion of the path can use.  An edge is dead when it would cross
-two path edges, when it crosses an edge that is already crossed, or when
-it touches an interior path vertex.  A candidate edge is refused by one
-test against `dead`, so a branch dies the moment any edge would be
-crossed twice.  A branch also dies when an unused vertex keeps fewer than
-two live (not dead) edges: the finished cycle needs two edges at it, and
-both masks only grow along a branch, so no completion exists and the
-prune loses no cycle.  Reflections are killed by requiring second < last,
-and a branch stops as soon as no unused vertex above the second remains,
-so each cycle appears exactly once and already in canonical form.
+Enumeration lays the edges between the n subset positions out in rows of
+w = n + 1 bits: the edge between positions i and j owns bit i*w + j of
+row i and bit j*w + i of row j, and bit n of every row is a zero guard.
+Each edge gets the mask of the edges that cross it, both bits of each.
+The search fixes the smallest vertex first and grows one path, carrying
+two masks beside the edges placed: `once`, the edges that cross a path
+edge, and `dead`, the edges no completion of the path can use.  An edge
+is dead when it would cross two path edges, when it crosses an edge that
+is already crossed, or when it touches an interior path vertex.  The
+candidates at a node are the live (not dead) bits of the path end's row
+that fall on unused positions, so a branch dies the moment any edge would
+be crossed twice.  A branch also dies when an unused vertex keeps fewer
+than two live edges: the finished cycle needs two edges at it, and both
+masks only grow along a branch, so no completion exists and the prune
+loses no cycle.  Rows make that test one expression for all vertices:
+subtracting the low bit of every row from the live mask with the guards
+set clears each row's lowest live bit, and a second subtraction borrows
+the guard of every row left empty.  Reflections are killed by requiring
+second < last, and a branch stops as soon as no unused vertex above the
+second remains, so each cycle appears exactly once and already in
+canonical form.  A node tests each child against the closing edge, the
+reflection rule and the live-degree rule before the call, and counts it
+as a search node either way.
 
 The packing search is a branch and bound over cycle indices, with the
-candidates of each node held as one bitset.  A child is entered only if
-the cycles chosen, plus the smaller of its candidate count and the edges
-its candidates cover divided by n, beats the best packing so far.  Each
-further cycle is a candidate and needs n edges of its own, so no packing
-in a skipped subtree is larger than the best; and since children are
-taken from low index to high and a tie is skipped, the witness is the
-first maximum in index order, exactly as an unbounded search finds it.
+candidates of each node held as one bitset and each cycle's edges as the
+mask the enumeration kept.  A child is entered only if the cycles chosen,
+plus the smaller of its candidate count and the edges its candidates
+cover divided by n, beats the best packing so far.  Each further cycle
+is a candidate and needs n edges of its own, so no packing in a skipped
+subtree is larger than the best; and since children are taken from low
+index to high and a tie is skipped, the witness is the first maximum in
+index order, exactly as an unbounded search finds it.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .cycles import (
     radial_edge_count,
 )
 from .errors import TooLarge
-from .geometry import Config, Edge, PointSet, edge, oracle_for
+from .geometry import Config, PointSet, edge, oracle_for
 
 DEFAULT_CAP = 8
 
@@ -65,9 +75,13 @@ def enumerate_1phc(
     """Every 1-plane Hamiltonian cycle on the subset, in canonical form.
 
     The list also carries `search_nodes`, the number of search nodes the
-    enumeration visited: a count of its work that repeats exactly.
+    enumeration visited: a count of its work that repeats exactly.  The
+    subset must hold at least 3 distinct vertices of `ps`, or `ValueError`
+    is raised before any search.
     """
     vertices = sorted(subset) if subset is not None else list(range(len(ps)))
+    if len(set(vertices)) != len(vertices) or not all(0 <= v < len(ps) for v in vertices):
+        raise ValueError(f"subset vertices must be distinct and in 0..{len(ps) - 1}")
     if len(vertices) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     cap = DEFAULT_CAP if max_n is None else max_n
@@ -75,85 +89,106 @@ def enumerate_1phc(
         raise TooLarge(f"{len(vertices)} points exceeds the cap of {cap}")
     oracle = oracle_for(ps)
     n = len(vertices)
-    es = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ids = {edge(vertices[i], vertices[j]): a for a, (i, j) in enumerate(es)}
-    cross = [0] * len(es)  # cross[a]: the mask of edges that cross edge a
-    for e1, e2 in crossing_report(list(ids), oracle).pairs:
-        cross[ids[e1]] |= 1 << ids[e2]
-        cross[ids[e2]] |= 1 << ids[e1]
-    # step[i][j]: the bit of the edge between positions i and j, and its cross mask;
+    w = n + 1  # row width: positions 0..n-1, then the guard bit n
+    pair = {  # both bits of the edge between positions i < j
+        edge(vertices[i], vertices[j]): (i, j, 1 << i * w + j | 1 << j * w + i)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    cross = dict.fromkeys(pair, 0)  # per edge, the mask of the edges crossing it
+    for e1, e2 in crossing_report(list(pair), oracle).pairs:
+        cross[e1] |= pair[e2][2]
+        cross[e2] |= pair[e1][2]
+    # step[i][j]: the edge bit i*w + j (i < j) of the edge between positions i
+    # and j, and its cross mask; crossed[i*w + j]: that cross mask again;
     # inc[i]: the mask of the edges at position i
     step = [[(0, 0)] * n for _ in range(n)]
+    crossed = [0] * (n * w)
     inc = [0] * n
-    for a, (i, j) in enumerate(es):
-        step[i][j] = step[j][i] = (1 << a, cross[a])
-        inc[i] |= 1 << a
-        inc[j] |= 1 << a
+    full = 0  # every edge, both bits
+    for e, (i, j, both) in pair.items():
+        step[i][j] = step[j][i] = (1 << i * w + j, cross[e])
+        crossed[i * w + j] = cross[e]
+        inc[i] |= both
+        inc[j] |= both
+        full |= both
+    low_bits = sum(1 << i * w for i in range(n))
+    guard_bits = low_bits << n
     out = _Enumerated()
+    masks: List[int] = []
     order = [0]
-    nodes = 0
+    nodes = 1
 
-    # `once`: the edges that cross a path edge; `dead`: the edges no completion can use.
-    def rec(last: int, unused: int, edges: int, once: int, dead: int) -> None:
+    # `edges`: the path's edge bits; `once`: the edges that cross a path edge;
+    # `dead`: the edges no completion can use; `guards`: the guard bits of the
+    # unused rows.  Each child is counted as a node and tested here, so only
+    # children that pass every prune are entered.
+    def rec(last: int, unused: int, guards: int, edges: int, once: int, dead: int) -> None:
         nonlocal nodes
-        nodes += 1
         row = step[last]
-        if not unused:
-            if not row[0][0] & dead:
-                out.append(HamCycle(tuple(vertices[p] for p in order)))
-            return
-        # A cycle is kept with order[1] < order[-1], so a vertex above order[1] must remain.
-        if len(order) > 1 and not unused >> order[1]:
-            return
-        # The finished cycle uses two live edges at every unused vertex.
-        rest = unused
-        while rest:
-            low = rest & -rest
-            live = inc[low.bit_length() - 1] & ~dead
-            if not live & (live - 1):
-                return
-            rest ^= low
         # Stepping on from `last` makes it interior, unless it is the fixed start.
         shut = dead | inc[last] if last else dead
-        for v in range(1, n):
-            if not unused >> v & 1:
-                continue
+        cands = (full & ~dead) >> last * w & unused
+        second = order[1] if len(order) > 1 else 0  # 0 until the path has an edge
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            nodes += 1
             b, c = row[v]
-            if b & dead:
-                continue
             now = shut | c & once
             hit = c & edges  # at most one path edge, or b would be dead
             if hit:
-                now |= c | cross[hit.bit_length() - 1]
+                now |= c | crossed[hit.bit_length() - 1]
+            rest = unused ^ low
+            if not rest:
+                # The closing edge to position 0 owns bit v of row 0.
+                if not now >> v & 1:
+                    out.append(HamCycle(tuple(vertices[p] for p in order) + (vertices[v],)))
+                    masks.append(edges | b | low)
+                continue
+            # A cycle is kept with order[1] < order[-1], so a vertex above order[1] must remain.
+            if not rest >> (second or v):
+                continue
+            # The finished cycle uses two live edges at every unused vertex: clear
+            # the lowest live bit of each row, then a row left empty borrows its guard.
+            live = full & ~now
+            two = live & ((live | guard_bits) - low_bits)
+            left = guards ^ 1 << v * w + n
+            if ((two | guard_bits) - low_bits) & left != left:
+                continue
             order.append(v)
-            rec(v, unused ^ 1 << v, edges | b, once | c, now)
+            rec(v, rest, left, edges | b, once | c, now)
             order.pop()
 
-    rec(0, (1 << n) - 2, 0, 0, 0)
+    rec(0, (1 << n) - 2, guard_bits ^ 1 << n, 0, 0, 0)
     out.search_nodes = nodes
+    out.edge_masks = masks
     return out
 
 
 class _Enumerated(list):
-    """The cycles `enumerate_1phc` found, with the search nodes it visited."""
+    """The cycles `enumerate_1phc` found, with the search nodes it visited
+    and, per cycle, its edge mask: one bit per edge between subset positions."""
 
     search_nodes: int
+    edge_masks: List[int]
 
 
-def _max_packing(cycles: List[HamCycle], n: int):
-    """The first maximum packing in index order, and the search nodes visited."""
-    edge_lists = [c.edges() for c in cycles]
-    holders: Dict[Edge, int] = {}  # per edge, the bitset of the cycles using it
-    for i, es in enumerate(edge_lists):
-        for e in es:
-            holders[e] = holders.get(e, 0) | 1 << i
+def _max_packing(masks: List[int], n: int):
+    """The first maximum packing in index order of the cycles with these
+    edge masks, and the search nodes visited."""
+    holders: Dict[int, int] = {}  # per edge bit, the bitset of the cycles using it
+    for i, m in enumerate(masks):
+        for low in _bits(m):
+            holders[low] = holders.get(low, 0) | 1 << i
     held = list(holders.values())
     clash = []  # clash[i]: the cycles sharing an edge with cycle i, i included
-    for es in edge_lists:
-        m = 0
-        for e in es:
-            m |= holders[e]
-        clash.append(m)
+    for m in masks:
+        c = 0
+        for low in _bits(m):
+            c |= holders[low]
+        clash.append(c)
     best: List[int] = []
     chosen: List[int] = []
     nodes = 0
@@ -169,15 +204,24 @@ def _max_packing(cycles: List[HamCycle], n: int):
             cands ^= low
             i = low.bit_length() - 1
             sub = cands & ~clash[i]
-            room = min(sub.bit_count(), sum(1 for h in held if h & sub) // n)
-            if size + room <= len(best):
+            if size + sub.bit_count() <= len(best):
+                continue
+            if size + sum(1 for h in held if h & sub) // n <= len(best):
                 continue
             chosen.append(i)
             rec(sub)
             chosen.pop()
 
-    rec((1 << len(cycles)) - 1)
+    rec((1 << len(masks)) - 1)
     return best, nodes
+
+
+def _bits(m: int):
+    """The set bits of `m`, lowest first, each as its own mask."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
 
 
 def max_packing_exact(
@@ -193,10 +237,9 @@ def max_packing_exact(
     enumeration order, are those of an exhaustive search.  `search_nodes`
     counts the nodes each search visited.
     """
-    vertices = sorted(subset) if subset is not None else list(range(len(ps)))
-    n = len(vertices)
-    cycles = enumerate_1phc(ps, vertices, max_n=max_n)
-    chosen, packing_nodes = _max_packing(cycles, n)
+    cycles = enumerate_1phc(ps, subset, max_n=max_n)
+    n = len(ps) if subset is None else len(subset)
+    chosen, packing_nodes = _max_packing(cycles.edge_masks, n)
     return EnumerationReport(
         n=n,
         total_ham_cycles=math.factorial(n - 1) // 2,

@@ -79,10 +79,14 @@ def test_criterion_3_tightness():
     for n in range(3, 9):
         rep = max_packing_exact(convex_instance(n))
         assert rep.max_packing_size == n // 3, f"convex n={n}: {rep.max_packing_size}"
-    rep = max_packing_exact(wheel_instance(10), max_n=10)
-    assert rep.max_packing_size == 3, f"wheel 10: {rep.max_packing_size}"
+    for n in (12, 13):
+        rep = max_packing_exact(convex_instance(n), max_n=n)
+        assert rep.max_packing_size == n // 3, f"convex n={n}: {rep.max_packing_size}"
+    for n in (10, 12):
+        rep = max_packing_exact(wheel_instance(n), max_n=n)
+        assert rep.max_packing_size == 3, f"wheel {n}: {rep.max_packing_size}"
     elapsed = time.time() - t0
-    report("3 exhaustive tightness (convex 3..8, wheel 10)", elapsed < 120.0, elapsed)
+    report("3 exhaustive tightness (convex 3..8, 12, 13; wheel 10, 12)", elapsed < 120.0, elapsed)
 
 
 def test_criterion_3_convex_n9():
@@ -98,10 +102,16 @@ def test_criterion_4_structure_predicates():
     for n in range(3, 9):
         rep = property_sweep(convex_instance(n))
         assert rep["counterexamples"] == [], f"convex n={n}: {rep['counterexamples'][:3]}"
-    rep = property_sweep(wheel_instance(10), max_n=10)
-    assert rep["counterexamples"] == [], f"wheel 10: {rep['counterexamples'][:3]}"
+    rep = property_sweep(convex_instance(12), max_n=12)
+    assert rep["counterexamples"] == [], f"convex n=12: {rep['counterexamples'][:3]}"
+    assert rep["cycles_checked"] == 1860
+    for n, count in ((10, 1044), (12, 6347)):
+        rep = property_sweep(wheel_instance(n), max_n=n)
+        assert rep["counterexamples"] == [], f"wheel {n}: {rep['counterexamples'][:3]}"
+        assert rep["cycles_checked"] == count
     elapsed = time.time() - t0
-    report("4 structure sweeps, zero counterexamples", elapsed < 120.0, elapsed)
+    report("4 structure sweeps (convex 3..8, 12; wheel 10, 12), zero counterexamples",
+           elapsed < 120.0, elapsed)
 
 
 def test_criterion_5_single_cycle_corpus():

@@ -146,12 +146,25 @@ def test_branch_and_bound_matches_naive(config, n, seed):
     assert list(rep.witness.cycles) == want
 
 
+def assert_subset_rejected(subset, message):
+    for config in ("convex", "wheel", "general"):
+        ps = naive_case(config, 6, 1)
+        for search in (enumerate_1phc, max_packing_exact):
+            with pytest.raises(ValueError, match=message):
+                search(ps, subset=subset)
+
+
 @pytest.mark.parametrize("subset", [[], [3], [2, 5]])
 def test_fewer_than_three_vertices_rejected(subset):
-    ps = convex_instance(6)
-    for search in (enumerate_1phc, max_packing_exact):
-        with pytest.raises(ValueError, match="at least 3 vertices"):
-            search(ps, subset=subset)
+    assert_subset_rejected(subset, "at least 3 vertices")
+
+
+@pytest.mark.parametrize(
+    "subset", [[-1, 0, 1, 2], [0, 1, 2, 9], [0, 1, 2, 6], [0, 1, 1, 2], [5, 3, 5]]
+)
+def test_subset_outside_the_point_set_or_repeated_rejected(subset):
+    # negative indexing or an IndexError must not stand in for this check
+    assert_subset_rejected(subset, r"distinct and in 0\.\.5")
 
 
 # Search nodes visited on convex 11 and wheel 10.  Before the dead-vertex
@@ -172,6 +185,32 @@ def test_search_nodes_pinned(config):
     assert rep.search_nodes == max_packing_exact(ps, max_n=11).search_nodes
     assert all(rep.search_nodes[k] < before[k] for k in before)
     assert enumerate_1phc(ps, max_n=11).search_nodes == pinned["enumeration"]
+
+
+# Search nodes (enumeration, packing) and 1-plane cycle counts on larger
+# convex and wheel sets, and on general sets and a general subset, whose
+# crossing masks come from the pairwise report instead of the ring sweep;
+# recorded before the search moved to row-layout masks.
+WIDER_SEARCH_NODES = [
+    pytest.param("convex", 12, None, None, (137519, 69), 1860, id="convex-12"),
+    pytest.param("convex", 13, None, None, (441520, 244), 4395, id="convex-13"),
+    pytest.param("wheel", 12, None, None, (272114, 1782), 6347, id="wheel-12"),
+    pytest.param("general", 9, 1, None, (10462, 5), 820, id="general-9-1"),
+    pytest.param("general", 9, 2, None, (12151, 21), 1078, id="general-9-2"),
+    pytest.param("general", 9, 3, None, (15580, 73), 1947, id="general-9-3"),
+    pytest.param("general", 10, 1, None, (52769, 2314), 5477, id="general-10-1"),
+    pytest.param("general", 10, 2, None, (58276, 997), 3864, id="general-10-2"),
+    pytest.param("general", 10, 3, None, (71170, 5482), 7243, id="general-10-3"),
+    pytest.param("general", 11, 1, [0, 1, 2, 4, 5, 7, 8, 10], (2841, 10), 265,
+                 id="general-11-1-subset"),
+]
+
+
+@pytest.mark.parametrize("config,n,seed,subset,nodes,count", WIDER_SEARCH_NODES)
+def test_search_nodes_pinned_wider(config, n, seed, subset, nodes, count):
+    rep = max_packing_exact(naive_case(config, n, seed), subset=subset, max_n=13)
+    assert (rep.search_nodes["enumeration"], rep.search_nodes["packing"]) == nodes
+    assert rep.one_plane_count == count
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
