@@ -3,7 +3,14 @@ structure predicates.
 
 The structure predicates read a cycle on one ring: convex indices, or a
 wheel's rim positions (`_rim_edges`).  They share one boundary test
-(`geometry.ring_boundary`) and one diagonal-side rule (`_sides_hold`)."""
+(`geometry.ring_boundary`) and one diagonal-side rule (`_sides_hold`).
+
+On a ring, `verify_packing` sweeps each rotation class once: cycles whose
+ring positions, turned to put the first rim vertex at 0, are equal.  This
+is exact, not a heuristic: convex crossings are decided by index
+interleaving and a wheel's by position differences mod its odd rim size,
+and both are unchanged by a turn of the rim.  The closed-form packings are
+two zigzag shapes turned round the rim, so they cost two sweeps."""
 
 from __future__ import annotations
 
@@ -319,15 +326,55 @@ def check_wheel_boundary(c: HamCycle, n: int, center_index: Optional[int] = None
     return len(_boundary_starts(rim, m)) >= 2 and _sides_hold(rim, m, lambda i, j: 1)
 
 
+def _ring_of(oracle: CrossingOracle, n: int) -> Optional[RingOracle]:
+    """`oracle` if it is a ring over exactly the n vertices: its labels are
+    the positions 0..m-1, plus the center m on a wheel, each once."""
+    if not isinstance(oracle, RingOracle):
+        return None
+    label = oracle.label
+    if len(label) != n or sorted(label) != list(range(oracle.m + oracle.wheel)):
+        return None
+    return oracle
+
+
+def _turned(order: Sequence[int], ring: RingOracle) -> Tuple[int, ...]:
+    """Ring positions of `order`, turned so that its first rim vertex sits
+    at position 0; a wheel's center keeps its label m."""
+    m, label = ring.m, ring.label
+    pos = [label[v] for v in order]
+    base = pos[0] if pos[0] != m else pos[1]
+    return tuple(p if p == m else (p - base) % m for p in pos)
+
+
 def verify_packing(cycles: Sequence[HamCycle], n: int, oracle: CrossingOracle) -> dict:
-    """Full verification report: Hamiltonicity, crossings, disjointness."""
+    """Full verification report: Hamiltonicity, crossings, disjointness.
+
+    On a ring (a `RingOracle` giving 0..n-1 the positions 0..m-1, and a
+    wheel's center m, once each) crossings are counted once per rotation
+    class: cycles whose ring positions differ only by a turn of the rim.
+    Index interleaving and a wheel's short arcs depend only on position
+    differences mod m, so turned copies have equal crossing counts, and the
+    sweep of the first stands for the rest.  The memo lives for one call.
+    Any other oracle, a ring of another size, and a cycle leaving 0..n-1
+    are handled cycle by cycle.
+    """
+    ring = _ring_of(oracle, n)
+    worst_of: Dict[Tuple[int, ...], int] = {}
     per_cycle = []
     for c in cycles:
         # a vertex outside 0..n-1 is not a point of the set: the cycle is
         # neither Hamiltonian nor 1-plane, and the oracle is not asked
         ham = verify_hamiltonian(c, n)
         in_range = ham or all(0 <= v < n for v in c.order)
-        worst = crossing_report(c, oracle).max_count if in_range else None
+        if not in_range:
+            worst = None
+        elif ring is None:
+            worst = crossing_report(c, oracle).max_count
+        else:
+            key = _turned(c.order, ring)
+            worst = worst_of.get(key)
+            if worst is None:
+                worst = worst_of[key] = crossing_report(c, ring).max_count
         per_cycle.append(
             {"hamiltonian": ham, "max_crossings": worst, "one_plane": in_range and worst <= 1}
         )
@@ -339,8 +386,11 @@ def verify_packing(cycles: Sequence[HamCycle], n: int, oracle: CrossingOracle) -
     marked = bytearray(n * n)
     for i, c in enumerate(cycles):
         shared = False
-        for a, b in c.edges():
-            if not (0 <= a and b < n) or marked[a * n + b]:
+        order = c.order
+        for a, b in zip(order, order[1:] + order[:1]):
+            if a > b:
+                a, b = b, a
+            if a < 0 or b >= n or marked[a * n + b]:
                 shared = True
             else:
                 marked[a * n + b] = 1

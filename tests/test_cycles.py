@@ -28,6 +28,7 @@ from hcpack import (
     wheel_oracle,
 )
 from hcpack.errors import ConfigMismatch
+from hcpack.geometry import RingOracle, wheel_relabeling
 
 from conftest import CountingRing, enumerated, general_instance
 
@@ -221,6 +222,81 @@ def test_verify_packing_vertex_out_of_range(orc, stray):
     assert report["cycles"][0]["hamiltonian"] and report["cycles"][0]["one_plane"]
     assert report["cycles"][1] == {"hamiltonian": False, "max_crossings": None, "one_plane": False}
     assert not report["ok"]
+
+
+def _sweep_every_cycle(cycles, n, orc):
+    """`verify_packing`'s report, restated with one `crossing_report` per
+    cycle and the pairwise disjointness matrix."""
+    rows = []
+    for c in cycles:
+        in_range = all(0 <= v < n for v in c.order)
+        worst = crossing_report(c, orc).max_count if in_range else None
+        rows.append({"hamiltonian": verify_hamiltonian(c, n), "max_crossings": worst,
+                     "one_plane": in_range and worst <= 1})
+    disjoint = _pairwise_disjoint(cycles)
+    all_disjoint = all(all(row) for row in disjoint)
+    return {
+        "cycles": rows,
+        "pairwise_disjoint": disjoint,
+        "all_disjoint": all_disjoint,
+        "ok": all_disjoint and all(r["hamiltonian"] and r["one_plane"] for r in rows),
+    }
+
+
+@st.composite
+def _turned_packings(draw):
+    """Turned copies of one cycle (random, or a packer's 1-plane one) mixed
+    with unrelated cycles, some not Hamiltonian, some leaving 0..n-1."""
+    wheel = draw(st.booleans())
+    n = draw(st.sampled_from([10, 12, 14]) if wheel else st.integers(5, 14))
+    if wheel:
+        center = draw(st.integers(0, n - 1))
+        orc, m, to_file = wheel_oracle(n, center), n - 1, wheel_relabeling(n, center)[1]
+        packed = [tuple(to_file[v] for v in c.order) for c in pack_wheel(n).cycles]
+    else:
+        orc, m, to_file = convex_oracle(n), n, range(n)
+        packed = [c.order for c in pack_convex(n).cycles]
+
+    def turn(order, t):
+        return tuple(to_file[p if p == m else (p + t) % m] for p in (orc.label[v] for v in order))
+
+    def some_cycle():
+        order = draw(st.permutations(range(n)))
+        return tuple(order[:draw(st.integers(3, n))])
+
+    base = draw(st.sampled_from(packed)) if draw(st.booleans()) else some_cycle()
+    turns = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=6))
+    orders = [turn(base, t) for t in turns] + [some_cycle() for _ in range(draw(st.integers(0, 3)))]
+    cycles = [HamCycle(o) for o in draw(st.permutations(orders))]
+    strays = st.tuples(st.integers(0, len(cycles) - 1), st.sampled_from([-1, n, n + 3]))
+    for i, stray in draw(st.lists(strays, max_size=2)):
+        if stray not in cycles[i].order:
+            cycles[i] = HamCycle(cycles[i].order[:-1] + (stray,))
+    return cycles, n, orc
+
+
+@given(_turned_packings())
+def test_verify_packing_matches_a_sweep_of_every_cycle(case):
+    cycles, n, orc = case
+    expected = _sweep_every_cycle(cycles, n, orc)
+    assert verify_packing(cycles, n, orc) == expected
+    assert verify_packing(cycles, n, _pairwise(orc)) == expected
+
+
+def test_verify_packing_sweeps_every_cycle_of_a_malformed_ring():
+    # two vertices at the center: the turned copy (1, 2, 0, 3, 4) has the
+    # same key as (0, 1, 2, 3, 4) but another count, so only a ring that
+    # labels each of 0..m once is swept by rotation class
+    ring = RingOracle(3, [0, 1, 2, 3, 3], True)
+    cycles = [HamCycle((0, 1, 2, 3, 4)), HamCycle((1, 2, 0, 3, 4))]
+    assert [crossing_report(c, ring).max_count for c in cycles] == [0, 1]
+    assert verify_packing(cycles, 5, ring) == _sweep_every_cycle(cycles, 5, ring)
+
+
+def test_verify_packing_ring_of_the_wrong_size_raises_the_sweep_error():
+    with pytest.raises(ValueError) as err:
+        verify_packing([HamCycle((0, 1, 2, 3, 4, 5))], 6, convex_oracle(5))
+    assert str(err.value) == "edge (4, 5) is not two distinct vertices of 0..4"
 
 
 def test_are_edge_disjoint():

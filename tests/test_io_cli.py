@@ -139,6 +139,28 @@ def test_cli_verify_rejects_corrupted_packing(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_verify_fails_every_turned_copy_of_a_tangled_cycle(tmp_path, capsys):
+    inst = tmp_path / "c12.json"
+    pack = tmp_path / "c12.pack.json"
+    run_cli("generate", "--config", "convex", "--n", "12", "--seed", "1", "--out", str(inst))
+    run_cli("pack", "--in", str(inst), "--out", str(pack))
+    doc = json.loads(open(pack).read())
+    # edge-disjoint turns of one cycle with edges crossed twice: one rotation
+    # class, so its one sweep must fail every copy
+    tangled = (0, 1, 8, 3, 5, 7, 4, 9, 6, 10, 2, 11)
+    doc["cycles"] = [[(v + t) % 12 for v in tangled] for t in (0, 3, 6, 9)]
+    open(pack, "w").write(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--instance", str(inst), "--packing", str(pack)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if line.lstrip().startswith("cycle ")]
+    assert len(rows) == 4
+    for row in rows:
+        assert int(row.split("max_crossings=")[1].split()[0]) >= 2 and row.endswith("[FAIL]")
+    assert "  pairwise edge-disjoint: True" in lines
+    assert lines[-1] == "FAIL"
+
+
 def test_cli_verify_detects_wrong_instance(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

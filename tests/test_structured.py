@@ -246,19 +246,59 @@ def test_pack_wheel_slot_rule_holds_beyond_the_digest():
         assert len(pack_wheel(n)) == (n - 1) // 3
 
 
-def test_pack_wheel_verifies_once_per_cycle(monkeypatch):
-    """Crossings are counted only by the final verification, one sweep a cycle."""
+def _rotation_key(order, ring):
+    """Ring positions of `order`, turned to put its first rim vertex at 0."""
+    pos = [ring.label[v] for v in order]
+    base = pos[0] if pos[0] != ring.m else pos[1]
+    return tuple(p if p == ring.m else (p - base) % ring.m for p in pos)
+
+
+def _counting_sweeps(monkeypatch):
     calls = []
     real = cycles.crossing_report
 
     def counting_report(c, oracle):
-        calls.append(c)
+        calls.append((c, oracle))
         return real(c, oracle)
 
     monkeypatch.setattr(cycles, "crossing_report", counting_report)
     monkeypatch.setattr(structured, "crossing_report", counting_report)
-    assert len(pack_wheel(128)) == 42
-    assert len(calls) == 42
+    return calls
+
+
+@pytest.mark.parametrize("pack, n, k", [(pack_wheel, 128, 42), (pack_convex, 160, 53)],
+                         ids=["wheel128", "convex160"])
+def test_structured_packers_sweep_once_per_rotation_class(monkeypatch, pack, n, k):
+    """Crossings are counted only by the final verification, one sweep per
+    rotation class: the packings are two zigzag shapes turned round the rim."""
+    calls = _counting_sweeps(monkeypatch)
+    assert len(pack(n)) == k
+    assert len(calls) == 2
+    keys = [_rotation_key(c.order, oracle) for c, oracle in calls]
+    assert len(set(keys)) == len(keys)
+
+
+# Hamiltonian cycles on 12 convex points and on the 13 rim points of wheel
+# 14: their turns by 0, 3, 6, 9 (the wheel's with the center spliced in) are
+# pairwise edge-disjoint, and each has edges crossed at least twice
+_TANGLED_12 = (0, 1, 8, 3, 5, 7, 4, 9, 6, 10, 2, 11)
+_TANGLED_RIM_13 = (0, 8, 11, 12, 9, 2, 6, 7, 3, 1, 5, 4, 10)
+
+
+@pytest.mark.parametrize("pack, n, rim", [(pack_convex, 12, _TANGLED_12),
+                                          (pack_wheel, 14, _TANGLED_RIM_13)],
+                         ids=["convex12", "wheel14"])
+def test_turned_copies_of_a_tangled_cycle_fail_the_packers(monkeypatch, pack, n, rim):
+    # pack_wheel(14) splices the center at one slot in every cycle, so its
+    # cycles are turned copies too; one sweep condemns the whole class
+    m = len(rim)
+    monkeypatch.setattr(structured, "_zigzags", lambda _: [
+        HamCycle(tuple((v + t) % m for v in rim)) for t in (0, 3, 6, 9)
+    ])
+    calls = _counting_sweeps(monkeypatch)
+    with pytest.raises(ConstructionFailed):
+        pack(n)
+    assert len(calls) == 1
 
 
 def test_pack_wheel_slot_miss_is_a_construction_failure(monkeypatch):
