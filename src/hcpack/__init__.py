@@ -5,13 +5,9 @@ and a CLI."""
 from .bisection import (
     Bisection,
     bisecting_line,
-    constrained_ham_sandwich,
-    ham_sandwich,
-    perpendicular_baseline,
     separating_subset_line,
 )
 from .cycles import (
-    CrossLedger,
     CrossReport,
     HamCycle,
     Packing,

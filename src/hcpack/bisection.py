@@ -211,22 +211,6 @@ def ham_sandwich_cuts(
             yield line, parts
 
 
-def ham_sandwich(ps, s1: Sequence[int], s2: Sequence[int]) -> Tuple[OrientedLine, FourParts]:
-    """A line simultaneously bisecting s1 and s2, with the four parts."""
-    if not s1 or not s2:
-        raise ValueError("both sets must be nonempty")
-    return next(iter(ham_sandwich_cuts(ps, s1, s2)))
-
-
-def constrained_ham_sandwich(
-    ps, s1: Sequence[int], s2: Sequence[int], pair: Tuple[int, int]
-) -> Optional[Tuple[OrientedLine, FourParts]]:
-    """Simultaneous bisection keeping `pair` together in s1, or None."""
-    if pair[0] not in set(s1) or pair[1] not in set(s1):
-        raise ValueError("pair must lie in s1")
-    return next(iter(ham_sandwich_cuts(ps, s1, s2, pair=pair)), None)
-
-
 def separating_subset_line(
     ps,
     subset: Sequence[int],
@@ -255,15 +239,3 @@ def separating_subset_line(
         line = _threshold_line(points, order[:target_size], order[target_size:], e)
         return line, tuple(sorted(order[:target_size]))
     raise NotSeparable(f"no line separates {pair} from the rest")
-
-
-def perpendicular_baseline(line: OrientedLine, ps) -> OrientedLine:
-    """Line perpendicular to `line` with every point strictly on one side."""
-    points = _points_of(ps)
-    dx, dy = _primitive(*line.direction)
-    perp = (-dy, dx)
-    lo = min(_cross(perp, p) for p in points)
-    # gcd of a primitive perpendicular is 1, so any integer threshold works
-    a, b = -perp[1], perp[0]
-    anchor = _anchor_for(a, b, -(lo - 1))
-    return OrientedLine(anchor, perp)

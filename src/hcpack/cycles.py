@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigMismatch
 from .geometry import (
@@ -95,30 +95,39 @@ def crossing_report(
     crossing pairs, for a cycle or any list of distinct edges.
 
     A `RingOracle` (convex and wheel sets) is answered by one sweep around
-    the ring in O(E log E + K) for K crossing pairs; any other oracle is
-    asked about every pair of edges that share no vertex.  Both give the
-    pairs in edge-list order.
+    the ring in O(E log E + K) for K crossing pairs.  Any other oracle is
+    asked about every pair of edges that share no vertex, in
+    `is_one_plane`'s order (`_crossing_pairs`): each edge j against the
+    edges i < j before it, j and then i ascending.  So on degenerate input
+    the `CollinearOverlap` raised names the first overlapping pair in that
+    order, which need not be the first in edge-list order.  Both paths
+    give the pairs in edge-list order.
     """
     es = c.edges() if isinstance(c, HamCycle) else tuple(c)
     counts = {e: 0 for e in es}
     if isinstance(oracle, RingOracle):
-        pairs = [(es[i], es[j]) for i, j in _ring_crossings(es, oracle)]
-        for e1, e2 in pairs:
-            counts[e1] += 1
-            counts[e2] += 1
-        return CrossReport(counts, pairs)
-    pairs = []
-    for i, e1 in enumerate(es):
-        a, b = e1
-        for j in range(i + 1, len(es)):
-            e2 = es[j]
-            if a in e2 or b in e2:
-                continue
-            if oracle(e1, e2):
-                counts[e1] += 1
-                counts[e2] += 1
-                pairs.append((e1, e2))
+        found = _ring_crossings(es, oracle)
+    else:
+        found = sorted(_crossing_pairs(es, oracle))
+    pairs = [(es[i], es[j]) for i, j in found]
+    for e1, e2 in pairs:
+        counts[e1] += 1
+        counts[e2] += 1
     return CrossReport(counts, pairs)
+
+
+def _crossing_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tuple[int, int]]:
+    """Index pairs (i, j), i < j, of the edges of `es` that cross: by j
+    ascending, then i ascending, asking `oracle(es[j], es[i])` about each
+    pair that shares no vertex."""
+    for j, e in enumerate(es):
+        a, b = e
+        for i in range(j):
+            f = es[i]
+            if a in f or b in f:
+                continue
+            if oracle(e, f):
+                yield i, j
 
 
 def _ring_crossings(es: Sequence[Edge], ring: RingOracle) -> List[Tuple[int, int]]:
@@ -165,47 +174,16 @@ def _ring_crossings(es: Sequence[Edge], ring: RingOracle) -> List[Tuple[int, int
     return [divmod(h, count) for h in hits]
 
 
-class CrossLedger:
-    """Edge set grown and shrunk one edge at a time, never holding an edge
-    crossed twice.
-
-    `crossed[e]` lists the ledger edges that properly cross `e`.
-    """
-
-    def __init__(self, oracle: CrossingOracle):
-        self.oracle = oracle
-        self.crossed: Dict[Edge, List[Edge]] = {}
-
-    def add(self, e: Edge) -> bool:
-        """Insert `e`; refuse it if present or if any edge would then be
-        crossed twice."""
-        crossed, oracle = self.crossed, self.oracle
-        if e in crossed:
-            return False
-        a, b = e
-        hit: List[Edge] = []
-        for f, f_hits in crossed.items():
-            if a in f or b in f:
-                continue
-            if oracle(e, f):
-                if f_hits or hit:
-                    return False
-                hit.append(f)
-        crossed[e] = hit
-        for f in hit:
-            crossed[f].append(e)
-        return True
-
-    def remove(self, e: Edge) -> None:
-        for f in self.crossed.pop(e):
-            self.crossed[f].remove(e)
-
-
 def is_one_plane(c: HamCycle, oracle: CrossingOracle) -> bool:
     """No cycle edge is properly crossed more than once; stops at the
-    first edge that would be."""
-    ledger = CrossLedger(oracle)
-    return all(ledger.add(e) for e in c.edges())
+    first edge crossed twice."""
+    es = c.edges()
+    crossed = [False] * len(es)
+    for i, j in _crossing_pairs(es, oracle):
+        if crossed[i] or crossed[j]:
+            return False
+        crossed[i] = crossed[j] = True
+    return True
 
 
 def are_edge_disjoint(a: HamCycle, b: HamCycle) -> bool:
@@ -326,17 +304,6 @@ def check_wheel_boundary(c: HamCycle, n: int, center_index: Optional[int] = None
     return len(_boundary_starts(rim, m)) >= 2 and _sides_hold(rim, m, lambda i, j: 1)
 
 
-def _ring_of(oracle: CrossingOracle, n: int) -> Optional[RingOracle]:
-    """`oracle` if it is a ring over exactly the n vertices: its labels are
-    the positions 0..m-1, plus the center m on a wheel, each once."""
-    if not isinstance(oracle, RingOracle):
-        return None
-    label = oracle.label
-    if len(label) != n or sorted(label) != list(range(oracle.m + oracle.wheel)):
-        return None
-    return oracle
-
-
 def _turned(order: Sequence[int], ring: RingOracle) -> Tuple[int, ...]:
     """Ring positions of `order`, turned so that its first rim vertex sits
     at position 0; a wheel's center keeps its label m."""
@@ -349,16 +316,17 @@ def _turned(order: Sequence[int], ring: RingOracle) -> Tuple[int, ...]:
 def verify_packing(cycles: Sequence[HamCycle], n: int, oracle: CrossingOracle) -> dict:
     """Full verification report: Hamiltonicity, crossings, disjointness.
 
-    On a ring (a `RingOracle` giving 0..n-1 the positions 0..m-1, and a
-    wheel's center m, once each) crossings are counted once per rotation
-    class: cycles whose ring positions differ only by a turn of the rim.
+    On a ring over the n vertices (a `RingOracle` with n labels, which its
+    constructor has checked are the positions 0..m-1 and a wheel's center
+    m, once each) crossings are counted once per rotation class: cycles
+    whose ring positions differ only by a turn of the rim.
     Index interleaving and a wheel's short arcs depend only on position
     differences mod m, so turned copies have equal crossing counts, and the
     sweep of the first stands for the rest.  The memo lives for one call.
     Any other oracle, a ring of another size, and a cycle leaving 0..n-1
     are handled cycle by cycle.
     """
-    ring = _ring_of(oracle, n)
+    ring = oracle if isinstance(oracle, RingOracle) and len(oracle.label) == n else None
     worst_of: Dict[Tuple[int, ...], int] = {}
     per_cycle = []
     for c in cycles:

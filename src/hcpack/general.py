@@ -103,15 +103,17 @@ class GeneralPackResult:
 
 
 class _FlatLedger:
-    """`CrossLedger`'s rule for the march, on flat integer coordinates.
+    """The march's edge set, grown and shrunk one edge at a time, never
+    holding an edge crossed twice, on flat integer coordinates.
 
     Each ledger edge `(c, d)` keeps its line as `(ux, uy, k)`: a point p
     lies on the side `ux * p.y - uy * p.x - k` of c -> d.  A pair is decided
     inline exactly where `coordinate_oracle` decides it inline (the new
     edge's ends against the old edge's line, then, if they straddle it, the
     old edge's ends against the new line); any zero determinant goes to the
-    oracle itself.  Pairs are visited in `CrossLedger`'s order, so every
-    verdict, and on degenerate input every CollinearOverlap, is the same.
+    oracle itself.  Pairs are visited in `is_one_plane`'s order, the new
+    edge against each held edge, oldest first, so every verdict, and on
+    degenerate input every CollinearOverlap, is the same.
     """
 
     def __init__(self, xs: List[int], ys: List[int], oracle: CrossingOracle):

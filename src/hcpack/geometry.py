@@ -104,7 +104,9 @@ def segments_properly_cross(e1: Tuple[Point, Point], e2: Tuple[Point, Point]) ->
     """True iff the open segments meet in exactly one interior point.
 
     Segments sharing an endpoint never cross.  Collinear overlap raises
-    CollinearOverlap: it signals input violating general position.
+    CollinearOverlap: it signals input violating general position.  A
+    zero-length segment (a duplicate point) overlaps only a segment whose
+    line holds it, whichever argument it is.
     """
     p1, p2 = e1
     q1, q2 = e2
@@ -114,7 +116,7 @@ def segments_properly_cross(e1: Tuple[Point, Point], e2: Tuple[Point, Point]) ->
     d2 = orientation(q1, q2, p2)
     d3 = orientation(p1, p2, q1)
     d4 = orientation(p1, p2, q2)
-    if d1 == d2 == Orientation.COLLINEAR:
+    if d1 == d2 == d3 == d4 == Orientation.COLLINEAR:
         # all four points on one line; any touching means degenerate overlap
         lo1, hi1 = sorted(((p1.x, p1.y), (p2.x, p2.y)))
         lo2, hi2 = sorted(((q1.x, q1.y), (q2.x, q2.y)))
@@ -342,7 +344,9 @@ class RingOracle:
     the center is labelled `m`, and `wheel` makes calls go to `wheel_cross`
     instead of `convex_cross`.  Calling it decides one pair as those do;
     `cycles.crossing_report` reads `m` and `label` to find every crossing
-    of an edge list in one sweep around the ring.
+    of an edge list in one sweep around the ring.  Calls never relabel a
+    convex ring, so its labels must be 0..m-1 in order; a wheel's must
+    hold each of 0..m once.
     """
 
     __slots__ = ("m", "label", "wheel")
@@ -350,6 +354,9 @@ class RingOracle:
     def __init__(self, m: int, label: Sequence[int], wheel: bool):
         if wheel and m % 2 == 0:
             raise ValueError("rim count must be odd")
+        if (sorted(label) if wheel else list(label)) != list(range(m + wheel)):
+            what = "each of 0..m once" if wheel else "0..m-1 in order"
+            raise ValueError(f"ring labels must be {what}")
         self.m, self.label, self.wheel = m, label, wheel
 
     def __call__(self, e1: Edge, e2: Edge) -> bool:

@@ -1,4 +1,5 @@
 import math
+import random
 from functools import lru_cache
 
 import pytest
@@ -26,6 +27,48 @@ class CountingRing(RingOracle):
     def __call__(self, e1, e2):
         self.calls += 1
         return super().__call__(e1, e2)
+
+
+class CrossLedger:
+    """Reference for the one-plane rule, kept edge by edge: an edge set
+    grown and shrunk one edge at a time, never holding an edge crossed
+    twice.  `crossed[e]` lists the ledger edges that properly cross `e`."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.crossed = {}
+
+    def add(self, e):
+        """Insert `e`; refuse it if present or if any edge would then be
+        crossed twice."""
+        if e in self.crossed:
+            return False
+        a, b = e
+        hit = []
+        for f, f_hits in self.crossed.items():
+            if a in f or b in f:
+                continue
+            if self.oracle(e, f):
+                if f_hits or hit:
+                    return False
+                hit.append(f)
+        self.crossed[e] = hit
+        for f in hit:
+            self.crossed[f].append(e)
+        return True
+
+    def remove(self, e):
+        for f in self.crossed.pop(e):
+            self.crossed[f].remove(e)
+
+
+def degenerate_lists():
+    """300 seeded point lists on small grids, with duplicates and collinear
+    triples: n = 5..14, coordinates 0..g for g = 2..6."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, g = rng.randint(5, 14), rng.randint(2, 6)
+        yield seed, [Point(rng.randint(0, g), rng.randint(0, g)) for _ in range(n)]
 
 
 @lru_cache(maxsize=None)

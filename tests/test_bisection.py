@@ -6,13 +6,10 @@ from hcpack import (
     Point,
     Side,
     bisecting_line,
-    constrained_ham_sandwich,
-    ham_sandwich,
-    perpendicular_baseline,
     separating_subset_line,
     side_of_line,
 )
-from hcpack.bisection import bisecting_lines
+from hcpack.bisection import bisecting_lines, ham_sandwich_cuts
 from hcpack.errors import NotSeparable
 
 from conftest import general_instance
@@ -60,7 +57,7 @@ def test_bisecting_lines_are_distinct_splits():
 def test_ham_sandwich_counts(seed):
     ps = general_instance(16, seed)
     s1, s2 = list(range(8)), list(range(8, 16))
-    line, parts = ham_sandwich(ps, s1, s2)
+    line, parts = next(ham_sandwich_cuts(ps, s1, s2))
     s1l, s1r, s2l, s2r = parts
     assert sorted(s1l + s1r) == s1 and sorted(s2l + s2r) == s2
     for grp in (s1l, s2l):
@@ -76,14 +73,14 @@ def test_ham_sandwich_counts(seed):
 def test_ham_sandwich_odd_sets():
     ps = general_instance(15, 9)
     s1, s2 = list(range(7)), list(range(7, 15))
-    line, parts = ham_sandwich(ps, s1, s2)
+    line, parts = next(ham_sandwich_cuts(ps, s1, s2))
     assert abs(len(parts[0]) - len(parts[1])) == 1  # |s1| = 7
     assert len(parts[2]) == len(parts[3])  # |s2| = 8
 
 
 def test_ham_sandwich_singletons():
     ps = general_instance(4, 2)
-    line, parts = ham_sandwich(ps, [0], [1])
+    line, parts = next(ham_sandwich_cuts(ps, [0], [1]))
     assert len(parts[0]) + len(parts[1]) == 1
     assert len(parts[2]) + len(parts[3]) == 1
 
@@ -91,7 +88,7 @@ def test_ham_sandwich_singletons():
 def test_ham_sandwich_rejects_overlapping_sets():
     ps = general_instance(8, 3)
     with pytest.raises(ValueError):
-        ham_sandwich(ps, [0, 1, 2, 3], [3, 4, 5, 6])
+        next(ham_sandwich_cuts(ps, [0, 1, 2, 3], [3, 4, 5, 6]))
 
 
 def test_constrained_ham_sandwich_keeps_pair_together():
@@ -99,7 +96,7 @@ def test_constrained_ham_sandwich_keeps_pair_together():
     s1, s2 = list(range(8)), list(range(8, 16))
     found = 0
     for pair in [(0, 1), (2, 5), (3, 7)]:
-        res = constrained_ham_sandwich(ps, s1, s2, pair)
+        res = next(ham_sandwich_cuts(ps, s1, s2, pair=pair), None)
         if res is None:
             continue
         found += 1
@@ -108,12 +105,6 @@ def test_constrained_ham_sandwich_keeps_pair_together():
         assert (pair[0] in s1l) == (pair[1] in s1l)
         assert abs(len(parts[0]) - len(parts[1])) <= 1
     assert found > 0
-
-
-def test_constrained_ham_sandwich_pair_outside_s1_rejected():
-    ps = general_instance(8, 3)
-    with pytest.raises(ValueError):
-        constrained_ham_sandwich(ps, [0, 1, 2, 3], [4, 5, 6, 7], (0, 4))
 
 
 def test_separating_subset_line_base_case():
@@ -145,18 +136,6 @@ def test_separating_subset_line_not_separable():
         separating_subset_line(pts, range(5), (3, 4), target_size=2)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_perpendicular_baseline(seed):
-    ps = general_instance(10, seed)
-    bi = bisecting_line(ps, range(10))
-    base = perpendicular_baseline(bi.line, ps)
-    sides = {side_of_line(base, p) for p in ps.points}
-    assert len(sides) == 1 and Side.ON not in sides
-    (dx, dy) = bi.line.direction
-    (ex, ey) = base.direction
-    assert dx * ex + dy * ey == 0  # exactly perpendicular
-
-
 def test_constrained_ham_sandwich_absent_when_pair_straddles_everything():
     # pair at opposite extremes of s1: every simultaneous bisection must
     # separate them, so the constrained search comes back empty
@@ -165,18 +144,16 @@ def test_constrained_ham_sandwich_absent_when_pair_straddles_everything():
         Point(-50, 200), Point(10, -210), Point(40, 190), Point(-30, -195),
     ]
     s1, s2 = [0, 1, 2, 3], [4, 5, 6, 7]
-    from hcpack.bisection import ham_sandwich_cuts
-
     unconstrained = list(ham_sandwich_cuts(pts, s1, s2))
     assert unconstrained, "sanity: plain cuts exist"
     for _line, parts in unconstrained:
         assert (0 in parts[0]) != (3 in parts[0])
-    assert constrained_ham_sandwich(pts, s1, s2, (0, 3)) is None
+    assert next(ham_sandwich_cuts(pts, s1, s2, pair=(0, 3)), None) is None
 
 
 def test_ham_sandwich_two_against_two():
     pts = [Point(-100, -50), Point(-100, 50), Point(100, -47), Point(100, 53)]
-    line, parts = ham_sandwich(pts, [0, 1], [2, 3])
+    line, parts = next(ham_sandwich_cuts(pts, [0, 1], [2, 3]))
     assert len(parts[0]) == len(parts[1]) == 1
     assert len(parts[2]) == len(parts[3]) == 1
 

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from hcpack import (
     Config,
-    CrossLedger,
+    CrossReport,
     HamCycle,
     are_edge_disjoint,
     boundary_edge_count,
@@ -27,10 +28,10 @@ from hcpack import (
     verify_packing,
     wheel_oracle,
 )
-from hcpack.errors import ConfigMismatch
+from hcpack.errors import CollinearOverlap, ConfigMismatch
 from hcpack.geometry import RingOracle, wheel_relabeling
 
-from conftest import CountingRing, enumerated, general_instance
+from conftest import CountingRing, CrossLedger, degenerate_lists, enumerated, general_instance
 
 
 def test_verify_hamiltonian():
@@ -109,6 +110,64 @@ def test_crossing_report_and_ledger_agree(n, orc):
         if report.max_count <= 1:
             held = {(e, f) for e, hits in ledger.crossed.items() for f in hits}
             assert held == {p for e, f in report.pairs for p in ((e, f), (f, e))}, c
+
+
+def _recording(orc, calls):
+    """`orc`, logging each pair it is asked about to `calls`."""
+
+    def oracle(e1, e2):
+        calls.append((e1, e2))
+        return orc(e1, e2)
+
+    return oracle
+
+
+def _row_major_report(es, orc):
+    """Reference counts and pairs: i ascending, then j > i, asking
+    `orc(es[i], es[j])` about each pair sharing no vertex."""
+    counts, pairs = dict.fromkeys(es, 0), []
+    for i, e1 in enumerate(es):
+        for e2 in es[i + 1:]:
+            if not set(e1) & set(e2) and orc(e1, e2):
+                counts[e1] += 1
+                counts[e2] += 1
+                pairs.append((e1, e2))
+    return counts, pairs
+
+
+def _outcome(run, *args):
+    """`run(*args)`, or the type and message of what it raises."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_one_plane_scan_matches_the_ledger_on_degenerate_grids():
+    """On grids with duplicates and collinear triples, `is_one_plane` gives
+    CrossLedger's answer or exception, asking the oracle the same pairs in
+    the same order; `crossing_report` gives the row-major scan's counts and
+    pairs, or raises where it does, though it may name another pair."""
+    seen = Counter()
+    for seed, points in degenerate_lists():
+        rng = random.Random(seed)
+        orc = coordinate_oracle(points)
+        for _ in range(20):
+            c = HamCycle(rng.sample(range(len(points)), rng.randint(3, len(points))))
+            ledger_calls, scan_calls = [], []
+            ledger = CrossLedger(_recording(orc, ledger_calls))
+            expected = _outcome(lambda: all(map(ledger.add, c.edges())))
+            assert _outcome(is_one_plane, c, _recording(orc, scan_calls)) == expected, c
+            assert scan_calls == ledger_calls, c
+            seen[expected if isinstance(expected, bool) else expected[0]] += 1
+            report = _outcome(crossing_report, c, orc)
+            reference = _outcome(_row_major_report, c.edges(), orc)
+            if isinstance(report, CrossReport):
+                assert (report.counts, report.pairs) == reference, c
+                seen["compared"] += 1
+            else:
+                assert report[0] is reference[0] is CollinearOverlap, c
+    assert seen[True] and seen[False] and seen[CollinearOverlap] and seen["compared"], seen
 
 
 def _pairwise(orc):
@@ -283,14 +342,20 @@ def test_verify_packing_matches_a_sweep_of_every_cycle(case):
     assert verify_packing(cycles, n, _pairwise(orc)) == expected
 
 
-def test_verify_packing_sweeps_every_cycle_of_a_malformed_ring():
-    # two vertices at the center: the turned copy (1, 2, 0, 3, 4) has the
-    # same key as (0, 1, 2, 3, 4) but another count, so only a ring that
-    # labels each of 0..m once is swept by rotation class
-    ring = RingOracle(3, [0, 1, 2, 3, 3], True)
-    cycles = [HamCycle((0, 1, 2, 3, 4)), HamCycle((1, 2, 0, 3, 4))]
-    assert [crossing_report(c, ring).max_count for c in cycles] == [0, 1]
-    assert verify_packing(cycles, 5, ring) == _sweep_every_cycle(cycles, 5, ring)
+def test_ring_oracle_refuses_labels_its_calls_do_not_assume():
+    # a convex ring is never relabeled by its calls, and a wheel's sweep
+    # assumes each of 0..m once: a repeated label made the sweep raise
+    # IndexError, a permuted convex one made calls and sweep disagree
+    for m, label, wheel in [
+        (4, [0, 1, 2, 3, 3], False),
+        (4, [1, 0, 2, 3], False),
+        (4, [0, 1, 2], False),
+        (3, [0, 1, 2, 3, 3], True),
+        (3, [0, 1, 1, 3], True),
+    ]:
+        with pytest.raises(ValueError, match="ring labels must be"):
+            RingOracle(m, label, wheel)
+    assert RingOracle(3, [3, 0, 2, 1], True).label == [3, 0, 2, 1]
 
 
 def test_verify_packing_ring_of_the_wrong_size_raises_the_sweep_error():

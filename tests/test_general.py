@@ -23,12 +23,11 @@ from hcpack import (
 )
 from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
-from hcpack.cycles import CrossLedger
 from hcpack.errors import CollinearOverlap, MarchFailed, StillCrossing
 from hcpack.general import _FlatLedger, _JoinScreen, _March, _splice
 from hcpack.geometry import OrientedLine, convex_hull, oracle_for, orientation
 
-from conftest import general_instance
+from conftest import CrossLedger, degenerate_lists, general_instance
 
 
 def test_march_cycle_triangle():
@@ -202,15 +201,6 @@ def test_march_bridge_matches_a_fresh_hull_at_every_node(monkeypatch):
             except MarchFailed:
                 pass
     assert set(seen) == {1, -1} and len(seen) > 1000
-
-
-def degenerate_lists():
-    """300 seeded point lists on small grids, with duplicates and collinear
-    triples: n = 5..14, coordinates 0..g for g = 2..6."""
-    for seed in range(300):
-        rng = random.Random(seed)
-        n, g = rng.randint(5, 14), rng.randint(2, 6)
-        yield seed, [Point(rng.randint(0, g), rng.randint(0, g)) for _ in range(n)]
 
 
 def march_outcome(points):

@@ -83,6 +83,19 @@ def test_segments_cross_symmetric(a, b, c, d):
     assert r1 == segments_properly_cross((c, d), (a, b))
 
 
+def test_zero_length_segment_is_decided_the_same_either_way_round():
+    # a duplicate point is a zero-length segment: it overlaps only a
+    # segment whose line holds it between the ends, in either argument order
+    seg = (Point(0, 0), Point(2, 2))
+    for p, overlaps in ((Point(1, 1), True), (Point(1, 0), False), (Point(3, 3), False)):
+        for e1, e2 in ((seg, (p, p)), ((p, p), seg)):
+            if overlaps:
+                with pytest.raises(CollinearOverlap):
+                    segments_properly_cross(e1, e2)
+            else:
+                assert not segments_properly_cross(e1, e2)
+
+
 def _crossing_outcome(decide, e1, e2):
     try:
         return decide(e1, e2)
