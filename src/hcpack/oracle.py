@@ -17,28 +17,44 @@ masks only grow along a branch, so no completion exists and the prune
 loses no cycle.  Rows make that test one expression for all vertices:
 subtracting the low bit of every row from the live mask with the guards
 set clears each row's lowest live bit, and a second subtraction borrows
-the guard of every row left empty.  Reflections are killed by requiring
+the guard of every row left empty.  When two or more unused vertices
+remain after a child v, the completion is a path from v through all of
+them back to 0, so v and 0 each need a live edge into the unused set, and
+so does every unused vertex (it has a path neighbour there); copying the
+unused set into every row (it is n bits wide, so nothing carries) and
+masking it with the live edges puts these in rows, and the same borrow
+tests all of them at once.  With one unused vertex left, its two live
+edges are already those to v and to 0.  Reflections are killed by requiring
 second < last, and a branch stops as soon as no unused vertex above the
 second remains, so each cycle appears exactly once and already in
 canonical form.  A node tests each child against the closing edge, the
-reflection rule and the live-degree rule before the call, and counts it
-as a search node either way.
+reflection rule, the live-degree rule and the reachability rule before
+the call, and counts it as a search node either way.  Each edge also has
+a dense id, the index of its pair i < j in lexicographic order; the path
+keeps its edges' ids, and each cycle is kept with its n edge ids.
 
 The packing search is a branch and bound over cycle indices, with the
-candidates of each node held as one bitset and each cycle's edges as the
-mask the enumeration kept.  A child is entered only if the cycles chosen,
-plus the smaller of its candidate count and the edges its candidates
-cover divided by n, beats the best packing so far.  Each further cycle
-is a candidate and needs n edges of its own, so no packing in a skipped
-subtree is larger than the best; and since children are taken from low
-index to high and a tie is skipped, the witness is the first maximum in
-index order, exactly as an unbounded search finds it.
+candidates of each node held as one bitset.  Per edge id it builds the
+bitset of the cycles holding it, and from those, per cycle, the cycles it
+clashes with and, per vertex, the holder sets of its edges.  A child is
+entered only if its candidates could still add `more` cycles, the number
+it needs to beat the best packing so far: at least `more` candidates, and
+at every vertex at least 2 * `more` edges held by some candidate, since
+each further cycle uses two edges at every vertex and no edge twice.
+Each covered edge is counted at both of its ends, so a child passing the
+second test covers at least n * `more` edges: it prunes every child that
+the covered-edge bound (covered edges // n < `more`) would.  No packing in a
+skipped subtree is larger than the best; and since children are taken
+from low index to high and a tie is skipped, the witness is the first
+maximum in index order, exactly as an unbounded search finds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
 from .cycles import (
@@ -100,23 +116,25 @@ def enumerate_1phc(
         cross[e1] |= pair[e2][2]
         cross[e2] |= pair[e1][2]
     # step[i][j]: the edge bit i*w + j (i < j) of the edge between positions i
-    # and j, and its cross mask; crossed[i*w + j]: that cross mask again;
-    # inc[i]: the mask of the edges at position i
-    step = [[(0, 0)] * n for _ in range(n)]
+    # and j, its cross mask and its dense id; crossed[i*w + j]: that cross mask
+    # again; inc[i]: the mask of the edges at position i
+    step = [[(0, 0, 0)] * n for _ in range(n)]
     crossed = [0] * (n * w)
     inc = [0] * n
     full = 0  # every edge, both bits
-    for e, (i, j, both) in pair.items():
-        step[i][j] = step[j][i] = (1 << i * w + j, cross[e])
+    for k, (e, (i, j, both)) in enumerate(pair.items()):
+        step[i][j] = step[j][i] = (1 << i * w + j, cross[e], k)
         crossed[i * w + j] = cross[e]
         inc[i] |= both
         inc[j] |= both
         full |= both
     low_bits = sum(1 << i * w for i in range(n))
     guard_bits = low_bits << n
+    gbit = [1 << i * w + n for i in range(n)]  # gbit[i]: the guard bit of row i
     out = _Enumerated()
-    masks: List[int] = []
+    out.edge_ids = []
     order = [0]
+    path: List[int] = []  # the ids of the path's edges
     nodes = 1
 
     # `edges`: the path's edge bits; `once`: the edges that cross a path edge;
@@ -130,12 +148,13 @@ def enumerate_1phc(
         shut = dead | inc[last] if last else dead
         cands = (full & ~dead) >> last * w & unused
         second = order[1] if len(order) > 1 else 0  # 0 until the path has an edge
+        reach = guards | gbit[0]  # the unused rows, a child's among them, and the start's
         while cands:
             low = cands & -cands
             cands ^= low
             v = low.bit_length() - 1
             nodes += 1
-            b, c = row[v]
+            b, c, k = row[v]
             now = shut | c & once
             hit = c & edges  # at most one path edge, or b would be dead
             if hit:
@@ -145,7 +164,7 @@ def enumerate_1phc(
                 # The closing edge to position 0 owns bit v of row 0.
                 if not now >> v & 1:
                     out.append(HamCycle(tuple(vertices[p] for p in order) + (vertices[v],)))
-                    masks.append(edges | b | low)
+                    out.edge_ids.append(path + [k, step[0][v][2]])  # with the closing edge
                 continue
             # A cycle is kept with order[1] < order[-1], so a vertex above order[1] must remain.
             if not rest >> (second or v):
@@ -154,41 +173,44 @@ def enumerate_1phc(
             # the lowest live bit of each row, then a row left empty borrows its guard.
             live = full & ~now
             two = live & ((live | guard_bits) - low_bits)
-            left = guards ^ 1 << v * w + n
+            left = guards ^ gbit[v]
             if ((two | guard_bits) - low_bits) & left != left:
                 continue
+            # With two or more vertices left, v, 0 and each of them need a live edge into `rest`.
+            into = live & rest * low_bits
+            if rest & rest - 1 and ((into | guard_bits) - low_bits) & reach != reach:
+                continue
             order.append(v)
+            path.append(k)
             rec(v, rest, left, edges | b, once | c, now)
+            path.pop()
             order.pop()
 
-    rec(0, (1 << n) - 2, guard_bits ^ 1 << n, 0, 0, 0)
+    rec(0, (1 << n) - 2, guard_bits ^ gbit[0], 0, 0, 0)
     out.search_nodes = nodes
-    out.edge_masks = masks
     return out
 
 
 class _Enumerated(list):
     """The cycles `enumerate_1phc` found, with the search nodes it visited
-    and, per cycle, its edge mask: one bit per edge between subset positions."""
+    and, per cycle, the ids of its edges: the pairs i < j of subset
+    positions, numbered in lexicographic order."""
 
     search_nodes: int
-    edge_masks: List[int]
+    edge_ids: List[List[int]]
 
 
-def _max_packing(masks: List[int], n: int):
+def _max_packing(edge_ids: List[List[int]], n: int):
     """The first maximum packing in index order of the cycles with these
-    edge masks, and the search nodes visited."""
-    holders: Dict[int, int] = {}  # per edge bit, the bitset of the cycles using it
-    for i, m in enumerate(masks):
-        for low in _bits(m):
-            holders[low] = holders.get(low, 0) | 1 << i
-    held = list(holders.values())
-    clash = []  # clash[i]: the cycles sharing an edge with cycle i, i included
-    for m in masks:
-        c = 0
-        for low in _bits(m):
-            c |= holders[low]
-        clash.append(c)
+    edge ids, and the search nodes visited.  `holders[e]` is the bitset of
+    the cycles using edge id e, `at[x]` the holders of the edges at vertex
+    x, and `clash[i]` the cycles sharing an edge with cycle i, i included."""
+    holders = [0] * (n * (n - 1) // 2)
+    for i, ids in enumerate(edge_ids):
+        for e in ids:
+            holders[e] |= 1 << i
+    at = [[h for h, p in zip(holders, combinations(range(n), 2)) if x in p] for x in range(n)]
+    clash = [reduce(int.__or__, map(holders.__getitem__, ids)) for ids in edge_ids]
     best: List[int] = []
     chosen: List[int] = []
     nodes = 0
@@ -198,30 +220,22 @@ def _max_packing(masks: List[int], n: int):
         nodes += 1
         if len(chosen) > len(best):
             best = list(chosen)
-        size = len(chosen) + 1
         while cands:
             low = cands & -cands
             cands ^= low
             i = low.bit_length() - 1
             sub = cands & ~clash[i]
-            if size + sub.bit_count() <= len(best):
+            more = len(best) - len(chosen)  # further cycles the child needs to beat the best
+            if sub.bit_count() < more:
                 continue
-            if size + sum(1 for h in held if h & sub) // n <= len(best):
+            if any(sum(1 for h in hs if h & sub) < 2 * more for hs in at):
                 continue
             chosen.append(i)
             rec(sub)
             chosen.pop()
 
-    rec((1 << len(masks)) - 1)
+    rec((1 << len(edge_ids)) - 1)
     return best, nodes
-
-
-def _bits(m: int):
-    """The set bits of `m`, lowest first, each as its own mask."""
-    while m:
-        low = m & -m
-        yield low
-        m ^= low
 
 
 def max_packing_exact(
@@ -239,7 +253,7 @@ def max_packing_exact(
     """
     cycles = enumerate_1phc(ps, subset, max_n=max_n)
     n = len(ps) if subset is None else len(subset)
-    chosen, packing_nodes = _max_packing(cycles.edge_masks, n)
+    chosen, packing_nodes = _max_packing(cycles.edge_ids, n)
     return EnumerationReport(
         n=n,
         total_ham_cycles=math.factorial(n - 1) // 2,

@@ -3,6 +3,7 @@ import math
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcpack import (
     Config,
@@ -167,12 +168,14 @@ def test_subset_outside_the_point_set_or_repeated_rejected(subset):
     assert_subset_rejected(subset, r"distinct and in 0\.\.5")
 
 
-# Search nodes visited on convex 11 and wheel 10.  Before the dead-vertex
-# prune and the packing bound over candidate bitsets, the same searches
-# visited 144926 / 55681 enumeration and 2895 / 7522 packing nodes.
+# Search nodes visited on convex 11 and wheel 10, with the counts before the
+# enumeration's reachability prunes and the packing search's degree bound.
+# Before the dead-vertex prune and the packing bound over candidate bitsets,
+# the same searches visited 144926 / 55681 enumeration and 2895 / 7522
+# packing nodes.
 SEARCH_NODES = {
-    "convex": ({"enumeration": 42877, "packing": 44}, {"enumeration": 144926, "packing": 2895}),
-    "wheel": ({"enumeration": 24214, "packing": 76}, {"enumeration": 55681, "packing": 7522}),
+    "convex": ({"enumeration": 26367, "packing": 29}, {"enumeration": 42877, "packing": 44}),
+    "wheel": ({"enumeration": 16515, "packing": 16}, {"enumeration": 24214, "packing": 76}),
 }
 
 
@@ -187,30 +190,52 @@ def test_search_nodes_pinned(config):
     assert enumerate_1phc(ps, max_n=11).search_nodes == pinned["enumeration"]
 
 
-# Search nodes (enumeration, packing) and 1-plane cycle counts on larger
-# convex and wheel sets, and on general sets and a general subset, whose
-# crossing masks come from the pairwise report instead of the ring sweep;
-# recorded before the search moved to row-layout masks.
+# Search nodes (enumeration, packing), the same before the reachability prunes
+# and the degree bound, and 1-plane cycle counts on larger convex and wheel
+# sets, and on general sets and a general subset, whose crossing masks come
+# from the pairwise report instead of the ring sweep.
 WIDER_SEARCH_NODES = [
-    pytest.param("convex", 12, None, None, (137519, 69), 1860, id="convex-12"),
-    pytest.param("convex", 13, None, None, (441520, 244), 4395, id="convex-13"),
-    pytest.param("wheel", 12, None, None, (272114, 1782), 6347, id="wheel-12"),
-    pytest.param("general", 9, 1, None, (10462, 5), 820, id="general-9-1"),
-    pytest.param("general", 9, 2, None, (12151, 21), 1078, id="general-9-2"),
-    pytest.param("general", 9, 3, None, (15580, 73), 1947, id="general-9-3"),
-    pytest.param("general", 10, 1, None, (52769, 2314), 5477, id="general-10-1"),
-    pytest.param("general", 10, 2, None, (58276, 997), 3864, id="general-10-2"),
-    pytest.param("general", 10, 3, None, (71170, 5482), 7243, id="general-10-3"),
-    pytest.param("general", 11, 1, [0, 1, 2, 4, 5, 7, 8, 10], (2841, 10), 265,
+    pytest.param("convex", 12, None, None, (83097, 33), (137519, 69), 1860, id="convex-12"),
+    pytest.param("convex", 13, None, None, (263687, 101), (441520, 244), 4395, id="convex-13"),
+    pytest.param("wheel", 12, None, None, (172028, 290), (272114, 1782), 6347, id="wheel-12"),
+    pytest.param("general", 9, 1, None, (7917, 5), (10462, 5), 820, id="general-9-1"),
+    pytest.param("general", 9, 2, None, (9611, 21), (12151, 21), 1078, id="general-9-2"),
+    pytest.param("general", 9, 3, None, (13925, 73), (15580, 73), 1947, id="general-9-3"),
+    pytest.param("general", 10, 1, None, (44107, 375), (52769, 2314), 5477, id="general-10-1"),
+    pytest.param("general", 10, 2, None, (43944, 262), (58276, 997), 3864, id="general-10-2"),
+    pytest.param("general", 10, 3, None, (61884, 900), (71170, 5482), 7243, id="general-10-3"),
+    pytest.param("general", 11, 1, [0, 1, 2, 4, 5, 7, 8, 10], (2254, 9), (2841, 10), 265,
                  id="general-11-1-subset"),
 ]
 
 
-@pytest.mark.parametrize("config,n,seed,subset,nodes,count", WIDER_SEARCH_NODES)
-def test_search_nodes_pinned_wider(config, n, seed, subset, nodes, count):
+@pytest.mark.parametrize("config,n,seed,subset,nodes,before,count", WIDER_SEARCH_NODES)
+def test_search_nodes_pinned_wider(config, n, seed, subset, nodes, before, count):
     rep = max_packing_exact(naive_case(config, n, seed), subset=subset, max_n=13)
-    assert (rep.search_nodes["enumeration"], rep.search_nodes["packing"]) == nodes
+    got = (rep.search_nodes["enumeration"], rep.search_nodes["packing"])
+    assert got == nodes
+    assert got[0] < before[0] and got[1] <= before[1]
     assert rep.one_plane_count == count
+
+
+SUBSET_SOURCES = [("convex", 10, None), ("wheel", 10, None), ("wheel", 12, None)] + [
+    ("general", n, seed) for n in (9, 10) for seed in (1, 2)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SUBSET_SOURCES), st.data())
+def test_subset_searches_match_naive(source, data):
+    # random subsets reach the search's prunes in states the fixed sets miss
+    ps = naive_case(*source)
+    subset = data.draw(st.lists(st.integers(0, len(ps) - 1), min_size=3, max_size=8, unique=True))
+    want = sorted(naive_enumerate(ps, subset))
+    assert [c.order for c in enumerate_1phc(ps, subset=subset)] == want
+    if len(subset) <= 7:
+        rep = max_packing_exact(ps, subset=subset)
+        best = naive_max_packing([HamCycle(order) for order in want])
+        assert rep.max_packing_size == len(best)
+        assert list(rep.witness.cycles) == best
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
