@@ -38,10 +38,8 @@ from .general import (
 from .geometry import (
     Config,
     Orientation,
-    OrientedLine,
     Point,
     PointSet,
-    Side,
     convex_cross,
     convex_hull,
     convex_oracle,
@@ -51,7 +49,6 @@ from .geometry import (
     oracle_for,
     orientation,
     segments_properly_cross,
-    side_of_line,
     wheel_cross,
     wheel_oracle,
 )

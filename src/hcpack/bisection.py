@@ -1,10 +1,11 @@
 """Bisecting lines, ham-sandwich cuts, and constrained separations.
 
-All cuts are exact: a cut is found combinatorially (sort the points along a
-candidate direction, split at a position) and then materialized as an
-integer `OrientedLine` with no input point on it.  The sort key is the
-cross product with a slightly tilted primitive direction, which makes the
-order total and lets any prefix be realized by an integer threshold line.
+All cuts are exact and combinatorial: a cut is a primitive integer
+direction `e` plus the split it induces.  The points are sorted by the key
+`cross(e, p)` and split at a position, so every left key exceeds every
+right key.  `e` is a slightly tilted candidate direction, which orders
+distinct points totally; a cut that would part two coincident points
+raises `DegenerateInput`.
 
 Searches enumerate candidate directions from input point pairs, in both
 orientations and both tilt senses; that reproduces the classical
@@ -18,21 +19,26 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import NotSeparable
-from .geometry import OrientedLine, Point, PointSet
+from .errors import DegenerateInput, NotSeparable
+from .geometry import Point, PointSet
 
 IndexList = Tuple[int, ...]
+Direction = Tuple[int, int]
 
 
 @dataclass(frozen=True)
 class Bisection:
-    """A line with the split it induces; left is never smaller than right."""
+    """A cut direction with the split it induces; left is never smaller than
+    right.  The keys `cross(direction, p)` of one side all exceed those of
+    the other side."""
 
-    line: OrientedLine
+    direction: Direction
     left: IndexList
     right: IndexList
 
     def __post_init__(self):
+        if tuple(self.direction) == (0, 0):
+            raise ValueError("direction must be nonzero")
         object.__setattr__(self, "left", tuple(self.left))
         object.__setattr__(self, "right", tuple(self.right))
 
@@ -41,17 +47,20 @@ def _points_of(ps) -> Tuple[Point, ...]:
     return ps.points if isinstance(ps, PointSet) else tuple(ps)
 
 
-def _primitive(dx: int, dy: int) -> Tuple[int, int]:
+def _primitive(dx: int, dy: int) -> Direction:
     g = gcd(dx, dy)
     return dx // g, dy // g
 
 
-def _tilted(points, subset, d, sense) -> Tuple[int, int]:
+def _tilted(points, subset, d, sense) -> Direction:
     """Primitive direction whose cross orders subset totally.
 
     Order: cross(d, p) first, then sense * -dot(d, p).  Distinct points
-    cannot tie in both components.
+    cannot tie in both components.  A zero `d` (from a duplicate pair)
+    raises DegenerateInput.
     """
+    if d[0] == d[1] == 0:
+        raise DegenerateInput("a cut direction from two coincident points")
     d0x, d0y = _primitive(*d)
     big = 2 * max(abs(d0x * points[i].x + d0y * points[i].y) for i in subset) + 2
     ex = big * d0x - sense * d0y
@@ -63,65 +72,21 @@ def _cross(e, p: Point) -> int:
     return e[0] * p.y - e[1] * p.x
 
 
-def _anchor_for(a: int, b: int, c: int) -> Optional[Point]:
-    """Integer point with a*x + b*y + c = 0, if one exists."""
-    g = gcd(a, b)
-    if c % g != 0:
-        return None
-    # extended gcd on (a, b)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    k = -c // g
-    return Point(old_s * k, old_t * k)
-
-
-def _threshold_line(points, left, right, e) -> OrientedLine:
-    """Exact line with cross(e,.) above/below split: left side positive.
-
-    `left` must hold strictly larger cross values than `right` under e.
-    """
-    lo = max(_cross(e, points[i]) for i in right) if right else None
-    hi = min(_cross(e, points[i]) for i in left) if left else None
-    # functional f(p) = a*x + b*y with (a, b) = (-ey, ex); f == cross(e, .)
-    a, b = -e[1], e[0]
-    # the one integer threshold, lo + 1 or hi - 1; a half-integer one has
-    # no anchor on the doubled grid, since gcd(2a, 2b) is even
-    t = hi - 1 if lo is None else lo + 1
-    anchor = _anchor_for(a, b, -t) if hi is None or t < hi else None
-    if anchor is not None:
-        return OrientedLine(anchor, (2 * b, -2 * a))
-    # no representable threshold on the doubled grid: tilt once more
-    a2, b2 = 2 * a, 2 * b
-    idx = list(left) + list(right)
-    n_mag = max(abs(-b2 * points[i].x + a2 * points[i].y) for i in idx)
-    big = n_mag + a2 * a2 + b2 * b2 + 1
-    a3, b3 = a2 * big - b2, b2 * big + a2
-    g3 = gcd(a3, b3)
-    f3 = lambda i: a3 * points[i].x + b3 * points[i].y
-    lo3 = max(f3(i) for i in right)
-    hi3 = min(f3(i) for i in left)
-    t3 = (lo3 // g3 + 1) * g3
-    if not lo3 < t3 < hi3:
-        raise ArithmeticError("tilt normalization failed")
-    anchor = _anchor_for(a3, b3, -t3)
-    return OrientedLine(anchor, (b3, -a3))
+def _check_split(points, e, order, k) -> None:
+    """`order[:k]` and `order[k:]` must not tie at the boundary; under a
+    tilted `e` only coincident points tie."""
+    if 0 < k < len(order) and _cross(e, points[order[k - 1]]) == _cross(e, points[order[k]]):
+        raise DegenerateInput("a cut separates two coincident points")
 
 
 def cut_at(points, subset: Sequence[int], d, sense: int, left_count: int) -> Bisection:
-    """Split `subset` by the exact line through no point: top block left."""
+    """Split `subset` along the tilted direction `e` of `d`: the
+    `left_count` largest keys `cross(e, p)` go left."""
     e = _tilted(points, subset, d, sense)
     order = sorted(subset, key=lambda i: -_cross(e, points[i]))
+    _check_split(points, e, order, left_count)
     left, right = order[:left_count], order[left_count:]
-    line = _threshold_line(points, left, right, e)
-    return Bisection(line, tuple(sorted(left)), tuple(sorted(right)))
+    return Bisection(e, tuple(sorted(left)), tuple(sorted(right)))
 
 
 def _pair_directions(points, idx_a: Sequence[int], idx_b: Sequence[int]):
@@ -164,9 +129,10 @@ def ham_sandwich_cuts(
     s1: Sequence[int],
     s2: Sequence[int],
     pair: Optional[Tuple[int, int]] = None,
-) -> Iterator[Tuple[OrientedLine, FourParts]]:
+) -> Iterator[Tuple[Direction, FourParts]]:
     """Stream of simultaneous bisections of disjoint s1 and s2 (distinct
-    splits).
+    splits), each as `(e, (s1 left, s1 right, s2 left, s2 right))`: the
+    left parts hold exactly the points with the larger keys `cross(e, p)`.
 
     With `pair`, only cuts keeping both pair members in the same part of
     s1 are yielded.
@@ -186,7 +152,7 @@ def ham_sandwich_cuts(
     t_hi = min((n1 + 1) // 2 + (n2 + 1) // 2, len(both) - 1)
     seen = set()
     for d, sense in _pair_directions(points, s1, s2):
-        ex, ey = _tilted(points, both, d, sense)
+        e = ex, ey = _tilted(points, both, d, sense)
         keys = [ey * x - ex * y for x, y in zip(xs, ys)]  # -cross(e, p)
         order = [both[j] for j in sorted(range(len(both)), key=keys.__getitem__)]
         l1 = sum(i in in_s1 for i in order[: t_lo - 1])  # s1 in order[:t - 1]
@@ -201,14 +167,14 @@ def ham_sandwich_cuts(
             if key in seen:
                 continue
             seen.add(key)
-            line = _threshold_line(points, order[:t], order[t:], (ex, ey))
+            _check_split(points, e, order, t)
             parts = (
                 tuple(i for i in s1 if i in left),
                 tuple(i for i in s1 if i not in left),
                 tuple(i for i in s2 if i in left),
                 tuple(i for i in s2 if i not in left),
             )
-            yield line, parts
+            yield e, parts
 
 
 def separating_subset_line(
@@ -216,8 +182,10 @@ def separating_subset_line(
     subset: Sequence[int],
     pair: Tuple[int, int],
     target_size: Optional[int] = None,
-) -> Tuple[OrientedLine, IndexList]:
-    """Line splitting off a pair-containing sub-subset of the target size.
+) -> Tuple[Direction, IndexList]:
+    """A cut splitting off a pair-containing sub-subset of the target size,
+    as `(e, sub-subset)`: the sub-subset holds exactly the target-size
+    largest keys `cross(e, p)`.
 
     The sweep direction is any direction along which the pair is extreme;
     the sub-subset is grown point by point from the pair, so it is exactly
@@ -236,6 +204,6 @@ def separating_subset_line(
         order = sorted(sub, key=lambda i: -_cross(e, points[i]))
         if set(order[:2]) != pset:
             continue
-        line = _threshold_line(points, order[:target_size], order[target_size:], e)
-        return line, tuple(sorted(order[:target_size]))
+        _check_split(points, e, order, target_size)
+        return e, tuple(sorted(order[:target_size]))
     raise NotSeparable(f"no line separates {pair} from the rest")

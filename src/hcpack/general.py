@@ -165,8 +165,8 @@ class _FlatLedger:
 class _March:
     """One backtracking march over a fixed bisection.
 
-    Every point gets the key `cross(d, p)` along the line direction `d`; the
-    line separates the sides, so every right key lies on one side `bs` of
+    Every point gets the key `cross(d, p)` along the cut direction `d`; the
+    cut separates the sides, so every right key lies on one side `bs` of
     every left key.  The coordinates are copied once into flat integer
     lists, and each side is sorted once by `(key, -dot(d, p))`.
     """
@@ -178,7 +178,7 @@ class _March:
             left, right = right, left
         self.left0, self.right0 = left, right
         xs, ys = self.xs, self.ys = [p.x for p in points], [p.y for p in points]
-        dx, dy = bisection.line.direction
+        dx, dy = bisection.direction
         key = self.key = {i: dx * ys[i] - dy * xs[i] for i in left + right}
         lo, hi = min(key[i] for i in left), max(key[i] for i in left)
         if all(key[i] > hi for i in right):
@@ -186,7 +186,7 @@ class _March:
         elif all(key[i] < lo for i in right):
             self.bs = -1
         else:
-            raise ValueError("the bisection's line does not separate its sides")
+            raise ValueError("the bisection's direction does not separate its sides")
         # the bridge's sweep order: the low-key side, then the high-key side
         by_sweep = lambda i: (key[i], -dx * xs[i] - dy * ys[i])
         low, high = (left, right) if self.bs > 0 else (right, left)
@@ -666,12 +666,12 @@ def _nth(it, idx):
     return next(itertools.islice(it, idx, None), None)
 
 
-def _bisection_from_cut(line, cls_left, part) -> Bisection:
+def _bisection_from_cut(e, cls_left, part) -> Bisection:
     left = tuple(i for i in part if i in cls_left)
     right = tuple(i for i in part if i not in cls_left)
     if len(left) < len(right):
         left, right = right, left
-    return Bisection(line, left, right)
+    return Bisection(e, left, right)
 
 
 def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Stone]]:
@@ -726,13 +726,13 @@ def _run_level(points, parts, stones, used, variant):
         hs = _nth(ham_sandwich_cuts(points, parts[first], parts[first ^ 1], pair=pair), variant)
         if hs is None:
             continue
-        # the cut puts exactly the points of l1 and l2 strictly left
-        line, (l1, _, l2, _) = hs
+        # the points of l1 and l2 hold exactly the larger keys cross(e, p)
+        e, (l1, _, l2, _) = hs
         left_all = set(l1) | set(l2)
         if other is not None and (other.v in left_all) != (other.w in left_all):
             continue
         for pi in (t, t + 1):
-            part_cuts[pi] = _bisection_from_cut(line, left_all, parts[pi])
+            part_cuts[pi] = _bisection_from_cut(e, left_all, parts[pi])
             cut_case[pi] = "case1" if st else "ham-sandwich"
     part_cycles: List[HamCycle] = []
     child_cuts = []
@@ -742,13 +742,13 @@ def _run_level(points, parts, stones, used, variant):
         if cut is None and st is not None:
             # separating-line fallback: split off a balanced stone-side subset
             try:
-                line, grown = separating_subset_line(
+                e, grown = separating_subset_line(
                     points, part, (st.v, st.w), (len(part) + 1) // 2
                 )
             except NotSeparable:
                 pass
             else:
-                cut = _bisection_from_cut(line, set(grown), part)
+                cut = _bisection_from_cut(e, set(grown), part)
                 cut_case[pi] = "case2"
         try:
             cyc, used_cut, new_stones = march_cycle(points, part, bisection=cut, forbidden=used)

@@ -35,12 +35,6 @@ class Orientation(IntEnum):
     CCW = 1
 
 
-class Side(IntEnum):
-    RIGHT = -1
-    ON = 0
-    LEFT = 1
-
-
 class Config(Enum):
     CONVEX = "convex"
     WHEEL = "wheel"
@@ -57,22 +51,6 @@ class Point:
             raise TypeError("coordinates must be integers")
 
 
-@dataclass(frozen=True)
-class OrientedLine:
-    """Line through `anchor` with integer `direction`.
-
-    `side_of_line` classifies the plane by the sign of the cross product
-    direction x (p - anchor); negating the direction swaps LEFT and RIGHT.
-    """
-
-    anchor: Point
-    direction: Tuple[int, int]
-
-    def __post_init__(self):
-        if self.direction == (0, 0):
-            raise ValueError("direction must be nonzero")
-
-
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
     """Sign of the determinant of (q - p, r - p)."""
     det = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
@@ -81,16 +59,6 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
     if det < 0:
         return Orientation.CW
     return Orientation.COLLINEAR
-
-
-def side_of_line(line: OrientedLine, p: Point) -> Side:
-    dx, dy = line.direction
-    det = dx * (p.y - line.anchor.y) - dy * (p.x - line.anchor.x)
-    if det > 0:
-        return Side.LEFT
-    if det < 0:
-        return Side.RIGHT
-    return Side.ON
 
 
 def edge(a: int, b: int) -> Edge:

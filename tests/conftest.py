@@ -17,6 +17,14 @@ def regular_polygon_points(n, radius=10**6, twist=True):
     return pts
 
 
+def keys_separate(points, direction, above, below):
+    """True iff every key `cross(direction, p)` of `above` exceeds every
+    key of `below`: the cut splits the points strictly."""
+    dx, dy = direction
+    key = lambda i: dx * points[i].y - dy * points[i].x
+    return not above or not below or min(map(key, above)) > max(map(key, below))
+
+
 class CountingRing(RingOracle):
     """A ring oracle that counts the pairs it is asked to decide."""
 

@@ -4,21 +4,13 @@ import pytest
 
 from hcpack import (
     Point,
-    Side,
     bisecting_line,
     separating_subset_line,
-    side_of_line,
 )
-from hcpack.bisection import bisecting_lines, ham_sandwich_cuts
-from hcpack.errors import NotSeparable
+from hcpack.bisection import Bisection, bisecting_lines, ham_sandwich_cuts
+from hcpack.errors import DegenerateInput, NotSeparable
 
-from conftest import general_instance
-
-
-def classify_counts(line, points, idx):
-    left = sum(1 for i in idx if side_of_line(line, points[i]) is Side.LEFT)
-    on = sum(1 for i in idx if side_of_line(line, points[i]) is Side.ON)
-    return left, on
+from conftest import general_instance, keys_separate
 
 
 def test_bisecting_line_two_points():
@@ -38,11 +30,13 @@ def test_bisecting_line_invariants(n, seed):
     ps = general_instance(n, seed)
     bi = bisecting_line(ps, range(n))
     assert len(bi.left) - len(bi.right) in (0, 1)
-    # reclassification reproduces the returned split exactly, nothing ON
-    for i in bi.left:
-        assert side_of_line(bi.line, ps.points[i]) is Side.LEFT
-    for i in bi.right:
-        assert side_of_line(bi.line, ps.points[i]) is Side.RIGHT
+    # the direction's keys reproduce the returned split exactly, no tie
+    assert keys_separate(ps.points, bi.direction, bi.left, bi.right)
+
+
+def test_bisection_rejects_a_zero_direction():
+    with pytest.raises(ValueError):
+        Bisection((0, 0), (0,), (1,))
 
 
 def test_bisecting_lines_are_distinct_splits():
@@ -57,15 +51,10 @@ def test_bisecting_lines_are_distinct_splits():
 def test_ham_sandwich_counts(seed):
     ps = general_instance(16, seed)
     s1, s2 = list(range(8)), list(range(8, 16))
-    line, parts = next(ham_sandwich_cuts(ps, s1, s2))
+    e, parts = next(ham_sandwich_cuts(ps, s1, s2))
     s1l, s1r, s2l, s2r = parts
     assert sorted(s1l + s1r) == s1 and sorted(s2l + s2r) == s2
-    for grp in (s1l, s2l):
-        for i in grp:
-            assert side_of_line(line, ps.points[i]) is Side.LEFT
-    for grp in (s1r, s2r):
-        for i in grp:
-            assert side_of_line(line, ps.points[i]) is Side.RIGHT
+    assert keys_separate(ps.points, e, s1l + s2l, s1r + s2r)
     assert abs(len(s1l) - len(s1r)) <= 1
     assert abs(len(s2l) - len(s2r)) <= 1
 
@@ -73,14 +62,14 @@ def test_ham_sandwich_counts(seed):
 def test_ham_sandwich_odd_sets():
     ps = general_instance(15, 9)
     s1, s2 = list(range(7)), list(range(7, 15))
-    line, parts = next(ham_sandwich_cuts(ps, s1, s2))
+    _, parts = next(ham_sandwich_cuts(ps, s1, s2))
     assert abs(len(parts[0]) - len(parts[1])) == 1  # |s1| = 7
     assert len(parts[2]) == len(parts[3])  # |s2| = 8
 
 
 def test_ham_sandwich_singletons():
     ps = general_instance(4, 2)
-    line, parts = next(ham_sandwich_cuts(ps, [0], [1]))
+    _, parts = next(ham_sandwich_cuts(ps, [0], [1]))
     assert len(parts[0]) + len(parts[1]) == 1
     assert len(parts[2]) + len(parts[3]) == 1
 
@@ -100,7 +89,7 @@ def test_constrained_ham_sandwich_keeps_pair_together():
         if res is None:
             continue
         found += 1
-        line, parts = res
+        _, parts = res
         s1l = set(parts[0])
         assert (pair[0] in s1l) == (pair[1] in s1l)
         assert abs(len(parts[0]) - len(parts[1])) <= 1
@@ -112,7 +101,7 @@ def test_separating_subset_line_base_case():
     pts = ps.points
     xs = sorted(range(8), key=lambda i: (pts[i].x, pts[i].y))
     pair = (xs[0], xs[1])
-    line, grown = separating_subset_line(ps, range(8), pair, target_size=2)
+    _, grown = separating_subset_line(ps, range(8), pair, target_size=2)
     assert set(grown) == set(pair)
 
 
@@ -121,12 +110,9 @@ def test_separating_subset_line_balanced_growth():
     pts = ps.points
     xs = sorted(range(12), key=lambda i: (pts[i].x, pts[i].y))
     pair = (xs[0], xs[1])
-    line, grown = separating_subset_line(ps, range(12), pair, target_size=6)
+    e, grown = separating_subset_line(ps, range(12), pair, target_size=6)
     assert len(grown) == 6 and set(pair) <= set(grown)
-    for i in range(12):
-        s = side_of_line(line, pts[i])
-        assert s is not Side.ON
-        assert (s is Side.LEFT) == (i in grown)
+    assert keys_separate(pts, e, grown, [i for i in range(12) if i not in grown])
 
 
 def test_separating_subset_line_not_separable():
@@ -146,14 +132,14 @@ def test_constrained_ham_sandwich_absent_when_pair_straddles_everything():
     s1, s2 = [0, 1, 2, 3], [4, 5, 6, 7]
     unconstrained = list(ham_sandwich_cuts(pts, s1, s2))
     assert unconstrained, "sanity: plain cuts exist"
-    for _line, parts in unconstrained:
+    for _e, parts in unconstrained:
         assert (0 in parts[0]) != (3 in parts[0])
     assert next(ham_sandwich_cuts(pts, s1, s2, pair=(0, 3)), None) is None
 
 
 def test_ham_sandwich_two_against_two():
     pts = [Point(-100, -50), Point(-100, 50), Point(100, -47), Point(100, 53)]
-    line, parts = next(ham_sandwich_cuts(pts, [0, 1], [2, 3]))
+    _, parts = next(ham_sandwich_cuts(pts, [0, 1], [2, 3]))
     assert len(parts[0]) == len(parts[1]) == 1
     assert len(parts[2]) == len(parts[3]) == 1
 
@@ -161,7 +147,7 @@ def test_ham_sandwich_two_against_two():
 def full_scan_cuts(points, s1, s2, pair=None):
     """Reference ham_sandwich_cuts: each direction's order sorted by a key
     per point, then every prefix length tested for balance."""
-    from hcpack.bisection import _cross, _pair_directions, _threshold_line, _tilted
+    from hcpack.bisection import _cross, _pair_directions, _tilted
 
     s1, s2 = sorted(s1), sorted(s2)
     both, seen = s1 + s2, set()
@@ -178,8 +164,8 @@ def full_scan_cuts(points, s1, s2, pair=None):
             if frozenset(left) in seen:
                 continue
             seen.add(frozenset(left))
-            line = _threshold_line(points, order[:t], order[t:], e)
-            yield line, (
+            assert keys_separate(points, e, order[:t], order[t:])
+            yield e, (
                 tuple(i for i in s1 if i in left),
                 tuple(i for i in s1 if i not in left),
                 tuple(i for i in s2 if i in left),
@@ -209,14 +195,13 @@ small_points = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
     min_size=2,
     max_size=12,
-    unique=True,
 )
 
 
 @given(small_points, st.integers(0, 10_000))
 @settings(max_examples=300, deadline=None)
 def test_cut_engine_exact_on_tiny_grids(raw, dseed):
-    # tiny grids force cross-value ties and the gcd fallback paths
+    # tiny grids force cross-value ties; duplicate points force split pairs
     from hcpack.bisection import cut_at
 
     pts = [Point(x, y) for x, y in raw]
@@ -225,13 +210,12 @@ def test_cut_engine_exact_on_tiny_grids(raw, dseed):
     if i == j:
         j = (j + 1) % n
     d = (pts[j].x - pts[i].x, pts[j].y - pts[i].y)
-    if d == (0, 0):
-        return
     sense = 1 if dseed % 2 else -1
     left_count = 1 + dseed % (n - 1)
-    bi = cut_at(pts, range(n), d, sense, left_count)
+    try:
+        bi = cut_at(pts, range(n), d, sense, left_count)
+    except DegenerateInput:
+        assert len(set(pts)) < n, "only a duplicate pair may stop a cut"
+        return
     assert len(bi.left) == left_count
-    for k in bi.left:
-        assert side_of_line(bi.line, pts[k]) is Side.LEFT
-    for k in bi.right:
-        assert side_of_line(bi.line, pts[k]) is Side.RIGHT
+    assert keys_separate(pts, bi.direction, bi.left, bi.right)

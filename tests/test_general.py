@@ -23,11 +23,11 @@ from hcpack import (
 )
 from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
-from hcpack.errors import CollinearOverlap, MarchFailed, StillCrossing
+from hcpack.errors import CollinearOverlap, HcpackError, MarchFailed, StillCrossing
 from hcpack.general import _FlatLedger, _JoinScreen, _March, _splice
-from hcpack.geometry import OrientedLine, convex_hull, oracle_for, orientation
+from hcpack.geometry import convex_hull, oracle_for, orientation
 
-from conftest import CrossLedger, degenerate_lists, general_instance
+from conftest import CrossLedger, degenerate_lists, general_instance, keys_separate
 
 
 def test_march_cycle_triangle():
@@ -122,12 +122,13 @@ def test_march_bridge_is_the_one_extreme_pair(n):
     for seed in range(3):
         ps = general_instance(n, 40 + seed)
         for cut in islice(bisecting_lines(ps, range(n)), 3):
+            assert keys_separate(ps.points, cut.direction, cut.left, cut.right)
             march = _March(ps.points, cut, frozenset())
             left, right = march.left0, march.right0
             for _ in range(20):
                 r1 = set(rng.sample(left, rng.randint(1, len(left))))
                 r2 = set(rng.sample(right, rng.randint(1, len(right))))
-                want = extreme_pairs(ps.points, cut.line.direction, r1, r2)
+                want = extreme_pairs(ps.points, cut.direction, r1, r2)
                 assert len(want) == 1, (n, seed, r1, r2, want)
                 assert march._bridge(r1, r2) == want[0], (n, seed, r1, r2)
             assert march._bridge(set(), set(right)) is None
@@ -137,11 +138,13 @@ def test_march_bridge_is_the_one_extreme_pair(n):
 def test_march_cycle_rejects_a_line_that_does_not_separate():
     ps = general_instance(10, 4)
     bi = bisecting_line(ps, range(10))
-    # swap one point across the line: the line no longer separates the sides
+    # swap one point across the cut: its direction no longer separates the sides
     left = bi.left[1:] + bi.right[:1]
     right = bi.right[1:] + bi.left[:1]
+    assert keys_separate(ps.points, bi.direction, bi.left, bi.right)
+    assert not keys_separate(ps.points, bi.direction, left, right)
     with pytest.raises(ValueError):
-        march_cycle(ps, range(10), bisection=Bisection(bi.line, left, right))
+        march_cycle(ps, range(10), bisection=Bisection(bi.direction, left, right))
 
 
 # sha256 over march_cycle's cycle and stones for n = 48, 64, 96, 128 and
@@ -194,8 +197,9 @@ def test_march_bridge_matches_a_fresh_hull_at_every_node(monkeypatch):
             march_cycle(ps, range(n))
             # the same sides under the reversed direction: the other sign of bs
             bi = bisecting_line(ps, range(n))
-            dx, dy = bi.line.direction
-            flipped = Bisection(OrientedLine(bi.line.anchor, (-dx, -dy)), bi.left, bi.right)
+            dx, dy = bi.direction
+            flipped = Bisection((-dx, -dy), bi.left, bi.right)
+            assert keys_separate(ps.points, flipped.direction, bi.right, bi.left)
             try:
                 march_cycle(ps, range(n), bisection=flipped)
             except MarchFailed:
@@ -214,8 +218,10 @@ def march_outcome(points):
 
 
 # sha256 over march_outcome of each degenerate list, recorded before the
-# march's bridge, move rule and ledger moved to flat integer coordinates
-DEGENERATE_MARCH_DIGEST = "4e36d6efb82bae0854d3cdac25007daf79432c80023326a515e6cea95fdca2c5"
+# march's bridge, move rule and ledger moved to flat integer coordinates,
+# then re-recorded once a cut separating a duplicate pair, or a cut
+# direction taken from one, raised DegenerateInput
+DEGENERATE_MARCH_DIGEST = "74c36fe832692c261cd208af6e5a9f3757270ab5b413afbd66ac72b62878ba6c"
 
 
 def test_degenerate_march_unchanged():
@@ -227,6 +233,20 @@ def test_degenerate_march_unchanged():
         digest.update(repr((seed, out)).encode())
     assert {"cycle", "DegenerateInput", "CollinearOverlap"} <= outcomes
     assert digest.hexdigest() == DEGENERATE_MARCH_DIGEST
+
+
+def test_march_on_degenerate_lists_raises_only_package_errors():
+    """Duplicates and collinear triples end in a cycle or a package error
+    (DegenerateInput, CollinearOverlap, ...), never a stray exception."""
+    stray = []
+    for seed, points in degenerate_lists():
+        try:
+            march_cycle(points, range(len(points)))
+        except HcpackError:
+            pass
+        except Exception as exc:
+            stray.append((seed, type(exc).__name__))
+    assert stray == []
 
 
 def test_march_ledger_agrees_with_cross_ledger(monkeypatch):

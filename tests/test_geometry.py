@@ -7,17 +7,14 @@ from hypothesis import given, strategies as st
 from hcpack import (
     Config,
     Orientation,
-    OrientedLine,
     Point,
     PointSet,
-    Side,
     convex_cross,
     convex_hull,
     coordinate_oracle,
     in_general_position,
     orientation,
     segments_properly_cross,
-    side_of_line,
     wheel_cross,
     wheel_oracle,
 )
@@ -226,22 +223,6 @@ def test_convex_hull_contains_all(pts):
         for i in range(n):
             a, b = pts[hull[i]], pts[hull[(i + 1) % n]]
             assert orientation(a, b, p) in (Orientation.CCW, Orientation.COLLINEAR)
-
-
-def test_side_of_line_examples():
-    l = OrientedLine(Point(0, 0), (1, 0))
-    assert side_of_line(l, Point(0, 1)) is Side.LEFT
-    assert side_of_line(l, Point(5, 0)) is Side.ON
-    assert side_of_line(l, Point(0, -1)) is Side.RIGHT
-
-
-@given(points, st.tuples(coords, coords), points)
-def test_side_flips_under_negation(anchor, d, p):
-    if d == (0, 0):
-        return
-    l1 = OrientedLine(anchor, d)
-    l2 = OrientedLine(anchor, (-d[0], -d[1]))
-    assert side_of_line(l1, p) == -side_of_line(l2, p)
 
 
 def test_point_set_validation():
