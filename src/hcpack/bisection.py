@@ -10,7 +10,11 @@ raises `DegenerateInput`.
 Searches enumerate candidate directions from input point pairs, in both
 orientations and both tilt senses; that reproduces the classical
 "line through one point of each set, perturbed to either side" sweep with
-O(n^3) work, plenty at the instance sizes this package targets.
+O(n^3) work, plenty at the instance sizes this package targets.  The
+ham-sandwich search first tests each pair on its untilted keys: the tilt
+only breaks ties, so a pair none of whose directions can balance both sets
+is dropped before it is tilted or sorted, and the tilted work is spent
+only on the few pairs that can yield a cut.
 """
 
 from __future__ import annotations
@@ -89,13 +93,17 @@ def cut_at(points, subset: Sequence[int], d, sense: int, left_count: int) -> Bis
     return Bisection(e, tuple(sorted(left)), tuple(sorted(right)))
 
 
-def _pair_directions(points, idx_a: Sequence[int], idx_b: Sequence[int]):
+def _pair_directions(points, idx_a: Sequence[int], idx_b: Sequence[int], keep=None):
+    """The four `(d, sense)` candidates of each point pair, in canonical
+    order; with `keep`, only those of the pairs whose `(dx, dy)` it accepts."""
     for i in sorted(idx_a):
         for j in sorted(idx_b):
             if i == j:
                 continue
             dx = points[j].x - points[i].x
             dy = points[j].y - points[i].y
+            if keep is not None and not keep(dx, dy):
+                continue
             for d in ((dx, dy), (-dx, -dy)):
                 for sense in (1, -1):
                     yield d, sense
@@ -136,6 +144,16 @@ def ham_sandwich_cuts(
 
     With `pair`, only cuts keeping both pair members in the same part of
     s1 are yielded.
+
+    Each point pair `(i, j)` is first tested once on the untilted keys
+    `c(p) = cross(d, p)`, `d = p_j - p_i`.  The tilt only breaks ties in
+    `c`, so a balanced split under any of the pair's directions is a split
+    of `c` with ties allowed: its threshold lies in both sets' bands
+    `[c[l], c[l - 1]]` (keys in descending order, `l` a balanced count).
+    A pair whose two bands are disjoint yields nothing and is skipped.
+    Negating `d` negates `c` and maps a balanced count `l` to `n - l`, so
+    one test serves all four `(±d, sense)` directions; the stream, and
+    every exception, is the same as without the test.
     """
     points = _points_of(ps)
     s1 = sorted(s1)
@@ -150,8 +168,19 @@ def ham_sandwich_cuts(
     n1, n2 = len(s1), len(s2)
     t_lo = max(n1 // 2 + n2 // 2, 1)
     t_hi = min((n1 + 1) // 2 + (n2 + 1) // 2, len(both) - 1)
+    xy1, xy2 = list(zip(xs[:n1], ys[:n1])), list(zip(xs[n1:], ys[n1:]))
+    lo1, hi1, lo2, hi2 = n1 // 2 - 1, (n1 + 1) // 2, n2 // 2 - 1, (n2 + 1) // 2
+
+    def bands_meet(dx, dy):
+        # ascending keys cross(d, p); a balanced split of a set has its
+        # threshold in the set's band [keys[lo], keys[hi]]
+        a1 = sorted([dx * y - dy * x for x, y in xy1])
+        a2 = sorted([dx * y - dy * x for x, y in xy2])
+        return max(a1[lo1], a2[lo2]) <= min(a1[hi1], a2[hi2])
+
     seen = set()
-    for d, sense in _pair_directions(points, s1, s2):
+    keep = bands_meet if min(n1, n2) > 1 else None  # a singleton's band is unbounded
+    for d, sense in _pair_directions(points, s1, s2, keep):
         e = ex, ey = _tilted(points, both, d, sense)
         keys = [ey * x - ex * y for x, y in zip(xs, ys)]  # -cross(e, p)
         order = [both[j] for j in sorted(range(len(both)), key=keys.__getitem__)]

@@ -177,27 +177,22 @@ def convex_hull(points: Sequence[Point]) -> list[int]:
     return hull
 
 
-def primitive_direction(p: Point, q: Point) -> Tuple[int, int]:
-    """Primitive, sign-normalised direction of the line through p and q, so
-    that r lies on that line iff `primitive_direction(p, r)` is the same;
-    (0, 0) iff p == q."""
-    dx, dy = q.x - p.x, q.y - p.y
-    g = gcd(dx, dy)
-    if g == 0:
-        return (0, 0)
-    if dx < 0 or (dx == 0 and dy < 0):
-        g = -g
-    return (dx // g, dy // g)
-
-
 def in_general_position(points: Sequence[Point]) -> bool:
-    """Distinct points, no three collinear: per point, the directions to the
-    later points must be nonzero and distinct.  O(n^2) time, O(n) memory."""
-    for i, p in enumerate(points):
+    """Distinct points, no three collinear: per point, the primitive,
+    sign-normalised directions to the later points must be nonzero and
+    distinct.  O(n^2) time, O(n) memory."""
+    xy = [(p.x, p.y) for p in points]
+    for i, (px, py) in enumerate(xy):
         seen = set()
-        for j in range(i + 1, len(points)):
-            d = primitive_direction(p, points[j])
-            if d == (0, 0) or d in seen:
+        for qx, qy in xy[i + 1 :]:
+            dx, dy = qx - px, qy - py
+            g = gcd(dx, dy)
+            if g == 0:
+                return False
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            d = (dx // g, dy // g)
+            if d in seen:
                 return False
             seen.add(d)
     return True

@@ -22,7 +22,6 @@ from .geometry import (
     Point,
     PointSet,
     coordinate_oracle,  # unused here; perfbench/tracer.py patches this name
-    primitive_direction,
 )
 
 RADIUS = 10**6
@@ -173,20 +172,31 @@ def _wheel_points(n: int) -> List[Tuple[int, int]]:
 
 def _general_points(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
     rng = random.Random(seed)
-    pts: List[Point] = []
+    pts: List[Tuple[int, int]] = []
     # later[i]: primitive directions from pts[i] to the points drawn after it,
-    # so a candidate repeating a point or collinear with two costs O(len(pts))
+    # sign-normalised so collinear points share one, so a candidate repeating
+    # a point or collinear with two costs O(len(pts))
     later: List[set] = []
     while len(pts) < n:
-        cand = Point(rng.randint(-RADIUS, RADIUS), rng.randint(-RADIUS, RADIUS))
-        dirs = [primitive_direction(a, cand) for a in pts]
-        if any(d == (0, 0) or d in seen for d, seen in zip(dirs, later)):
-            continue
-        for d, seen in zip(dirs, later):
-            seen.add(d)
-        pts.append(cand)
-        later.append(set())
-    return [(p.x, p.y) for p in pts]
+        cx, cy = rng.randint(-RADIUS, RADIUS), rng.randint(-RADIUS, RADIUS)
+        dirs = []
+        for (ax, ay), seen in zip(pts, later):
+            dx, dy = cx - ax, cy - ay
+            g = math.gcd(dx, dy)
+            if g == 0:
+                break
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            d = (dx // g, dy // g)
+            if d in seen:
+                break
+            dirs.append(d)
+        else:
+            for d, seen in zip(dirs, later):
+                seen.add(d)
+            pts.append((cx, cy))
+            later.append(set())
+    return pts
 
 
 def generate(config: Config, n: int, seed: Optional[int] = None) -> InstanceFile:

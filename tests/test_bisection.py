@@ -146,12 +146,16 @@ def test_ham_sandwich_two_against_two():
 
 def full_scan_cuts(points, s1, s2, pair=None):
     """Reference ham_sandwich_cuts: each direction's order sorted by a key
-    per point, then every prefix length tested for balance."""
+    per point, then every prefix length tested for balance.  A zero
+    direction, and a split parting coincident points, raise
+    DegenerateInput."""
     from hcpack.bisection import _cross, _pair_directions, _tilted
 
     s1, s2 = sorted(s1), sorted(s2)
     both, seen = s1 + s2, set()
     for d, sense in _pair_directions(points, s1, s2):
+        if d == (0, 0):
+            raise DegenerateInput("zero direction")
         e = _tilted(points, both, d, sense)
         order = sorted(both, key=lambda i: -_cross(e, points[i]))
         for t in range(1, len(both)):
@@ -164,6 +168,8 @@ def full_scan_cuts(points, s1, s2, pair=None):
             if frozenset(left) in seen:
                 continue
             seen.add(frozenset(left))
+            if {points[i] for i in order[:t]} & {points[i] for i in order[t:]}:
+                raise DegenerateInput("split parts coincident points")
             assert keys_separate(points, e, order[:t], order[t:])
             yield e, (
                 tuple(i for i in s1 if i in left),
@@ -189,7 +195,57 @@ def test_ham_sandwich_stream_matches_a_full_prefix_scan(seed):
         assert list(ham_sandwich_cuts(points, s1, s2, pair=pair)) == want, (s1, s2, pair)
 
 
+def test_band_test_skips_the_tilt_of_pairs_that_cannot_balance(monkeypatch):
+    # each tilted direction is a key and sort of every point; a pair whose
+    # untilted bands are disjoint must not reach one
+    import hcpack.bisection as bisection
+
+    calls = []
+    tilted = bisection._tilted
+    monkeypatch.setattr(bisection, "_tilted", lambda *a: calls.append(a) or tilted(*a))
+    ps = general_instance(28, 1)
+    s1, s2 = list(range(14)), list(range(14, 28))
+    next(ham_sandwich_cuts(ps, s1, s2))
+    assert len(calls) == 1
+    calls.clear()
+    stream = list(ham_sandwich_cuts(ps, s1, s2))
+    assert len(calls) == 60
+    monkeypatch.undo()
+    assert stream == list(full_scan_cuts(ps.points, s1, s2))
+
+
+def _outcome(stream):
+    """The items a stream yields, then the type of the exception that
+    ended it, if any."""
+    items = []
+    try:
+        for item in stream:
+            items.append(item)
+    except DegenerateInput as exc:
+        items.append(type(exc))
+    return items
+
+
 from hypothesis import given, settings, strategies as st
+
+
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=10),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_ham_sandwich_stream_matches_a_full_prefix_scan_on_tiny_grids(raw, rng):
+    # ties in cross(d, p), collinear runs and duplicate points are where the
+    # band test and the tilt meet; the exception, if any, must match too
+    points = [Point(x, y) for x, y in raw]
+    n = len(points)
+    idx = rng.sample(range(n), n)
+    cut = rng.randint(1, n - 1)
+    s1, s2 = idx[:cut], idx[cut:]
+    pair = tuple(rng.sample(s1, 2)) if len(s1) > 1 and rng.random() < 0.5 else None
+    want = _outcome(full_scan_cuts(points, s1, s2, pair))
+    assert _outcome(ham_sandwich_cuts(points, s1, s2, pair=pair)) == want
+
 
 small_points = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
