@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import DegenerateInput, NotSeparable
-from .geometry import Point, PointSet
+from .geometry import Point, points_of
 
 IndexList = Tuple[int, ...]
 Direction = Tuple[int, int]
@@ -45,10 +45,6 @@ class Bisection:
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "left", tuple(self.left))
         object.__setattr__(self, "right", tuple(self.right))
-
-
-def _points_of(ps) -> Tuple[Point, ...]:
-    return ps.points if isinstance(ps, PointSet) else tuple(ps)
 
 
 def _primitive(dx: int, dy: int) -> Direction:
@@ -111,7 +107,7 @@ def _pair_directions(points, idx_a: Sequence[int], idx_b: Sequence[int], keep=No
 
 def bisecting_lines(ps, subset: Sequence[int]) -> Iterator[Bisection]:
     """Deterministic stream of distinct balanced bisections of subset."""
-    points = _points_of(ps)
+    points = points_of(ps)
     sub = sorted(subset)
     nl = (len(sub) + 1) // 2
     seen = set()
@@ -155,7 +151,7 @@ def ham_sandwich_cuts(
     one test serves all four `(±d, sense)` directions; the stream, and
     every exception, is the same as without the test.
     """
-    points = _points_of(ps)
+    points = points_of(ps)
     s1 = sorted(s1)
     s2 = sorted(s2)
     both = s1 + s2
@@ -220,7 +216,7 @@ def separating_subset_line(
     the sub-subset is grown point by point from the pair, so it is exactly
     the target-size prefix of that order.
     """
-    points = _points_of(ps)
+    points = points_of(ps)
     sub = sorted(subset)
     pset = set(pair)
     if not pset <= set(sub):

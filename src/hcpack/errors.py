@@ -38,7 +38,7 @@ class MarchFailed(HcpackError):
 
 
 class StillCrossing(HcpackError):
-    """Uncrossing produced a cycle that is not 1-plane."""
+    """Raised by no code; perfbench/tracer.py counts it as an `uncross` failure."""
 
 
 class NoJoinFound(HcpackError):

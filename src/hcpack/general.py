@@ -26,22 +26,16 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .bisection import Bisection, bisecting_lines, ham_sandwich_cuts, separating_subset_line
+# crossing_report and is_one_plane: unused here; perfbench/tracer.py patches these names
 from .cycles import HamCycle, Packing, crossing_report, is_one_plane
-from .errors import (
-    InvalidN,
-    MarchFailed,
-    NoJoinFound,
-    NotSeparable,
-    PackingIncomplete,
-    StillCrossing,
-)
+from .errors import InvalidN, MarchFailed, NoJoinFound, NotSeparable, PackingIncomplete
 from .geometry import (
     CrossingOracle,
     Edge,
-    PointSet,
     convex_hull,
     coordinate_oracle,
     edge,
+    points_of,
     segments_properly_cross,  # unused here; perfbench/tracer.py patches this name
 )
 
@@ -373,7 +367,7 @@ def march_cycle(
     admits a march.  The returned stone list is empty or a single terminal
     edge; a bare triangle reports no stone.
     """
-    points = ps.points if isinstance(ps, PointSet) else tuple(ps)
+    points = points_of(ps)
     sub = sorted(subset)
     if len(sub) < 3:
         raise ValueError("need at least 3 points")
@@ -399,11 +393,10 @@ def march_cycle(
 
 
 def uncross(c: HamCycle, pair: Tuple[Edge, Edge], oracle: CrossingOracle) -> HamCycle:
-    """Replace a crossing pair by the single-cycle reconnection.
-
-    Of the two reconnection patterns exactly one keeps one cycle; the
-    result must still verify 1-plane, else StillCrossing is raised.
-    """
+    """Replace a crossing pair of cycle edges by the single-cycle
+    reconnection, 1-plane or not: of the two reconnection patterns exactly
+    one keeps one cycle.  Raises ValueError unless `pair` is two crossing
+    edges of `c`."""
     e1, e2 = pair
     if not oracle(e1, e2):
         raise ValueError(f"{e1} and {e2} do not cross")
@@ -419,10 +412,7 @@ def uncross(c: HamCycle, pair: Tuple[Edge, Edge], oracle: CrossingOracle) -> Ham
     p, k = sorted(map(ring.index, e2))
     if k != p + 1:
         raise ValueError(f"{e2} is not an edge of the cycle")
-    new = HamCycle(ring[k:] + ring[k - 1 :: -1])
-    if not is_one_plane(new, oracle):
-        raise StillCrossing(f"uncrossing {pair} leaves a double crossing")
-    return new
+    return HamCycle(ring[k:] + ring[k - 1 :: -1])
 
 
 def _splice(c1: HamCycle, c2: HamCycle, u2: int, v2: int, pattern: int) -> HamCycle:
@@ -459,13 +449,15 @@ class _JoinScreen:
     determinant goes to the oracle, so degenerate input gets the oracle's
     answer (or its CollinearOverlap); in general position only incident
     edges give zeros, and those never cross.  The same masks give the
-    screen's own crossing counts and pairs.
+    screen's own crossing counts and pairs, and `own_pairs` the crossing
+    pairs within one cycle.  `candidate_ok` is only asked about 1-plane cycles.
     """
 
     def __init__(
         self, c1: HamCycle, c2: HamCycle, xs: List[int], ys: List[int], oracle: CrossingOracle
     ):
         self.xs, self.ys, self.oracle = xs, ys, oracle
+        self.cycles = (c1, c2)
         self.es1, self.es2 = c1.edges(), c2.edges()
         edges = self.edges = self.es1 + self.es2
         self.index = {e: i for i, e in enumerate(edges)}
@@ -510,6 +502,18 @@ class _JoinScreen:
                     crossed[j] |= 1 << i
         self.over = tuple(i for i, c in enumerate(counts) if c > 1)
         self._hits: Dict[Edge, Tuple[int, ...]] = {}
+
+    def own_pairs(self, which: int) -> List[Tuple[int, int]]:
+        """Index pairs i < j, ascending, of the crossing edges within cycle
+        `which` (0 or 1), as indices into that cycle's `edges()`."""
+        lo, hi = (0, len(self.es1)) if which == 0 else (len(self.es1), len(self.edges))
+        pairs = []
+        for i in range(lo, hi):
+            m = self.crossed[i] >> i + 1 & (1 << hi - i - 1) - 1  # bit b: edge i + 1 + b
+            while m:
+                pairs.append((i - lo, i - lo + (m & -m).bit_length()))
+                m &= m - 1
+        return pairs
 
     def hits(self, a: Edge) -> Tuple[int, ...]:
         """Indices of the first (at most 2) screen edges `a` crosses."""
@@ -559,12 +563,10 @@ class _JoinScreen:
         return True
 
 
-def _plain_join(c1, c2, forbidden, xs, ys, oracle, extra_uncross=()):
+def _plain_join(screen: _JoinScreen, forbidden, extra_uncross=()):
     """The first exchange in canonical order that avoids `forbidden` and
     that the screen accepts; the screen is exact, so its splice is 1-plane."""
-    screen = _JoinScreen(c1, c2, xs, ys, oracle)
-    succ1 = dict(zip(c1.order, c1.order[1:] + c1.order[:1]))
-    succ2 = dict(zip(c2.order, c2.order[1:] + c2.order[:1]))
+    succ1, succ2 = (dict(zip(c.order, c.order[1:] + c.order[:1])) for c in screen.cycles)
     for r1 in sorted(screen.es1):
         u1, u2 = r1 if succ1[r1[0]] == r1[1] else r1[::-1]
         for r2 in sorted(screen.es2):
@@ -576,7 +578,7 @@ def _plain_join(c1, c2, forbidden, xs, ys, oracle, extra_uncross=()):
                     continue
                 if not screen.candidate_ok(r1, r2, added[0], added[1]):
                     continue
-                return _splice(c1, c2, u2, v2, pattern), JoinMove(
+                return _splice(*screen.cycles, u2, v2, pattern), JoinMove(
                     removed=(r1, r2), added=added, created_uncrossings=tuple(extra_uncross)
                 )
     return None
@@ -593,38 +595,36 @@ def join_cycles(
 
     Plain exchange pairs are tried in canonical order, then variants that
     first uncross one cycle, then both.  Added and created edges must avoid
-    `forbidden`.  Crossings are decided exactly on the points' integer
-    coordinates, through `coordinate_oracle` wherever a determinant is 0.
+    `forbidden`, and an uncrossed cycle must stay 1-plane.  Crossings are
+    decided exactly on the points' integer coordinates, through
+    `coordinate_oracle` wherever a determinant is 0.
     """
-    points = ps.points if isinstance(ps, PointSet) else tuple(ps)
+    points = points_of(ps)
     xs, ys = [p.x for p in points], [p.y for p in points]
     oracle = coordinate_oracle(points)
-    r = _plain_join(c1, c2, forbidden, xs, ys, oracle)
+    base = _JoinScreen(c1, c2, xs, ys, oracle)
+    r = _plain_join(base, forbidden)
     if r:
         return r
-
-    def uncross_variants(c):
-        for pair in sorted(crossing_report(c, oracle).pairs):
-            try:
-                nc = uncross(c, pair, oracle)
-            except StillCrossing:
-                continue
-            old = set(c.edges())
+    variants = ([], [])  # each cycle's 1-plane uncross variants, built once
+    for which, c in enumerate((c1, c2)):
+        es = c.edges()
+        old = set(es)
+        for pair in sorted((es[i], es[j]) for i, j in base.own_pairs(which)):
+            nc = uncross(c, pair, oracle)
             created = tuple(e for e in nc.edges() if e not in old)
             if any(e in forbidden for e in created):
                 continue
-            yield nc, (pair, created)
-
-    variants = ([], [])  # each cycle's uncross variants, built once
-    for which, (base, other) in enumerate(((c1, c2), (c2, c1))):
-        for nc, record in uncross_variants(base):
-            variants[which].append((nc, record))
-            a, b = (nc, other) if which == 0 else (other, nc)
-            r = _plain_join(a, b, forbidden, xs, ys, oracle, extra_uncross=[record])
+            screen = _JoinScreen(*((nc, c2), (c1, nc))[which], xs, ys, oracle)
+            ends = [i for p in screen.own_pairs(which) for i in p]
+            if len(ends) != len(set(ends)):
+                continue  # an edge of nc is crossed twice
+            variants[which].append((nc, (pair, created)))
+            r = _plain_join(screen, forbidden, [(pair, created)])
             if r:
                 return r
     for (nc1, rec1), (nc2, rec2) in itertools.product(*variants):
-        r = _plain_join(nc1, nc2, forbidden, xs, ys, oracle, extra_uncross=[rec1, rec2])
+        r = _plain_join(_JoinScreen(nc1, nc2, xs, ys, oracle), forbidden, [rec1, rec2])
         if r:
             return r
     raise NoJoinFound(
@@ -780,7 +780,7 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     PackingIncomplete (with the longest path's cycles) if the search ends
     without reaching k-1 cycles.
     """
-    points = ps.points if isinstance(ps, PointSet) else tuple(ps)
+    points = points_of(ps)
     n = len(points)
     k = n.bit_length() - 1
     if k < 2:

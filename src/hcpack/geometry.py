@@ -249,6 +249,10 @@ class PointSet:
         return wheel_relabeling(len(self.points), self.center_index)[1][:-1]
 
 
+def points_of(ps) -> Tuple[Point, ...]:
+    return ps.points if isinstance(ps, PointSet) else tuple(ps)
+
+
 def _is_ccw_convex_order(points: Sequence[Point]) -> bool:
     """The points are the vertices of their convex hull, listed ccw from any
     start; O(n log n).

@@ -23,7 +23,7 @@ from hcpack import (
 )
 from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
-from hcpack.errors import CollinearOverlap, HcpackError, MarchFailed, StillCrossing
+from hcpack.errors import CollinearOverlap, HcpackError, MarchFailed
 from hcpack.general import _FlatLedger, _JoinScreen, _March, _splice
 from hcpack.geometry import convex_hull, oracle_for, orientation
 
@@ -411,10 +411,7 @@ def test_uncross_removes_crossing_from_one_plane_cycle():
     ]
     if not crossing:
         pytest.skip("march produced a plane cycle")
-    try:
-        fixed = uncross(cyc, crossing[0], orc)
-    except StillCrossing:
-        return  # acceptable outcome: the pair was unusable
+    fixed = uncross(cyc, crossing[0], orc)
     assert verify_hamiltonian(fixed, 10)
     assert is_one_plane(fixed, orc)
     removed = set(crossing[0])
@@ -444,11 +441,12 @@ def _single_cycle_reconnection(cyc, e1, e2):
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_uncross_property_on_random_cycles(n):
-    """uncross either refuses with StillCrossing, exactly when the single
-    reconnection is not 1-plane, or returns that reconnection; a crossing
+    """uncross returns the single-cycle reconnection of every crossing pair
+    of cycle edges, whether that is 1-plane or not (both occur); a crossing
     pair that is not two cycle edges is a ValueError."""
     rng = random.Random(n)
     all_edges = list(combinations(range(n), 2))
+    planes = set()
     for seed in range(3):
         ps = general_instance(n, seed)
         orc = coordinate_oracle(ps.points)
@@ -461,12 +459,8 @@ def test_uncross_property_on_random_cycles(n):
                 if set(e1) & set(e2) or not orc(e1, e2):
                     continue
                 want = _single_cycle_reconnection(cyc, e1, e2)
-                plane = crossing_report(sorted(want), orc).max_count <= 1
+                planes.add(crossing_report(sorted(want), orc).max_count <= 1)
                 for pair in ((e1, e2), (e2, e1)):
-                    if not plane:
-                        with pytest.raises(StillCrossing):
-                            uncross(cyc, pair, orc)
-                        continue
                     got = uncross(cyc, pair, orc)
                     assert verify_hamiltonian(got, n)
                     assert set(got.edges()) == want
@@ -475,6 +469,7 @@ def test_uncross_property_on_random_cycles(n):
                     continue
                 with pytest.raises(ValueError):
                     uncross(cyc, (e1, e2), orc)
+    assert planes == {True, False}
 
 
 def test_join_two_triangles():
@@ -503,19 +498,34 @@ def test_join_respects_forbidden():
     assert is_one_plane(merged, orc)
 
 
-def test_join_uses_created_edges_when_plain_join_blocked():
-    # force the plain exchanges dry by forbidding every cross link between
-    # the two vertex groups except ones that need an uncross first
-    ps = general_instance(16, 21)
-    res = pack_general_detailed(ps)
-    used_created = any(
-        mv.created_uncrossings for moves in res.join_log for mv in moves
-    )
-    # not guaranteed for one seed; just assert the log shape is consistent
-    for moves in res.join_log:
-        for mv in moves:
-            assert len(mv.added) == 2
-            assert len(mv.removed) == 2
+def test_join_uses_created_edges_when_plain_join_blocked(monkeypatch):
+    """General n = 8 (seed 37) and n = 64 (seed 1) each make one join that
+    uncrosses a pair first; its record says which pair went and which two
+    edges replaced it, and the merged cycle is exactly the bookkeeping."""
+    joins = []
+    join = general.join_cycles
+
+    def recorded(c1, c2, forbidden, ps):
+        merged, mv = join(c1, c2, forbidden, ps)
+        joins.append((c1, c2, forbidden, merged, mv))
+        return merged, mv
+
+    monkeypatch.setattr(general, "join_cycles", recorded)
+    for n, seed in [(8, 37), (64, 1)]:
+        ps = general_instance(n, seed)
+        orc = coordinate_oracle(ps.points)
+        joins.clear()
+        res = pack_general_detailed(ps)
+        mv, = (mv for moves in res.join_log for mv in moves if mv.created_uncrossings)
+        (c1, c2, forbidden, merged, _), = (j for j in joins if j[4] is mv)
+        (pair, created), = mv.created_uncrossings
+        base = set(c1.edges()) | set(c2.edges())
+        assert set(pair) <= base and orc(*pair)
+        assert len(created) == 2 and not (set(created) & (base | set(forbidden)))
+        assert mv.removed_edges() == list(mv.removed) + list(pair)
+        assert set(merged.edges()) == (base | set(created) | set(mv.added)) - set(mv.removed_edges())
+        assert verify_hamiltonian(merged, len(c1) + len(c2))
+        assert is_one_plane(merged, orc)
 
 
 @pytest.mark.parametrize("n,seed", [(8, 0), (16, 1), (17, 2), (32, 3), (33, 4)])
@@ -636,9 +646,9 @@ def test_join_screen_agrees_with_splice_check_while_packing(n, monkeypatch):
     screens = []
 
     class Recording(_JoinScreen):
-        def __init__(self, c1, c2, *args):
-            super().__init__(c1, c2, *args)
-            self.cycles, self.asked = (c1, c2), []
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.asked = []
             screens.append(self)
 
         def candidate_ok(self, *cand):
@@ -663,24 +673,72 @@ def test_join_screen_agrees_with_splice_check_while_packing(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 17, 32, 33])
 def test_join_splices_an_accepted_candidate_without_a_second_check(n, monkeypatch):
-    """The screen is exact (see the test above), so the only 1-plane pass
-    a general pack makes is the one inside each `uncross`."""
-    calls = {"is_one_plane": 0, "uncross": 0}
+    """The join screens are exact (see the tests around this one), so a
+    general pack asks no whole-cycle check: neither `is_one_plane` nor
+    `crossing_report`, for a splice or for an uncrossed cycle."""
+    calls = []
 
     def counted(name):
         fn = getattr(general, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls.append(name)
             return fn(*args)
 
         monkeypatch.setattr(general, name, wrapper)
 
     counted("is_one_plane")
-    counted("uncross")
+    counted("crossing_report")
     for seed in (1, 2, 3):
         pack_general_detailed(general_instance(n, seed))
-    assert calls["is_one_plane"] == calls["uncross"]
+    assert calls == []
+
+
+def test_join_screens_give_each_cycles_crossings_while_packing(monkeypatch):
+    """Over every join made while packing general n = 16..64, each screen's
+    `own_pairs` are `crossing_report`'s pairs for both its cycles, and an
+    uncrossed cycle goes on to be joined exactly when `is_one_plane` holds
+    for it (both verdicts occur)."""
+    events, joined = [], set()
+
+    class Recording(_JoinScreen):
+        def __init__(self, *args):
+            super().__init__(*args)
+            events.append(("screen", self))
+
+    real_uncross, real_plain_join = general.uncross, general._plain_join
+
+    def recorded_uncross(*args):
+        nc = real_uncross(*args)
+        events.append(("uncross", nc))
+        return nc
+
+    def recorded_plain_join(screen, *args):
+        joined.add(id(screen))
+        return real_plain_join(screen, *args)
+
+    monkeypatch.setattr(general, "_JoinScreen", Recording)
+    monkeypatch.setattr(general, "uncross", recorded_uncross)
+    monkeypatch.setattr(general, "_plain_join", recorded_plain_join)
+    verdicts = set()
+    for n, seed in product([16, 17, 24, 32, 48, 64], [1, 2, 3]):
+        ps = general_instance(n, seed)
+        orc = coordinate_oracle(ps.points)
+        events.clear()
+        joined.clear()
+        pack_general_detailed(ps)
+        # an uncrossed cycle whose created edges are allowed gets the next screen
+        for (kind, item), (_, after) in zip(events, events[1:] + [(None, None)]):
+            if kind == "screen":
+                for which, c in enumerate(item.cycles):
+                    es = c.edges()
+                    want = crossing_report(c, orc).pairs
+                    assert [(es[i], es[j]) for i, j in item.own_pairs(which)] == want
+            elif isinstance(after, _JoinScreen) and item in after.cycles:
+                kept = id(after) in joined
+                assert kept == is_one_plane(item, orc), (n, seed, item)
+                verdicts.add(kept)
+    assert verdicts == {True, False}
 
 
 def test_join_screen_counts_an_edge_crossed_twice():
