@@ -306,11 +306,20 @@ def check_wheel_boundary(c: HamCycle, n: int, center_index: Optional[int] = None
 
 def _turned(order: Sequence[int], ring: RingOracle) -> Tuple[int, ...]:
     """Ring positions of `order`, turned so that its first rim vertex sits
-    at position 0; a wheel's center keeps its label m."""
-    m, label = ring.m, ring.label
-    pos = [label[v] for v in order]
-    base = pos[0] if pos[0] != m else pos[1]
-    return tuple(p if p == m else (p - base) % m for p in pos)
+    at position 0; a wheel's center keeps its label m.  A convex ring's
+    labels are its positions (`RingOracle` checks this), so only a wheel's
+    are looked up, and the turn is one list lookup per vertex."""
+    m = ring.m
+    if ring.wheel:
+        label = ring.label
+        base = label[order[0]]
+        if base == m:
+            base = label[order[1]]
+        order = map(label.__getitem__, order)
+    else:
+        base = order[0]
+    turn = [*range(m - base, m), *range(m - base), m]  # turn[p] = (p - base) % m
+    return tuple(map(turn.__getitem__, order))
 
 
 def verify_packing(cycles: Sequence[HamCycle], n: int, oracle: CrossingOracle) -> dict:
@@ -319,22 +328,27 @@ def verify_packing(cycles: Sequence[HamCycle], n: int, oracle: CrossingOracle) -
     On a ring over the n vertices (a `RingOracle` with n labels, which its
     constructor has checked are the positions 0..m-1 and a wheel's center
     m, once each) crossings are counted once per rotation class: cycles
-    whose ring positions differ only by a turn of the rim.
+    whose ring positions differ only by a turn of the rim (`_turned`).
     Index interleaving and a wheel's short arcs depend only on position
     differences mod m, so turned copies have equal crossing counts, and the
     sweep of the first stands for the rest.  The memo lives for one call.
     Any other oracle, a ring of another size, and a cycle leaving 0..n-1
     are handled cycle by cycle.
+
+    Disjointness marks each edge in one `bytearray`; only a cycle that
+    meets a marked edge, or leaves 0..n-1, is compared pair by pair.  Per
+    vertex, a ring cycle costs C-level work (its share of a sort, a turn
+    and, on a wheel, a label lookup) plus one mark in a Python loop.
     """
     ring = oracle if isinstance(oracle, RingOracle) and len(oracle.label) == n else None
+    everyone = list(range(n))
     worst_of: Dict[Tuple[int, ...], int] = {}
     per_cycle = []
     for c in cycles:
         # a vertex outside 0..n-1 is not a point of the set: the cycle is
         # neither Hamiltonian nor 1-plane, and the oracle is not asked
-        ham = verify_hamiltonian(c, n)
-        in_range = ham or all(0 <= v < n for v in c.order)
-        if not in_range:
+        ham = sorted(c.order) == everyone
+        if not (ham or all(0 <= v < n for v in c.order)):
             worst = None
         elif ring is None:
             worst = crossing_report(c, oracle).max_count
@@ -343,30 +357,34 @@ def verify_packing(cycles: Sequence[HamCycle], n: int, oracle: CrossingOracle) -
             worst = worst_of.get(key)
             if worst is None:
                 worst = worst_of[key] = crossing_report(c, ring).max_count
-        per_cycle.append(
-            {"hamiltonian": ham, "max_crossings": worst, "one_plane": in_range and worst <= 1}
-        )
+        one_plane = worst is not None and worst <= 1
+        per_cycle.append({"hamiltonian": ham, "max_crossings": worst, "one_plane": one_plane})
     k = len(cycles)
     disjoint = [[True] * k for _ in range(k)]
-    all_disjoint = True
     # one mark per edge (a, b), a < b, at a * n + b; a cycle that meets a
-    # marked edge, or leaves 0..n-1, gets its row checked pair by pair
+    # marked edge gets its row checked against the earlier cycles, and one
+    # leaving 0..n-1 (never marked; its row has no crossing count) against
+    # all the others
     marked = bytearray(n * n)
-    for i, c in enumerate(cycles):
-        shared = False
-        order = c.order
-        for a, b in zip(order, order[1:] + order[:1]):
-            if a > b:
-                a, b = b, a
-            if a < 0 or b >= n or marked[a * n + b]:
-                shared = True
-            else:
-                marked[a * n + b] = 1
-        if shared:
-            for j in range(i):
-                d = are_edge_disjoint(c, cycles[j])
-                disjoint[i][j] = disjoint[j][i] = d
-                all_disjoint = all_disjoint and d
+    for i, (c, row) in enumerate(zip(cycles, per_cycle)):
+        if row["max_crossings"] is None:
+            others = range(k)
+        else:
+            shared = False
+            order = c.order
+            a = order[-1]
+            for b in order:
+                e = a * n + b if a < b else b * n + a
+                if marked[e]:
+                    shared = True
+                else:
+                    marked[e] = 1
+                a = b
+            others = range(i) if shared else ()
+        for j in others:
+            if j != i:
+                disjoint[i][j] = disjoint[j][i] = are_edge_disjoint(c, cycles[j])
+    all_disjoint = all(map(all, disjoint))
     ok = all_disjoint and all(
         r["hamiltonian"] and r["one_plane"] for r in per_cycle
     )

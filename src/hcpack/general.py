@@ -563,14 +563,22 @@ class _JoinScreen:
         return True
 
 
+def _reversed_in(es: List[Edge], c: HamCycle) -> List[bool]:
+    """For each edge (a, b) of `es`, whether `c` visits b just before a."""
+    succ = dict(zip(c.order, c.order[1:] + c.order[:1]))
+    return [succ[a] != b for a, b in es]
+
+
 def _plain_join(screen: _JoinScreen, forbidden, extra_uncross=()):
     """The first exchange in canonical order that avoids `forbidden` and
     that the screen accepts; the screen is exact, so its splice is 1-plane."""
-    succ1, succ2 = (dict(zip(c.order, c.order[1:] + c.order[:1])) for c in screen.cycles)
-    for r1 in sorted(screen.es1):
-        u1, u2 = r1 if succ1[r1[0]] == r1[1] else r1[::-1]
-        for r2 in sorted(screen.es2):
-            v1, v2 = r2 if succ2[r2[0]] == r2[1] else r2[::-1]
+    c1, c2 = screen.cycles
+    es1, es2 = sorted(screen.es1), sorted(screen.es2)
+    flips2 = _reversed_in(es2, c2)  # once for all r1
+    for r1, flip1 in zip(es1, _reversed_in(es1, c1)):
+        u1, u2 = r1[::-1] if flip1 else r1
+        for r2, flip2 in zip(es2, flips2):
+            v1, v2 = r2[::-1] if flip2 else r2
             for pattern, added in enumerate(
                 ((edge(u1, v1), edge(u2, v2)), (edge(u1, v2), edge(u2, v1)))
             ):

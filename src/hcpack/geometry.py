@@ -154,17 +154,28 @@ def wheel_cross(m: int, e1: Edge, e2: Edge) -> bool:
 
 
 def convex_hull(points: Sequence[Point]) -> list[int]:
-    """Counter-clockwise hull vertex indices (monotone chain)."""
+    """Counter-clockwise hull vertex indices (monotone chain).
+
+    A point joins a chain only where the chain turns strictly left, so
+    duplicates and points on a hull edge are dropped.  The coordinates are
+    read once into two flat integer lists and each turn is an inline
+    determinant, with `orientation`'s sign.
+    """
     if len(points) < 3:
         raise DegenerateInput("hull needs at least 3 points")
-    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    order = sorted(range(len(points)), key=list(zip(xs, ys)).__getitem__)
 
     def build(idx):
         chain = []
         for i in idx:
-            while len(chain) >= 2 and orientation(
-                points[chain[-2]], points[chain[-1]], points[i]
-            ) != Orientation.CCW:
+            x, y = xs[i], ys[i]
+            while len(chain) >= 2:
+                p, q = chain[-2], chain[-1]
+                px, py = xs[p], ys[p]
+                if (xs[q] - px) * (y - py) - (ys[q] - py) * (x - px) > 0:
+                    break
                 chain.pop()
             chain.append(i)
         return chain
@@ -274,15 +285,23 @@ def _is_ccw_convex_order(points: Sequence[Point]) -> bool:
 def _wheel_arcs_agree(rim: Sequence[Point], center: Point) -> bool:
     """The center lies strictly on the long-arc side of every rim chord:
     ccw of (rim[a], rim[b]) exactly when the ccw arc from a to b is the
-    shorter one.  With a convex rim of odd size this decides every crossing
-    exactly as `wheel_cross` does; O(m^2).
+    shorter one, cw otherwise.  With a convex rim of odd size this decides
+    every crossing exactly as `wheel_cross` does; O(m^2).
+
+    With the center moved to the origin, that orientation is the sign of
+    the determinant x_a * y_b - y_a * x_b, so each chord costs two integer
+    products.  Whether b - a is a short arc is `short_arc(0, b - a, m)`,
+    asked once per difference; a zero determinant rejects.
     """
     m = len(rim)
+    xs = [p.x - center.x for p in rim]
+    ys = [p.y - center.y for p in rim]
+    short = [short_arc(0, d, m) for d in range(m)]
     for a in range(m):
-        pa = rim[a]
+        xa, ya = xs[a], ys[a]
         for b in range(a + 1, m):
-            turn = orientation(pa, rim[b], center)
-            if turn != (Orientation.CCW if short_arc(a, b, m) else Orientation.CW):
+            det = xa * ys[b] - ya * xs[b]
+            if not (det > 0 if short[b - a] else det < 0):
                 return False
     return True
 

@@ -90,21 +90,31 @@ def _verify_family(cycles, n, oracle, label):
 
 
 def _zigzags(n: int) -> list[HamCycle]:
-    """The floor(n/3) convex zigzag cycles on n points, unverified."""
+    """The floor(n/3) convex zigzag cycles on n points, unverified.
+
+    Each family's schedule is expanded once, at anchor 0 (so a schedule
+    that revisits an index still raises `NonHamiltonian`), and each
+    anchor's cycle is that order turned by the anchor: one list lookup per
+    vertex, which equals `generate_zigzag` at that anchor.
+    """
     k = n // 3
     if n % 2 == 1:
         m = (n - 1) // 2
-        return [
-            generate_zigzag(ZigzagSpec(n, ((m + 2) * i) % n, BoundaryPlan.THREE_BOUNDARY))
-            for i in range(k)
+        families = [(BoundaryPlan.THREE_BOUNDARY, [((m + 2) * i) % n for i in range(k)])]
+    else:
+        t_a = (k + 1) // 2
+        families = [
+            (BoundaryPlan.TWO_BOUNDARY, [3 * i for i in range(t_a)]),
+            (BoundaryPlan.FOUR_BOUNDARY, [3 * j + 2 for j in range(k - t_a)]),
         ]
-    t_a = (k + 1) // 2
-    return [
-        generate_zigzag(ZigzagSpec(n, 3 * i, BoundaryPlan.TWO_BOUNDARY)) for i in range(t_a)
-    ] + [
-        generate_zigzag(ZigzagSpec(n, 3 * j + 2, BoundaryPlan.FOUR_BOUNDARY))
-        for j in range(k - t_a)
-    ]
+    cycles = []
+    for plan, anchors in families:
+        if anchors:
+            base = generate_zigzag(ZigzagSpec(n, 0, plan)).order
+            for a in anchors:
+                turn = [*range(a, n), *range(a)]  # turn[v] = (v + a) % n
+                cycles.append(HamCycle(tuple(map(turn.__getitem__, base))))
+    return cycles
 
 
 def pack_convex(n: int) -> Packing:

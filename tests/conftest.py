@@ -4,7 +4,8 @@ from functools import lru_cache
 
 import pytest
 
-from hcpack import Config, Point, PointSet, enumerate_1phc, generate
+from hcpack import Config, Orientation, Point, PointSet, enumerate_1phc, generate, orientation
+from hcpack.errors import DegenerateInput
 from hcpack.geometry import RingOracle
 
 
@@ -15,6 +16,30 @@ def regular_polygon_points(n, radius=10**6, twist=True):
         ang = 2 * math.pi * i / n + (math.pi / (4 * n) if twist else 0)
         pts.append(Point(round(radius * math.cos(ang)), round(radius * math.sin(ang))))
     return pts
+
+
+def reference_convex_hull(points):
+    """Monotone chain asking `orientation` of the points themselves: the
+    reference the flat-integer `convex_hull` must match, index for index
+    and message for message."""
+    if len(points) < 3:
+        raise DegenerateInput("hull needs at least 3 points")
+    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
+
+    def build(idx):
+        chain = []
+        for i in idx:
+            while len(chain) >= 2 and orientation(
+                points[chain[-2]], points[chain[-1]], points[i]
+            ) != Orientation.CCW:
+                chain.pop()
+            chain.append(i)
+        return chain
+
+    hull = build(order)[:-1] + build(reversed(order))[:-1]
+    if len(hull) < 3:
+        raise DegenerateInput("all points collinear")
+    return hull
 
 
 def keys_separate(points, direction, above, below):

@@ -342,6 +342,20 @@ def test_verify_packing_matches_a_sweep_of_every_cycle(case):
     assert verify_packing(cycles, n, _pairwise(orc)) == expected
 
 
+@pytest.mark.parametrize("n", [10, 14])
+def test_turn_keys_keep_the_wheel_center_apart(n):
+    """A packed wheel cycle and its copy with the center swapped for one rim
+    vertex are different rotation classes, whichever rim vertex it is; a
+    turn that gave the center a rim position would let one key stand for
+    both."""
+    orc = wheel_oracle(n)
+    for c in pack_wheel(n).cycles:
+        for v in range(n - 1):
+            swap = {v: n - 1, n - 1: v}
+            other = HamCycle(tuple(swap.get(u, u) for u in c.order))
+            assert verify_packing([c, other], n, orc) == _sweep_every_cycle([c, other], n, orc)
+
+
 def test_ring_oracle_refuses_labels_its_calls_do_not_assume():
     # a convex ring is never relabeled by its calls, and a wheel's sweep
     # assumes each of 0..m once: a repeated label made the sweep raise

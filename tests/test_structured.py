@@ -198,6 +198,38 @@ def test_generate_zigzag_rejects_revisiting_schedule():
         generate_zigzag(spec)
 
 
+def _zigzags_anchor_by_anchor(n):
+    """`structured._zigzags` restated: one `generate_zigzag` per anchor."""
+    k = n // 3
+    if n % 2 == 1:
+        m = (n - 1) // 2
+        return [
+            generate_zigzag(ZigzagSpec(n, ((m + 2) * i) % n, BoundaryPlan.THREE_BOUNDARY))
+            for i in range(k)
+        ]
+    t_a = (k + 1) // 2
+    return [
+        generate_zigzag(ZigzagSpec(n, 3 * i, BoundaryPlan.TWO_BOUNDARY)) for i in range(t_a)
+    ] + [
+        generate_zigzag(ZigzagSpec(n, 3 * j + 2, BoundaryPlan.FOUR_BOUNDARY))
+        for j in range(k - t_a)
+    ]
+
+
+def test_zigzags_equal_anchor_by_anchor_expansion():
+    # the packing digests stop at n = 130 (convex) and 200 (wheel rims)
+    for n in range(3, 201):
+        assert structured._zigzags(n) == _zigzags_anchor_by_anchor(n), n
+
+
+def test_zigzag_schedule_revisiting_an_index_raises_in_zigzags(monkeypatch):
+    from hcpack.errors import NonHamiltonian
+
+    monkeypatch.setattr(structured, "_offsets_three", lambda n: [0, 1, 1] + list(range(3, n)))
+    with pytest.raises(NonHamiltonian):
+        structured._zigzags(13)
+
+
 def test_pack_wheel_boundary_edges_used_once():
     for n in (10, 14, 22, 30):
         m = n - 1

@@ -3,10 +3,11 @@ when its crossing oracle is sound, and validation leaves generated
 instances unchanged."""
 
 import hashlib
+import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hcpack import (
     Config,
@@ -21,7 +22,10 @@ from hcpack import (
     orientation,
 )
 from hcpack.errors import DegenerateInput
+from hcpack.geometry import _wheel_arcs_agree, short_arc
 from hcpack.instances import _regular_polygon
+
+from conftest import reference_convex_hull
 
 # sha256 over the digests of generated instances: convex n = 3..129 with
 # seeds 0, 1, 7 (seed inner), wheel n = 4..64 step 2 with seed 0, general
@@ -103,6 +107,69 @@ def test_oracles_agree_on_any_accepted_hull(cloud, center, k, c):
         except DegenerateInput:
             return
         assert_oracles_agree(ps)
+
+
+def _hull_or_message(hull, points):
+    try:
+        return hull(points)
+    except DegenerateInput as exc:
+        return str(exc)
+
+
+tiny = st.builds(Point, st.integers(-3, 3), st.integers(-3, 3))
+_line = [Point(t, 2 * t) for t in range(-3, 4)]
+
+
+@settings(max_examples=500)
+@given(st.lists(tiny, max_size=12))
+@example(_line)
+@example(_line + _line)
+@example(_line + [Point(0, 1)])
+@example([Point(1, 1)] * 5)
+def test_flat_hull_matches_the_orientation_hull(points):
+    """On a 7 x 7 grid duplicates and collinear triples are common: the flat
+    hull must drop exactly the points the reference drops, in its order,
+    and refuse exactly the lists it refuses, with the same message."""
+    assert _hull_or_message(convex_hull, points) == _hull_or_message(reference_convex_hull, points)
+
+
+def _reference_arcs_agree(rim, center):
+    """The wheel arc rule as stated, one `orientation` per rim pair."""
+    m = len(rim)
+    return all(
+        orientation(rim[a], rim[b], center)
+        is (Orientation.CCW if short_arc(a, b, m) else Orientation.CW)
+        for a, b in combinations(range(m), 2)
+    )
+
+
+def _on_chords(rim):
+    """The lattice points strictly inside the rim's chords."""
+    found = set()
+    for p, q in combinations(rim, 2):
+        dx, dy = q.x - p.x, q.y - p.y
+        g = math.gcd(dx, dy)
+        found.update(Point(p.x + t * dx // g, p.y + t * dy // g) for t in range(1, g))
+    return found
+
+
+@pytest.mark.parametrize("m", range(3, 16, 2))
+def test_flat_wheel_arcs_match_the_orientation_rule(m):
+    """Regular rims with the center moved by small offsets, and with the
+    center on a chord, where the zero determinant must reject."""
+    accepted = on_chord = 0
+    shifted = {Point(dx, dy) for dx in range(-4, 5) for dy in range(-4, 5)}
+    for radius in (6, 11, 40, 200):
+        rim = [Point(x, y) for x, y in _regular_polygon(m, radius)]
+        chords = _on_chords(rim)
+        for center in shifted | chords:
+            flat = _wheel_arcs_agree(rim, center)
+            assert flat == _reference_arcs_agree(rim, center), (m, radius, center)
+            accepted += flat
+            if center in chords:
+                assert not flat
+                on_chord += 1
+    assert accepted and on_chord
 
 
 def test_pentagram_is_not_convex():
