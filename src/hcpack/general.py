@@ -32,10 +32,9 @@ from .errors import InvalidN, MarchFailed, NoJoinFound, NotSeparable, PackingInc
 from .geometry import (
     CrossingOracle,
     Edge,
-    convex_hull,
+    PointSet,
     coordinate_oracle,
     edge,
-    points_of,
     segments_properly_cross,  # unused here; perfbench/tracer.py patches this name
 )
 
@@ -92,26 +91,37 @@ class GeneralPackResult:
     join_log: List[List[JoinMove]]
 
 
+def _general_set(ps) -> PointSet:
+    """The general packer's one door: a PointSet is taken as it is (convex
+    and wheel validation imply general position), and a bare point sequence
+    becomes a PointSet, whose general-position check raises DegenerateInput.
+
+    Behind the door no three points are collinear and none coincide, so a
+    determinant of three of them is zero only if two are the same point.
+    """
+    return ps if isinstance(ps, PointSet) else PointSet(tuple(ps))
+
+
 # ---------------------------------------------------------------------------
 # ladder march
 
 
 class _FlatLedger:
     """The march's edge set, grown and shrunk one edge at a time, never
-    holding an edge crossed twice, on flat integer coordinates.
+    holding an edge crossed twice, on flat integer coordinates of points
+    in general position.
 
     Each ledger edge `(c, d)` keeps its line as `(ux, uy, k)`: a point p
-    lies on the side `ux * p.y - uy * p.x - k` of c -> d.  A pair is decided
-    inline exactly where `coordinate_oracle` decides it inline (the new
-    edge's ends against the old edge's line, then, if they straddle it, the
-    old edge's ends against the new line); any zero determinant goes to the
-    oracle itself.  Pairs are visited in `is_one_plane`'s order, the new
-    edge against each held edge, oldest first, so every verdict, and on
-    degenerate input every CollinearOverlap, is the same.
+    lies on the side `ux * p.y - uy * p.x - k` of c -> d.  A pair crosses
+    when the new edge's ends lie strictly on opposite sides of the old
+    edge's line and the old edge's ends on opposite sides of the new line;
+    a zero determinant can only be a shared endpoint, which never crosses.
+    Pairs are visited in `is_one_plane`'s order, the new edge against each
+    held edge, oldest first, so every verdict is the same.
     """
 
-    def __init__(self, xs: List[int], ys: List[int], oracle: CrossingOracle):
-        self.xs, self.ys, self.oracle = xs, ys, oracle
+    def __init__(self, xs: List[int], ys: List[int]):
+        self.xs, self.ys = xs, ys
         self.crossed: Dict[Edge, Tuple[int, int, int, List[Edge]]] = {}
 
     def add(self, e: Edge) -> bool:
@@ -129,18 +139,12 @@ class _FlatLedger:
         for f, (ux, uy, kf, f_hits) in crossed.items():
             d1 = ux * ay - uy * ax - kf
             d2 = ux * by - uy * bx - kf
-            if d1 and d2:
-                if (d1 > 0) == (d2 > 0):
-                    continue
-                c, d = f
-                d3 = vx * ys[c] - vy * xs[c] - k
-                d4 = vx * ys[d] - vy * xs[d] - k
-                if d3 and d4:
-                    if (d3 > 0) == (d4 > 0):
-                        continue
-                elif not self.oracle(e, f):
-                    continue
-            elif a in f or b in f or not self.oracle(e, f):
+            if not d1 or not d2 or (d1 > 0) == (d2 > 0):
+                continue
+            c, d = f
+            d3 = vx * ys[c] - vy * xs[c] - k
+            d4 = vx * ys[d] - vy * xs[d] - k
+            if (d3 > 0) == (d4 > 0):
                 continue
             if f_hits or hit:
                 return False
@@ -166,7 +170,6 @@ class _March:
     """
 
     def __init__(self, points, bisection: Bisection, forbidden):
-        self.points = points
         left, right = list(bisection.left), list(bisection.right)
         if len(left) < len(right):
             left, right = right, left
@@ -187,7 +190,7 @@ class _March:
         self.sweep = (sorted(low, key=by_sweep), sorted(high, key=by_sweep))
         self.forbidden = forbidden
         self.nodes = 0
-        self.ledger = _FlatLedger(xs, ys, coordinate_oracle(points))
+        self.ledger = _FlatLedger(xs, ys)
         self.adj: Dict[int, List[int]] = {i: [] for i in left + right}
         self.stone: Optional[Edge] = None
 
@@ -218,8 +221,8 @@ class _March:
         In the frame (key, -dot(d, p)), which keeps orientation, that edge
         is the one edge of the lower monotone chain running from the
         low-key side to the high-key side, so one pass over the sweep order
-        finds it.  A zero determinant (a duplicate or collinear triple)
-        hands the call to `_hull_bridge`.
+        finds it.  The points are in general position, so no turn of the
+        chain has a zero determinant.
         """
         if not r1 or not r2:
             return None
@@ -236,24 +239,12 @@ class _March:
                 while len(chain) > 1:
                     a, b = chain[-2], chain[-1]
                     ax, ay = xs[a], ys[a]
-                    det = (xs[b] - ax) * (py - ay) - (ys[b] - ay) * (px - ax)
-                    if det > 0:
+                    if (xs[b] - ax) * (py - ay) - (ys[b] - ay) * (px - ax) > 0:
                         break
-                    if not det:
-                        return self._hull_bridge(r1, r2)
                     chain.pop()
                 chain.append(i)
         k = next(j for j, i in enumerate(chain) if i in high)
         a, b = chain[k - 1], chain[k]
-        return (a, b) if self.bs > 0 else (b, a)
-
-    def _hull_bridge(self, r1, r2) -> Tuple[int, int]:
-        """`_bridge` read off a fresh `convex_hull`: degenerate input gets
-        its pair or its DegenerateInput."""
-        idx = list(r1 | r2)
-        hull = [idx[h] for h in convex_hull([self.points[i] for i in idx])]
-        src, dst = (r1, r2) if self.bs > 0 else (r2, r1)
-        a, b = next((a, b) for a, b in zip(hull, hull[1:] + hull[:1]) if a in src and b in dst)
         return (a, b) if self.bs > 0 else (b, a)
 
     def _on_side(self, u: int, w: int, s: int, pts) -> bool:
@@ -363,11 +354,14 @@ def march_cycle(
 ) -> Tuple[HamCycle, Bisection, List[Stone]]:
     """A verified 1-plane Hamiltonian cycle on `subset` via the ladder march.
 
-    With no bisection given, successive bisecting lines are tried until one
-    admits a march.  The returned stone list is empty or a single terminal
-    edge; a bare triangle reports no stone.
+    `ps` is a PointSet, or a point sequence that must be in general
+    position (DegenerateInput otherwise; see `_general_set`).  With no
+    bisection given, successive bisecting lines are tried until one admits
+    a march.  The returned stone list is empty or a single terminal edge; a
+    bare triangle reports no stone.  Raises ValueError on a subset of fewer
+    than 3 points.
     """
-    points = points_of(ps)
+    ps = _general_set(ps)
     sub = sorted(subset)
     if len(sub) < 3:
         raise ValueError("need at least 3 points")
@@ -375,11 +369,11 @@ def march_cycle(
     if bisection is not None:
         cuts = iter([bisection])
     else:
-        cuts = itertools.islice(bisecting_lines(points, sub), MAX_CUTS)
+        cuts = itertools.islice(bisecting_lines(ps, sub), MAX_CUTS)
     last = None
     for cut in cuts:
         try:
-            cyc, stone = _March(points, cut, forbidden).run()
+            cyc, stone = _March(ps.points, cut, forbidden).run()
         except MarchFailed as exc:
             last = exc
             continue
@@ -425,7 +419,8 @@ def _splice(c1: HamCycle, c2: HamCycle, u2: int, v2: int, pattern: int) -> HamCy
 
 
 class _JoinScreen:
-    """Crossing accounting for candidate joins of two vertex-disjoint cycles.
+    """Crossing accounting for candidate joins of two vertex-disjoint cycles
+    on points in general position.
 
     An added edge shares one endpoint with each removed edge, so it crosses
     neither, and the screen edges it hits do not depend on the candidate:
@@ -442,15 +437,14 @@ class _JoinScreen:
 
     The hits come from side masks, built once per screen with one integer
     determinant per vertex and edge: `left[w]` has a bit for each screen
-    edge whose line `w` lies strictly left of, `on[w]` one for each edge
-    whose line passes through `w` without ending there.  Only edges whose
-    line separates the ends of `a`, or passes through one, need the two
-    determinants of their own ends against `a`'s line.  Any zero
-    determinant goes to the oracle, so degenerate input gets the oracle's
-    answer (or its CollinearOverlap); in general position only incident
-    edges give zeros, and those never cross.  The same masks give the
-    screen's own crossing counts and pairs, and `own_pairs` the crossing
-    pairs within one cycle.  `candidate_ok` is only asked about 1-plane cycles.
+    edge whose line `w` lies strictly left of.  A point lies on an edge's
+    line only if it ends that edge, so for a non-incident edge a clear bit
+    means strictly right, and only edges whose line separates the ends of
+    `a` need the two determinants of their own ends against `a`'s line.
+    The same masks give the screen's own crossing counts and pairs, and
+    `own_pairs` the crossing pairs within one cycle.  The oracle decides
+    only whether `a1` crosses `a2`.  `candidate_ok` is only asked about
+    1-plane cycles.
     """
 
     def __init__(
@@ -466,36 +460,28 @@ class _JoinScreen:
         for i, (c, d) in enumerate(edges):
             inc[c] |= 1 << i
             inc[d] |= 1 << i
-        left, on = self.left, self.on = {}, {}
+        left = self.left = {}
         for w in inc:
             wx, wy = xs[w], ys[w]
-            lm = om = 0
+            lm = 0
             bit = 1
             for cx, cy, ux, uy in lines:
-                det = ux * (wy - cy) - uy * (wx - cx)
-                if det > 0:
+                if ux * (wy - cy) - uy * (wx - cx) > 0:
                     lm |= bit
-                elif not det:
-                    om |= bit
                 bit <<= 1
-            left[w], on[w] = lm, om & ~inc[w]
+            left[w] = lm
         # the screen's own crossings: pair (i, j), i < j, crosses when each
         # edge's ends lie strictly on opposite sides of the other's line
         counts = self.counts = [0] * len(edges)
         crossed = self.crossed = [0] * len(edges)  # bit j of crossed[i]: i x j
         for i, (c, d) in enumerate(edges):
-            zero = on[c] | on[d]
-            m = ((left[c] ^ left[d]) | zero) & ~(inc[c] | inc[d]) & -(2 << i)
+            m = (left[c] ^ left[d]) & ~(inc[c] | inc[d]) & -(2 << i)
             while m:
                 low = m & -m
                 m ^= low
                 j = low.bit_length() - 1
                 p, q = edges[j]
-                if zero & low or (on[p] | on[q]) >> i & 1:
-                    hit = oracle(edges[i], edges[j])
-                else:
-                    hit = (left[p] ^ left[q]) >> i & 1
-                if hit:
+                if (left[p] ^ left[q]) >> i & 1:
                     counts[i] += 1
                     counts[j] += 1
                     crossed[i] |= low
@@ -521,9 +507,8 @@ class _JoinScreen:
         if h is not None:
             return h
         u, v = a
-        left, on, xs, ys, edges = self.left, self.on, self.xs, self.ys, self.edges
-        zero = on[u] | on[v]
-        m = ((left[u] ^ left[v]) | zero) & ~(self.inc[u] | self.inc[v])
+        left, xs, ys, edges = self.left, self.xs, self.ys, self.edges
+        m = (left[u] ^ left[v]) & ~(self.inc[u] | self.inc[v])
         ux, uy = xs[u], ys[u]
         vx, vy = xs[v] - ux, ys[v] - uy
         found: List[int] = []
@@ -534,11 +519,7 @@ class _JoinScreen:
             c, d = edges[j]
             d3 = vx * (ys[c] - uy) - vy * (xs[c] - ux)
             d4 = vx * (ys[d] - uy) - vy * (xs[d] - ux)
-            if zero & low or not d3 or not d4:
-                hit = self.oracle(a, edges[j])
-            else:
-                hit = (d3 > 0) != (d4 > 0)
-            if hit:
+            if (d3 > 0) != (d4 > 0):
                 found.append(j)
                 if len(found) == 2:
                     break
@@ -598,16 +579,16 @@ def join_cycles(
     forbidden: FrozenSet[Edge],
     ps,
 ) -> Tuple[HamCycle, JoinMove]:
-    """Merge two vertex-disjoint 1-plane cycles on the points `ps` (a
-    PointSet or a point sequence) into one.
+    """Merge two vertex-disjoint 1-plane cycles on the points `ps` into one.
 
-    Plain exchange pairs are tried in canonical order, then variants that
-    first uncross one cycle, then both.  Added and created edges must avoid
+    `ps` is a PointSet, or a point sequence that must be in general
+    position (DegenerateInput otherwise; see `_general_set`).  Plain
+    exchange pairs are tried in canonical order, then variants that first
+    uncross one cycle, then both.  Added and created edges must avoid
     `forbidden`, and an uncrossed cycle must stay 1-plane.  Crossings are
-    decided exactly on the points' integer coordinates, through
-    `coordinate_oracle` wherever a determinant is 0.
+    decided exactly on the points' integer coordinates.
     """
-    points = points_of(ps)
+    points = _general_set(ps).points
     xs, ys = [p.x for p in points], [p.y for p in points]
     oracle = coordinate_oracle(points)
     base = _JoinScreen(c1, c2, xs, ys, oracle)
@@ -674,12 +655,9 @@ def _nth(it, idx):
     return next(itertools.islice(it, idx, None), None)
 
 
-def _bisection_from_cut(e, cls_left, part) -> Bisection:
-    left = tuple(i for i in part if i in cls_left)
-    right = tuple(i for i in part if i not in cls_left)
-    if len(left) < len(right):
-        left, right = right, left
-    return Bisection(e, left, right)
+def _bisection(e, side, rest) -> Bisection:
+    """The cut direction `e` with its two halves, the larger on the left."""
+    return Bisection(e, side, rest) if len(side) >= len(rest) else Bisection(e, rest, side)
 
 
 def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Stone]]:
@@ -697,7 +675,7 @@ def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Stone]]:
     return parts, stones
 
 
-def _fold(cycles: List[HamCycle], used, points) -> Tuple[HamCycle, List[JoinMove]]:
+def _fold(cycles: List[HamCycle], used, ps: PointSet) -> Tuple[HamCycle, List[JoinMove]]:
     """Join the part cycles into one, greedily in ccw order; a stuck fold
     restarts from the next seed cycle."""
     last_err: Optional[Exception] = None
@@ -707,7 +685,7 @@ def _fold(cycles: List[HamCycle], used, points) -> Tuple[HamCycle, List[JoinMove
         while rest:
             for j, c in enumerate(rest):
                 try:
-                    merged, mv = join_cycles(merged, c, used, points)
+                    merged, mv = join_cycles(merged, c, used, ps)
                 except NoJoinFound as exc:
                     last_err = exc
                     continue
@@ -722,8 +700,11 @@ def _fold(cycles: List[HamCycle], used, points) -> Tuple[HamCycle, List[JoinMove
     raise NoJoinFound(str(last_err))
 
 
-def _run_level(points, parts, stones, used, variant):
-    """One attempt at a level: marches per part plus the joining fold."""
+def _run_level(ps: PointSet, parts, stones, used, variant):
+    """One attempt at a level: marches per part plus the joining fold.
+
+    Parts `2t` and `2t + 1` share one ham-sandwich cut, and each marches on
+    its own half of that cut's split."""
     part_cuts: List[Optional[Bisection]] = [None] * len(parts)
     cut_case: Dict[int, str] = {}
     for t in range(0, len(parts), 2):
@@ -731,17 +712,14 @@ def _run_level(points, parts, stones, used, variant):
         first = t + 1 if t not in stones and t + 1 in stones else t
         st, other = stones.get(first), stones.get(first ^ 1)
         pair = st.pair() if st else None
-        hs = _nth(ham_sandwich_cuts(points, parts[first], parts[first ^ 1], pair=pair), variant)
+        hs = _nth(ham_sandwich_cuts(ps, parts[first], parts[first ^ 1], pair=pair), variant)
         if hs is None:
             continue
-        # the points of l1 and l2 hold exactly the larger keys cross(e, p)
-        e, (l1, _, l2, _) = hs
-        left_all = set(l1) | set(l2)
-        if other is not None and (other.v in left_all) != (other.w in left_all):
+        e, (l1, r1, l2, r2) = hs
+        if other is not None and (other.v in l2) != (other.w in l2):
             continue
-        for pi in (t, t + 1):
-            part_cuts[pi] = _bisection_from_cut(e, left_all, parts[pi])
-            cut_case[pi] = "case1" if st else "ham-sandwich"
+        part_cuts[first], part_cuts[first ^ 1] = _bisection(e, l1, r1), _bisection(e, l2, r2)
+        cut_case[t] = cut_case[t + 1] = "case1" if st else "ham-sandwich"
     part_cycles: List[HamCycle] = []
     child_cuts = []
     for pi, part in enumerate(parts):
@@ -750,28 +728,26 @@ def _run_level(points, parts, stones, used, variant):
         if cut is None and st is not None:
             # separating-line fallback: split off a balanced stone-side subset
             try:
-                e, grown = separating_subset_line(
-                    points, part, (st.v, st.w), (len(part) + 1) // 2
-                )
+                e, grown = separating_subset_line(ps, part, (st.v, st.w), (len(part) + 1) // 2)
             except NotSeparable:
                 pass
             else:
-                cut = _bisection_from_cut(e, set(grown), part)
+                cut = _bisection(e, grown, tuple(i for i in part if i not in grown))
                 cut_case[pi] = "case2"
         try:
-            cyc, used_cut, new_stones = march_cycle(points, part, bisection=cut, forbidden=used)
+            cyc, used_cut, new_stones = march_cycle(ps, part, bisection=cut, forbidden=used)
         except MarchFailed:
             if cut is None:
                 raise
             # the assigned cut admits no march; let the part pick its own
             cut = None
-            cyc, used_cut, new_stones = march_cycle(points, part, forbidden=used)
+            cyc, used_cut, new_stones = march_cycle(ps, part, forbidden=used)
         if cut is None:
             cut_case[pi] = "unconstrained"
         part_cycles.append(cyc)
         child_cuts.append((used_cut, new_stones))
-    merged, moves = _fold(part_cycles, used, points)
-    parts_out, stones_out = _next_level(child_cuts, points)
+    merged, moves = _fold(part_cycles, used, ps)
+    parts_out, stones_out = _next_level(child_cuts, ps.points)
     return merged, moves, parts_out, stones_out, cut_case
 
 
@@ -779,7 +755,10 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     """At least k-1 edge-disjoint 1-plane Hamiltonian cycles on n = 2^k + h
     points.
 
-    The search keeps one path of levels, each entry a level's cycle, its
+    `ps` is a PointSet, or a point sequence that must be in general
+    position (DegenerateInput otherwise; see `_general_set`).  It is
+    validated once, here: every march, join and cut inside gets the same
+    PointSet.  The search keeps one path of levels, each entry a level's cycle, its
     join moves and the parts the next level marches on.  Each level tries
     up to PER_LEVEL_VARIANTS cut variants depth-first; a level whose parts
     cannot host a fresh cycle is popped, so the search backtracks into
@@ -788,8 +767,8 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     PackingIncomplete (with the longest path's cycles) if the search ends
     without reaching k-1 cycles.
     """
-    points = points_of(ps)
-    n = len(points)
+    ps = _general_set(ps)
+    n = len(ps)
     k = n.bit_length() - 1
     if k < 2:
         raise InvalidN(f"general packing needs n >= 4, got {n}")
@@ -813,7 +792,7 @@ def pack_general_detailed(ps) -> GeneralPackResult:
             counter += 1
             try:
                 merged, moves, parts, stones, marched.cut_case = _run_level(
-                    points, marched.parts, marched.stones, used, variant
+                    ps, marched.parts, marched.stones, used, variant
                 )
             except (MarchFailed, NoJoinFound) as exc:
                 last_err = exc
@@ -824,13 +803,13 @@ def pack_general_detailed(ps) -> GeneralPackResult:
             path.pop()
         return False
 
-    for cuts in itertools.islice(bisecting_lines(points, range(n)), PER_LEVEL_VARIANTS):
+    for cuts in itertools.islice(bisecting_lines(ps, range(n)), PER_LEVEL_VARIANTS):
         try:
-            cyc, cut, stones = march_cycle(points, range(n), bisection=cuts)
+            cyc, cut, stones = march_cycle(ps, range(n), bisection=cuts)
         except MarchFailed as exc:
             last_err = exc
             continue
-        path.append((cyc, [], LevelParts(*_next_level([(cut, stones)], points))))
+        path.append((cyc, [], LevelParts(*_next_level([(cut, stones)], ps.points))))
         if solve(set(cyc.edges())):
             cycles, join_log, levels = zip(*path)
             tree = PartitionTree(list(levels), set().union(*(c.edges() for c in cycles)))

@@ -23,9 +23,9 @@ from hcpack import (
 )
 from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
-from hcpack.errors import CollinearOverlap, HcpackError, MarchFailed
+from hcpack.errors import DegenerateInput, HcpackError, MarchFailed
 from hcpack.general import _FlatLedger, _JoinScreen, _March, _splice
-from hcpack.geometry import convex_hull, oracle_for, orientation
+from hcpack.geometry import PointSet, convex_hull, in_general_position, oracle_for, orientation
 
 from conftest import CrossLedger, degenerate_lists, general_instance, keys_separate
 
@@ -177,23 +177,20 @@ def hull_bridge(points, bs, r1, r2):
 
 
 def test_march_bridge_matches_a_fresh_hull_at_every_node(monkeypatch):
-    bridge, fallback = _March._bridge, _March._hull_bridge
-    seen = []
+    bridge = _March._bridge
+    seen, points = [], []
 
     def checked(self, r1, r2):
         got = bridge(self, r1, r2)
-        assert got == hull_bridge(self.points, self.bs, r1, r2), (sorted(r1), sorted(r2))
+        assert got == hull_bridge(points[0], self.bs, r1, r2), (sorted(r1), sorted(r2))
         seen.append(self.bs)
         return got
 
-    def no_fallback(self, r1, r2):
-        raise AssertionError("a zero determinant in general position")
-
     monkeypatch.setattr(_March, "_bridge", checked)
-    monkeypatch.setattr(_March, "_hull_bridge", no_fallback)
     for n in (16, 17, 24, 32, 48, 64, 96, 128):
         for seed in (1, 2, 3):
             ps = general_instance(n, seed)
+            points[:] = [ps.points]
             march_cycle(ps, range(n))
             # the same sides under the reversed direction: the other sign of bs
             bi = bisecting_line(ps, range(n))
@@ -217,27 +214,74 @@ def march_outcome(points):
     return cyc.order, [(s.v, s.w) for s in stones]
 
 
-# sha256 over march_outcome of each degenerate list, recorded before the
-# march's bridge, move rule and ledger moved to flat integer coordinates,
-# then re-recorded once a cut separating a duplicate pair, or a cut
-# direction taken from one, raised DegenerateInput
-DEGENERATE_MARCH_DIGEST = "74c36fe832692c261cd208af6e5a9f3757270ab5b413afbd66ac72b62878ba6c"
+def test_general_packer_refuses_points_not_in_general_position():
+    """The march, the join and the pack each build a bare point list into a
+    PointSet, so a duplicate or a collinear triple is DegenerateInput before
+    any cycle is built."""
+    refused = 0
+    for _seed, points in degenerate_lists():
+        if in_general_position(points):
+            continue
+        n = len(points)
+        with pytest.raises(DegenerateInput):
+            march_cycle(points, range(n))
+        # five points hold no two disjoint cycles, but the door refuses the
+        # points before it reads the cycles
+        with pytest.raises(DegenerateInput):
+            join_cycles(HamCycle(range(3)), HamCycle(range(3, max(n, 6))), frozenset(), points)
+        with pytest.raises(DegenerateInput):
+            pack_general_detailed(points)
+        refused += 1
+    assert refused == 284
+    # 1, 2 and 3 on one line; two collinear triangle sides that overlap
+    for pts in (
+        [Point(5, 5), Point(3, 1), Point(1, 1), Point(5, 1), Point(0, 2), Point(3, 2)],
+        [Point(0, 0), Point(10, 0), Point(5, 8), Point(4, 0), Point(14, 0), Point(9, -6)],
+    ):
+        with pytest.raises(DegenerateInput):
+            join_cycles(HamCycle((0, 1, 2)), HamCycle((3, 4, 5)), frozenset(), pts)
 
 
-def test_degenerate_march_unchanged():
+# sha256 over march_outcome of each degenerate list in general position,
+# recorded before the march and join dropped their zero-determinant paths
+GENERAL_POSITION_LISTS_DIGEST = "505ba4a3d2d91acc3fc2812ccbed503907e41946e2c4ad48946babc53cb887c4"
+
+
+def test_march_on_general_position_lists_unchanged():
     digest = hashlib.sha256()
-    outcomes = set()
+    seeds = []
     for seed, points in degenerate_lists():
-        out = march_outcome(points)
-        outcomes.add(out if isinstance(out, str) else "cycle")
-        digest.update(repr((seed, out)).encode())
-    assert {"cycle", "DegenerateInput", "CollinearOverlap"} <= outcomes
-    assert digest.hexdigest() == DEGENERATE_MARCH_DIGEST
+        if in_general_position(points):
+            out = march_outcome(points)
+            assert not isinstance(out, str), (seed, out)
+            seeds.append(seed)
+            digest.update(repr((seed, out)).encode())
+    assert len(seeds) == 16
+    assert digest.hexdigest() == GENERAL_POSITION_LISTS_DIGEST
+
+
+def test_pack_validates_its_points_once(monkeypatch):
+    """A PointSet is taken as it is and a bare point tuple is validated once,
+    at the door: no march, join or cut inside the pack builds another."""
+    ps = general_instance(33, 1)
+    built = []
+    post_init = PointSet.__post_init__
+
+    def counted(self):
+        built.append(len(self.points))
+        post_init(self)
+
+    monkeypatch.setattr(PointSet, "__post_init__", counted)
+    packed = pack_general_detailed(ps).packing
+    assert built == []
+    bare = pack_general_detailed(ps.points).packing
+    assert built == [33]
+    assert [c.order for c in bare.cycles] == [c.order for c in packed.cycles]
 
 
 def test_march_on_degenerate_lists_raises_only_package_errors():
-    """Duplicates and collinear triples end in a cycle or a package error
-    (DegenerateInput, CollinearOverlap, ...), never a stray exception."""
+    """Every degenerate list ends in a cycle (in general position) or a
+    package error, never a stray exception."""
     stray = []
     for seed, points in degenerate_lists():
         try:
@@ -251,12 +295,13 @@ def test_march_on_degenerate_lists_raises_only_package_errors():
 
 def test_march_ledger_agrees_with_cross_ledger(monkeypatch):
     """Every add and remove of the march's ledger gives CrossLedger's
-    verdict or exception and leaves the same crossing lists, in order."""
+    verdict and leaves the same crossing lists, in order."""
     verdicts = set()
 
     class Twin:
-        def __init__(self, xs, ys, oracle):
-            self.flat, self.ref = _FlatLedger(xs, ys, oracle), CrossLedger(oracle)
+        def __init__(self, xs, ys):
+            oracle = coordinate_oracle([Point(x, y) for x, y in zip(xs, ys)])
+            self.flat, self.ref = _FlatLedger(xs, ys), CrossLedger(oracle)
 
         def same_state(self):
             assert [(f, hits) for f, (*_, hits) in self.flat.crossed.items()] == list(
@@ -264,17 +309,10 @@ def test_march_ledger_agrees_with_cross_ledger(monkeypatch):
             )
 
         def add(self, e):
-            outcomes = []
-            for ledger in (self.ref, self.flat):
-                try:
-                    outcomes.append(ledger.add(e))
-                except CollinearOverlap as exc:
-                    outcomes.append(type(exc))
+            outcomes = [self.ref.add(e), self.flat.add(e)]
             assert outcomes[0] == outcomes[1], e
             self.same_state()
             verdicts.add(outcomes[0])
-            if outcomes[0] is CollinearOverlap:
-                raise CollinearOverlap(f"{e} overlaps a ledger edge")
             return outcomes[0]
 
         def remove(self, e):
@@ -288,9 +326,6 @@ def test_march_ledger_agrees_with_cross_ledger(monkeypatch):
         for seed in (1, 2, 3):
             march_cycle(general_instance(n, seed), range(n))
     assert verdicts == {True, False, "remove"}
-    for _seed, points in degenerate_lists():
-        march_outcome(points)
-    assert CollinearOverlap in verdicts
 
 
 # perfbench/tracer.py patches these names on hcpack.general, where the
@@ -764,30 +799,6 @@ def test_join_screen_exact_on_interleaved_cycles(seed):
     c1, _, _ = march_cycle(ps, order[:7])
     c2, _, _ = march_cycle(ps, order[7:])
     _assert_screen_exact(c1, c2, ps.points, coordinate_oracle(ps.points))
-
-
-def test_join_screen_sends_zero_determinants_to_the_oracle():
-    # 1, 2 and 3 lie on one line; the added edge (2, 3) runs through
-    # vertex 1 and so only touches edge (0, 1)
-    pts = [Point(5, 5), Point(3, 1), Point(1, 1), Point(5, 1), Point(0, 2), Point(3, 2)]
-    base = coordinate_oracle(pts)
-    asked = []
-
-    def oracle(e1, e2):
-        asked.append({e1, e2})
-        return base(e1, e2)
-
-    c1, c2 = HamCycle((0, 1, 2)), HamCycle((3, 4, 5))
-    _assert_screen_exact(c1, c2, pts, base)
-    screen = _JoinScreen(c1, c2, [p.x for p in pts], [p.y for p in pts], oracle)
-    assert screen.on[3]  # on the line of edge (1, 2)
-    assert screen.hits((2, 3)) == ()
-    assert {(0, 1), (2, 3)} in asked
-    # collinear overlap is the oracle's error, raised by the screen too
-    overlap = [Point(0, 0), Point(10, 0), Point(5, 8), Point(4, 0), Point(14, 0), Point(9, -6)]
-    with pytest.raises(CollinearOverlap):
-        _JoinScreen(c1, c2, [p.x for p in overlap], [p.y for p in overlap],
-                    coordinate_oracle(overlap))
 
 
 def test_pack_general_incomplete_is_honest(monkeypatch):
