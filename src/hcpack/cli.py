@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import traceback
+from itertools import chain
 from pathlib import Path
 from typing import List, Optional
 
@@ -50,8 +51,9 @@ def _packing_cycles(pf: PackingFile, n: int) -> List[HamCycle]:
         cycles = [HamCycle(tuple(c)) for c in pf.cycles]
     except ValueError as exc:
         raise DegenerateInput(str(exc)) from exc
-    in_range = all(0 <= v < n for c in cycles for v in c.order) and all(
-        0 <= v < n for per_cycle in pf.removed_edges for e in per_cycle for v in e
+    removed = [*chain.from_iterable(chain.from_iterable(pf.removed_edges))]
+    in_range = all(0 <= min(c.order) and max(c.order) < n for c in cycles) and (
+        not removed or 0 <= min(removed) and max(removed) < n
     )
     if not in_range:
         raise DegenerateInput("packing references an index out of range")

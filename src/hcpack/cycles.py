@@ -20,7 +20,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .errors import ConfigMismatch
 from .geometry import (
-    Config, CrossingOracle, Edge, RingOracle, edge, ring_boundary, short_arc, wheel_relabeling,
+    Config, CoordinateOracle, CrossingOracle, Edge, RingOracle, edge, ring_boundary, short_arc,
+    wheel_relabeling,
 )
 
 
@@ -98,10 +99,12 @@ def crossing_report(
     the ring in O(E log E + K) for K crossing pairs.  Any other oracle is
     asked about every pair of edges that share no vertex, in
     `is_one_plane`'s order (`_crossing_pairs`): each edge j against the
-    edges i < j before it, j and then i ascending.  So on degenerate input
-    the `CollinearOverlap` raised names the first overlapping pair in that
-    order, which need not be the first in edge-list order.  Both paths
-    give the pairs in edge-list order.
+    edges i < j before it, j and then i ascending; a `CoordinateOracle`
+    (general sets) decides the same pairs in that order in one flat
+    integer pass, and is called only on a zero determinant.  So on
+    degenerate input the `CollinearOverlap` raised names the first
+    overlapping pair in that order, which need not be the first in
+    edge-list order.  Every path gives the pairs in edge-list order.
     """
     es = c.edges() if isinstance(c, HamCycle) else tuple(c)
     counts = {e: 0 for e in es}
@@ -119,7 +122,37 @@ def crossing_report(
 def _crossing_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tuple[int, int]]:
     """Index pairs (i, j), i < j, of the edges of `es` that cross: by j
     ascending, then i ascending, asking `oracle(es[j], es[i])` about each
-    pair that shares no vertex."""
+    pair that shares no vertex.
+
+    A `CoordinateOracle` gets one flat integer pass instead of a call per
+    pair.  Each edge's end coordinates and its line through its first end,
+    `ux * y - uy * x = k`, are read once, and each pair is decided from
+    the oracle's own determinant signs, in its order: the ends of es[j]
+    against the line of es[i], then the ends of es[i] against the line of
+    es[j].  A zero determinant means a shared vertex, skipped as above, or
+    input not in general position: only such a pair is handed to
+    `oracle(es[j], es[i])`, so it gets exactly the oracle's answer or its
+    `CollinearOverlap`, in the same order.  An edge naming no point leaves
+    the whole list to the generic scan, which raises where the oracle's
+    own call does.  Any other oracle, a wrapped `CoordinateOracle`
+    included, is called once per pair.
+    """
+    if isinstance(oracle, CoordinateOracle):
+        try:
+            xs, ys = oracle.xs, oracle.ys
+            lines = []
+            for a, b in es:
+                ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+                ux, uy = bx - ax, by - ay
+                lines.append((a, b, ax, ay, bx, by, ux, uy, ux * ay - uy * ax))
+        except (IndexError, TypeError, ValueError):
+            pass
+        else:
+            return _coordinate_pairs(es, lines, oracle)
+    return _generic_pairs(es, oracle)
+
+
+def _generic_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tuple[int, int]]:
     for j, e in enumerate(es):
         a, b = e
         for i in range(j):
@@ -127,6 +160,32 @@ def _crossing_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tupl
             if a in f or b in f:
                 continue
             if oracle(e, f):
+                yield i, j
+
+
+def _coordinate_pairs(
+    es: Sequence[Edge], lines: List[tuple], oracle: CoordinateOracle
+) -> Iterator[Tuple[int, int]]:
+    """`_crossing_pairs` for a `CoordinateOracle`, given each edge's ends,
+    end coordinates and line `(ux, uy, k)`."""
+    for j, (a, b, ax, ay, bx, by, vx, vy, kv) in enumerate(lines):
+        for i in range(j):
+            c, d, cx, cy, dx, dy, ux, uy, k = lines[i]
+            d1 = ux * ay - uy * ax - k
+            d2 = ux * by - uy * bx - k
+            if d1 > 0 < d2 or d1 < 0 > d2:
+                continue  # both ends of es[j] on one side of es[i]
+            if d1 and d2:
+                d3 = vx * cy - vy * cx - kv
+                d4 = vx * dy - vy * dx - kv
+                if d3 > 0 > d4 or d3 < 0 < d4:
+                    yield i, j
+                    continue
+                if d3 and d4:
+                    continue  # both ends of es[i] on one side of es[j]
+            if a == c or a == d or b == c or b == d:
+                continue
+            if oracle(es[j], es[i]):
                 yield i, j
 
 

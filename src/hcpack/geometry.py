@@ -5,9 +5,9 @@ overflow, so every predicate is exact regardless of coordinate size.  The
 combinatorial oracles (`convex_cross`, `wheel_cross`) decide crossings from
 vertex indices alone, which is what makes verification on convex and wheel
 configurations independent of any coordinate approximation.  The
-general-position oracle (`coordinate_oracle`) reads flat integer lists of
-the coordinates and computes its determinants inline; on any zero
-determinant it defers to `segments_properly_cross`.
+general-position oracle (`coordinate_oracle`, a `CoordinateOracle`) reads
+flat integer lists of the coordinates and computes its determinants
+inline; on any zero determinant it defers to `segments_properly_cross`.
 """
 
 from __future__ import annotations
@@ -365,25 +365,33 @@ def wheel_oracle(n: int, center_index: Optional[int] = None) -> RingOracle:
     return RingOracle(n - 1, wheel_relabeling(n, center_index)[0], True)
 
 
-def coordinate_oracle(points: Sequence[Point]) -> CrossingOracle:
+class CoordinateOracle:
     """Exact crossing test over vertex indices of `points`.
 
-    The coordinates are copied once into two flat integer lists, and each
-    call works on those: a shared index never crosses, and otherwise the
-    orientation determinants are computed inline.  A pair with a zero
-    determinant (a duplicate point, a touching endpoint, a collinear pair)
-    goes to `segments_properly_cross` on the real points, looked up at call
-    time, so degenerate input gets exactly that function's answer or its
-    CollinearOverlap.
+    The coordinates are copied once into two flat integer lists, `xs` and
+    `ys`, and each call works on those: a shared index never crosses, and
+    otherwise the orientation determinants are computed inline.  A pair
+    with a zero determinant (a duplicate point, a touching endpoint, a
+    collinear pair) goes to `segments_properly_cross` on the real points,
+    looked up at call time, so degenerate input gets exactly that
+    function's answer or its CollinearOverlap.  `cycles.crossing_report`
+    reads `xs` and `ys` to decide a whole edge list in one flat pass, with
+    the same determinants, and calls the oracle only on a zero one.
     """
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
 
-    def oracle(e1: Edge, e2: Edge) -> bool:
+    __slots__ = ("points", "xs", "ys")
+
+    def __init__(self, points: Sequence[Point]):
+        self.points = points
+        self.xs = [p.x for p in points]
+        self.ys = [p.y for p in points]
+
+    def __call__(self, e1: Edge, e2: Edge) -> bool:
         a, b = e1
         c, d = e2
         if a == c or a == d or b == c or b == d:
             return False
+        xs, ys = self.xs, self.ys
         ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
         cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
         ux, uy = dx - cx, dy - cy
@@ -397,9 +405,14 @@ def coordinate_oracle(points: Sequence[Point]) -> CrossingOracle:
             d4 = vx * (dy - ay) - vy * (dx - ax)
             if d3 and d4:
                 return (d3 > 0) != (d4 > 0)
+        points = self.points
         return segments_properly_cross((points[a], points[b]), (points[c], points[d]))
 
-    return oracle
+
+def coordinate_oracle(points: Sequence[Point]) -> CoordinateOracle:
+    """The general-position crossing oracle over `points` (see
+    `CoordinateOracle`)."""
+    return CoordinateOracle(points)
 
 
 def oracle_for(ps: PointSet) -> CrossingOracle:

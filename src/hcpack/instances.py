@@ -28,7 +28,14 @@ RADIUS = 10**6
 
 
 def _require_integers(values: Iterable, what: str) -> None:
-    """JSON integers only: a float, a string or `true` is malformed input."""
+    """JSON integers only: a float, a string or `true` is malformed input.
+
+    The set of the values' types is built at C speed; only when it holds
+    another type than `int` are the values walked one by one, to name the
+    first bad one."""
+    values = list(values)
+    if {*map(type, values)} <= {int}:
+        return
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
             raise DegenerateInput(f"malformed {what} must be integers, got {v!r}")
@@ -50,8 +57,18 @@ class InstanceFile:
     config: str
     center_index: Optional[int] = None
     seed: Optional[int] = None
+    # `(self._key(), ps)` for the PointSet `generate` validated
+    _accepted: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _key(self) -> tuple:
+        return tuple(self.points), self.config, self.center_index
 
     def to_point_set(self) -> PointSet:
+        """The validated `PointSet` of this instance.  A generated convex or
+        wheel instance returns the one `generate` accepted while its points,
+        config and center are unchanged; anything else is validated anew."""
+        if self._accepted is not None and self._accepted[0] == self._key():
+            return self._accepted[1]
         return PointSet(
             tuple(Point(x, y) for x, y in self.points),
             Config(self.config),
@@ -86,7 +103,7 @@ class InstanceFile:
             raise DegenerateInput(f"malformed instance file {path}: {exc}") from exc
         if config not in {c.value for c in Config}:
             raise DegenerateInput(f"malformed instance file {path}: unknown config {config!r}")
-        values = chain((v for p in points for v in p), [] if center is None else [center])
+        values = chain(chain.from_iterable(points), [] if center is None else [center])
         _require_integers(values, f"instance file {path}: coordinates and center_index")
         return cls(points=points, config=config, center_index=center, seed=seed)
 
@@ -123,7 +140,8 @@ class PackingFile:
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise DegenerateInput(f"malformed packing file {path}: {exc}") from exc
-        values = chain((v for c in cycles for v in c), (v for r in removed for e in r for v in e))
+        edges = chain.from_iterable(removed)
+        values = chain(chain.from_iterable(cycles), chain.from_iterable(edges))
         _require_integers(values, f"packing file {path}: cycle vertices and removed edges")
         return cls(instance_hash=digest, cycles=cycles, removed_edges=removed)
 
@@ -136,7 +154,7 @@ def _regular_polygon(m: int, radius: int, rotation_steps: int = 4) -> List[Tuple
     return pts
 
 
-def _convex_points(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
+def _convex_points(n: int, seed: Optional[int]) -> Tuple[List[Tuple[int, int]], PointSet]:
     # jitter inside a guard band that keeps the ccw hull order intact
     band = max(1, int(RADIUS * (1 - math.cos(math.pi / n)) / 4))
     base = seed if seed is not None else 0
@@ -148,25 +166,25 @@ def _convex_points(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
             for x, y in raw
         ]
         try:
-            PointSet(tuple(Point(x, y) for x, y in pts), Config.CONVEX)
+            ps = PointSet(tuple(Point(x, y) for x, y in pts), Config.CONVEX)
         except DegenerateInput:
             continue
-        return pts
+        return pts, ps
     raise DegenerateInput(f"could not draw a convex instance with n={n}")
 
 
-def _wheel_points(n: int) -> List[Tuple[int, int]]:
+def _wheel_points(n: int) -> Tuple[List[Tuple[int, int]], PointSet]:
     # rounding can put the center on the wrong side of a near-diameter
     # chord; a larger radius shrinks the rounding error relative to it
     radius = RADIUS
     for _ in range(8):
         pts = _regular_polygon(n - 1, radius) + [(0, 0)]
         try:
-            PointSet(tuple(Point(x, y) for x, y in pts), Config.WHEEL, center_index=n - 1)
+            ps = PointSet(tuple(Point(x, y) for x, y in pts), Config.WHEEL, center_index=n - 1)
         except DegenerateInput:
             radius *= 10
             continue
-        return pts
+        return pts, ps
     raise DegenerateInput(f"could not draw a wheel instance with n={n}")
 
 
@@ -200,15 +218,22 @@ def _general_points(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
 
 
 def generate(config: Config, n: int, seed: Optional[int] = None) -> InstanceFile:
-    """A fresh validated instance of the requested configuration."""
+    """A fresh validated instance of the requested configuration.  A convex
+    or wheel draw keeps the `PointSet` that accepted it, so `to_point_set`
+    does not validate it again."""
     if config is Config.CONVEX:
         if n < 3:
             raise InvalidN("convex instances need n >= 3")
-        return InstanceFile(_convex_points(n, seed), config.value, None, seed)
-    if config is Config.WHEEL:
+        pts, ps = _convex_points(n, seed)
+        inst = InstanceFile(pts, config.value, None, seed)
+    elif config is Config.WHEEL:
         if n % 2 != 0 or n < 4:
             raise InvalidN("wheel instances need even n >= 4")
-        return InstanceFile(_wheel_points(n), config.value, n - 1, seed)
-    if n < 3:
-        raise InvalidN("general instances need n >= 3")
-    return InstanceFile(_general_points(n, seed), config.value, None, seed)
+        pts, ps = _wheel_points(n)
+        inst = InstanceFile(pts, config.value, n - 1, seed)
+    else:
+        if n < 3:
+            raise InvalidN("general instances need n >= 3")
+        return InstanceFile(_general_points(n, seed), config.value, None, seed)
+    inst._accepted = (inst._key(), ps)
+    return inst

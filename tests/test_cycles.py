@@ -22,14 +22,16 @@ from hcpack import (
     crossing_report,
     is_one_plane,
     pack_convex,
+    pack_general,
     pack_wheel,
     radial_edge_count,
     verify_hamiltonian,
     verify_packing,
     wheel_oracle,
 )
+from hcpack.cycles import _crossing_pairs
 from hcpack.errors import CollinearOverlap, ConfigMismatch
-from hcpack.geometry import RingOracle, wheel_relabeling
+from hcpack.geometry import CoordinateOracle, RingOracle, wheel_relabeling
 
 from conftest import CountingRing, CrossLedger, degenerate_lists, enumerated, general_instance
 
@@ -205,6 +207,83 @@ def _ring_edge_lists(draw):
 @given(_ring_edge_lists())
 def test_ring_report_matches_pairwise_on_edge_lists(case):
     _assert_same_report(*case)
+
+
+class _LoggedCoordinates(CoordinateOracle):
+    """A `CoordinateOracle`, still taking the flat pass, that logs each pair
+    it is called on to `calls`."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.calls = []
+
+    def __call__(self, e1, e2):
+        self.calls.append((e1, e2))
+        return super().__call__(e1, e2)
+
+
+def _assert_flat_matches_scan(es, orc):
+    """The flat pass over `es` gives the generic scan's pairs, in the same
+    order, or raises its exception type and message; so do `crossing_report`
+    and, on a cycle, `is_one_plane`.  It calls the oracle on a subsequence
+    of the pairs the scan asks about.  Returns the pass's outcome and the
+    pairs it called the oracle on."""
+    edges = es.edges() if isinstance(es, HamCycle) else es
+    orc.calls.clear()
+    flat = _outcome(lambda: list(_crossing_pairs(edges, orc)))
+    flat_calls, scan_calls = list(orc.calls), []
+    assert flat == _outcome(lambda: list(_crossing_pairs(edges, _recording(orc, scan_calls)))), es
+    asked = iter(scan_calls)
+    assert all(call in asked for call in flat_calls), (flat_calls, es)
+    assert _outcome(crossing_report, es, orc) == _outcome(crossing_report, es, _pairwise(orc)), es
+    if isinstance(es, HamCycle):
+        assert _outcome(is_one_plane, es, orc) == _outcome(is_one_plane, es, _pairwise(orc)), es
+    return flat, flat_calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flat_coordinate_pass_matches_the_pairwise_scan(seed):
+    """In general position the flat pass never calls the oracle: on packer
+    cycles (n = 16..64), random Hamiltonian orders of the same sets, which
+    cross a lot, and the complete edge lists the exhaustive oracle screens
+    (n = 8..10)."""
+    rng = random.Random(seed)
+    lists = [list(combinations(range(n), 2)) for n in (8, 9, 10)]
+    sets = [general_instance(n, seed).points for n in (8, 9, 10)]
+    for n in range(16, 65, 8):
+        ps = general_instance(n, seed)
+        orders = [rng.sample(range(n), n) for _ in range(3)]
+        for c in list(pack_general(ps).cycles) + [HamCycle(o) for o in orders]:
+            lists.append(c)
+            sets.append(ps.points)
+    crossings = 0
+    for es, points in zip(lists, sets):
+        flat, calls = _assert_flat_matches_scan(es, _LoggedCoordinates(points))
+        assert isinstance(flat, list) and calls == [], es
+        crossings += len(flat)
+    assert crossings > 2000, crossings
+
+
+def test_flat_coordinate_pass_matches_the_pairwise_scan_on_degenerate_grids():
+    """On grids with duplicates and collinear triples the flat pass raises
+    the scan's `CollinearOverlap`, naming the same pair, or gives its
+    pairs; an edge naming no point leaves the list to the scan."""
+    seen = Counter()
+    for seed, points in degenerate_lists():
+        rng = random.Random(seed)
+        orc = _LoggedCoordinates(points)
+        cases = [list(combinations(range(len(points)), 2))]
+        cases += [HamCycle(rng.sample(range(len(points)), rng.randint(3, len(points))))
+                  for _ in range(10)]
+        for es in cases:
+            flat, _ = _assert_flat_matches_scan(es, orc)
+            seen[type(flat) if isinstance(flat, list) else flat[0]] += 1
+    assert seen[list] and seen[CollinearOverlap], seen
+    orc = _LoggedCoordinates(general_instance(5, 0).points)
+    for es in ([(0, 9), (0, 1)], [(0, 1), (2, 9)], [(-1, 2), (0, 3)], [(0, 1.0), (2, 3)]):
+        _assert_flat_matches_scan(es, orc)
 
 
 @pytest.mark.parametrize(

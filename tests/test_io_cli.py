@@ -3,11 +3,12 @@ import json
 import pytest
 
 from hcpack import (
-    Config, cli, errors, general, generate, pack_convex, pack_general_detailed, render_svg,
+    Config, Point, PointSet, cli, errors, general, generate, pack_convex, pack_general_detailed,
+    render_svg,
 )
 from hcpack.cli import main
 from hcpack.errors import DegenerateInput, HcpackError, InvalidN, PackingIncomplete, TooLarge
-from hcpack.instances import InstanceFile, PackingFile
+from hcpack.instances import InstanceFile, PackingFile, _require_integers
 
 
 def test_generate_convex_order_is_hull_order():
@@ -27,6 +28,56 @@ def test_generate_general_position():
     inst = generate(Config.GENERAL, 17, seed=7)
     ps = inst.to_point_set()  # raises if degenerate
     assert len(ps) == 17
+
+
+def _counting_post_init(monkeypatch):
+    """The lengths of the point sets validated from now on."""
+    built = []
+    post_init = PointSet.__post_init__
+
+    def counted(self):
+        built.append(len(self.points))
+        post_init(self)
+
+    monkeypatch.setattr(PointSet, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("config, n", [(Config.CONVEX, 160), (Config.WHEEL, 40)])
+def test_generated_ring_is_validated_once(monkeypatch, config, n):
+    """`to_point_set` hands back the PointSet `generate` accepted, until the
+    points, config or center change."""
+    for seed in (1, 2):
+        built = _counting_post_init(monkeypatch)
+        inst = generate(config, n, seed)
+        ps = inst.to_point_set()
+        assert built == [n] and inst.to_point_set() is ps
+        assert ps == PointSet(tuple(Point(x, y) for x, y in inst.points), config, inst.center_index)
+        monkeypatch.undo()
+    inst = generate(config, n, 1)
+    inst.points[0] = inst.points[0]
+    assert inst.to_point_set() is inst.to_point_set()
+    inst.points[0] = (inst.points[0][0] + 1, inst.points[0][1])
+    built = _counting_post_init(monkeypatch)
+    inst.to_point_set()
+    assert built == [n]
+
+
+@pytest.mark.parametrize("config, n", [(Config.CONVEX, 12), (Config.WHEEL, 14)])
+def test_generated_instance_edited_to_degenerate_points_is_refused(config, n):
+    inst = generate(config, n, 3)
+    inst.to_point_set()
+    inst.points[2] = inst.points[1]  # a duplicate
+    with pytest.raises(DegenerateInput):
+        inst.to_point_set()
+    inst = generate(config, n, 3)
+    inst.points = inst.points[::-1]  # clockwise
+    with pytest.raises(DegenerateInput):
+        inst.to_point_set()
+    inst = generate(config, n, 3)
+    inst.config = Config.WHEEL.value if config is Config.CONVEX else Config.CONVEX.value
+    with pytest.raises(HcpackError):
+        inst.to_point_set()
 
 
 def test_generate_rejects_bad_n():
@@ -317,6 +368,26 @@ def test_cli_render_index_out_of_range(tmp_path, capsys, where):
         assert run_cli(*argv) == 2, cmd
         assert "out of range" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_integer_check_names_the_first_bad_value():
+    _require_integers([0, 1, 2**70, -3], "values")
+    for values, bad in (([0, 1.5, True], "1.5"), ([0, True, "2"], "True"), ([3, "2", 1.0], "'2'")):
+        with pytest.raises(DegenerateInput) as err:
+            _require_integers(iter(values), "values")
+        assert str(err.value) == f"malformed values must be integers, got {bad}"
+
+
+@pytest.mark.parametrize("cycles, removed", [
+    ([[0, 1, 2, -1]], []),
+    ([[0, 1, 2, 3]], [[(0, -1)]]),
+    ([[0, 1, 2, 3]], [[], [(2, 4)]]),
+    ([[0, 1, 2, 3], [4, 0, 2]], []),
+])
+def test_packing_index_range_is_checked_at_both_ends(cycles, removed):
+    with pytest.raises(DegenerateInput, match="out of range"):
+        cli._packing_cycles(PackingFile("", cycles, removed), 4)
+    assert len(cli._packing_cycles(PackingFile("", [[0, 1, 2, 3]], [[], [(0, 3)]]), 4)) == 1
 
 
 def test_cli_rejects_unknown_config(tmp_path, capsys):
