@@ -12,6 +12,7 @@ verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -205,37 +206,39 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
 
     k = sub.add_parser("pack", help="construct a packing for an instance")
     k.add_argument("--in", required=True)
     k.add_argument("--out", required=True)
-    k.set_defaults(func=cmd_pack)
 
     v = sub.add_parser("verify", help="verify a packing against its instance")
     v.add_argument("--instance", required=True)
     v.add_argument("--packing", required=True)
     v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
 
     o = sub.add_parser("oracle", help="exhaustive packing bound at small n")
     o.add_argument("--in", required=True)
     o.add_argument("--max-n", type=int, default=None,
                    help="exhaustive cap (default 8)")
-    o.set_defaults(func=cmd_oracle)
 
     r = sub.add_parser("render", help="draw a packing as SVG")
     r.add_argument("--instance", required=True)
     r.add_argument("--packing", required=True)
     r.add_argument("--out", required=True)
-    r.set_defaults(func=cmd_render)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, so a replaced `cmd_*` is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (DegenerateInput, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

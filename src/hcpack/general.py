@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import lshift, mul
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .bisection import Bisection, bisecting_lines, ham_sandwich_cuts, separating_subset_line
@@ -106,23 +107,50 @@ def _general_set(ps) -> PointSet:
 # ladder march
 
 
+def _lane_width(xs, ys) -> int:
+    """Bits per lane for the packed side tests on these coordinates.
+
+    A side value `ux * (y - ay) - uy * (x - ax)` of three of the points has
+    absolute value at most 8 M^2, M the largest |coordinate|, so with
+    W = 2 * bitlen(M) + 5 it lies strictly inside +-(2^(W-1) - 1)."""
+    return 2 * max(max(map(abs, xs)), max(map(abs, ys))).bit_length() + 5
+
+
 class _FlatLedger:
     """The march's edge set, grown and shrunk one edge at a time, never
     holding an edge crossed twice, on flat integer coordinates of points
     in general position.
 
-    Each ledger edge `(c, d)` keeps its line as `(ux, uy, k)`: a point p
-    lies on the side `ux * p.y - uy * p.x - k` of c -> d.  A pair crosses
-    when the new edge's ends lie strictly on opposite sides of the old
-    edge's line and the old edge's ends on opposite sides of the new line;
-    a zero determinant can only be a shared endpoint, which never crosses.
-    Pairs are visited in `is_one_plane`'s order, the new edge against each
-    held edge, oldest first, so every verdict is the same.
+    Each held edge `(c, d)` owns a lane of `width` bits in three packed
+    integers `ux`, `uy` and `k`: its line `(ux, uy, k)`, on which a point p
+    lies on the side `ux * p.y - uy * p.x - k` of c -> d, is added at the
+    lane's offset and subtracted on `remove`.  So `ux * y - uy * x - k` is
+    the sum of every held line's side value of (x, y), each at its lane.
+    Each lane value is a side value of three points, so by `_lane_width`
+    it stays strictly inside +-bias, bias = 2^(width-1) - 1 per lane: in
+    `bias + D` and `bias - D` every lane then holds a value in [0, 2^width),
+    no carry or borrow crosses into the next lane, and the top bit of a
+    lane is set exactly when D's lane value is > 0 or < 0 respectively.
+    Free lanes hold 0 and set no bit.  Two such evaluations give the held
+    lines that strictly separate the ends of a new edge at once; only for
+    those lanes are the held edge's ends tested against the new line.  A
+    zero determinant can only be a shared endpoint, which never crosses.
+    A new edge is refused when it would cross an edge that is already
+    crossed, or two edges; neither depends on the order the crossing
+    lanes are read in, so every verdict is `is_one_plane`'s.  Lanes are
+    added one at a time when no freed lane is left, so the packed integers
+    grow with the edges the march holds at once, not with the point count.
     """
 
     def __init__(self, xs: List[int], ys: List[int]):
         self.xs, self.ys = xs, ys
-        self.crossed: Dict[Edge, Tuple[int, int, int, List[Edge]]] = {}
+        self.width = _lane_width(xs, ys)
+        # edge -> (lane, ux, uy, k, edges crossing it)
+        self.crossed: Dict[Edge, Tuple[int, int, int, int, List[Edge]]] = {}
+        self.lane_edge: List[Edge] = []  # the edge last held in each lane
+        self.free: List[int] = []
+        self.ux = self.uy = self.k = 0
+        self.bias = self.top = 0  # 2^(width-1) - 1 and 2^(width-1) per lane
 
     def add(self, e: Edge) -> bool:
         """Insert `e`; refuse it if present or if any edge would then be
@@ -130,34 +158,56 @@ class _FlatLedger:
         crossed = self.crossed
         if e in crossed:
             return False
-        xs, ys = self.xs, self.ys
+        xs, ys, width = self.xs, self.ys, self.width
         a, b = e
         ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
         vx, vy = bx - ax, by - ay
         k = vx * ay - vy * ax
+        ux, uy, kh, bias = self.ux, self.uy, self.k, self.bias
+        da = ux * ay - uy * ax - kh
+        db = ux * by - uy * bx - kh
+        sep = ((da + bias) & (bias - db) | (bias - da) & (db + bias)) & self.top
         hit: List[Edge] = []
-        for f, (ux, uy, kf, f_hits) in crossed.items():
-            d1 = ux * ay - uy * ax - kf
-            d2 = ux * by - uy * bx - kf
-            if not d1 or not d2 or (d1 > 0) == (d2 > 0):
-                continue
+        while sep:
+            low = sep & -sep
+            sep ^= low
+            f = self.lane_edge[low.bit_length() // width - 1]
             c, d = f
             d3 = vx * ys[c] - vy * xs[c] - k
             d4 = vx * ys[d] - vy * xs[d] - k
             if (d3 > 0) == (d4 > 0):
                 continue
-            if f_hits or hit:
+            if crossed[f][4] or hit:
                 return False
             hit.append(f)
-        crossed[e] = (vx, vy, k, hit)
+        if self.free:
+            lane = self.free.pop()
+            self.lane_edge[lane] = e
+        else:
+            lane = len(self.lane_edge)
+            self.lane_edge.append(e)
+            high = 1 << width * lane + width - 1  # the new lane's top bit
+            self.top |= high
+            self.bias += high - (1 << width * lane)
+        shift = width * lane
+        self.ux += vx << shift
+        self.uy += vy << shift
+        self.k += k << shift
+        crossed[e] = (lane, vx, vy, k, hit)
         for f in hit:
-            crossed[f][3].append(e)
+            crossed[f][4].append(e)
         return True
 
     def remove(self, e: Edge) -> None:
         crossed = self.crossed
-        for f in crossed.pop(e)[3]:
-            crossed[f][3].remove(e)
+        lane, vx, vy, k, hits = crossed.pop(e)
+        for f in hits:
+            crossed[f][4].remove(e)
+        shift = self.width * lane
+        self.ux -= vx << shift
+        self.uy -= vy << shift
+        self.k -= k << shift
+        self.free.append(lane)
 
 
 class _March:
@@ -232,9 +282,7 @@ class _March:
         low, high = (r1, r2) if self.bs > 0 else (r2, r1)
         chain: List[int] = []
         for live, order in zip((low, high), self.sweep):
-            for i in order:
-                if i not in live:
-                    continue
+            for i in filter(live.__contains__, order):
                 px, py = xs[i], ys[i]
                 while len(chain) > 1:
                     a, b = chain[-2], chain[-1]
@@ -260,15 +308,20 @@ class _March:
     def _moves(self, pair, r1, r2, e1, e2):
         """The rung and the two bridges of `pair`, rule-conforming first, as
         (first edge, second edge, new chain ends).  Each takes v1 from r1 and
-        v2 from r2."""
+        v2 from r2.
+
+        Lazy: a conforming rung is yielded before the bridges' conformity
+        is scanned over every remaining point, so that scan runs only once
+        the rung's subtree has failed.  The search restores r1 and r2 before
+        asking for the next move, so the order is the eager one."""
         v1, v2 = pair
         on_side, key = self._on_side, self.key
-        moves = [
-            ((e1, v2), (e2, v1), (v1, v2)),
-            ((v1, e2), (v1, v2), (e1, v2)),
-            ((v2, e1), (v2, v1), (v1, e2)),
-        ]
-        conforming = [on_side(v1, v2, -self.bs, (e1, e2))]
+        rung = ((e1, v2), (e2, v1), (v1, v2))
+        rung_ok = on_side(v1, v2, -self.bs, (e1, e2))
+        if rung_ok:
+            yield rung
+        bridges = (((v1, e2), (v1, v2), (e1, v2)), ((v2, e1), (v2, v1), (v1, e2)))
+        conforming = []
         for vi, ei, eo in ((v1, e1, e2), (v2, e2, e1)):
             d = key[ei] - key[vi]
             lbs = (d > 0) - (d < 0)
@@ -278,8 +331,10 @@ class _March:
                 and on_side(vi, ei, lbs, r1)
                 and on_side(vi, ei, lbs, r2)
             )
-        flagged = list(zip(moves, conforming))
-        return [m for m, ok in flagged if ok] + [m for m, ok in flagged if not ok]
+        yield from (m for m, ok in zip(bridges, conforming) if ok)
+        if not rung_ok:
+            yield rung
+        yield from (m for m, ok in zip(bridges, conforming) if not ok)
 
     # -- search ---------------------------------------------------------------
     def run(self) -> Tuple[HamCycle, Optional[Edge]]:
@@ -435,16 +490,28 @@ class _JoinScreen:
       `r1` and `r2`, ends with `counts[f] - [f x r1] - [f x r2]` plus its
       hits by `a1` and `a2` above 1.
 
-    The hits come from side masks, built once per screen with one integer
-    determinant per vertex and edge: `left[w]` has a bit for each screen
-    edge whose line `w` lies strictly left of.  A point lies on an edge's
-    line only if it ends that edge, so for a non-incident edge a clear bit
-    means strictly right, and only edges whose line separates the ends of
-    `a` need the two determinants of their own ends against `a`'s line.
-    The same masks give the screen's own crossing counts and pairs, and
-    `own_pairs` the crossing pairs within one cycle.  The oracle decides
-    only whether `a1` crosses `a2`.  `candidate_ok` is only asked about
-    1-plane cycles.
+    Side tests are packed into lanes of `width` bits (see `_FlatLedger` for
+    the layout and why no carry crosses a lane).  Lane t holds vertex
+    `ring[t]`, where `ring` lists c1's cycle order, a copy of c1's first
+    vertex, c2's cycle order and a copy of c2's first vertex, and the line
+    from `ring[t]` to the next vertex on its cycle, which is `ring[t + 1]`.
+    So screen edge i sits in lane i, or i + 1 past c1.  A copy's lane holds
+    no edge: its line runs from the copy to itself, and no point lies
+    strictly left of it.  The lines are packed once, so each vertex's side
+    mask `left[w]`, the top bit of lane t set when `w` lies strictly left
+    of that lane's line, is one packed evaluation.  A point lies on an
+    edge's line only if it ends that edge, so for an edge not at u or v
+    the lane of `left[u] ^ left[v]` is set exactly when the edge's line
+    separates u and v.  `_crossing_lanes(u, v)` evaluates the line of u
+    and v once over the packed vertices: the edge in lane t has its ends
+    strictly on opposite sides when `ring[t]` is strictly left and
+    `ring[t + 1]` strictly right, or the other way round, which an edge at
+    u or v never has, as u and v lie on that line.  The segment crosses
+    the edges set in both masks.  That test gives `hits(a)`, and the
+    screen's own crossing counts and pairs, each edge against the lanes
+    above its own; `own_pairs` lists the crossing pairs within one cycle.
+    The oracle decides only whether `a1` crosses `a2`.  `candidate_ok` is
+    only asked about 1-plane cycles.
     """
 
     def __init__(
@@ -455,37 +522,37 @@ class _JoinScreen:
         self.es1, self.es2 = c1.edges(), c2.edges()
         edges = self.edges = self.es1 + self.es2
         self.index = {e: i for i, e in enumerate(edges)}
-        lines = [(xs[c], ys[c], xs[d] - xs[c], ys[d] - ys[c]) for c, d in edges]
-        inc = self.inc = dict.fromkeys(c1.order + c2.order, 0)
-        for i, (c, d) in enumerate(edges):
-            inc[c] |= 1 << i
-            inc[d] |= 1 << i
-        left = self.left = {}
-        for w in inc:
-            wx, wy = xs[w], ys[w]
-            lm = 0
-            bit = 1
-            for cx, cy, ux, uy in lines:
-                if ux * (wy - cy) - uy * (wx - cx) > 0:
-                    lm |= bit
-                bit <<= 1
-            left[w] = lm
-        # the screen's own crossings: pair (i, j), i < j, crosses when each
-        # edge's ends lie strictly on opposite sides of the other's line
+        n1 = self.n1 = len(c1)
+        ring = c1.order + c1.order[:1] + c2.order + c2.order[:1]
+        far = c1.order[1:] + c1.order[:1] * 2 + c2.order[1:] + c2.order[:1] * 2  # lines' far ends
+        px, py = [xs[w] for w in ring], [ys[w] for w in ring]
+        qx, qy = [xs[w] for w in far], [ys[w] for w in far]
+        width = self.width = _lane_width(px, py)
+        shifts = range(0, width * len(ring), width)
+        x, y = sum(map(lshift, px, shifts)), sum(map(lshift, py, shifts))
+        ux, uy = sum(map(lshift, qx, shifts)) - x, sum(map(lshift, qy, shifts)) - y
+        k = sum(map(lshift, map(int.__sub__, map(mul, qx, py), map(mul, qy, px)), shifts))
+        self.x, self.y = x, y
+        ones = self.ones = ((1 << width * len(ring)) - 1) // ((1 << width) - 1)
+        top = self.top = ones << width - 1
+        bias = self.bias = top - ones
+        self.left = {w: (ux * ys[w] - uy * xs[w] - k + bias) & top for w in ring}
+        # the screen's own crossings: edge i against the edges in the lanes
+        # above its own
         counts = self.counts = [0] * len(edges)
         crossed = self.crossed = [0] * len(edges)  # bit j of crossed[i]: i x j
         for i, (c, d) in enumerate(edges):
-            m = (left[c] ^ left[d]) & ~(inc[c] | inc[d]) & -(2 << i)
+            lane = i + (i >= n1)
+            m = self._crossing_lanes(c, d) >> width * (lane + 1)
             while m:
                 low = m & -m
                 m ^= low
-                j = low.bit_length() - 1
-                p, q = edges[j]
-                if (left[p] ^ left[q]) >> i & 1:
-                    counts[i] += 1
-                    counts[j] += 1
-                    crossed[i] |= low
-                    crossed[j] |= 1 << i
+                j = lane + low.bit_length() // width
+                j -= j > n1
+                counts[i] += 1
+                counts[j] += 1
+                crossed[i] |= 1 << j
+                crossed[j] |= 1 << i
         self.over = tuple(i for i, c in enumerate(counts) if c > 1)
         self._hits: Dict[Edge, Tuple[int, ...]] = {}
 
@@ -501,35 +568,39 @@ class _JoinScreen:
                 m &= m - 1
         return pairs
 
+    def _crossing_lanes(self, u: int, v: int) -> int:
+        """The top bits of the lanes whose edges the segment from screen
+        vertex u to screen vertex v properly crosses."""
+        xs, ys, width, bias, top = self.xs, self.ys, self.width, self.bias, self.top
+        ax, ay = xs[u], ys[u]
+        dx, dy = xs[v] - ax, ys[v] - ay
+        side = dx * self.y - dy * self.x - (dx * ay - dy * ax) * self.ones
+        lt, rt = (bias + side) & top, (bias - side) & top
+        return (self.left[u] ^ self.left[v]) & (lt & rt >> width | rt & lt >> width)
+
     def hits(self, a: Edge) -> Tuple[int, ...]:
         """Indices of the first (at most 2) screen edges `a` crosses."""
         h = self._hits.get(a)
         if h is not None:
             return h
-        u, v = a
-        left, xs, ys, edges = self.left, self.xs, self.ys, self.edges
-        m = (left[u] ^ left[v]) & ~(self.inc[u] | self.inc[v])
-        ux, uy = xs[u], ys[u]
-        vx, vy = xs[v] - ux, ys[v] - uy
+        m = self._crossing_lanes(*a)
+        width, n1 = self.width, self.n1
         found: List[int] = []
-        while m:
+        while m and len(found) < 2:
             low = m & -m
             m ^= low
-            j = low.bit_length() - 1
-            c, d = edges[j]
-            d3 = vx * (ys[c] - uy) - vy * (xs[c] - ux)
-            d4 = vx * (ys[d] - uy) - vy * (xs[d] - ux)
-            if (d3 > 0) != (d4 > 0):
-                found.append(j)
-                if len(found) == 2:
-                    break
+            lane = low.bit_length() // width - 1
+            found.append(lane - (lane > n1))
         h = self._hits[a] = tuple(found)
         return h
 
     def candidate_ok(self, r1: Edge, r2: Edge, a1: Edge, a2: Edge) -> bool:
         """All merged-cycle crossing counts stay <= 1."""
-        h1, h2 = self.hits(a1), self.hits(a2)
-        if len(h1) > 1 or len(h2) > 1:
+        h1 = self.hits(a1)
+        if len(h1) > 1:
+            return False
+        h2 = self.hits(a2)
+        if len(h2) > 1:
             return False
         if (h1 or h2) and self.oracle(a1, a2):
             return False
@@ -632,23 +703,24 @@ def _ccw_part_order(parts: List[Tuple[int, ...]], points) -> List[Tuple[int, ...
     gx = sum(points[i].x for p in parts for i in p)
     gy = sum(points[i].y for p in parts for i in p)
 
-    def vec(part):
-        sx = sum(points[i].x for i in part)
-        sy = sum(points[i].y for i in part)
-        return (total * sx - len(part) * gx, total * sy - len(part) * gy)
+    def keyed(part):
+        """The part's centroid vector from the global centroid (scaled by
+        `total`), its half plane, its smallest label, and the part."""
+        vx = total * sum(points[i].x for i in part) - len(part) * gx
+        vy = total * sum(points[i].y for i in part) - len(part) * gy
+        return vx, vy, 0 if (vy > 0 or (vy == 0 and vx > 0)) else 1, min(part), part
 
-    def cmp(p1, p2):
-        v1, v2 = vec(p1), vec(p2)
-        h1 = 0 if (v1[1] > 0 or (v1[1] == 0 and v1[0] > 0)) else 1
-        h2 = 0 if (v2[1] > 0 or (v2[1] == 0 and v2[0] > 0)) else 1
+    def cmp(k1, k2):
+        x1, y1, h1, m1, _ = k1
+        x2, y2, h2, m2, _ = k2
         if h1 != h2:
             return -1 if h1 < h2 else 1
-        c = v1[0] * v2[1] - v1[1] * v2[0]
+        c = x1 * y2 - y1 * x2
         if c != 0:
             return -1 if c > 0 else 1
-        return -1 if min(p1) < min(p2) else 1
+        return -1 if m1 < m2 else 1
 
-    return sorted(parts, key=functools.cmp_to_key(cmp))
+    return [k[-1] for k in sorted(map(keyed, parts), key=functools.cmp_to_key(cmp))]
 
 
 def _nth(it, idx):

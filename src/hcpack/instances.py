@@ -64,9 +64,9 @@ class InstanceFile:
         return tuple(self.points), self.config, self.center_index
 
     def to_point_set(self) -> PointSet:
-        """The validated `PointSet` of this instance.  A generated convex or
-        wheel instance returns the one `generate` accepted while its points,
-        config and center are unchanged; anything else is validated anew."""
+        """The validated `PointSet` of this instance.  A generated instance
+        returns the one `generate` accepted while its points, config and
+        center are unchanged; anything else is validated anew."""
         if self._accepted is not None and self._accepted[0] == self._key():
             return self._accepted[1]
         return PointSet(
@@ -188,9 +188,22 @@ def _wheel_points(n: int) -> Tuple[List[Tuple[int, int]], PointSet]:
     raise DegenerateInput(f"could not draw a wheel instance with n={n}")
 
 
-def _general_points(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
+def _general_points(n: int, seed: Optional[int]) -> Tuple[List[Tuple[int, int]], PointSet]:
+    """n points drawn uniformly from the square of side 2 * RADIUS, a
+    candidate repeating a point or collinear with two earlier ones drawn
+    again, with the PointSet that accepts them.
+
+    Nearly every draw is in general position as it stands, so the first n
+    candidates are validated once, as one PointSet; only if that refuses
+    them is the draw repeated from the same seed, candidate by candidate."""
     rng = random.Random(seed)
-    pts: List[Tuple[int, int]] = []
+    pts = [(rng.randint(-RADIUS, RADIUS), rng.randint(-RADIUS, RADIUS)) for _ in range(n)]
+    try:
+        return pts, PointSet(tuple(Point(x, y) for x, y in pts))
+    except DegenerateInput:
+        pass
+    rng = random.Random(seed)
+    pts = []
     # later[i]: primitive directions from pts[i] to the points drawn after it,
     # sign-normalised so collinear points share one, so a candidate repeating
     # a point or collinear with two costs O(len(pts))
@@ -214,13 +227,13 @@ def _general_points(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
                 seen.add(d)
             pts.append((cx, cy))
             later.append(set())
-    return pts
+    return pts, PointSet(tuple(Point(x, y) for x, y in pts))
 
 
 def generate(config: Config, n: int, seed: Optional[int] = None) -> InstanceFile:
-    """A fresh validated instance of the requested configuration.  A convex
-    or wheel draw keeps the `PointSet` that accepted it, so `to_point_set`
-    does not validate it again."""
+    """A fresh validated instance of the requested configuration.  The
+    draw keeps the `PointSet` that accepted it, so `to_point_set` does not
+    validate it again."""
     if config is Config.CONVEX:
         if n < 3:
             raise InvalidN("convex instances need n >= 3")
@@ -234,6 +247,7 @@ def generate(config: Config, n: int, seed: Optional[int] = None) -> InstanceFile
     else:
         if n < 3:
             raise InvalidN("general instances need n >= 3")
-        return InstanceFile(_general_points(n, seed), config.value, None, seed)
+        pts, ps = _general_points(n, seed)
+        inst = InstanceFile(pts, config.value, None, seed)
     inst._accepted = (inst._key(), ps)
     return inst

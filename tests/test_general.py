@@ -862,3 +862,124 @@ def test_general_position_pack_never_leaves_the_integer_kernel(monkeypatch):
     touch = coordinate_oracle([Point(0, 0), Point(2, 0), Point(1, 0), Point(1, 1)])
     assert not touch((0, 1), (2, 3))
     assert len(calls) == 1
+
+
+def _pack_record(points):
+    result = pack_general_detailed(points)
+    return (
+        [c.order for c in result.packing.cycles],
+        [[(mv.removed, mv.added, mv.created_uncrossings) for mv in moves]
+         for moves in result.join_log],
+    )
+
+
+def _assert_hits_exact(screens, points):
+    """Every cross-cycle pair's `hits` are the first two screen edges the
+    oracle says it crosses, in edge order."""
+    orc = coordinate_oracle(points)
+    for screen in screens:
+        c1, c2 = screen.cycles
+        for u, v in product(c1.order, c2.order):
+            a = edge(u, v)
+            want = list(islice((j for j, f in enumerate(screen.edges) if orc(a, f)), 2))
+            assert list(screen.hits(a)) == want, (a, want)
+
+
+# lane values of these sets run far past 64 bits: 2^64 + 1 and 3^40 scale
+# them, and the offsets move every coordinate past 2^90
+SCALES = [2**64 + 1, 3**40]
+OFFSETS = [(-3 * 10**30, 7 * 10**29), (-(2**90), 5)]
+
+
+def test_scaled_sets_pack_and_screen_as_the_unscaled(monkeypatch):
+    """A positive scale and an offset keep every orientation, so the packed
+    side tests must give the same packing and join log; the screens made on
+    the scaled sets keep exact hits."""
+    screens = []
+
+    class Recording(_JoinScreen):
+        def __init__(self, *args):
+            super().__init__(*args)
+            screens.append(self)
+
+    monkeypatch.setattr(general, "_JoinScreen", Recording)
+    for n, seed in product([16, 17, 24, 32, 33], [1, 2, 3]):
+        points = general_instance(n, seed).points
+        want = _pack_record(points)
+        for scale, (tx, ty) in product(SCALES, OFFSETS):
+            moved = [Point(scale * p.x + tx, scale * p.y + ty) for p in points]
+            screens.clear()
+            assert _pack_record(moved) == want, (n, seed, scale, tx, ty)
+            _assert_hits_exact(screens, moved)
+
+
+def test_join_screen_hits_match_the_oracle_while_packing(monkeypatch):
+    screens = []
+
+    class Recording(_JoinScreen):
+        def __init__(self, *args):
+            super().__init__(*args)
+            screens.append(self)
+
+    monkeypatch.setattr(general, "_JoinScreen", Recording)
+    cases = [*product([16, 17, 24, 32, 33], [1, 2, 3]), (48, 1), (64, 1)]
+    for n, seed in cases:
+        ps = general_instance(n, seed)
+        screens.clear()
+        pack_general_detailed(ps)
+        assert screens
+        _assert_hits_exact(screens, ps.points)
+
+
+def eager_moves(march, pair, r1, r2, e1, e2):
+    """`_March._moves` as it was before it became lazy: every move's
+    conformity first, then the conforming moves and the rest, each in the
+    order rung, bridge at v1, bridge at v2."""
+    v1, v2 = pair
+    on_side, key = march._on_side, march.key
+    moves = [
+        ((e1, v2), (e2, v1), (v1, v2)),
+        ((v1, e2), (v1, v2), (e1, v2)),
+        ((v2, e1), (v2, v1), (v1, e2)),
+    ]
+    conforming = [on_side(v1, v2, -march.bs, (e1, e2))]
+    for vi, ei, eo in ((v1, e1, e2), (v2, e2, e1)):
+        d = key[ei] - key[vi]
+        lbs = (d > 0) - (d < 0)
+        conforming.append(
+            lbs != 0
+            and on_side(vi, ei, -lbs, (eo,))
+            and on_side(vi, ei, lbs, r1)
+            and on_side(vi, ei, lbs, r2)
+        )
+    flagged = list(zip(moves, conforming))
+    return [m for m, ok in flagged if ok] + [m for m, ok in flagged if not ok], conforming[0]
+
+
+def test_lazy_march_moves_keep_the_eager_order(monkeypatch):
+    """At every march node of general packs n = 16..64 the lazy moves come
+    in the eager order, and a conforming rung comes after one side scan."""
+    lazy, on_side = _March._moves, _March._on_side
+    scans, rungs_first = [0], [0]
+
+    def counted(self, *args):
+        scans[0] += 1
+        return on_side(self, *args)
+
+    def checked(self, *args):
+        # read while the search runs, so each later move is made after the
+        # subtrees of the earlier ones have been searched and undone
+        want, rung_ok = eager_moves(self, *args)
+        scans[0] = 0
+        for k, move in enumerate(lazy(self, *args)):
+            if k == 0 and rung_ok:
+                assert scans[0] == 1
+                rungs_first[0] += 1
+            assert move == want[k]
+            yield move
+
+    monkeypatch.setattr(_March, "_on_side", counted)
+    monkeypatch.setattr(_March, "_moves", checked)
+    for n, seed in [*product([16, 17, 24, 32, 33], [1, 2, 3]), (48, 1), (64, 1)]:
+        pack_general_detailed(general_instance(n, seed))
+    assert rungs_first[0] > 1000

@@ -1,13 +1,16 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
 from hcpack import (
-    Config, Point, PointSet, cli, errors, general, generate, pack_convex, pack_general_detailed,
-    render_svg,
+    Config, Point, PointSet, cli, errors, general, generate, instances, pack_convex,
+    pack_general_detailed, render_svg,
 )
 from hcpack.cli import main
 from hcpack.errors import DegenerateInput, HcpackError, InvalidN, PackingIncomplete, TooLarge
+from hcpack.geometry import in_general_position
 from hcpack.instances import InstanceFile, PackingFile, _require_integers
 
 
@@ -210,6 +213,83 @@ def test_cli_verify_fails_every_turned_copy_of_a_tangled_cycle(tmp_path, capsys)
         assert int(row.split("max_crossings=")[1].split()[0]) >= 2 and row.endswith("[FAIL]")
     assert "  pairwise edge-disjoint: True" in lines
     assert lines[-1] == "FAIL"
+
+
+def test_cli_parses_with_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    """Every call after the first reuses one parser, and each gives the
+    output and exit code a freshly built parser gives."""
+    inst, pack, bad = (tmp_path / f for f in ("g20.json", "g20.pack.json", "g20.bad.json"))
+    run_cli("generate", "--config", "general", "--n", "20", "--seed", "1", "--out", str(inst))
+    run_cli("pack", "--in", str(inst), "--out", str(pack))
+    doc = json.loads(pack.read_text())
+    doc["cycles"][0] = list(range(20))
+    bad.write_text(json.dumps(doc))
+    verify = ("verify", "--instance", str(inst), "--packing")
+    calls = [
+        (*verify, str(pack), "--json"),
+        (*verify, str(pack)),
+        (*verify, str(pack), "--no-such-flag"),
+        (*verify, str(bad)),
+    ]
+
+    def outcome(argv):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    capsys.readouterr()
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _ in fresh] == [0, 0, 2, 1]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert built == [1]
+
+
+def test_generated_general_draw_is_validated_once(monkeypatch):
+    """A general draw keeps the PointSet that accepted it, as ring draws do."""
+    for seed in (1, 2, 3):
+        built = _counting_post_init(monkeypatch)
+        inst = generate(Config.GENERAL, 28, seed)
+        ps = inst.to_point_set()
+        assert built == [28] and inst.to_point_set() is ps
+        inst.points[0] = (inst.points[0][0] + 1, inst.points[0][1])
+        assert inst.to_point_set() is not ps
+        assert built == [28, 28]
+        monkeypatch.undo()
+
+
+def test_general_draw_redraws_a_degenerate_first_draw(monkeypatch):
+    """On a small square the first n candidates are often degenerate; the
+    draw then equals the one that refuses each bad candidate as it comes."""
+
+    def candidate_by_candidate(n, seed):
+        rng = random.Random(seed)
+        pts = []
+        while len(pts) < n:
+            c = (rng.randint(-instances.RADIUS, instances.RADIUS),
+                 rng.randint(-instances.RADIUS, instances.RADIUS))
+            if in_general_position([Point(x, y) for x, y in pts + [c]]):
+                pts.append(c)
+        return pts
+
+    monkeypatch.setattr(instances, "RADIUS", 12)
+    redrawn = 0
+    for n, seed in product(range(3, 11), range(10)):
+        pts, ps = instances._general_points(n, seed)
+        assert pts == candidate_by_candidate(n, seed)
+        assert ps.points == tuple(Point(x, y) for x, y in pts)
+        rng = random.Random(seed)
+        first = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(n)]
+        redrawn += not in_general_position([Point(x, y) for x, y in first])
+    assert redrawn > 10
 
 
 def test_cli_verify_detects_wrong_instance(tmp_path, capsys):
