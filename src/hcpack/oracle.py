@@ -31,22 +31,34 @@ canonical form.  A node tests each child against the closing edge, the
 reflection rule, the live-degree rule and the reachability rule before
 the call, and counts it as a search node either way.  Each edge also has
 a dense id, the index of its pair i < j in lexicographic order; the path
-keeps its edges' ids, and each cycle is kept with its n edge ids.
+keeps its edges' ids, and each cycle is kept as a row of positions with
+its n edge ids; only `enumerate_1phc`, and `max_packing_exact` for its
+witness, make `HamCycle`s of rows.
 
-The packing search is a branch and bound over cycle indices, with the
-candidates of each node held as one bitset.  Per edge id it builds the
-bitset of the cycles holding it, and from those, per cycle, the cycles it
-clashes with and, per vertex, the holder sets of its edges.  A child is
-entered only if its candidates could still add `more` cycles, the number
-it needs to beat the best packing so far: at least `more` candidates, and
-at every vertex at least 2 * `more` edges held by some candidate, since
-each further cycle uses two edges at every vertex and no edge twice.
-Each covered edge is counted at both of its ends, so a child passing the
-second test covers at least n * `more` edges: it prunes every child that
-the covered-edge bound (covered edges // n < `more`) would.  No packing in a
-skipped subtree is larger than the best; and since children are taken
-from low index to high and a tie is skipped, the witness is the first
-maximum in index order, exactly as an unbounded search finds it.
+The packing search asks one question: are there t pairwise edge-disjoint
+cycles among the candidates, a bitset over cycle indices?  It builds,
+per edge id e, `holders[e]`, the bitset of the cycles holding e, and
+never a table over pairs of cycles, so its memory is linear in the cycle
+count.  An edge is live when a candidate holds it, and a vertex's slack
+is its live edges minus 2t: each further cycle uses two edges at every
+vertex and no edge twice, so the answer is no as soon as any slack is
+negative.  Otherwise the search takes, among the live edges at the
+vertices with the least slack, the one with the fewest holders among the
+candidates, the lowest id on a tie (Algorithm X's most-constrained
+rule), and branches over those holders: a child takes one and keeps
+t - 1 and the candidates that share no edge with it, cleared by the OR
+of the holders of its edges.  One more branch drops the edge, clearing its
+holders and keeping t; it is taken only when the slack is positive,
+since at slack 0 every live edge at the vertex is used.  Two holders of
+one edge clash, so the branches split the packings without overlap and
+the answer is exact.  The optimum is the first t, counting up from 1,
+that is answered no, less one.  The witness needs no backtracking: for
+more = optimum down to 1 it takes the lowest-index candidate i whose
+candidates above i that share no edge with i still hold more - 1 cycles.
+That is the first maximum packing in index order, the one an exhaustive
+search over increasing indices meets first.  A packing node is one call
+of the feasibility search, over every question the optimum and the
+witness ask.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .cycles import (
     HamCycle,
@@ -95,6 +107,17 @@ def enumerate_1phc(
     subset must hold at least 3 distinct vertices of `ps`, or `ValueError`
     is raised before any search.
     """
+    vertices, rows, edge_ids, nodes = _search(ps, subset, max_n)
+    out = _Enumerated(HamCycle(tuple(vertices[p] for p in row)) for row in rows)
+    out.edge_ids = edge_ids
+    out.search_nodes = nodes
+    return out
+
+
+def _search(ps: PointSet, subset: Optional[Sequence[int]], max_n: Optional[int]):
+    """The enumeration itself: the sorted subset `vertices`, and per cycle
+    found its row of subset positions, canonical, and its edge ids, then
+    the search nodes visited.  No `HamCycle` is built here."""
     vertices = sorted(subset) if subset is not None else list(range(len(ps)))
     if len(set(vertices)) != len(vertices) or not all(0 <= v < len(ps) for v in vertices):
         raise ValueError(f"subset vertices must be distinct and in 0..{len(ps) - 1}")
@@ -131,8 +154,8 @@ def enumerate_1phc(
     low_bits = sum(1 << i * w for i in range(n))
     guard_bits = low_bits << n
     gbit = [1 << i * w + n for i in range(n)]  # gbit[i]: the guard bit of row i
-    out = _Enumerated()
-    out.edge_ids = []
+    rows: List[tuple] = []
+    edge_ids: List[List[int]] = []
     order = [0]
     path: List[int] = []  # the ids of the path's edges
     nodes = 1
@@ -163,8 +186,8 @@ def enumerate_1phc(
             if not rest:
                 # The closing edge to position 0 owns bit v of row 0.
                 if not now >> v & 1:
-                    out.append(HamCycle(tuple(vertices[p] for p in order) + (vertices[v],)))
-                    out.edge_ids.append(path + [k, step[0][v][2]])  # with the closing edge
+                    rows.append((*order, v))
+                    edge_ids.append(path + [k, step[0][v][2]])  # with the closing edge
                 continue
             # A cycle is kept with order[1] < order[-1], so a vertex above order[1] must remain.
             if not rest >> (second or v):
@@ -187,8 +210,7 @@ def enumerate_1phc(
             order.pop()
 
     rec(0, (1 << n) - 2, guard_bits ^ gbit[0], 0, 0, 0)
-    out.search_nodes = nodes
-    return out
+    return vertices, rows, edge_ids, nodes
 
 
 class _Enumerated(list):
@@ -202,40 +224,95 @@ class _Enumerated(list):
 
 def _max_packing(edge_ids: List[List[int]], n: int):
     """The first maximum packing in index order of the cycles with these
-    edge ids, and the search nodes visited.  `holders[e]` is the bitset of
-    the cycles using edge id e, `at[x]` the holders of the edges at vertex
-    x, and `clash[i]` the cycles sharing an edge with cycle i, i included."""
-    holders = [0] * (n * (n - 1) // 2)
+    edge ids, and the packing nodes visited (see the module docstring).
+    `holders[e]` is the bitset of the cycles using edge id e, written one
+    byte per cycle and read as one binary numeral; `inc[x]` is the mask of
+    the edge ids at position x, and `edge_mask[i]` that of cycle i.  A
+    child's candidates are a subset of its parent's, so its live edges are
+    found among the parent's, or as the union of its candidates' edge
+    masks when it has fewer candidates than the parent has live edges."""
+    ends = list(combinations(range(n), 2))  # ends[e]: the positions of edge id e
+    marks = [bytearray(b"0" * len(edge_ids)) for _ in ends]
     for i, ids in enumerate(edge_ids):
         for e in ids:
-            holders[e] |= 1 << i
-    at = [[h for h, p in zip(holders, combinations(range(n), 2)) if x in p] for x in range(n)]
-    clash = [reduce(int.__or__, map(holders.__getitem__, ids)) for ids in edge_ids]
-    best: List[int] = []
-    chosen: List[int] = []
+            marks[e][i] = 49  # ord("1")
+    holders = [int(m[::-1], 2) for m in marks]
+    bit = [1 << e for e in range(len(ends))]
+    edge_mask = [sum(map(bit.__getitem__, ids)) for ids in edge_ids]  # distinct ids: sum is OR
+    inc = [0] * n
+    for e, (a, b) in enumerate(ends):
+        inc[a] |= bit[e]
+        inc[b] |= bit[e]
+    every_edge = sum(bit)
     nodes = 0
 
-    def rec(cands: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if len(chosen) > len(best):
-            best = list(chosen)
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            i = low.bit_length() - 1
-            sub = cands & ~clash[i]
-            more = len(best) - len(chosen)  # further cycles the child needs to beat the best
-            if sub.bit_count() < more:
-                continue
-            if any(sum(1 for h in hs if h & sub) < 2 * more for hs in at):
-                continue
-            chosen.append(i)
-            rec(sub)
-            chosen.pop()
+    def clear(cands: int, i: int) -> int:
+        """The candidates that share no edge with cycle i (i itself gone)."""
+        return cands & ~reduce(int.__or__, map(holders.__getitem__, edge_ids[i]))
 
-    rec((1 << len(edge_ids)) - 1)
-    return best, nodes
+    def branch(cands: int, t: int, live: int):
+        """The live edges, found among `live`, the least slack, and the
+        candidates holding the edge to branch on; None when a slack is
+        negative."""
+        if cands.bit_count() < live.bit_count():
+            live = 0
+            for i in _bits(cands):
+                live |= edge_mask[i]
+        else:
+            for e in _bits(live):
+                if not holders[e] & cands:
+                    live ^= 1 << e
+        slack = [(live & x).bit_count() - 2 * t for x in inc]
+        least = min(slack)
+        if least < 0:
+            return None
+        tight = 0  # the live edges at the vertices of least slack
+        for x, s in zip(inc, slack):
+            if s == least:
+                tight |= x & live
+        fewest = min((holders[e] & cands for e in _bits(tight)), key=int.bit_count)
+        return live, least, fewest
+
+    def holds(cands: int, t: int, live: int = every_edge) -> bool:
+        """Are there t pairwise edge-disjoint cycles among `cands`?  Every
+        edge outside `live` is held by no candidate."""
+        nonlocal nodes
+        nodes += 1
+        if not t:
+            return True
+        found = branch(cands, t, live)
+        if found is None:
+            return False
+        live, least, fewest = found
+        if any(holds(clear(cands, i), t - 1, live) for i in _bits(fewest)):
+            return True
+        return least > 0 and holds(cands & ~fewest, t, live)
+
+    everything = (1 << len(edge_ids)) - 1
+    best = 0
+    while holds(everything, best + 1):
+        best += 1
+    chosen: List[int] = []
+    cands = everything
+    for more in range(best, 0, -1):
+        while True:  # take the lowest candidate that leaves room for more - 1
+            low = cands & -cands
+            cands ^= low  # the candidates above it
+            i = low.bit_length() - 1
+            rest = clear(cands, i)
+            if holds(rest, more - 1):
+                break
+        chosen.append(i)
+        cands = rest
+    return chosen, nodes
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def max_packing_exact(
@@ -244,23 +321,27 @@ def max_packing_exact(
     max_n: Optional[int] = None,
 ) -> EnumerationReport:
     """Exact maximum number of pairwise edge-disjoint 1-plane Hamiltonian
-    cycles, by branch and bound over the enumerated list.
+    cycles, by a most-constrained-edge search over the enumerated cycles.
 
-    Both searches prune only what provably cannot succeed (see the module
-    docstring), so the size and the witness, the first maximum packing in
-    enumeration order, are those of an exhaustive search.  `search_nodes`
-    counts the nodes each search visited.
+    The enumeration keeps each cycle as a row of positions and its edge
+    ids; the packing search reads only the edge ids, so the only cycles
+    built as `HamCycle`s are the witness's.  Both searches prune only what
+    provably cannot succeed (see the module docstring), so the size and
+    the witness, the first maximum packing in enumeration order, are
+    those of an exhaustive search.  `search_nodes` counts the enumeration's
+    nodes and the packing nodes: the calls of the feasibility search that
+    decide the optimum and then the witness.
     """
-    cycles = enumerate_1phc(ps, subset, max_n=max_n)
-    n = len(ps) if subset is None else len(subset)
-    chosen, packing_nodes = _max_packing(cycles.edge_ids, n)
+    vertices, rows, edge_ids, enumeration_nodes = _search(ps, subset, max_n)
+    n = len(vertices)
+    chosen, packing_nodes = _max_packing(edge_ids, n)
     return EnumerationReport(
         n=n,
         total_ham_cycles=math.factorial(n - 1) // 2,
-        one_plane_count=len(cycles),
+        one_plane_count=len(rows),
         max_packing_size=len(chosen),
-        witness=Packing(tuple(cycles[i] for i in chosen)),
-        search_nodes={"enumeration": cycles.search_nodes, "packing": packing_nodes},
+        witness=Packing(tuple(HamCycle(tuple(vertices[p] for p in rows[i])) for i in chosen)),
+        search_nodes={"enumeration": enumeration_nodes, "packing": packing_nodes},
     )
 
 

@@ -1,6 +1,7 @@
 import math
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
 
 import pytest
 
@@ -93,6 +94,48 @@ class CrossLedger:
     def remove(self, e):
         for f in self.crossed.pop(e):
             self.crossed[f].remove(e)
+
+
+def reference_max_packing(edge_ids, n):
+    """Reference for the exact packing search: the index-order branch and
+    bound it replaced.  The first maximum packing in index order of the
+    cycles with these edge ids, and the nodes visited.  `holders[e]` is
+    the bitset of the cycles using edge id e, `at[x]` the holders of the
+    edges at vertex x, and `clash[i]` the cycles sharing an edge with cycle
+    i, i included.  A child that needs `more` cycles to beat the best is
+    entered only if it has `more` candidates and, at every vertex, 2 *
+    `more` edges held by some candidate."""
+    holders = [0] * (n * (n - 1) // 2)
+    for i, ids in enumerate(edge_ids):
+        for e in ids:
+            holders[e] |= 1 << i
+    at = [[h for h, p in zip(holders, combinations(range(n), 2)) if x in p] for x in range(n)]
+    clash = [reduce(int.__or__, map(holders.__getitem__, ids)) for ids in edge_ids]
+    best = []
+    chosen = []
+    nodes = 0
+
+    def rec(cands):
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen) > len(best):
+            best = list(chosen)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            sub = cands & ~clash[i]
+            more = len(best) - len(chosen)  # further cycles the child needs to beat the best
+            if sub.bit_count() < more:
+                continue
+            if any(sum(1 for h in hs if h & sub) < 2 * more for hs in at):
+                continue
+            chosen.append(i)
+            rec(sub)
+            chosen.pop()
+
+    rec((1 << len(edge_ids)) - 1)
+    return best, nodes
 
 
 def degenerate_lists():

@@ -19,7 +19,13 @@ from hcpack import (
 )
 from hcpack.errors import TooLarge
 
-from conftest import convex_instance, enumerated, general_instance, wheel_instance
+from conftest import (
+    convex_instance,
+    enumerated,
+    general_instance,
+    reference_max_packing,
+    wheel_instance,
+)
 
 # independently derived with a brute-force permutation enumerator; the
 # values for n <= 7 are re-derived below on every run
@@ -168,14 +174,16 @@ def test_subset_outside_the_point_set_or_repeated_rejected(subset):
     assert_subset_rejected(subset, r"distinct and in 0\.\.5")
 
 
-# Search nodes visited on convex 11 and wheel 10, with the counts before the
-# enumeration's reachability prunes and the packing search's degree bound.
-# Before the dead-vertex prune and the packing bound over candidate bitsets,
-# the same searches visited 144926 / 55681 enumeration and 2895 / 7522
-# packing nodes.
+# Search nodes visited on convex 11 and wheel 10, and the enumeration's count
+# before its reachability prunes.  Packing nodes are calls of the search by
+# most-constrained edge; the last entry is the packing nodes of the
+# index-order branch and bound it replaced (`reference_max_packing`), which
+# visited 44 / 76 before its degree bound.  Before the dead-vertex prune and
+# the first packing bound, the same searches visited 144926 / 55681
+# enumeration and 2895 / 7522 packing nodes.
 SEARCH_NODES = {
-    "convex": ({"enumeration": 26367, "packing": 29}, {"enumeration": 42877, "packing": 44}),
-    "wheel": ({"enumeration": 16515, "packing": 16}, {"enumeration": 24214, "packing": 76}),
+    "convex": ({"enumeration": 26367, "packing": 351}, {"enumeration": 42877}, 29),
+    "wheel": ({"enumeration": 16515, "packing": 371}, {"enumeration": 24214}, 16),
 }
 
 
@@ -183,39 +191,80 @@ SEARCH_NODES = {
 def test_search_nodes_pinned(config):
     ps = convex_instance(11) if config == "convex" else wheel_instance(10)
     rep = max_packing_exact(ps, max_n=11)
-    pinned, before = SEARCH_NODES[config]
+    pinned, before, previous = SEARCH_NODES[config]
     assert rep.search_nodes == pinned
     assert rep.search_nodes == max_packing_exact(ps, max_n=11).search_nodes
     assert all(rep.search_nodes[k] < before[k] for k in before)
-    assert enumerate_1phc(ps, max_n=11).search_nodes == pinned["enumeration"]
+    cycles = enumerate_1phc(ps, max_n=11)
+    assert cycles.search_nodes == pinned["enumeration"]
+    assert reference_max_packing(cycles.edge_ids, len(ps))[1] == previous
 
 
 # Search nodes (enumeration, packing), the same before the reachability prunes
-# and the degree bound, and 1-plane cycle counts on larger convex and wheel
-# sets, and on general sets and a general subset, whose crossing masks come
-# from the pairwise report instead of the ring sweep.
+# and the index-order packing search's degree bound, the packing nodes of that
+# search (`reference_max_packing`), and 1-plane cycle counts on larger convex
+# and wheel sets, and on general sets and a general subset, whose crossing
+# masks come from the pairwise report instead of the ring sweep.
 WIDER_SEARCH_NODES = [
-    pytest.param("convex", 12, None, None, (83097, 33), (137519, 69), 1860, id="convex-12"),
-    pytest.param("convex", 13, None, None, (263687, 101), (441520, 244), 4395, id="convex-13"),
-    pytest.param("wheel", 12, None, None, (172028, 290), (272114, 1782), 6347, id="wheel-12"),
-    pytest.param("general", 9, 1, None, (7917, 5), (10462, 5), 820, id="general-9-1"),
-    pytest.param("general", 9, 2, None, (9611, 21), (12151, 21), 1078, id="general-9-2"),
-    pytest.param("general", 9, 3, None, (13925, 73), (15580, 73), 1947, id="general-9-3"),
-    pytest.param("general", 10, 1, None, (44107, 375), (52769, 2314), 5477, id="general-10-1"),
-    pytest.param("general", 10, 2, None, (43944, 262), (58276, 997), 3864, id="general-10-2"),
-    pytest.param("general", 10, 3, None, (61884, 900), (71170, 5482), 7243, id="general-10-3"),
-    pytest.param("general", 11, 1, [0, 1, 2, 4, 5, 7, 8, 10], (2254, 9), (2841, 10), 265,
+    pytest.param("convex", 12, None, None, (83097, 779), (137519, 69), 33, 1860, id="convex-12"),
+    pytest.param("convex", 13, None, None, (263687, 2237), (441520, 244), 101, 4395, id="convex-13"),
+    pytest.param("wheel", 12, None, None, (172028, 3665), (272114, 1782), 290, 6347, id="wheel-12"),
+    pytest.param("general", 9, 1, None, (7917, 56), (10462, 5), 5, 820, id="general-9-1"),
+    pytest.param("general", 9, 2, None, (9611, 99), (12151, 21), 21, 1078, id="general-9-2"),
+    pytest.param("general", 9, 3, None, (13925, 156), (15580, 73), 73, 1947, id="general-9-3"),
+    pytest.param("general", 10, 1, None, (44107, 889), (52769, 2314), 375, 5477, id="general-10-1"),
+    pytest.param("general", 10, 2, None, (43944, 617), (58276, 997), 262, 3864, id="general-10-2"),
+    pytest.param("general", 10, 3, None, (61884, 3524), (71170, 5482), 900, 7243, id="general-10-3"),
+    pytest.param("general", 11, 1, [0, 1, 2, 4, 5, 7, 8, 10], (2254, 33), (2841, 10), 9, 265,
                  id="general-11-1-subset"),
 ]
 
 
-@pytest.mark.parametrize("config,n,seed,subset,nodes,before,count", WIDER_SEARCH_NODES)
-def test_search_nodes_pinned_wider(config, n, seed, subset, nodes, before, count):
-    rep = max_packing_exact(naive_case(config, n, seed), subset=subset, max_n=13)
+@pytest.mark.parametrize("config,n,seed,subset,nodes,before,previous,count", WIDER_SEARCH_NODES)
+def test_search_nodes_pinned_wider(config, n, seed, subset, nodes, before, previous, count):
+    ps = naive_case(config, n, seed)
+    rep = max_packing_exact(ps, subset=subset, max_n=13)
     got = (rep.search_nodes["enumeration"], rep.search_nodes["packing"])
     assert got == nodes
-    assert got[0] < before[0] and got[1] <= before[1]
+    assert got[0] < before[0]
     assert rep.one_plane_count == count
+    edge_ids = enumerate_1phc(ps, subset=subset, max_n=13).edge_ids
+    assert reference_max_packing(edge_ids, len(subset or ps))[1] == previous
+
+
+REFERENCE_CASES = (
+    [pytest.param("convex", n, None, id=f"convex-{n}") for n in range(5, 13)]
+    + [pytest.param("wheel", n, None, id=f"wheel-{n}") for n in range(6, 13, 2)]
+    + [pytest.param("general", n, s, id=f"general-{n}-{s}") for n in range(6, 11) for s in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("config,n,seed", REFERENCE_CASES)
+def test_packing_matches_reference(config, n, seed):
+    # the index-order branch and bound finds the first maximum packing in
+    # index order by exhaustive search; the new search must give the same
+    ps = naive_case(config, n, seed)
+    cycles = enumerate_1phc(ps, max_n=12)
+    best, _ = reference_max_packing(cycles.edge_ids, n)
+    rep = max_packing_exact(ps, max_n=12)
+    assert rep.max_packing_size == len(best)
+    assert list(rep.witness.cycles) == [cycles[i] for i in best]
+
+
+def test_only_the_witness_is_built(monkeypatch):
+    # the searches keep cycles as rows; a HamCycle is made for the witness only
+    ps = wheel_instance(10)
+    built = []
+    post_init = HamCycle.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HamCycle, "__post_init__", counted)
+    rep = max_packing_exact(ps, max_n=10)
+    assert rep.max_packing_size == 3
+    assert len(built) == 3
 
 
 SUBSET_SOURCES = [("convex", 10, None), ("wheel", 10, None), ("wheel", 12, None)] + [
