@@ -27,8 +27,6 @@ from .cycles import (
 from .general import (
     GeneralPackResult,
     JoinMove,
-    PartitionTree,
-    Stone,
     march_cycle,
     join_cycles,
     pack_general,

@@ -36,6 +36,7 @@ from .geometry import (
     PointSet,
     coordinate_oracle,
     edge,
+    left_chain,
     segments_properly_cross,  # unused here; perfbench/tracer.py patches this name
 )
 
@@ -45,31 +46,19 @@ PER_LEVEL_VARIANTS = 8  # cut variants tried per level
 LEVEL_ATTEMPTS = 200  # level attempts one pack may make
 
 
-@dataclass(frozen=True)
-class Stone:
-    """Terminal same-side edge of a march; constrains later cuts."""
-
-    v: int
-    w: int
-
-    def pair(self) -> Edge:
-        return edge(self.v, self.w)
-
-
 @dataclass
 class LevelParts:
     """Parts of one level in counter-clockwise label order; `cut_case`
-    names how each part was cut for its march, once a level marched on it."""
+    names how each part was cut for its march, once a level marched on it.
+
+    A stone is a march's terminal same-side edge: the edge that closes the
+    cycle between two points on one side of its cut.  `stones` maps a part
+    index to the stone that lies within that part, which later cuts keep on
+    one side."""
 
     parts: List[Tuple[int, ...]]
-    stones: Dict[int, Stone]
+    stones: Dict[int, Edge]
     cut_case: Dict[int, str] = field(default_factory=dict)
-
-
-@dataclass
-class PartitionTree:
-    levels: List[LevelParts] = field(default_factory=list)
-    used_edges: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -88,7 +77,7 @@ class JoinMove:
 @dataclass
 class GeneralPackResult:
     packing: Packing
-    tree: PartitionTree
+    levels: List[LevelParts]
     join_log: List[List[JoinMove]]
 
 
@@ -270,27 +259,18 @@ class _March:
 
         In the frame (key, -dot(d, p)), which keeps orientation, that edge
         is the one edge of the lower monotone chain running from the
-        low-key side to the high-key side, so one pass over the sweep order
-        finds it.  The points are in general position, so no turn of the
-        chain has a zero determinant.
+        low-key side to the high-key side, so one `left_chain` over the
+        sweep order finds it.  The points are in general position, so no
+        turn of the chain has a zero determinant.
         """
         if not r1 or not r2:
             return None
         if len(r1) == len(r2) == 1:
             return next(iter(r1)), next(iter(r2))
-        xs, ys = self.xs, self.ys
         low, high = (r1, r2) if self.bs > 0 else (r2, r1)
-        chain: List[int] = []
-        for live, order in zip((low, high), self.sweep):
-            for i in filter(live.__contains__, order):
-                px, py = xs[i], ys[i]
-                while len(chain) > 1:
-                    a, b = chain[-2], chain[-1]
-                    ax, ay = xs[a], ys[a]
-                    if (xs[b] - ax) * (py - ay) - (ys[b] - ay) * (px - ax) > 0:
-                        break
-                    chain.pop()
-                chain.append(i)
+        lows, highs = self.sweep
+        sweep = itertools.chain(filter(low.__contains__, lows), filter(high.__contains__, highs))
+        chain = left_chain(sweep, self.xs, self.ys)
         k = next(j for j, i in enumerate(chain) if i in high)
         a, b = chain[k - 1], chain[k]
         return (a, b) if self.bs > 0 else (b, a)
@@ -406,15 +386,15 @@ def march_cycle(
     subset: Sequence[int],
     bisection: Optional[Bisection] = None,
     forbidden: FrozenSet[Edge] = frozenset(),
-) -> Tuple[HamCycle, Bisection, List[Stone]]:
+) -> Tuple[HamCycle, Bisection, List[Edge]]:
     """A verified 1-plane Hamiltonian cycle on `subset` via the ladder march.
 
     `ps` is a PointSet, or a point sequence that must be in general
     position (DegenerateInput otherwise; see `_general_set`).  With no
     bisection given, successive bisecting lines are tried until one admits
-    a march.  The returned stone list is empty or a single terminal edge; a
-    bare triangle reports no stone.  Raises ValueError on a subset of fewer
-    than 3 points.
+    a march.  The returned stone list is empty or holds the march's stone
+    (see `LevelParts`); a bare triangle reports no stone.  Raises
+    ValueError on a subset of fewer than 3 points.
     """
     ps = _general_set(ps)
     sub = sorted(subset)
@@ -432,8 +412,7 @@ def march_cycle(
         except MarchFailed as exc:
             last = exc
             continue
-        stones = [] if stone is None or len(sub) == 3 else [Stone(stone[0], stone[1])]
-        return cyc, cut, stones
+        return cyc, cut, [] if stone is None else [stone]
     raise MarchFailed(f"no bisection admits a march: {last}")
 
 
@@ -732,18 +711,18 @@ def _bisection(e, side, rest) -> Bisection:
     return Bisection(e, side, rest) if len(side) >= len(rest) else Bisection(e, rest, side)
 
 
-def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Stone]]:
+def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Edge]]:
     """The halves of each (cut, stones) pair in ccw order, and the stone
     each half keeps."""
     parts = _ccw_part_order(
         [tuple(sorted(half)) for cut, _ in cuts for half in (cut.left, cut.right)], points
     )
     part_of = {i: pi for pi, p in enumerate(parts) for i in p}
-    stones: Dict[int, Stone] = {}
+    stones: Dict[int, Edge] = {}
     for _, sts in cuts:
-        for st in sts:
-            if part_of[st.v] == part_of[st.w]:
-                stones[part_of[st.v]] = st
+        for v, w in sts:
+            if part_of[v] == part_of[w]:
+                stones[part_of[v]] = (v, w)
     return parts, stones
 
 
@@ -783,12 +762,11 @@ def _run_level(ps: PointSet, parts, stones, used, variant):
         # the stone's part goes first, so its pair stays on one side
         first = t + 1 if t not in stones and t + 1 in stones else t
         st, other = stones.get(first), stones.get(first ^ 1)
-        pair = st.pair() if st else None
-        hs = _nth(ham_sandwich_cuts(ps, parts[first], parts[first ^ 1], pair=pair), variant)
+        hs = _nth(ham_sandwich_cuts(ps, parts[first], parts[first ^ 1], pair=st), variant)
         if hs is None:
             continue
         e, (l1, r1, l2, r2) = hs
-        if other is not None and (other.v in l2) != (other.w in l2):
+        if other is not None and (other[0] in l2) != (other[1] in l2):
             continue
         part_cuts[first], part_cuts[first ^ 1] = _bisection(e, l1, r1), _bisection(e, l2, r2)
         cut_case[t] = cut_case[t + 1] = "case1" if st else "ham-sandwich"
@@ -800,7 +778,7 @@ def _run_level(ps: PointSet, parts, stones, used, variant):
         if cut is None and st is not None:
             # separating-line fallback: split off a balanced stone-side subset
             try:
-                e, grown = separating_subset_line(ps, part, (st.v, st.w), (len(part) + 1) // 2)
+                e, grown = separating_subset_line(ps, part, st, (len(part) + 1) // 2)
             except NotSeparable:
                 pass
             else:
@@ -884,8 +862,7 @@ def pack_general_detailed(ps) -> GeneralPackResult:
         path.append((cyc, [], LevelParts(*_next_level([(cut, stones)], ps.points))))
         if solve(set(cyc.edges())):
             cycles, join_log, levels = zip(*path)
-            tree = PartitionTree(list(levels), set().union(*(c.edges() for c in cycles)))
-            return GeneralPackResult(Packing(cycles), tree, list(join_log))
+            return GeneralPackResult(Packing(cycles), list(levels), list(join_log))
         path.pop()
     raise PackingIncomplete(
         f"search exhausted ({counter} level attempts): {last_err}",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from math import gcd
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     CollinearOverlap,
@@ -153,57 +153,68 @@ def wheel_cross(m: int, e1: Edge, e2: Edge) -> bool:
     return _in_open_arc(j, lo, hi, m)
 
 
+def left_chain(order: Iterable[int], xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """The indices of `order`, each appended after popping the chain's last
+    index while the chain does not turn strictly left there.  Index i is at
+    `(xs[i], ys[i])`; each turn is an inline determinant with `orientation`'s
+    sign.  On indices sorted by (x, y) it is the lower hull chain."""
+    chain: list[int] = []
+    for i in order:
+        x, y = xs[i], ys[i]
+        while len(chain) > 1:
+            p, q = chain[-2], chain[-1]
+            px, py = xs[p], ys[p]
+            if (xs[q] - px) * (y - py) - (ys[q] - py) * (x - px) > 0:
+                break
+            chain.pop()
+        chain.append(i)
+    return chain
+
+
 def convex_hull(points: Sequence[Point]) -> list[int]:
     """Counter-clockwise hull vertex indices (monotone chain).
 
     A point joins a chain only where the chain turns strictly left, so
     duplicates and points on a hull edge are dropped.  The coordinates are
-    read once into two flat integer lists and each turn is an inline
-    determinant, with `orientation`'s sign.
+    read once into two flat integer lists, and both chains are
+    `left_chain`s over them.
     """
     if len(points) < 3:
         raise DegenerateInput("hull needs at least 3 points")
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     order = sorted(range(len(points)), key=list(zip(xs, ys)).__getitem__)
-
-    def build(idx):
-        chain = []
-        for i in idx:
-            x, y = xs[i], ys[i]
-            while len(chain) >= 2:
-                p, q = chain[-2], chain[-1]
-                px, py = xs[p], ys[p]
-                if (xs[q] - px) * (y - py) - (ys[q] - py) * (x - px) > 0:
-                    break
-                chain.pop()
-            chain.append(i)
-        return chain
-
-    lower = build(order)
-    upper = build(reversed(order))
+    lower = left_chain(order, xs, ys)
+    upper = left_chain(reversed(order), xs, ys)
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateInput("all points collinear")
     return hull
 
 
+def line_direction(dx: int, dy: int) -> Optional[Tuple[int, int]]:
+    """The primitive direction of the vector (dx, dy), signed so that its
+    first nonzero coordinate is positive: two vectors from one point get
+    the same direction exactly when they lie on one line.  None for the
+    zero vector."""
+    g = gcd(dx, dy)
+    if g == 0:
+        return None
+    if dx < 0 or (dx == 0 and dy < 0):
+        g = -g
+    return dx // g, dy // g
+
+
 def in_general_position(points: Sequence[Point]) -> bool:
-    """Distinct points, no three collinear: per point, the primitive,
-    sign-normalised directions to the later points must be nonzero and
-    distinct.  O(n^2) time, O(n) memory."""
+    """Distinct points, no three collinear: per point, the `line_direction`s
+    to the later points must be defined and distinct.  O(n^2) time, O(n)
+    memory."""
     xy = [(p.x, p.y) for p in points]
     for i, (px, py) in enumerate(xy):
         seen = set()
         for qx, qy in xy[i + 1 :]:
-            dx, dy = qx - px, qy - py
-            g = gcd(dx, dy)
-            if g == 0:
-                return False
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            d = (dx // g, dy // g)
-            if d in seen:
+            d = line_direction(qx - px, qy - py)
+            if d is None or d in seen:
                 return False
             seen.add(d)
     return True

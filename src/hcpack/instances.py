@@ -22,6 +22,7 @@ from .geometry import (
     Point,
     PointSet,
     coordinate_oracle,  # unused here; perfbench/tracer.py patches this name
+    line_direction,
 )
 
 RADIUS = 10**6
@@ -204,22 +205,16 @@ def _general_points(n: int, seed: Optional[int]) -> Tuple[List[Tuple[int, int]],
         pass
     rng = random.Random(seed)
     pts = []
-    # later[i]: primitive directions from pts[i] to the points drawn after it,
-    # sign-normalised so collinear points share one, so a candidate repeating
-    # a point or collinear with two costs O(len(pts))
+    # later[i]: the line directions from pts[i] to the points drawn after
+    # it, so a candidate repeating a point or collinear with two costs
+    # O(len(pts))
     later: List[set] = []
     while len(pts) < n:
         cx, cy = rng.randint(-RADIUS, RADIUS), rng.randint(-RADIUS, RADIUS)
         dirs = []
         for (ax, ay), seen in zip(pts, later):
-            dx, dy = cx - ax, cy - ay
-            g = math.gcd(dx, dy)
-            if g == 0:
-                break
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            d = (dx // g, dy // g)
-            if d in seen:
+            d = line_direction(cx - ax, cy - ay)
+            if d is None or d in seen:
                 break
             dirs.append(d)
         else:

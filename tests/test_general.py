@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from itertools import combinations, islice, product
@@ -23,7 +24,7 @@ from hcpack import (
 )
 from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
-from hcpack.errors import DegenerateInput, HcpackError, MarchFailed
+from hcpack.errors import DegenerateInput, HcpackError, MarchFailed, NoJoinFound
 from hcpack.general import _FlatLedger, _JoinScreen, _March, _splice
 from hcpack.geometry import PointSet, convex_hull, in_general_position, oracle_for, orientation
 
@@ -53,14 +54,13 @@ def test_march_cycle_reproduces_reference_march(reference_13_points):
         ]
     }
     assert set(cyc.edges()) == want
-    assert len(stones) == 1 and stones[0].pair() == (10, 12)
+    assert stones == [(10, 12)]
 
 
 def test_march_cycle_stone_endpoints_same_side(reference_13_points):
     cut = cut_at(reference_13_points.points, range(13), (-19, 63), 1, 7)
     _, used_cut, stones = march_cycle(reference_13_points, range(13), bisection=cut)
-    st = stones[0]
-    assert {st.v, st.w} <= set(used_cut.left)
+    assert set(stones[0]) <= set(used_cut.left)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -158,7 +158,7 @@ def test_large_march_unchanged():
         for seed in (1, 2, 3):
             ps = general_instance(n, seed)
             cyc, _, stones = march_cycle(ps, range(n))
-            digest.update(repr((n, seed, cyc.order, [(s.v, s.w) for s in stones])).encode())
+            digest.update(repr((n, seed, cyc.order, stones)).encode())
     assert digest.hexdigest() == LARGE_MARCH_DIGEST
 
 
@@ -211,7 +211,7 @@ def march_outcome(points):
         cyc, _, stones = march_cycle(points, range(len(points)))
     except Exception as exc:
         return type(exc).__name__
-    return cyc.order, [(s.v, s.w) for s in stones]
+    return cyc.order, stones
 
 
 def test_general_packer_refuses_points_not_in_general_position():
@@ -328,6 +328,49 @@ def test_march_ledger_agrees_with_cross_ledger(monkeypatch):
     assert verdicts == {True, False, "remove"}
 
 
+def test_flat_ledger_refuses_an_edge_it_holds():
+    """Adding a held edge again is refused, as CrossLedger refuses it, and
+    leaves every packed line, lane and crossing list as it was."""
+    ps = general_instance(12, 1)
+    xs, ys = [p.x for p in ps.points], [p.y for p in ps.points]
+    flat, ref = _FlatLedger(xs, ys), CrossLedger(coordinate_oracle(ps.points))
+    for e in combinations(range(12), 2):
+        assert flat.add(e) == ref.add(e)
+    assert any(hits for *_, hits in flat.crossed.values())
+    before = copy.deepcopy(vars(flat))
+    for e in list(ref.crossed):
+        assert not ref.add(e)
+        assert not flat.add(e)
+    assert vars(flat) == before
+
+
+def test_fold_raises_once_every_seed_is_stuck(monkeypatch):
+    tried = []
+
+    def no_join(c1, c2, forbidden, ps):
+        tried.append((c1.order, c2.order))
+        raise NoJoinFound("no exchange")
+
+    monkeypatch.setattr(general, "join_cycles", no_join)
+    parts = [HamCycle((0, 1, 2)), HamCycle((3, 4, 5)), HamCycle((6, 7, 8))]
+    with pytest.raises(NoJoinFound, match="fold stuck: no exchange"):
+        general._fold(parts, set(), general_instance(9, 1))
+    # each seed tries the two other cycles once, then the next seed starts
+    assert tried == [(a.order, b.order) for a in parts for b in parts if a is not b]
+
+
+@pytest.mark.parametrize("near, far", [((0, 3), (1, 2)), ((1, 2), (0, 3))])
+def test_ccw_part_order_breaks_a_direction_tie_by_smallest_label(near, far):
+    """Two parts whose centroids lie on one ray from the global centroid
+    come in the order of their smallest labels, whichever is nearer."""
+    xy = {near[0]: (9, 1), near[1]: (11, -1), far[0]: (19, 2), far[1]: (21, -2),
+          4: (-31, 1), 5: (-29, -1)}
+    points = [Point(*xy[i]) for i in range(6)]
+    assert in_general_position(points)
+    order = general._ccw_part_order([(4, 5), far, near], points)
+    assert order == [(0, 3), (1, 2), (4, 5)]
+
+
 # perfbench/tracer.py patches these names on hcpack.general, where the
 # packer looks them up; each must stay there as its home module's object
 TRACED_ON_GENERAL = {
@@ -399,10 +442,10 @@ def test_level_search_unchanged(monkeypatch):
             seed,
             [c.order for c in result.packing.cycles],
             [(lv.parts,
-              sorted((pi, (st.v, st.w)) for pi, st in lv.stones.items()),
+              sorted(lv.stones.items()),
               sorted(lv.cut_case.items()))
-             for lv in result.tree.levels],
-            sorted(result.tree.used_edges),
+             for lv in result.levels],
+            sorted(result.packing.edge_union()),
             [[(mv.removed, mv.added, mv.created_uncrossings) for mv in moves]
              for moves in result.join_log],
             calls[0],
@@ -596,21 +639,17 @@ def test_partition_tree_structure():
     ps = general_instance(17, 6)
     res = pack_general_detailed(ps)
     n = 17
-    for li, level in enumerate(res.tree.levels):
+    for li, level in enumerate(res.levels):
         assert len(level.parts) == 2 ** (li + 1)
         flat = sorted(v for p in level.parts for v in p)
         assert flat == list(range(n))
         for pi, st in level.stones.items():
-            part = set(level.parts[pi])
-            assert st.v in part and st.w in part
-    assert res.tree.used_edges == set().union(
-        *(set(c.edges()) for c in res.packing.cycles)
-    )
+            assert set(st) <= set(level.parts[pi])
 
 
 @pytest.mark.parametrize("n,seed", [(17, 6), (16, 0), (32, 3), (33, 1)])
 def test_partition_tree_cut_cases_name_their_own_parts(n, seed):
-    levels = pack_general_detailed(general_instance(n, seed)).tree.levels
+    levels = pack_general_detailed(general_instance(n, seed)).levels
     for level in levels:
         assert set(level.cut_case) <= set(range(len(level.parts)))
     # every level but the last was cut and marched on, part by part

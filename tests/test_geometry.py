@@ -12,13 +12,15 @@ from hcpack import (
     convex_cross,
     convex_hull,
     coordinate_oracle,
+    edge,
     in_general_position,
     orientation,
     segments_properly_cross,
     wheel_cross,
     wheel_oracle,
 )
-from hcpack.errors import CollinearOverlap, DegenerateInput, SharedEndpoint
+from hcpack.errors import CollinearOverlap, ConfigMismatch, DegenerateInput, SharedEndpoint
+from hcpack.geometry import RingOracle
 
 from conftest import regular_polygon_points
 
@@ -233,3 +235,25 @@ def test_point_set_validation():
     assert len(ps) == 4
     with pytest.raises(DegenerateInput):
         PointSet((sq[0], sq[2], sq[1], sq[3]), Config.CONVEX)
+
+
+SQUARE = (Point(0, 0), Point(10, 1), Point(9, 11), Point(-1, 10))
+
+
+@pytest.mark.parametrize("build, exc, says", [
+    (lambda: Point(0, 0.5), TypeError, "coordinates must be integers"),
+    (lambda: edge(3, 3), ValueError, "two distinct vertices"),
+    (lambda: PointSet(SQUARE[:2]), DegenerateInput, "at least 3 points"),
+    (lambda: PointSet(SQUARE).rim_order(), ConfigMismatch, "needs a wheel set"),
+    (lambda: convex_cross(6, (0, 2), (1, 6)), ValueError, "out of range"),
+    (lambda: wheel_cross(12, (0, 2), (1, 5)), ValueError, "rim count must be odd"),
+    (lambda: RingOracle(12, range(13), True), ValueError, "rim count must be odd"),
+    # all collinear: the hull refuses them, so they are not in convex order
+    (lambda: PointSet([Point(i, 2 * i) for i in range(4)], Config.CONVEX), DegenerateInput,
+     "not in ccw convex order"),
+], ids=["float-coordinate", "loop-edge", "two-points", "rim-of-a-general-set",
+        "convex-index-out-of-range", "even-wheel-rim", "even-ring-oracle-rim",
+        "collinear-convex-set"])
+def test_validation_refuses(build, exc, says):
+    with pytest.raises(exc, match=says):
+        build()

@@ -515,6 +515,37 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert run_cli("oracle", "--in", str(tmp_path / "nope.json")) == 2
 
 
+QUAD = [(0, 0), (10, 1), (9, 11), (1, 9)]
+
+
+@pytest.mark.parametrize("points, config, center, cycles, named, says", [
+    (QUAD, "general", 0, [[0, 1, 2, 3]], "instance", "center_index only applies"),
+    (QUAD[:3], "wheel", 2, [[0, 1, 2]], "instance", "wheel sets need even n, got 3"),
+    ([(0, 0), (1, 1), (2, 2), (5, 0)], "general", None, [[0, 1, 2, 3]], "instance",
+     "duplicate or collinear"),
+    (QUAD, "general", None, [[0, 1]], "cycle", "at least 3 vertices"),
+    (QUAD, "general", None, [[0, 1, 1, 2]], "cycle", "repeated vertex"),
+    (QUAD, "general", None, None, "packing", "'cycles'"),
+], ids=["config-mismatch", "invalid-n", "collinear", "short-cycle", "repeated-vertex",
+        "no-cycles-key"])
+def test_cli_load_errors_are_malformed_input(tmp_path, capsys, points, config, center,
+                                             cycles, named, says):
+    """An instance its PointSet refuses, a packing cycle HamCycle refuses
+    and a packing file without cycles all exit 2, with a message naming
+    the file or the cycle at fault."""
+    inst, pack = tmp_path / "inst.json", tmp_path / "pack.json"
+    instance = InstanceFile(points, config, center)
+    instance.save(str(inst))
+    doc = {"instance_hash": instance.digest(), "cycles": cycles}
+    if cycles is None:
+        del doc["cycles"]
+    pack.write_text(json.dumps(doc))
+    assert run_cli("verify", "--instance", str(inst), "--packing", str(pack)) == 2
+    err = capsys.readouterr().err
+    assert says in err
+    assert {"instance": str(inst), "packing": str(pack), "cycle": "cycle"}[named] in err
+
+
 @pytest.mark.parametrize("exc, code", [
     (RuntimeError("boom"), 4),
     (KeyError("boom"), 4),
