@@ -4,8 +4,12 @@ All cuts are exact and combinatorial: a cut is a primitive integer
 direction `e` plus the split it induces.  The points are sorted by the key
 `cross(e, p)` and split at a position, so every left key exceeds every
 right key.  `e` is a slightly tilted candidate direction, which orders
-distinct points totally; a cut that would part two coincident points
-raises `DegenerateInput`.
+distinct points totally.
+
+Each public entry point takes its points through `geometry.general_set`
+once: a bare point sequence with a duplicate or a collinear triple raises
+`DegenerateInput`, and everything behind the door works on distinct
+points, so no split can tie.
 
 Searches enumerate candidate directions from input point pairs, in both
 orientations and both tilt senses; that reproduces the classical
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import DegenerateInput, NotSeparable
-from .geometry import Point, points_of
+from .errors import NotSeparable
+from .geometry import Point, general_set
 
 IndexList = Tuple[int, ...]
 Direction = Tuple[int, int]
@@ -56,11 +60,8 @@ def _tilted(points, subset, d, sense) -> Direction:
     """Primitive direction whose cross orders subset totally.
 
     Order: cross(d, p) first, then sense * -dot(d, p).  Distinct points
-    cannot tie in both components.  A zero `d` (from a duplicate pair)
-    raises DegenerateInput.
+    cannot tie in both components.
     """
-    if d[0] == d[1] == 0:
-        raise DegenerateInput("a cut direction from two coincident points")
     d0x, d0y = _primitive(*d)
     big = 2 * max(abs(d0x * points[i].x + d0y * points[i].y) for i in subset) + 2
     ex = big * d0x - sense * d0y
@@ -72,19 +73,12 @@ def _cross(e, p: Point) -> int:
     return e[0] * p.y - e[1] * p.x
 
 
-def _check_split(points, e, order, k) -> None:
-    """`order[:k]` and `order[k:]` must not tie at the boundary; under a
-    tilted `e` only coincident points tie."""
-    if 0 < k < len(order) and _cross(e, points[order[k - 1]]) == _cross(e, points[order[k]]):
-        raise DegenerateInput("a cut separates two coincident points")
-
-
-def cut_at(points, subset: Sequence[int], d, sense: int, left_count: int) -> Bisection:
-    """Split `subset` along the tilted direction `e` of `d`: the
+def cut_at(ps, subset: Sequence[int], d, sense: int, left_count: int) -> Bisection:
+    """Split `subset` along the tilted direction `e` of a nonzero `d`: the
     `left_count` largest keys `cross(e, p)` go left."""
+    points = general_set(ps).points
     e = _tilted(points, subset, d, sense)
     order = sorted(subset, key=lambda i: -_cross(e, points[i]))
-    _check_split(points, e, order, left_count)
     left, right = order[:left_count], order[left_count:]
     return Bisection(e, tuple(sorted(left)), tuple(sorted(right)))
 
@@ -107,12 +101,12 @@ def _pair_directions(points, idx_a: Sequence[int], idx_b: Sequence[int], keep=No
 
 def bisecting_lines(ps, subset: Sequence[int]) -> Iterator[Bisection]:
     """Deterministic stream of distinct balanced bisections of subset."""
-    points = points_of(ps)
+    ps = general_set(ps)
     sub = sorted(subset)
     nl = (len(sub) + 1) // 2
     seen = set()
-    for d, sense in _pair_directions(points, sub, sub):
-        bi = cut_at(points, sub, d, sense, nl)
+    for d, sense in _pair_directions(ps.points, sub, sub):
+        bi = cut_at(ps, sub, d, sense, nl)
         if bi.left not in seen:
             seen.add(bi.left)
             yield bi
@@ -148,10 +142,10 @@ def ham_sandwich_cuts(
     `[c[l], c[l - 1]]` (keys in descending order, `l` a balanced count).
     A pair whose two bands are disjoint yields nothing and is skipped.
     Negating `d` negates `c` and maps a balanced count `l` to `n - l`, so
-    one test serves all four `(±d, sense)` directions; the stream, and
-    every exception, is the same as without the test.
+    one test serves all four `(±d, sense)` directions; the stream is the
+    same as without the test.
     """
-    points = points_of(ps)
+    points = general_set(ps).points
     s1 = sorted(s1)
     s2 = sorted(s2)
     both = s1 + s2
@@ -192,7 +186,6 @@ def ham_sandwich_cuts(
             if key in seen:
                 continue
             seen.add(key)
-            _check_split(points, e, order, t)
             parts = (
                 tuple(i for i in s1 if i in left),
                 tuple(i for i in s1 if i not in left),
@@ -216,7 +209,7 @@ def separating_subset_line(
     the sub-subset is grown point by point from the pair, so it is exactly
     the target-size prefix of that order.
     """
-    points = points_of(ps)
+    points = general_set(ps).points
     sub = sorted(subset)
     pset = set(pair)
     if not pset <= set(sub):
@@ -229,6 +222,5 @@ def separating_subset_line(
         order = sorted(sub, key=lambda i: -_cross(e, points[i]))
         if set(order[:2]) != pset:
             continue
-        _check_split(points, e, order, target_size)
         return e, tuple(sorted(order[:target_size]))
     raise NotSeparable(f"no line separates {pair} from the rest")

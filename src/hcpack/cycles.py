@@ -10,7 +10,11 @@ ring positions, turned to put the first rim vertex at 0, are equal.  This
 is exact, not a heuristic: convex crossings are decided by index
 interleaving and a wheel's by position differences mod its odd rim size,
 and both are unchanged by a turn of the rim.  The closed-form packings are
-two zigzag shapes turned round the rim, so they cost two sweeps."""
+two zigzag shapes turned round the rim, so they cost two sweeps.
+
+A `geometry.CoordinateOracle` holds points that passed
+`geometry.general_set`, so the flat crossing pass over its coordinates
+reads a zero determinant as a shared vertex and keeps no fallback."""
 
 from __future__ import annotations
 
@@ -100,11 +104,10 @@ def crossing_report(
     asked about every pair of edges that share no vertex, in
     `is_one_plane`'s order (`_crossing_pairs`): each edge j against the
     edges i < j before it, j and then i ascending; a `CoordinateOracle`
-    (general sets) decides the same pairs in that order in one flat
-    integer pass, and is called only on a zero determinant.  So on
-    degenerate input the `CollinearOverlap` raised names the first
-    overlapping pair in that order, which need not be the first in
-    edge-list order.  Every path gives the pairs in edge-list order.
+    (general sets) decides the same pairs in one flat integer pass and is
+    never called.  The sweep and the flat pass raise ValueError on an edge
+    that is not two distinct vertices of the set.  Every path gives the
+    pairs in edge-list order.
     """
     es = c.edges() if isinstance(c, HamCycle) else tuple(c)
     counts = {e: 0 for e in es}
@@ -125,30 +128,11 @@ def _crossing_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tupl
     pair that shares no vertex.
 
     A `CoordinateOracle` gets one flat integer pass instead of a call per
-    pair.  Each edge's end coordinates and its line through its first end,
-    `ux * y - uy * x = k`, are read once, and each pair is decided from
-    the oracle's own determinant signs, in its order: the ends of es[j]
-    against the line of es[i], then the ends of es[i] against the line of
-    es[j].  A zero determinant means a shared vertex, skipped as above, or
-    input not in general position: only such a pair is handed to
-    `oracle(es[j], es[i])`, so it gets exactly the oracle's answer or its
-    `CollinearOverlap`, in the same order.  An edge naming no point leaves
-    the whole list to the generic scan, which raises where the oracle's
-    own call does.  Any other oracle, a wrapped `CoordinateOracle`
-    included, is called once per pair.
+    pair (`_coordinate_pairs`).  Any other oracle, a wrapped
+    `CoordinateOracle` included, is called once per pair.
     """
     if isinstance(oracle, CoordinateOracle):
-        try:
-            xs, ys = oracle.xs, oracle.ys
-            lines = []
-            for a, b in es:
-                ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-                ux, uy = bx - ax, by - ay
-                lines.append((a, b, ax, ay, bx, by, ux, uy, ux * ay - uy * ax))
-        except (IndexError, TypeError, ValueError):
-            pass
-        else:
-            return _coordinate_pairs(es, lines, oracle)
+        return _coordinate_pairs(es, oracle.xs, oracle.ys)
     return _generic_pairs(es, oracle)
 
 
@@ -163,30 +147,43 @@ def _generic_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tuple
                 yield i, j
 
 
+def _check_edge(a, b, n: int) -> None:
+    """Refuse an edge that is not two distinct vertices of 0..n-1."""
+    if not (0 <= a < n and 0 <= b < n) or a == b:
+        raise ValueError(f"edge {(a, b)} is not two distinct vertices of 0..{n - 1}")
+
+
 def _coordinate_pairs(
-    es: Sequence[Edge], lines: List[tuple], oracle: CoordinateOracle
+    es: Sequence[Edge], xs: List[int], ys: List[int]
 ) -> Iterator[Tuple[int, int]]:
-    """`_crossing_pairs` for a `CoordinateOracle`, given each edge's ends,
-    end coordinates and line `(ux, uy, k)`."""
-    for j, (a, b, ax, ay, bx, by, vx, vy, kv) in enumerate(lines):
+    """`_crossing_pairs` for a `CoordinateOracle` with coordinates `xs`
+    and `ys`, whose points are in general position.
+
+    Every edge is checked to name two distinct points, and its end
+    coordinates and its line through its first end, `ux * y - uy * x = k`,
+    are read once, before the first pair is decided.  Each pair is decided
+    from the oracle's own determinant signs, in its order: the ends of
+    es[j] against the line of es[i], then the ends of es[i] against the
+    line of es[j].  In general position a zero determinant means a shared
+    vertex, which never crosses.
+    """
+    n = len(xs)
+    lines = []
+    for a, b in es:
+        _check_edge(a, b, n)
+        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+        ux, uy = bx - ax, by - ay
+        lines.append((ax, ay, bx, by, ux, uy, ux * ay - uy * ax))
+    for j, (ax, ay, bx, by, vx, vy, kv) in enumerate(lines):
         for i in range(j):
-            c, d, cx, cy, dx, dy, ux, uy, k = lines[i]
+            cx, cy, dx, dy, ux, uy, k = lines[i]
             d1 = ux * ay - uy * ax - k
             d2 = ux * by - uy * bx - k
-            if d1 > 0 < d2 or d1 < 0 > d2:
-                continue  # both ends of es[j] on one side of es[i]
-            if d1 and d2:
+            if d1 > 0 > d2 or d1 < 0 < d2:
                 d3 = vx * cy - vy * cx - kv
                 d4 = vx * dy - vy * dx - kv
                 if d3 > 0 > d4 or d3 < 0 < d4:
                     yield i, j
-                    continue
-                if d3 and d4:
-                    continue  # both ends of es[i] on one side of es[j]
-            if a == c or a == d or b == c or b == d:
-                continue
-            if oracle(es[j], es[i]):
-                yield i, j
 
 
 def _ring_crossings(es: Sequence[Edge], ring: RingOracle) -> List[Tuple[int, int]]:
@@ -202,8 +199,7 @@ def _ring_crossings(es: Sequence[Edge], ring: RingOracle) -> List[Tuple[int, int
     n, count = len(label), len(es)
     lo, hi, chords, radials = [], [], [], []
     for i, (a, b) in enumerate(es):
-        if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise ValueError(f"edge {(a, b)} is not two distinct vertices of 0..{n - 1}")
+        _check_edge(a, b, n)
         a, b = label[a], label[b]
         if a > b:
             a, b = b, a

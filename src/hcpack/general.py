@@ -36,6 +36,7 @@ from .geometry import (
     PointSet,
     coordinate_oracle,
     edge,
+    general_set,
     left_chain,
     segments_properly_cross,  # unused here; perfbench/tracer.py patches this name
 )
@@ -79,17 +80,6 @@ class GeneralPackResult:
     packing: Packing
     levels: List[LevelParts]
     join_log: List[List[JoinMove]]
-
-
-def _general_set(ps) -> PointSet:
-    """The general packer's one door: a PointSet is taken as it is (convex
-    and wheel validation imply general position), and a bare point sequence
-    becomes a PointSet, whose general-position check raises DegenerateInput.
-
-    Behind the door no three points are collinear and none coincide, so a
-    determinant of three of them is zero only if two are the same point.
-    """
-    return ps if isinstance(ps, PointSet) else PointSet(tuple(ps))
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +380,13 @@ def march_cycle(
     """A verified 1-plane Hamiltonian cycle on `subset` via the ladder march.
 
     `ps` is a PointSet, or a point sequence that must be in general
-    position (DegenerateInput otherwise; see `_general_set`).  With no
-    bisection given, successive bisecting lines are tried until one admits
-    a march.  The returned stone list is empty or holds the march's stone
-    (see `LevelParts`); a bare triangle reports no stone.  Raises
-    ValueError on a subset of fewer than 3 points.
+    position (DegenerateInput otherwise; see `geometry.general_set`).
+    With no bisection given, successive bisecting lines are tried until
+    one admits a march.  The returned stone list is empty or holds the
+    march's stone (see `LevelParts`); a bare triangle reports no stone.
+    Raises ValueError on a subset of fewer than 3 points.
     """
-    ps = _general_set(ps)
+    ps = general_set(ps)
     sub = sorted(subset)
     if len(sub) < 3:
         raise ValueError("need at least 3 points")
@@ -632,15 +622,15 @@ def join_cycles(
     """Merge two vertex-disjoint 1-plane cycles on the points `ps` into one.
 
     `ps` is a PointSet, or a point sequence that must be in general
-    position (DegenerateInput otherwise; see `_general_set`).  Plain
-    exchange pairs are tried in canonical order, then variants that first
-    uncross one cycle, then both.  Added and created edges must avoid
+    position (DegenerateInput otherwise; see `geometry.general_set`).
+    Plain exchange pairs are tried in canonical order, then variants that
+    first uncross one cycle, then both.  Added and created edges must avoid
     `forbidden`, and an uncrossed cycle must stay 1-plane.  Crossings are
     decided exactly on the points' integer coordinates.
     """
-    points = _general_set(ps).points
-    xs, ys = [p.x for p in points], [p.y for p in points]
-    oracle = coordinate_oracle(points)
+    ps = general_set(ps)
+    xs, ys = [p.x for p in ps.points], [p.y for p in ps.points]
+    oracle = coordinate_oracle(ps)
     base = _JoinScreen(c1, c2, xs, ys, oracle)
     r = _plain_join(base, forbidden)
     if r:
@@ -806,10 +796,11 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     points.
 
     `ps` is a PointSet, or a point sequence that must be in general
-    position (DegenerateInput otherwise; see `_general_set`).  It is
-    validated once, here: every march, join and cut inside gets the same
-    PointSet.  The search keeps one path of levels, each entry a level's cycle, its
-    join moves and the parts the next level marches on.  Each level tries
+    position (DegenerateInput otherwise; see `geometry.general_set`).
+    It is validated once, here: every march, join and cut inside gets the
+    same PointSet.  The search keeps one path of levels, each entry a
+    level's cycle, its join moves and the parts the next level marches
+    on.  Each level tries
     up to PER_LEVEL_VARIANTS cut variants depth-first; a level whose parts
     cannot host a fresh cycle is popped, so the search backtracks into
     different cuts above.  The whole pack makes at most LEVEL_ATTEMPTS
@@ -817,7 +808,7 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     PackingIncomplete (with the longest path's cycles) if the search ends
     without reaching k-1 cycles.
     """
-    ps = _general_set(ps)
+    ps = general_set(ps)
     n = len(ps)
     k = n.bit_length() - 1
     if k < 2:

@@ -4,10 +4,12 @@ Everything here is integer arithmetic on immutable values: Python ints never
 overflow, so every predicate is exact regardless of coordinate size.  The
 combinatorial oracles (`convex_cross`, `wheel_cross`) decide crossings from
 vertex indices alone, which is what makes verification on convex and wheel
-configurations independent of any coordinate approximation.  The
-general-position oracle (`coordinate_oracle`, a `CoordinateOracle`) reads
-flat integer lists of the coordinates and computes its determinants
-inline; on any zero determinant it defers to `segments_properly_cross`.
+configurations independent of any coordinate approximation.
+
+General position is checked once, at one door (`general_set`), which the
+general packer, the cut engine and the general-position oracle
+(`coordinate_oracle`) all pass through; behind it the oracle's inline
+determinants are zero only at a shared vertex.
 """
 
 from __future__ import annotations
@@ -271,8 +273,16 @@ class PointSet:
         return wheel_relabeling(len(self.points), self.center_index)[1][:-1]
 
 
-def points_of(ps) -> Tuple[Point, ...]:
-    return ps.points if isinstance(ps, PointSet) else tuple(ps)
+def general_set(ps) -> PointSet:
+    """The one door to general position: a PointSet is taken as it is
+    (convex and wheel validation imply general position), and a bare point
+    sequence becomes a PointSet, whose general-position check raises
+    DegenerateInput.
+
+    Behind the door no three points are collinear and none coincide, so a
+    determinant of three of them is zero only if two are the same point.
+    """
+    return ps if isinstance(ps, PointSet) else PointSet(tuple(ps))
 
 
 def _is_ccw_convex_order(points: Sequence[Point]) -> bool:
@@ -377,23 +387,22 @@ def wheel_oracle(n: int, center_index: Optional[int] = None) -> RingOracle:
 
 
 class CoordinateOracle:
-    """Exact crossing test over vertex indices of `points`.
+    """Exact crossing test over vertex indices of a point set in general
+    position (`general_set`: a bare point sequence is validated).
 
     The coordinates are copied once into two flat integer lists, `xs` and
     `ys`, and each call works on those: a shared index never crosses, and
-    otherwise the orientation determinants are computed inline.  A pair
-    with a zero determinant (a duplicate point, a touching endpoint, a
-    collinear pair) goes to `segments_properly_cross` on the real points,
-    looked up at call time, so degenerate input gets exactly that
-    function's answer or its CollinearOverlap.  `cycles.crossing_report`
-    reads `xs` and `ys` to decide a whole edge list in one flat pass, with
-    the same determinants, and calls the oracle only on a zero one.
+    otherwise the orientation determinants are computed inline.  Four
+    distinct points in general position give no zero determinant, so the
+    signs decide every pair.  `cycles.crossing_report` reads `xs` and `ys`
+    to decide a whole edge list in one flat pass, with the same
+    determinants.
     """
 
-    __slots__ = ("points", "xs", "ys")
+    __slots__ = ("xs", "ys")
 
-    def __init__(self, points: Sequence[Point]):
-        self.points = points
+    def __init__(self, ps):
+        points = general_set(ps).points
         self.xs = [p.x for p in points]
         self.ys = [p.y for p in points]
 
@@ -408,22 +417,18 @@ class CoordinateOracle:
         ux, uy = dx - cx, dy - cy
         d1 = ux * (ay - cy) - uy * (ax - cx)
         d2 = ux * (by - cy) - uy * (bx - cx)
-        if d1 and d2:
-            if (d1 > 0) == (d2 > 0):
-                return False  # both ends on one side of (c, d)
-            vx, vy = bx - ax, by - ay
-            d3 = vx * (cy - ay) - vy * (cx - ax)
-            d4 = vx * (dy - ay) - vy * (dx - ax)
-            if d3 and d4:
-                return (d3 > 0) != (d4 > 0)
-        points = self.points
-        return segments_properly_cross((points[a], points[b]), (points[c], points[d]))
+        if (d1 > 0) == (d2 > 0):
+            return False  # both ends on one side of (c, d)
+        vx, vy = bx - ax, by - ay
+        d3 = vx * (cy - ay) - vy * (cx - ax)
+        d4 = vx * (dy - ay) - vy * (dx - ax)
+        return (d3 > 0) != (d4 > 0)
 
 
-def coordinate_oracle(points: Sequence[Point]) -> CoordinateOracle:
-    """The general-position crossing oracle over `points` (see
-    `CoordinateOracle`)."""
-    return CoordinateOracle(points)
+def coordinate_oracle(ps) -> CoordinateOracle:
+    """The general-position crossing oracle over the PointSet or point
+    sequence `ps` (see `CoordinateOracle`)."""
+    return CoordinateOracle(ps)
 
 
 def oracle_for(ps: PointSet) -> CrossingOracle:
@@ -432,4 +437,4 @@ def oracle_for(ps: PointSet) -> CrossingOracle:
         return convex_oracle(len(ps))
     if ps.config is Config.WHEEL:
         return wheel_oracle(len(ps), ps.center_index)
-    return coordinate_oracle(ps.points)
+    return coordinate_oracle(ps)

@@ -5,9 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from hcpack import Config, Orientation, Point, PointSet, enumerate_1phc, generate, orientation
+from hcpack import (
+    Config, Orientation, Point, PointSet, enumerate_1phc, generate, in_general_position, orientation,
+)
 from hcpack.errors import DegenerateInput
-from hcpack.geometry import RingOracle
+from hcpack.geometry import RingOracle, line_direction
 
 
 def regular_polygon_points(n, radius=10**6, twist=True):
@@ -145,6 +147,25 @@ def degenerate_lists():
         rng = random.Random(seed)
         n, g = rng.randint(5, 14), rng.randint(2, 6)
         yield seed, [Point(rng.randint(0, g), rng.randint(0, g)) for _ in range(n)]
+
+
+def general_position_subset(points):
+    """The points kept in order while they stay in general position: a
+    point repeating a kept one, or on a line through two kept ones, is
+    dropped."""
+    kept = []
+    for p in points:
+        if in_general_position(kept + [p]):
+            kept.append(p)
+    return kept
+
+
+def has_parallel_pairs(points):
+    """Two pairs of the points span parallel lines.  In general position
+    the two pairs are disjoint, and each pair's points tie in the keys
+    `cross(d, p)` of the other's direction `d`."""
+    dirs = [line_direction(q.x - p.x, q.y - p.y) for p, q in combinations(points, 2)]
+    return len(set(dirs)) < len(dirs)
 
 
 @lru_cache(maxsize=None)

@@ -1,16 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from hcpack import (
     Point,
     bisecting_line,
+    coordinate_oracle,
     separating_subset_line,
 )
-from hcpack.bisection import Bisection, bisecting_lines, ham_sandwich_cuts
+from hcpack.bisection import Bisection, bisecting_lines, cut_at, ham_sandwich_cuts
 from hcpack.errors import DegenerateInput, NotSeparable
 
-from conftest import general_instance, keys_separate
+from conftest import general_instance, general_position_subset, has_parallel_pairs, keys_separate
 
 
 def test_bisecting_line_two_points():
@@ -145,17 +147,14 @@ def test_ham_sandwich_two_against_two():
 
 
 def full_scan_cuts(points, s1, s2, pair=None):
-    """Reference ham_sandwich_cuts: each direction's order sorted by a key
-    per point, then every prefix length tested for balance.  A zero
-    direction, and a split parting coincident points, raise
-    DegenerateInput."""
+    """Reference ham_sandwich_cuts on points in general position: each
+    direction's order sorted by a key per point, then every prefix length
+    tested for balance."""
     from hcpack.bisection import _cross, _pair_directions, _tilted
 
     s1, s2 = sorted(s1), sorted(s2)
     both, seen = s1 + s2, set()
     for d, sense in _pair_directions(points, s1, s2):
-        if d == (0, 0):
-            raise DegenerateInput("zero direction")
         e = _tilted(points, both, d, sense)
         order = sorted(both, key=lambda i: -_cross(e, points[i]))
         for t in range(1, len(both)):
@@ -168,8 +167,6 @@ def full_scan_cuts(points, s1, s2, pair=None):
             if frozenset(left) in seen:
                 continue
             seen.add(frozenset(left))
-            if {points[i] for i in order[:t]} & {points[i] for i in order[t:]}:
-                raise DegenerateInput("split parts coincident points")
             assert keys_separate(points, e, order[:t], order[t:])
             yield e, (
                 tuple(i for i in s1 if i in left),
@@ -214,64 +211,94 @@ def test_band_test_skips_the_tilt_of_pairs_that_cannot_balance(monkeypatch):
     assert stream == list(full_scan_cuts(ps.points, s1, s2))
 
 
-def _outcome(stream):
-    """The items a stream yields, then the type of the exception that
-    ended it, if any."""
-    items = []
-    try:
-        for item in stream:
-            items.append(item)
-    except DegenerateInput as exc:
-        items.append(type(exc))
-    return items
-
-
 from hypothesis import given, settings, strategies as st
 
 
-@given(
-    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=10),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=300, deadline=None)
-def test_ham_sandwich_stream_matches_a_full_prefix_scan_on_tiny_grids(raw, rng):
-    # ties in cross(d, p), collinear runs and duplicate points are where the
-    # band test and the tilt meet; the exception, if any, must match too
-    points = [Point(x, y) for x, y in raw]
-    n = len(points)
-    idx = rng.sample(range(n), n)
-    cut = rng.randint(1, n - 1)
-    s1, s2 = idx[:cut], idx[cut:]
-    pair = tuple(rng.sample(s1, 2)) if len(s1) > 1 and rng.random() < 0.5 else None
-    want = _outcome(full_scan_cuts(points, s1, s2, pair))
-    assert _outcome(ham_sandwich_cuts(points, s1, s2, pair=pair)) == want
+def tiny_grid_sets(span, max_size):
+    """General-position sets of 3 to `max_size` points on the grid
+    -span..span, kept greedily from a drawn list: parallel point pairs,
+    which tie in `cross(d, p)`, are common."""
+    grid = st.integers(-span, span)
+    return st.lists(st.tuples(grid, grid), min_size=3, max_size=3 * max_size).map(
+        lambda raw: general_position_subset([Point(x, y) for x, y in raw])[:max_size]
+    ).filter(lambda pts: len(pts) >= 3)
 
 
-small_points = st.lists(
-    st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
-    min_size=2,
-    max_size=12,
-)
+def test_ham_sandwich_stream_matches_a_full_prefix_scan_on_tiny_grids():
+    # ties in cross(d, p) are where the band test and the tilt meet
+    ties = []
+
+    @given(tiny_grid_sets(3, 10), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def check(points, rng):
+        ties.append(has_parallel_pairs(points))
+        n = len(points)
+        idx = rng.sample(range(n), n)
+        cut = rng.randint(1, n - 1)
+        s1, s2 = idx[:cut], idx[cut:]
+        pair = tuple(rng.sample(s1, 2)) if len(s1) > 1 and rng.random() < 0.5 else None
+        want = list(full_scan_cuts(points, s1, s2, pair))
+        assert list(ham_sandwich_cuts(points, s1, s2, pair=pair)) == want
+
+    check()
+    assert 4 * sum(ties) >= len(ties), (sum(ties), len(ties))
 
 
-@given(small_points, st.integers(0, 10_000))
-@settings(max_examples=300, deadline=None)
-def test_cut_engine_exact_on_tiny_grids(raw, dseed):
-    # tiny grids force cross-value ties; duplicate points force split pairs
-    from hcpack.bisection import cut_at
+def test_cut_engine_exact_on_tiny_grids():
+    # the cut direction parallel to another pair ties that pair's keys
+    ties = []
 
-    pts = [Point(x, y) for x, y in raw]
-    n = len(pts)
-    i, j = dseed % n, (dseed // n) % n
-    if i == j:
-        j = (j + 1) % n
-    d = (pts[j].x - pts[i].x, pts[j].y - pts[i].y)
-    sense = 1 if dseed % 2 else -1
-    left_count = 1 + dseed % (n - 1)
-    try:
+    @given(tiny_grid_sets(4, 12), st.integers(0, 10_000))
+    @settings(max_examples=300, deadline=None)
+    def check(pts, dseed):
+        n = len(pts)
+        i, j = dseed % n, (dseed // n) % n
+        if i == j:
+            j = (j + 1) % n
+        d = (pts[j].x - pts[i].x, pts[j].y - pts[i].y)
+        others = [p for k, p in enumerate(pts) if k not in (i, j)]
+        ties.append(any(d[0] * (q.y - p.y) == d[1] * (q.x - p.x)
+                        for p, q in combinations(others, 2)))
+        sense = 1 if dseed % 2 else -1
+        left_count = 1 + dseed % (n - 1)
         bi = cut_at(pts, range(n), d, sense, left_count)
-    except DegenerateInput:
-        assert len(set(pts)) < n, "only a duplicate pair may stop a cut"
-        return
-    assert len(bi.left) == left_count
-    assert keys_separate(pts, bi.direction, bi.left, bi.right)
+        assert len(bi.left) == left_count
+        assert keys_separate(pts, bi.direction, bi.left, bi.right)
+
+    check()
+    assert 10 * sum(ties) >= len(ties), (sum(ties), len(ties))
+
+
+DUPLICATE = [Point(0, 0), Point(5, 1), Point(2, 7), Point(5, 1), Point(-3, 4)]
+COLLINEAR = [Point(0, 0), Point(5, 1), Point(2, 7), Point(10, 2), Point(-3, 4)]
+
+
+@pytest.mark.parametrize("points", [DUPLICATE, COLLINEAR], ids=["duplicate", "collinear"])
+@pytest.mark.parametrize("call", [
+    lambda pts: next(bisecting_lines(pts, range(5))),
+    lambda pts: bisecting_line(pts, range(5)),
+    lambda pts: cut_at(pts, range(5), (1, 2), 1, 3),
+    lambda pts: next(ham_sandwich_cuts(pts, [0, 1], [2, 4])),
+    lambda pts: separating_subset_line(pts, range(5), (0, 4)),
+    lambda pts: coordinate_oracle(pts),
+], ids=["bisecting_lines", "bisecting_line", "cut_at", "ham_sandwich_cuts",
+        "separating_subset_line", "coordinate_oracle"])
+def test_degenerate_points_are_refused_at_the_door(call, points):
+    with pytest.raises(DegenerateInput, match="duplicate or collinear points"):
+        call(points)
+
+
+def test_bisecting_line_needs_two_points():
+    with pytest.raises(ValueError, match="at least 2 points"):
+        bisecting_line(general_instance(5, 1), [3])
+
+
+def test_separating_subset_line_pair_and_default_size():
+    ps = general_instance(9, 2)
+    with pytest.raises(ValueError, match="pair must lie in subset"):
+        separating_subset_line(ps, range(6), (2, 7))
+    sub = [0, 1, 3, 4, 6, 7, 8]
+    pair = tuple(sorted(sub, key=lambda i: (ps.points[i].x, ps.points[i].y))[:2])
+    e, grown = separating_subset_line(ps, sub, pair)
+    assert len(grown) == (len(sub) + 1) // 2 and set(pair) <= set(grown)
+    assert keys_separate(ps.points, e, grown, [i for i in sub if i not in grown])

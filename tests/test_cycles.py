@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -8,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from hcpack import (
     Config,
-    CrossReport,
     HamCycle,
     are_edge_disjoint,
     boundary_edge_count,
@@ -30,10 +30,13 @@ from hcpack import (
     wheel_oracle,
 )
 from hcpack.cycles import _crossing_pairs
-from hcpack.errors import CollinearOverlap, ConfigMismatch
+from hcpack.errors import ConfigMismatch
 from hcpack.geometry import CoordinateOracle, RingOracle, wheel_relabeling
 
-from conftest import CountingRing, CrossLedger, degenerate_lists, enumerated, general_instance
+from conftest import (
+    CountingRing, CrossLedger, degenerate_lists, enumerated, general_instance,
+    general_position_subset,
+)
 
 
 def test_verify_hamiltonian():
@@ -137,39 +140,36 @@ def _row_major_report(es, orc):
     return counts, pairs
 
 
-def _outcome(run, *args):
-    """`run(*args)`, or the type and message of what it raises."""
-    try:
-        return run(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def test_one_plane_scan_matches_the_ledger_on_degenerate_grids():
-    """On grids with duplicates and collinear triples, `is_one_plane` gives
-    CrossLedger's answer or exception, asking the oracle the same pairs in
-    the same order; `crossing_report` gives the row-major scan's counts and
-    pairs, or raises where it does, though it may name another pair."""
-    seen = Counter()
+def _grid_sets():
+    """General-position subsets of the 300 small-grid lists, 4 points or
+    more: shared vertices and parallel edges are common."""
     for seed, points in degenerate_lists():
+        kept = general_position_subset(points)
+        if len(kept) >= 4:
+            yield seed, kept
+
+
+def test_one_plane_scan_matches_the_ledger_on_grid_sets():
+    """On small-grid sets in general position, `is_one_plane` gives
+    CrossLedger's answer, asking the oracle the same pairs in the same
+    order; `crossing_report` gives the row-major scan's counts and
+    pairs."""
+    seen = Counter()
+    for seed, points in _grid_sets():
         rng = random.Random(seed)
         orc = coordinate_oracle(points)
         for _ in range(20):
             c = HamCycle(rng.sample(range(len(points)), rng.randint(3, len(points))))
             ledger_calls, scan_calls = [], []
             ledger = CrossLedger(_recording(orc, ledger_calls))
-            expected = _outcome(lambda: all(map(ledger.add, c.edges())))
-            assert _outcome(is_one_plane, c, _recording(orc, scan_calls)) == expected, c
+            expected = all(map(ledger.add, c.edges()))
+            assert is_one_plane(c, _recording(orc, scan_calls)) == expected, c
             assert scan_calls == ledger_calls, c
-            seen[expected if isinstance(expected, bool) else expected[0]] += 1
-            report = _outcome(crossing_report, c, orc)
-            reference = _outcome(_row_major_report, c.edges(), orc)
-            if isinstance(report, CrossReport):
-                assert (report.counts, report.pairs) == reference, c
-                seen["compared"] += 1
-            else:
-                assert report[0] is reference[0] is CollinearOverlap, c
-    assert seen[True] and seen[False] and seen[CollinearOverlap] and seen["compared"], seen
+            seen[expected] += 1
+            report = crossing_report(c, orc)
+            assert (report.counts, report.pairs) == _row_major_report(c.edges(), orc), c
+            seen["crossed"] += bool(report.pairs)
+    assert seen[True] and seen[False] and seen["crossed"], seen
 
 
 def _pairwise(orc):
@@ -226,21 +226,17 @@ class _LoggedCoordinates(CoordinateOracle):
 
 def _assert_flat_matches_scan(es, orc):
     """The flat pass over `es` gives the generic scan's pairs, in the same
-    order, or raises its exception type and message; so do `crossing_report`
-    and, on a cycle, `is_one_plane`.  It calls the oracle on a subsequence
-    of the pairs the scan asks about.  Returns the pass's outcome and the
-    pairs it called the oracle on."""
+    order, without calling the oracle; so do `crossing_report` and, on a
+    cycle, `is_one_plane`.  Returns the pass's pairs."""
     edges = es.edges() if isinstance(es, HamCycle) else es
     orc.calls.clear()
-    flat = _outcome(lambda: list(_crossing_pairs(edges, orc)))
-    flat_calls, scan_calls = list(orc.calls), []
-    assert flat == _outcome(lambda: list(_crossing_pairs(edges, _recording(orc, scan_calls)))), es
-    asked = iter(scan_calls)
-    assert all(call in asked for call in flat_calls), (flat_calls, es)
-    assert _outcome(crossing_report, es, orc) == _outcome(crossing_report, es, _pairwise(orc)), es
+    flat = list(_crossing_pairs(edges, orc))
+    assert orc.calls == [], es
+    assert flat == list(_crossing_pairs(edges, _pairwise(orc))), es
+    assert crossing_report(es, orc) == crossing_report(es, _pairwise(orc)), es
     if isinstance(es, HamCycle):
-        assert _outcome(is_one_plane, es, orc) == _outcome(is_one_plane, es, _pairwise(orc)), es
-    return flat, flat_calls
+        assert is_one_plane(es, orc) == is_one_plane(es, _pairwise(orc)), es
+    return flat
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -260,30 +256,45 @@ def test_flat_coordinate_pass_matches_the_pairwise_scan(seed):
             sets.append(ps.points)
     crossings = 0
     for es, points in zip(lists, sets):
-        flat, calls = _assert_flat_matches_scan(es, _LoggedCoordinates(points))
-        assert isinstance(flat, list) and calls == [], es
-        crossings += len(flat)
+        crossings += len(_assert_flat_matches_scan(es, _LoggedCoordinates(points)))
     assert crossings > 2000, crossings
 
 
-def test_flat_coordinate_pass_matches_the_pairwise_scan_on_degenerate_grids():
-    """On grids with duplicates and collinear triples the flat pass raises
-    the scan's `CollinearOverlap`, naming the same pair, or gives its
-    pairs; an edge naming no point leaves the list to the scan."""
-    seen = Counter()
-    for seed, points in degenerate_lists():
+def test_flat_coordinate_pass_matches_the_pairwise_scan_on_grid_sets():
+    """On small-grid sets in general position the flat pass gives the
+    scan's pairs, on the complete edge list and on random cycles."""
+    crossings = 0
+    for seed, points in _grid_sets():
         rng = random.Random(seed)
         orc = _LoggedCoordinates(points)
         cases = [list(combinations(range(len(points)), 2))]
         cases += [HamCycle(rng.sample(range(len(points)), rng.randint(3, len(points))))
                   for _ in range(10)]
         for es in cases:
-            flat, _ = _assert_flat_matches_scan(es, orc)
-            seen[type(flat) if isinstance(flat, list) else flat[0]] += 1
-    assert seen[list] and seen[CollinearOverlap], seen
-    orc = _LoggedCoordinates(general_instance(5, 0).points)
-    for es in ([(0, 9), (0, 1)], [(0, 1), (2, 9)], [(-1, 2), (0, 3)], [(0, 1.0), (2, 3)]):
-        _assert_flat_matches_scan(es, orc)
+            crossings += len(_assert_flat_matches_scan(es, orc))
+    assert crossings > 1000, crossings
+
+
+def _ring_refusal(es):
+    """The message the ring sweep refuses the edges `es` of 0..5 with."""
+    with pytest.raises(ValueError, match="is not two distinct vertices of 0..5") as ring:
+        crossing_report(es, convex_oracle(6))
+    return re.escape(str(ring.value))
+
+
+@pytest.mark.parametrize("es", [[(0, 9), (0, 2)], [(0, 1), (2, 9)], [(-1, 2), (0, 3)], [(0, 1), (3, 3)]])
+def test_flat_pass_refuses_an_edge_naming_no_point(es):
+    """An edge outside 0..n-1, or with one vertex twice, is refused as the
+    ring sweep refuses it, before any pair is decided."""
+    with pytest.raises(ValueError, match=_ring_refusal(es)):
+        crossing_report(es, coordinate_oracle(general_instance(6, 1)))
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 9), (3, 0, -1, 2)])
+def test_is_one_plane_refuses_a_cycle_naming_no_point(order):
+    c = HamCycle(order)
+    with pytest.raises(ValueError, match=_ring_refusal(c.edges())):
+        is_one_plane(c, coordinate_oracle(general_instance(6, 1)))
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,37 @@ def test_march_cycle_rejects_a_line_that_does_not_separate():
         march_cycle(ps, range(10), bisection=Bisection(bi.direction, left, right))
 
 
+def test_march_cycle_refuses_two_points_and_a_forbidden_triangle():
+    ps = general_instance(6, 1)
+    with pytest.raises(ValueError, match="need at least 3 points"):
+        march_cycle(ps, [0, 1])
+    with pytest.raises(MarchFailed, match="triangle edge forbidden"):
+        march_cycle(ps, [0, 1, 2], forbidden=frozenset({(0, 2)}))
+
+
+def test_march_cycle_stops_at_the_node_cap(monkeypatch):
+    monkeypatch.setattr(general, "NODE_CAP", 1)
+    with pytest.raises(MarchFailed, match="node cap 1 hit"):
+        march_cycle(general_instance(12, 1), range(12))
+
+
+def test_march_cycle_on_a_five_one_split_fails():
+    ps = general_instance(6, 1)
+    cut = cut_at(ps, range(6), (1, 0), 1, 5)
+    assert (len(cut.left), len(cut.right)) == (5, 1)
+    with pytest.raises(MarchFailed, match="march exhausted"):
+        march_cycle(ps, range(6), bisection=cut)
+
+
+def test_march_cycle_takes_the_larger_side_as_left():
+    ps = general_instance(7, 1)
+    bi = bisecting_line(ps, range(7))
+    assert len(bi.left) > len(bi.right)
+    swapped = Bisection(bi.direction, bi.right, bi.left)
+    cyc, _, stones = march_cycle(ps, range(7), bisection=bi)
+    assert march_cycle(ps, range(7), bisection=swapped)[::2] == (cyc, stones)
+
+
 # sha256 over march_cycle's cycle and stones for n = 48, 64, 96, 128 and
 # seeds 1-3, recorded before the march's pair search became a hull bridge
 LARGE_MARCH_DIGEST = "9b920f61e0236ea2f4b52ddda5bfe46a26f94baa3d079a7c3922c76d6ee1d9dc"
@@ -882,8 +913,9 @@ def test_pack_general_scales_past_corpus_sizes():
 
 
 def test_general_position_pack_never_leaves_the_integer_kernel(monkeypatch):
-    """On validated general-position input no determinant is 0, so neither
-    the pack nor its verification hands a pair to segments_properly_cross."""
+    """Neither the pack nor its verification hands a pair to
+    segments_properly_cross, and the verifier's oracle refuses a collinear
+    touch at its door."""
     calls = []
     fallback = geometry.segments_properly_cross
 
@@ -897,10 +929,9 @@ def test_general_position_pack_never_leaves_the_integer_kernel(monkeypatch):
     assert len(cycles) >= 3
     assert verify_packing(cycles, 20, oracle_for(ps))["ok"]
     assert calls == []
-    # the counter sees a fallback: a touching endpoint is a zero determinant
-    touch = coordinate_oracle([Point(0, 0), Point(2, 0), Point(1, 0), Point(1, 1)])
-    assert not touch((0, 1), (2, 3))
-    assert len(calls) == 1
+    # (1, 0) touches the segment (0, 0)-(2, 0): a collinear triple
+    with pytest.raises(DegenerateInput):
+        coordinate_oracle([Point(0, 0), Point(2, 0), Point(1, 0), Point(1, 1)])
 
 
 def _pack_record(points):

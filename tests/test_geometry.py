@@ -22,7 +22,7 @@ from hcpack import (
 from hcpack.errors import CollinearOverlap, ConfigMismatch, DegenerateInput, SharedEndpoint
 from hcpack.geometry import RingOracle
 
-from conftest import regular_polygon_points
+from conftest import general_position_subset, regular_polygon_points
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.builds(Point, coords, coords)
@@ -95,13 +95,6 @@ def test_zero_length_segment_is_decided_the_same_either_way_round():
                 assert not segments_properly_cross(e1, e2)
 
 
-def _crossing_outcome(decide, e1, e2):
-    try:
-        return decide(e1, e2)
-    except CollinearOverlap:
-        return "overlap"
-
-
 def _assert_oracle_matches_segments(pts):
     """`coordinate_oracle` on every ordered pair of index edges, shared
     indices included, against `segments_properly_cross` on the points."""
@@ -110,24 +103,21 @@ def _assert_oracle_matches_segments(pts):
     seen = set()
     for e1 in edges:
         for e2 in edges:
-            want = _crossing_outcome(
-                segments_properly_cross,
-                (pts[e1[0]], pts[e1[1]]),
-                (pts[e2[0]], pts[e2[1]]),
-            )
-            assert _crossing_outcome(orc, e1, e2) == want, (pts, e1, e2)
+            want = segments_properly_cross((pts[e1[0]], pts[e1[1]]), (pts[e2[0]], pts[e2[1]]))
+            assert orc(e1, e2) == want, (pts, e1, e2)
             seen.add(want)
     return seen
 
 
 def test_coordinate_oracle_matches_segments_on_a_tiny_grid():
-    # a 4 x 4 grid: duplicates, collinear triples and overlaps are common
+    # general-position sets on a 6 x 6 grid: shared indices, parallel
+    # edges and near misses are common
     rng = random.Random(5)
-    seen = set()
     for _ in range(12):
-        pts = [Point(rng.randrange(4), rng.randrange(4)) for _ in range(8)]
-        seen |= _assert_oracle_matches_segments(pts)
-    assert seen == {True, False, "overlap"}
+        drawn = [Point(rng.randrange(6), rng.randrange(6)) for _ in range(30)]
+        pts = general_position_subset(drawn)[:8]
+        assert len(pts) >= 6
+        assert _assert_oracle_matches_segments(pts) == {True, False}
 
 
 def test_coordinate_oracle_matches_segments_near_1e30():
@@ -137,15 +127,20 @@ def test_coordinate_oracle_matches_segments_near_1e30():
     rng = random.Random(6)
     seen = set()
     for _ in range(12):
-        pts = [Point(rng.choice(values), rng.choice(values)) for _ in range(8)]
+        drawn = [Point(rng.choice(values), rng.choice(values)) for _ in range(30)]
+        pts = general_position_subset(drawn)[:8]
+        assert len(pts) >= 5
         seen |= _assert_oracle_matches_segments(pts)
-    assert seen == {True, False, "overlap"}
-    # (0, 0)-(2B, 2B + 1) passes half a unit above (B, B)
+    assert seen == {True, False}
+    # (0, 0)-(2B, 2B + 1) passes half a unit above (B, B) and below
+    # (B + 1, B + 2); (B - 1, B + 1) lies above it too
     pts = [Point(0, 0), Point(2 * big, 2 * big + 1), Point(big, big),
-           Point(big, big + 1), Point(big, big + 2)]
+           Point(big + 1, big + 2), Point(big - 1, big + 1)]
+    assert in_general_position(pts)
     orc = coordinate_oracle(pts)
     assert orc((0, 1), (2, 3))
     assert not orc((0, 1), (3, 4))
+    assert _assert_oracle_matches_segments(pts) == {True, False}
 
 
 def test_convex_cross_examples():

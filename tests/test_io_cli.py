@@ -88,6 +88,8 @@ def test_generate_rejects_bad_n():
         generate(Config.WHEEL, 13, seed=0)
     with pytest.raises(InvalidN):
         generate(Config.CONVEX, 2, seed=0)
+    with pytest.raises(InvalidN, match="general instances need n >= 3"):
+        generate(Config.GENERAL, 2, seed=0)
 
 
 def test_generate_deterministic():

@@ -332,6 +332,20 @@ def test_property_sweep_rejects_general(monkeypatch):
         property_sweep(general_instance(5, 0))
 
 
+@pytest.mark.parametrize("ps, name, check", [
+    (convex_instance(6), "companion-edges", "check_companion_edges"),
+    (wheel_instance(8), "wheel-boundary", "check_wheel_boundary"),
+], ids=["convex", "wheel"])
+def test_property_sweep_reports_a_failing_check(monkeypatch, ps, name, check):
+    import hcpack.oracle as oracle
+
+    monkeypatch.setattr(oracle, check, lambda *args: False)
+    rep = property_sweep(ps, max_n=10)
+    failed = [c for c in rep["counterexamples"] if c["check"] == name]
+    assert len(failed) == rep["cycles_checked"] > 0
+    assert all(sorted(c["cycle"]) == list(range(len(ps))) for c in failed)
+
+
 def test_enumeration_on_convex_subset():
     # a subset of a convex set keeps its circular order; the census must
     # match a direct run on the renumbered sub-polygon
