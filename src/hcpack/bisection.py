@@ -75,7 +75,10 @@ def _cross(e, p: Point) -> int:
 
 def cut_at(ps, subset: Sequence[int], d, sense: int, left_count: int) -> Bisection:
     """Split `subset` along the tilted direction `e` of a nonzero `d`: the
-    `left_count` largest keys `cross(e, p)` go left."""
+    `left_count` largest keys `cross(e, p)` go left.  A zero `d` is
+    refused with `Bisection`'s ValueError before any tilt."""
+    if tuple(d) == (0, 0):
+        raise ValueError("direction must be nonzero")
     points = general_set(ps).points
     e = _tilted(points, subset, d, sense)
     order = sorted(subset, key=lambda i: -_cross(e, points[i]))

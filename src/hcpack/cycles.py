@@ -13,19 +13,21 @@ and both are unchanged by a turn of the rim.  The closed-form packings are
 two zigzag shapes turned round the rim, so they cost two sweeps.
 
 A `geometry.CoordinateOracle` holds points that passed
-`geometry.general_set`, so the flat crossing pass over its coordinates
-reads a zero determinant as a shared vertex and keeps no fallback."""
+`geometry.general_set`, so the lane-packed crossing pass over its
+coordinates reads a zero side value as a shared vertex and keeps no
+fallback."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import lshift, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigMismatch
 from .geometry import (
-    Config, CoordinateOracle, CrossingOracle, Edge, RingOracle, edge, ring_boundary, short_arc,
-    wheel_relabeling,
+    Config, CoordinateOracle, CrossingOracle, Edge, RingOracle, check_edge, edge, ring_boundary,
+    short_arc, wheel_relabeling,
 )
 
 
@@ -104,10 +106,12 @@ def crossing_report(
     asked about every pair of edges that share no vertex, in
     `is_one_plane`'s order (`_crossing_pairs`): each edge j against the
     edges i < j before it, j and then i ascending; a `CoordinateOracle`
-    (general sets) decides the same pairs in one flat integer pass and is
-    never called.  The sweep and the flat pass raise ValueError on an edge
-    that is not two distinct vertices of the set.  Every path gives the
-    pairs in edge-list order.
+    (general sets) decides the same pairs in one lane-packed pass, with one
+    evaluation per vertex and one per edge, and is never called.  The
+    sweep, the lane pass and a `CoordinateOracle` raise ValueError on an
+    edge that is not two distinct vertices of the set
+    (`geometry.check_edge`).  Every path gives the pairs in edge-list
+    order.
     """
     es = c.edges() if isinstance(c, HamCycle) else tuple(c)
     counts = {e: 0 for e in es}
@@ -127,7 +131,7 @@ def _crossing_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tupl
     ascending, then i ascending, asking `oracle(es[j], es[i])` about each
     pair that shares no vertex.
 
-    A `CoordinateOracle` gets one flat integer pass instead of a call per
+    A `CoordinateOracle` gets one lane-packed pass instead of a call per
     pair (`_coordinate_pairs`).  Any other oracle, a wrapped
     `CoordinateOracle` included, is called once per pair.
     """
@@ -147,43 +151,72 @@ def _generic_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tuple
                 yield i, j
 
 
-def _check_edge(a, b, n: int) -> None:
-    """Refuse an edge that is not two distinct vertices of 0..n-1."""
-    if not (0 <= a < n and 0 <= b < n) or a == b:
-        raise ValueError(f"edge {(a, b)} is not two distinct vertices of 0..{n - 1}")
-
-
 def _coordinate_pairs(
     es: Sequence[Edge], xs: List[int], ys: List[int]
 ) -> Iterator[Tuple[int, int]]:
     """`_crossing_pairs` for a `CoordinateOracle` with coordinates `xs`
-    and `ys`, whose points are in general position.
+    and `ys`, whose points are in general position, in lane-packed side
+    tests.  It imports nothing from the packer: the verifier shares no
+    kernel with what it checks.
 
-    Every edge is checked to name two distinct points, and its end
-    coordinates and its line through its first end, `ux * y - uy * x = k`,
-    are read once, before the first pair is decided.  Each pair is decided
-    from the oracle's own determinant signs, in its order: the ends of
-    es[j] against the line of es[i], then the ends of es[i] against the
-    line of es[j].  In general position a zero determinant means a shared
-    vertex, which never crosses.
+    Every edge is checked with `check_edge` before any lane is built.
+    Edge i then owns lane i, of `width` = 2 * bitlen(M) + 5 bits for M the
+    largest |coordinate| among the ends, in seven packed integers: its
+    line `(ux, uy, k)`, on which a point p lies on the side
+    `ux * p.y - uy * p.x - k`, and the coordinates of its two ends.  Every
+    lane of an evaluation holds a side value of three of the points, which
+    lies strictly inside +-bias, bias = 2^(width-1) - 1: in `bias + D` and
+    `bias - D` each lane holds a value in [0, 2^width), so no carry or
+    borrow crosses a lane for any integer input, and a lane's top bit is
+    set exactly when its value is > 0, or < 0 respectively.
+
+    Each distinct vertex gets one evaluation over all lines, giving its
+    masks of the lines it lies strictly left and strictly right of, kept
+    for the call.  The lines that separate the ends a, b of edge j are the
+    lanes of `left[a] & right[b] | right[a] & left[b]`.  None of them is
+    the line of an edge at a or b, which holds that vertex, so in general
+    position the ends of such an edge lie off j's line.  Below lane j
+    those lanes are tested with one evaluation of j's line over both
+    packed ends: a lane whose two top bits of `bias + D` differ has its
+    ends on opposite sides, and is a crossing.  So the pass gives the
+    generic scan's pairs in its order, j and then i ascending, and never
+    calls the oracle.
     """
     n = len(xs)
-    lines = []
     for a, b in es:
-        _check_edge(a, b, n)
-        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-        ux, uy = bx - ax, by - ay
-        lines.append((ax, ay, bx, by, ux, uy, ux * ay - uy * ax))
-    for j, (ax, ay, bx, by, vx, vy, kv) in enumerate(lines):
-        for i in range(j):
-            cx, cy, dx, dy, ux, uy, k = lines[i]
-            d1 = ux * ay - uy * ax - k
-            d2 = ux * by - uy * bx - k
-            if d1 > 0 > d2 or d1 < 0 < d2:
-                d3 = vx * cy - vy * cx - kv
-                d4 = vx * dy - vy * dx - kv
-                if d3 > 0 > d4 or d3 < 0 < d4:
-                    yield i, j
+        check_edge(a, b, n)
+    if not es:
+        return
+    first, second = zip(*es)
+    ax, ay = list(map(xs.__getitem__, first)), list(map(ys.__getitem__, first))
+    bx, by = list(map(xs.__getitem__, second)), list(map(ys.__getitem__, second))
+    ends = ax + ay + bx + by
+    width = 2 * max(max(ends), -min(ends)).bit_length() + 5
+    shifts = range(0, width * len(es), width)
+    px, py = sum(map(lshift, ax, shifts)), sum(map(lshift, ay, shifts))
+    qx, qy = sum(map(lshift, bx, shifts)), sum(map(lshift, by, shifts))
+    ux, uy = qx - px, qy - py
+    k = sum(map(lshift, map(int.__sub__, map(mul, bx, ay), map(mul, by, ax)), shifts))
+    ones = ((1 << width * len(es)) - 1) // ((1 << width) - 1)
+    top = ones << width - 1
+    bias = top - ones
+    left, right = [0] * n, [0] * n
+    k_left, k_right = k - bias, k + bias  # side + bias = ux * y - uy * x - k_left
+    for v in set(first).union(second):
+        t = ux * ys[v] - uy * xs[v]
+        left[v], right[v] = (t - k_left) & top, (k_right - t) & top
+    for j, (a, b) in enumerate(es):
+        m = (left[a] & right[b] | right[a] & left[b]) & (1 << width * j) - 1
+        if not m:
+            continue
+        x, y = xs[a], ys[a]
+        vx, vy = xs[b] - x, ys[b] - y
+        kv = (vx * y - vy * x) * ones - bias  # each lane: side + bias
+        m &= ((vx * py - vy * px - kv) ^ (vx * qy - vy * qx - kv)) & top
+        while m:
+            low = m & -m
+            yield low.bit_length() // width - 1, j
+            m ^= low
 
 
 def _ring_crossings(es: Sequence[Edge], ring: RingOracle) -> List[Tuple[int, int]]:
@@ -199,7 +232,7 @@ def _ring_crossings(es: Sequence[Edge], ring: RingOracle) -> List[Tuple[int, int
     n, count = len(label), len(es)
     lo, hi, chords, radials = [], [], [], []
     for i, (a, b) in enumerate(es):
-        _check_edge(a, b, n)
+        check_edge(a, b, n)
         a, b = label[a], label[b]
         if a > b:
             a, b = b, a

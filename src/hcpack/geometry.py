@@ -63,6 +63,13 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
+def check_edge(a, b, n: int) -> None:
+    """The one edge rule for the crossing oracles and passes over vertex
+    indices: refuse an edge that is not two distinct vertices of 0..n-1."""
+    if not (0 <= a < n and 0 <= b < n) or a == b:
+        raise ValueError(f"edge {(a, b)} is not two distinct vertices of 0..{n - 1}")
+
+
 def edge(a: int, b: int) -> Edge:
     """Canonical unordered vertex pair."""
     if a == b:
@@ -391,12 +398,12 @@ class CoordinateOracle:
     position (`general_set`: a bare point sequence is validated).
 
     The coordinates are copied once into two flat integer lists, `xs` and
-    `ys`, and each call works on those: a shared index never crosses, and
-    otherwise the orientation determinants are computed inline.  Four
-    distinct points in general position give no zero determinant, so the
-    signs decide every pair.  `cycles.crossing_report` reads `xs` and `ys`
-    to decide a whole edge list in one flat pass, with the same
-    determinants.
+    `ys`, and each call works on those: both edges must pass `check_edge`
+    (ValueError otherwise), a shared index never crosses, and otherwise the
+    orientation determinants are computed inline.  Four distinct points in
+    general position give no zero determinant, so the signs decide every
+    pair.  `cycles.crossing_report` reads `xs` and `ys` to decide a whole
+    edge list in one lane-packed pass, with the same side values.
     """
 
     __slots__ = ("xs", "ys")
@@ -409,9 +416,11 @@ class CoordinateOracle:
     def __call__(self, e1: Edge, e2: Edge) -> bool:
         a, b = e1
         c, d = e2
+        xs, ys = self.xs, self.ys
+        check_edge(a, b, len(xs))
+        check_edge(c, d, len(xs))
         if a == c or a == d or b == c or b == d:
             return False
-        xs, ys = self.xs, self.ys
         ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
         cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
         ux, uy = dx - cx, dy - cy

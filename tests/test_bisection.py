@@ -41,6 +41,13 @@ def test_bisection_rejects_a_zero_direction():
         Bisection((0, 0), (0,), (1,))
 
 
+def test_cut_at_refuses_a_zero_direction():
+    """A zero direction gets `Bisection`'s ValueError, not a stray
+    ZeroDivisionError from making it primitive."""
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        cut_at(general_instance(6, 1), range(6), (0, 0), 1, 3)
+
+
 def test_bisecting_lines_are_distinct_splits():
     ps = general_instance(10, 5)
     seen = set()

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from hcpack import (
     Config,
     HamCycle,
+    Point,
     are_edge_disjoint,
     boundary_edge_count,
     check_boundary_minimum,
@@ -29,7 +30,7 @@ from hcpack import (
     verify_packing,
     wheel_oracle,
 )
-from hcpack.cycles import _crossing_pairs
+from hcpack.cycles import _coordinate_pairs, _crossing_pairs, _generic_pairs
 from hcpack.errors import ConfigMismatch
 from hcpack.geometry import CoordinateOracle, RingOracle, wheel_relabeling
 
@@ -210,7 +211,7 @@ def test_ring_report_matches_pairwise_on_edge_lists(case):
 
 
 class _LoggedCoordinates(CoordinateOracle):
-    """A `CoordinateOracle`, still taking the flat pass, that logs each pair
+    """A `CoordinateOracle`, still taking the lane pass, that logs each pair
     it is called on to `calls`."""
 
     __slots__ = ("calls",)
@@ -225,7 +226,7 @@ class _LoggedCoordinates(CoordinateOracle):
 
 
 def _assert_flat_matches_scan(es, orc):
-    """The flat pass over `es` gives the generic scan's pairs, in the same
+    """The lane pass over `es` gives the generic scan's pairs, in the same
     order, without calling the oracle; so do `crossing_report` and, on a
     cycle, `is_one_plane`.  Returns the pass's pairs."""
     edges = es.edges() if isinstance(es, HamCycle) else es
@@ -241,7 +242,7 @@ def _assert_flat_matches_scan(es, orc):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_flat_coordinate_pass_matches_the_pairwise_scan(seed):
-    """In general position the flat pass never calls the oracle: on packer
+    """In general position the lane pass never calls the oracle: on packer
     cycles (n = 16..64), random Hamiltonian orders of the same sets, which
     cross a lot, and the complete edge lists the exhaustive oracle screens
     (n = 8..10)."""
@@ -261,7 +262,7 @@ def test_flat_coordinate_pass_matches_the_pairwise_scan(seed):
 
 
 def test_flat_coordinate_pass_matches_the_pairwise_scan_on_grid_sets():
-    """On small-grid sets in general position the flat pass gives the
+    """On small-grid sets in general position the lane pass gives the
     scan's pairs, on the complete edge list and on random cycles."""
     crossings = 0
     for seed, points in _grid_sets():
@@ -273,6 +274,91 @@ def test_flat_coordinate_pass_matches_the_pairwise_scan_on_grid_sets():
         for es in cases:
             crossings += len(_assert_flat_matches_scan(es, orc))
     assert crossings > 1000, crossings
+
+
+def _moved(points):
+    """The points scaled by 2^64 + 1 and moved by -2^90: the same
+    orientations, with side values far past 64 bits."""
+    s, t = 2**64 + 1, -(2**90)
+    return [Point(p.x * s + t, p.y * s + t) for p in points]
+
+
+BOUND = 2**40 - 1
+
+
+def _bound_set():
+    """The corners (+-M, +-M) of a square, M = 2^40 - 1, and points drawn in
+    it, in general position: M fixes the lane width at 85 bits, and the
+    side values of corner triples, 4 M^2, fill a lane to within two bits
+    of its top one."""
+    rng = random.Random(40)
+    corners = [Point(x, y) for x in (-BOUND, BOUND) for y in (-BOUND, BOUND)]
+    drawn = [Point(rng.randint(-BOUND, BOUND), rng.randint(-BOUND, BOUND)) for _ in range(16)]
+    points = general_position_subset(corners + drawn)
+    worst = max(abs((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+                for p, q, r in combinations(points, 3))
+    assert len(points) >= 8 and worst == 4 * BOUND**2 and worst.bit_length() == 82
+    return points
+
+
+def _differential_inputs():
+    """(points, edge lists) for the lane pass: every cycle of general packs
+    at n = 16, 17, 32, 33, 64 (seeds 1-3) with one random Hamiltonian order
+    per set; random edge lists and cycles on the general-position grid
+    sets, whose lines share many ends and run parallel; the bound set; and
+    each of these again on its `_moved` copy."""
+    cases = []
+    for n in (16, 17, 32, 33, 64):
+        for seed in (1, 2, 3):
+            ps = general_instance(n, seed)
+            order = HamCycle(random.Random(seed).sample(range(n), n))
+            cases.append((ps.points, list(pack_general(ps).cycles) + [order]))
+    for seed, points in _grid_sets():
+        rng = random.Random(seed)
+        edges = list(combinations(range(len(points)), 2))
+        lists = [[e[::-1] if rng.random() < 0.5 else e
+                  for e in rng.sample(edges, rng.randint(1, len(edges)))] for _ in range(3)]
+        lists += [HamCycle(rng.sample(range(len(points)), rng.randint(3, len(points))))
+                  for _ in range(3)]
+        cases.append((points, lists))
+    points = _bound_set()
+    rng = random.Random(41)
+    cases.append((points, [list(combinations(range(len(points)), 2))]
+                  + [HamCycle(rng.sample(range(len(points)), len(points))) for _ in range(10)]))
+    return cases + [(_moved(points), lists) for points, lists in cases]
+
+
+def test_lane_pass_matches_the_generic_scan():
+    """The lane pass gives `_generic_pairs`' list, pair for pair and in the
+    same order, on every differential input, and on every cycle among
+    them `is_one_plane` gives the generic scan's verdict."""
+    crossings, verdicts = 0, Counter()
+    for points, lists in _differential_inputs():
+        orc = coordinate_oracle(points)
+        for es in lists:
+            edges = es.edges() if isinstance(es, HamCycle) else es
+            lane = list(_coordinate_pairs(edges, orc.xs, orc.ys))
+            assert lane == list(_generic_pairs(edges, orc)), es
+            crossings += len(lane)
+            if isinstance(es, HamCycle):
+                verdict = is_one_plane(es, orc)
+                assert verdict == is_one_plane(es, _pairwise(orc)), es
+                verdicts[verdict] += 1
+    assert crossings > 10_000 and verdicts[True] and verdicts[False], (crossings, verdicts)
+
+
+@pytest.mark.parametrize("bad, good", [((-1, 2), (0, 3)), ((0, 6), (1, 2)), ((3, 3), (0, 1))],
+                         ids=["negative", "past_the_end", "repeated"])
+def test_coordinate_oracle_refuses_an_edge_naming_no_point(bad, good):
+    """A call naming a negative vertex, one past the end or one vertex twice
+    is refused as the ring sweep refuses it, in either argument and through
+    the generic scan, which calls the wrapped oracle on the pair."""
+    orc = coordinate_oracle(general_instance(6, 1))
+    message = _ring_refusal([bad, good])
+    for call in (lambda: orc(bad, good), lambda: orc(good, bad),
+                 lambda: crossing_report([good, bad], _pairwise(orc))):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def _ring_refusal(es):
