@@ -28,7 +28,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import NotSeparable
-from .geometry import Point, general_set
+from .geometry import Point, check_subset, general_set
 
 IndexList = Tuple[int, ...]
 Direction = Tuple[int, int]
@@ -76,12 +76,17 @@ def _cross(e, p: Point) -> int:
 def cut_at(ps, subset: Sequence[int], d, sense: int, left_count: int) -> Bisection:
     """Split `subset` along the tilted direction `e` of a nonzero `d`: the
     `left_count` largest keys `cross(e, p)` go left.  A zero `d` is
-    refused with `Bisection`'s ValueError before any tilt."""
+    refused with `Bisection`'s ValueError before any tilt, and a subset
+    that is not distinct vertices of the set with `check_subset`'s."""
     if tuple(d) == (0, 0):
         raise ValueError("direction must be nonzero")
-    points = general_set(ps).points
-    e = _tilted(points, subset, d, sense)
-    order = sorted(subset, key=lambda i: -_cross(e, points[i]))
+    ps = general_set(ps)
+    return _cut(ps.points, check_subset(subset, len(ps)), d, sense, left_count)
+
+
+def _cut(points, sub: Sequence[int], d, sense: int, left_count: int) -> Bisection:
+    e = _tilted(points, sub, d, sense)
+    order = sorted(sub, key=lambda i: -_cross(e, points[i]))
     left, right = order[:left_count], order[left_count:]
     return Bisection(e, tuple(sorted(left)), tuple(sorted(right)))
 
@@ -103,13 +108,14 @@ def _pair_directions(points, idx_a: Sequence[int], idx_b: Sequence[int], keep=No
 
 
 def bisecting_lines(ps, subset: Sequence[int]) -> Iterator[Bisection]:
-    """Deterministic stream of distinct balanced bisections of subset."""
+    """Deterministic stream of distinct balanced bisections of subset,
+    which must be distinct vertices of the set (`check_subset`)."""
     ps = general_set(ps)
-    sub = sorted(subset)
+    sub = check_subset(subset, len(ps))
     nl = (len(sub) + 1) // 2
     seen = set()
     for d, sense in _pair_directions(ps.points, sub, sub):
-        bi = cut_at(ps, sub, d, sense, nl)
+        bi = _cut(ps.points, sub, d, sense, nl)
         if bi.left not in seen:
             seen.add(bi.left)
             yield bi
@@ -149,8 +155,8 @@ def ham_sandwich_cuts(
     same as without the test.
     """
     points = general_set(ps).points
-    s1 = sorted(s1)
-    s2 = sorted(s2)
+    s1 = check_subset(s1, len(points))
+    s2 = check_subset(s2, len(points))
     both = s1 + s2
     in_s1 = set(s1)
     if len(set(both)) != len(both):
@@ -213,7 +219,7 @@ def separating_subset_line(
     the target-size prefix of that order.
     """
     points = general_set(ps).points
-    sub = sorted(subset)
+    sub = check_subset(subset, len(points))
     pset = set(pair)
     if not pset <= set(sub):
         raise ValueError("pair must lie in subset")

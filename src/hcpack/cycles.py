@@ -48,10 +48,10 @@ class HamCycle:
         return len(self.order)
 
     def edges(self) -> Tuple[Edge, ...]:
-        n = len(self.order)
-        return tuple(
-            edge(self.order[i], self.order[(i + 1) % n]) for i in range(n)
-        )
+        """Canonical pairs `(a, b)`, `a < b`, in cycle order; the vertices
+        are distinct, so `geometry.edge` need not check them."""
+        o = self.order
+        return tuple((a, b) if a < b else (b, a) for a, b in zip(o, o[1:] + o[:1]))
 
     def canonical(self) -> "HamCycle":
         """Rotate the smallest vertex first, direction by smaller second."""

@@ -34,6 +34,7 @@ from .geometry import (
     CrossingOracle,
     Edge,
     PointSet,
+    check_subset,
     coordinate_oracle,
     edge,
     general_set,
@@ -384,10 +385,11 @@ def march_cycle(
     With no bisection given, successive bisecting lines are tried until
     one admits a march.  The returned stone list is empty or holds the
     march's stone (see `LevelParts`); a bare triangle reports no stone.
-    Raises ValueError on a subset of fewer than 3 points.
+    Raises ValueError on a subset of fewer than 3 points, or one that is
+    not distinct vertices of the set (`geometry.check_subset`).
     """
     ps = general_set(ps)
-    sub = sorted(subset)
+    sub = check_subset(subset, len(ps))
     if len(sub) < 3:
         raise ValueError("need at least 3 points")
     cuts: Iterator[Bisection]
@@ -624,7 +626,9 @@ def join_cycles(
     `ps` is a PointSet, or a point sequence that must be in general
     position (DegenerateInput otherwise; see `geometry.general_set`).
     Plain exchange pairs are tried in canonical order, then variants that
-    first uncross one cycle, then both.  Added and created edges must avoid
+    first uncross one crossing pair of one cycle (c1's pairs in sorted
+    order, then c2's); a join never uncrosses both cycles, so a move holds
+    at most one created uncrossing.  Added and created edges must avoid
     `forbidden`, and an uncrossed cycle must stay 1-plane.  Crossings are
     decided exactly on the points' integer coordinates.
     """
@@ -635,7 +639,6 @@ def join_cycles(
     r = _plain_join(base, forbidden)
     if r:
         return r
-    variants = ([], [])  # each cycle's 1-plane uncross variants, built once
     for which, c in enumerate((c1, c2)):
         es = c.edges()
         old = set(es)
@@ -648,14 +651,9 @@ def join_cycles(
             ends = [i for p in screen.own_pairs(which) for i in p]
             if len(ends) != len(set(ends)):
                 continue  # an edge of nc is crossed twice
-            variants[which].append((nc, (pair, created)))
             r = _plain_join(screen, forbidden, [(pair, created)])
             if r:
                 return r
-    for (nc1, rec1), (nc2, rec2) in itertools.product(*variants):
-        r = _plain_join(_JoinScreen(nc1, nc2, xs, ys, oracle), forbidden, [rec1, rec2])
-        if r:
-            return r
     raise NoJoinFound(
         f"no join for cycles of size {len(c1)} and {len(c2)} "
         f"with {len(forbidden)} forbidden edges"

@@ -70,6 +70,15 @@ def check_edge(a, b, n: int) -> None:
         raise ValueError(f"edge {(a, b)} is not two distinct vertices of 0..{n - 1}")
 
 
+def check_subset(subset: Iterable[int], n: int) -> list[int]:
+    """The one subset rule for the engines that take vertex indices: refuse
+    a subset that is not distinct vertices of 0..n-1; return it sorted."""
+    sub = sorted(subset)
+    if len(set(sub)) < len(sub) or sub and not (0 <= sub[0] and sub[-1] < n):
+        raise ValueError(f"subset vertices must be distinct and in 0..{n - 1}")
+    return sub
+
+
 def edge(a: int, b: int) -> Edge:
     """Canonical unordered vertex pair."""
     if a == b:

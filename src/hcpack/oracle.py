@@ -80,7 +80,7 @@ from .cycles import (
     radial_edge_count,
 )
 from .errors import TooLarge
-from .geometry import Config, PointSet, edge, oracle_for
+from .geometry import Config, PointSet, check_subset, edge, oracle_for
 
 DEFAULT_CAP = 8
 
@@ -118,9 +118,7 @@ def _search(ps: PointSet, subset: Optional[Sequence[int]], max_n: Optional[int])
     """The enumeration itself: the sorted subset `vertices`, and per cycle
     found its row of subset positions, canonical, and its edge ids, then
     the search nodes visited.  No `HamCycle` is built here."""
-    vertices = sorted(subset) if subset is not None else list(range(len(ps)))
-    if len(set(vertices)) != len(vertices) or not all(0 <= v < len(ps) for v in vertices):
-        raise ValueError(f"subset vertices must be distinct and in 0..{len(ps) - 1}")
+    vertices = check_subset(subset, len(ps)) if subset is not None else list(range(len(ps)))
     if len(vertices) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     cap = DEFAULT_CAP if max_n is None else max_n

@@ -39,7 +39,12 @@ GENERAL_CORPUS_B = [(n, 7777 * s + n) for n in (8, 16, 17, 32, 33)
 # join move of corpus B.  A change that alters either output must say why and
 # record the new digest here.
 CORPUS_A_MARCH_DIGEST = "989d75e892ed6c899a518098e927165443ddd12ea38d50b87713ee2ac028e2f1"
-CORPUS_B_PACK_DIGEST = "b0807b860d5133e671b61ecd0efbc649bea91e0668f3555a818e632afce6d03e"
+# Corpus B was b0807b860d5133e671b61ecd0efbc649bea91e0668f3555a818e632afce6d03e
+# while a join that failed its single-cycle uncross variants went on to
+# uncross both cycles at once.  With that stage gone, (n, seed) = (17, 342205),
+# (32, 7809) and (33, 303336) pack differently; each still verifies with at
+# least k - 1 cycles, and the other 247 instances are unchanged.
+CORPUS_B_PACK_DIGEST = "9a33839f254ac0c567cb49e9268c0a629ba9368b895a4ece91a4d786327afcac"
 
 
 def report(name, ok, elapsed, detail=""):

@@ -7,6 +7,7 @@ from hcpack import (
     Point,
     bisecting_line,
     coordinate_oracle,
+    march_cycle,
     separating_subset_line,
 )
 from hcpack.bisection import Bisection, bisecting_lines, cut_at, ham_sandwich_cuts
@@ -293,6 +294,31 @@ COLLINEAR = [Point(0, 0), Point(5, 1), Point(2, 7), Point(10, 2), Point(-3, 4)]
 def test_degenerate_points_are_refused_at_the_door(call, points):
     with pytest.raises(DegenerateInput, match="duplicate or collinear points"):
         call(points)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ps: march_cycle(ps, [-1, 0, 1, 2]),  # read -1 as point 11
+    lambda ps: march_cycle(ps, [0, 1, 99]),  # IndexError
+    lambda ps: march_cycle(ps, [0, 1, 2, 3, 3]),  # "does not separate its sides"
+    lambda ps: cut_at(ps, [0, 1, 2, 12], (1, 0), 1, 2),
+    lambda ps: cut_at(ps, [-1, 0, 1, 2], (1, 0), 1, 2),
+    lambda ps: next(bisecting_lines(ps, [0, 1, 2, 3, 3])),
+    lambda ps: bisecting_line(ps, [0, 1, 2, 3, 3]),  # vertex 3 on both sides
+    lambda ps: separating_subset_line(ps, [0, 1, 2, 3, 40], (0, 1)),
+    lambda ps: separating_subset_line(ps, [-1, 0, 1, 2, 3], (0, 1)),
+    lambda ps: next(ham_sandwich_cuts(ps, [-1, 0, 1], [2, 3, 4])),
+    lambda ps: next(ham_sandwich_cuts(ps, [0, 1, 2], [3, 4, 12])),
+    lambda ps: next(ham_sandwich_cuts(ps, [0, 1, 2], [3, 4, 4])),
+], ids=["march-negative", "march-past-end", "march-repeated", "cut_at-past-end",
+        "cut_at-negative", "bisecting_lines-repeated", "bisecting_line-repeated",
+        "separating-past-end", "separating-negative", "ham_sandwich-s1-negative",
+        "ham_sandwich-s2-past-end", "ham_sandwich-s2-repeated"])
+def test_subsets_that_are_not_distinct_vertices_are_refused(call):
+    """The march and the cut engine share the exact oracle's subset rule
+    (`geometry.check_subset`); no negative index wraps round and no
+    IndexError stands in for it."""
+    with pytest.raises(ValueError, match=r"subset vertices must be distinct and in 0\.\.11"):
+        call(general_instance(12, 1))
 
 
 def test_bisecting_line_needs_two_points():

@@ -799,6 +799,36 @@ def test_join_splices_an_accepted_candidate_without_a_second_check(n, monkeypatc
     assert calls == []
 
 
+def test_a_join_uncrosses_at_most_one_cycle_while_packing(monkeypatch):
+    """After the plain exchanges a join tries single-cycle uncross variants
+    only: over every join made while packing general n = 16..64, no screen
+    has both its cycles changed from the join's inputs, and every move
+    records at most one created uncrossing (both 0 and 1 occur)."""
+    inputs, both_changed = [], []
+
+    class Recording(_JoinScreen):
+        def __init__(self, c1, c2, *args):
+            super().__init__(c1, c2, *args)
+            j1, j2 = inputs[-1]
+            if c1 != j1 and c2 != j2:
+                both_changed.append((len(c1), len(c2)))
+
+    real_join = general.join_cycles
+
+    def recorded_join(c1, c2, *args):
+        inputs.append((c1, c2))
+        return real_join(c1, c2, *args)
+
+    monkeypatch.setattr(general, "_JoinScreen", Recording)
+    monkeypatch.setattr(general, "join_cycles", recorded_join)
+    records = set()
+    for n, seed in product([16, 17, 24, 32, 33, 48, 64], [1, 2, 3]):
+        result = pack_general_detailed(general_instance(n, seed))
+        assert both_changed == [], (n, seed, both_changed)
+        records |= {len(mv.created_uncrossings) for moves in result.join_log for mv in moves}
+    assert records == {0, 1}
+
+
 def test_join_screens_give_each_cycles_crossings_while_packing(monkeypatch):
     """Over every join made while packing general n = 16..64, each screen's
     `own_pairs` are `crossing_report`'s pairs for both its cycles, and an

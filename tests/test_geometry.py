@@ -20,7 +20,7 @@ from hcpack import (
     wheel_oracle,
 )
 from hcpack.errors import CollinearOverlap, ConfigMismatch, DegenerateInput, SharedEndpoint
-from hcpack.geometry import RingOracle
+from hcpack.geometry import RingOracle, check_subset
 
 from conftest import general_position_subset, regular_polygon_points
 
@@ -32,6 +32,15 @@ def test_orientation_basic():
     assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) is Orientation.CCW
     assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) is Orientation.COLLINEAR
     assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) is Orientation.CW
+
+
+def test_check_subset_sorts_or_refuses():
+    assert check_subset([3, 0, 2], 4) == [0, 2, 3]
+    assert check_subset(range(5), 5) == [0, 1, 2, 3, 4]
+    assert check_subset([], 0) == []
+    for bad in ([-1, 0, 1], [0, 1, 4], [1, 2, 2], [0, 0]):
+        with pytest.raises(ValueError, match=r"subset vertices must be distinct and in 0\.\.3"):
+            check_subset(bad, 4)
 
 
 @given(points, points, points)
