@@ -602,9 +602,11 @@ def _plain_join(screen: _JoinScreen, forbidden, extra_uncross=()):
         u1, u2 = r1[::-1] if flip1 else r1
         for r2, flip2 in zip(es2, flips2):
             v1, v2 = r2[::-1] if flip2 else r2
-            for pattern, added in enumerate(
-                ((edge(u1, v1), edge(u2, v2)), (edge(u1, v2), edge(u2, v1)))
-            ):
+            # the cycles are vertex-disjoint, so no added edge is a loop
+            for pattern, added in enumerate((
+                ((u1, v1) if u1 < v1 else (v1, u1), (u2, v2) if u2 < v2 else (v2, u2)),
+                ((u1, v2) if u1 < v2 else (v2, u1), (u2, v1) if u2 < v1 else (v1, u2)),
+            )):
                 if added[0] in forbidden or added[1] in forbidden:
                     continue
                 if not screen.candidate_ok(r1, r2, added[0], added[1]):
@@ -743,7 +745,9 @@ def _run_level(ps: PointSet, parts, stones, used, variant):
     """One attempt at a level: marches per part plus the joining fold.
 
     Parts `2t` and `2t + 1` share one ham-sandwich cut, and each marches on
-    its own half of that cut's split."""
+    its own half of that cut's split.  A part marches on the cut it was
+    given, and picks its own only when it was given none; a cut that
+    admits no march fails the attempt with MarchFailed."""
     part_cuts: List[Optional[Bisection]] = [None] * len(parts)
     cut_case: Dict[int, str] = {}
     for t in range(0, len(parts), 2):
@@ -772,14 +776,7 @@ def _run_level(ps: PointSet, parts, stones, used, variant):
             else:
                 cut = _bisection(e, grown, tuple(i for i in part if i not in grown))
                 cut_case[pi] = "case2"
-        try:
-            cyc, used_cut, new_stones = march_cycle(ps, part, bisection=cut, forbidden=used)
-        except MarchFailed:
-            if cut is None:
-                raise
-            # the assigned cut admits no march; let the part pick its own
-            cut = None
-            cyc, used_cut, new_stones = march_cycle(ps, part, forbidden=used)
+        cyc, used_cut, new_stones = march_cycle(ps, part, bisection=cut, forbidden=used)
         if cut is None:
             cut_case[pi] = "unconstrained"
         part_cycles.append(cyc)

@@ -72,11 +72,12 @@ def check_edge(a, b, n: int) -> None:
 
 def check_subset(subset: Iterable[int], n: int) -> list[int]:
     """The one subset rule for the engines that take vertex indices: refuse
-    a subset that is not distinct vertices of 0..n-1; return it sorted."""
-    sub = sorted(subset)
-    if len(set(sub)) < len(sub) or sub and not (0 <= sub[0] and sub[-1] < n):
+    a subset that is not distinct vertices of 0..n-1, each of type `int`
+    (so no float and no bool); return it sorted."""
+    sub = list(subset)
+    if any(type(v) is not int or not 0 <= v < n for v in sub) or len(set(sub)) < len(sub):
         raise ValueError(f"subset vertices must be distinct and in 0..{n - 1}")
-    return sub
+    return sorted(sub)
 
 
 def edge(a: int, b: int) -> Edge:

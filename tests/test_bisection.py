@@ -309,14 +309,19 @@ def test_degenerate_points_are_refused_at_the_door(call, points):
     lambda ps: next(ham_sandwich_cuts(ps, [-1, 0, 1], [2, 3, 4])),
     lambda ps: next(ham_sandwich_cuts(ps, [0, 1, 2], [3, 4, 12])),
     lambda ps: next(ham_sandwich_cuts(ps, [0, 1, 2], [3, 4, 4])),
+    lambda ps: march_cycle(ps, [0.5, 1, 2]),  # TypeError
+    lambda ps: march_cycle(ps, [True, 2, 3]),  # the cycle (True, 2, 3)
+    lambda ps: cut_at(ps, [0.5, 1, 2, 3], (1, 0), 1, 2),
+    lambda ps: next(bisecting_lines(ps, [0.5, 1, 2, 3])),
 ], ids=["march-negative", "march-past-end", "march-repeated", "cut_at-past-end",
         "cut_at-negative", "bisecting_lines-repeated", "bisecting_line-repeated",
         "separating-past-end", "separating-negative", "ham_sandwich-s1-negative",
-        "ham_sandwich-s2-past-end", "ham_sandwich-s2-repeated"])
+        "ham_sandwich-s2-past-end", "ham_sandwich-s2-repeated", "march-float",
+        "march-bool", "cut_at-float", "bisecting_lines-float"])
 def test_subsets_that_are_not_distinct_vertices_are_refused(call):
     """The march and the cut engine share the exact oracle's subset rule
-    (`geometry.check_subset`); no negative index wraps round and no
-    IndexError stands in for it."""
+    (`geometry.check_subset`); no negative index wraps round, no IndexError
+    or TypeError stands in for it, and no bool passes as a vertex."""
     with pytest.raises(ValueError, match=r"subset vertices must be distinct and in 0\.\.11"):
         call(general_instance(12, 1))
 

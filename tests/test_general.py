@@ -429,8 +429,11 @@ def test_traced_names_stay_on_general(name):
 
 # sha256 over pack_general_detailed's cycles and join moves for n = 48
 # (seeds 1-5) and n = 64 (seed 1), recorded before the join screen moved
-# to side masks; corpus B stops at n = 33
-LARGE_PACK_DIGEST = "eedae45e7034ab7aec981514e7d37fb8e93c382aecb0ebfa2a9e69d9e8aa8d55"
+# to side masks; corpus B stops at n = 33.  It was
+# eedae45e7034ab7aec981514e7d37fb8e93c382aecb0ebfa2a9e69d9e8aa8d55 while a
+# part whose level cut admitted no march was marched again on a cut of its
+# own; without that retry only (48, 5) packs differently, still 4 cycles.
+LARGE_PACK_DIGEST = "cfc21d808e8b6a617470fb9b9c723ab8e96c8c98c5e650d3dde1e76c1da8d79f"
 
 
 def test_large_pack_unchanged():
@@ -449,8 +452,15 @@ def test_large_pack_unchanged():
 
 # sha256 over the level search's full record for n = 16, 17, 32, 33, 48
 # (seeds 1-5), and over every PackingIncomplete under small LEVEL_ATTEMPTS,
-# recorded before the search moved to one path of levels
-LEVEL_SEARCH_DIGEST = "7aacec75e26a0808831552ba2da36c238633bf0a2cba3aa85f09d4bd4ab3d2c2"
+# recorded before the search moved to one path of levels.  It was
+# 7aacec75e26a0808831552ba2da36c238633bf0a2cba3aa85f09d4bd4ab3d2c2 while a
+# part whose level cut admitted no march was marched again on a cut of its
+# own.  Without that retry (17, 1), (33, 2), (33, 3), (33, 5) and (48, 5)
+# pack differently with the same cycle counts; (17, 2) and (17, 5) keep
+# their packing, but a part the retry recorded as "unconstrained" keeps its
+# "case1" cut; the call counts of those seven and (17, 4) change; and 16 of
+# the 80 runs under small LEVEL_ATTEMPTS end differently.
+LEVEL_SEARCH_DIGEST = "c839c7ad5d1aa89b2d0e8e9db7d695840d944d578c9949370841a4b9d1728ab4"
 
 
 def test_level_search_unchanged(monkeypatch):
@@ -490,6 +500,33 @@ def test_level_search_unchanged(monkeypatch):
             out = (str(exc), exc.level, [c.order for c in exc.cycles])
         digest.update(repr((attempts, n, seed, out)).encode())
     assert digest.hexdigest() == LEVEL_SEARCH_DIGEST
+
+
+def test_a_level_attempt_marches_each_part_once(monkeypatch):
+    """A part marches on the cut its level gives it: a cut that admits no
+    march fails the attempt instead of marching the part again."""
+    march, run_level = general.march_cycle, general._run_level
+    marched, attempts = [None], []
+
+    def recorded_march(ps, subset, *args, **kwargs):
+        if marched[0] is not None:
+            marched[0].append(tuple(subset))
+        return march(ps, subset, *args, **kwargs)
+
+    def recorded_level(*args):
+        marched[0] = []
+        try:
+            return run_level(*args)
+        finally:
+            attempts.append(marched[0])
+            marched[0] = None
+
+    monkeypatch.setattr(general, "march_cycle", recorded_march)
+    monkeypatch.setattr(general, "_run_level", recorded_level)
+    for n, seed in product([16, 17, 32, 33], range(1, 6)):
+        pack_general_detailed(general_instance(n, seed))
+    assert len(attempts) > 20
+    assert [parts for parts in attempts if len(set(parts)) < len(parts)] == []
 
 
 def test_uncross_quadrilateral():
@@ -1080,6 +1117,6 @@ def test_lazy_march_moves_keep_the_eager_order(monkeypatch):
 
     monkeypatch.setattr(_March, "_on_side", counted)
     monkeypatch.setattr(_March, "_moves", checked)
-    for n, seed in [*product([16, 17, 24, 32, 33], [1, 2, 3]), (48, 1), (64, 1)]:
+    for n, seed in [*product([16, 17, 24, 32, 33], [1, 2, 3]), (48, 1), (48, 2), (64, 1)]:
         pack_general_detailed(general_instance(n, seed))
     assert rungs_first[0] > 1000

@@ -38,7 +38,9 @@ def test_check_subset_sorts_or_refuses():
     assert check_subset([3, 0, 2], 4) == [0, 2, 3]
     assert check_subset(range(5), 5) == [0, 1, 2, 3, 4]
     assert check_subset([], 0) == []
-    for bad in ([-1, 0, 1], [0, 1, 4], [1, 2, 2], [0, 0]):
+    # a float or a bool is not a vertex, whatever value it compares equal to
+    for bad in ([-1, 0, 1], [0, 1, 4], [1, 2, 2], [0, 0], [0.5, 1, 2], [1.0, 2, 3],
+                [True, 2, 3], [0, False]):
         with pytest.raises(ValueError, match=r"subset vertices must be distinct and in 0\.\.3"):
             check_subset(bad, 4)
 

@@ -167,10 +167,12 @@ def test_fewer_than_three_vertices_rejected(subset):
 
 
 @pytest.mark.parametrize(
-    "subset", [[-1, 0, 1, 2], [0, 1, 2, 9], [0, 1, 2, 6], [0, 1, 1, 2], [5, 3, 5]]
+    "subset", [[-1, 0, 1, 2], [0, 1, 2, 9], [0, 1, 2, 6], [0, 1, 1, 2], [5, 3, 5],
+               [0.5, 1, 2, 3], [True, 2, 3, 4]]
 )
 def test_subset_outside_the_point_set_or_repeated_rejected(subset):
-    # negative indexing or an IndexError must not stand in for this check
+    # negative indexing, an IndexError or a TypeError must not stand in for
+    # this check, and a bool is not a vertex
     assert_subset_rejected(subset, r"distinct and in 0\.\.5")
 
 
