@@ -74,14 +74,21 @@ def _cross(e, p: Point) -> int:
 
 
 def cut_at(ps, subset: Sequence[int], d, sense: int, left_count: int) -> Bisection:
-    """Split `subset` along the tilted direction `e` of a nonzero `d`: the
-    `left_count` largest keys `cross(e, p)` go left.  A zero `d` is
-    refused with `Bisection`'s ValueError before any tilt, and a subset
-    that is not distinct vertices of the set with `check_subset`'s."""
+    """Split `subset` along the tilted direction `e` of a nonzero `d`, tilted
+    to the side `sense` (1 or -1): the `left_count` largest keys
+    `cross(e, p)` go left, so both sides are nonempty.  Raises ValueError
+    on a zero `d` (before any tilt), another `sense`, a subset that is not
+    distinct vertices of the set (`check_subset`), or a `left_count`
+    outside 1..len(subset) - 1."""
     if tuple(d) == (0, 0):
         raise ValueError("direction must be nonzero")
+    if type(sense) is not int or sense not in (1, -1):
+        raise ValueError(f"sense must be 1 or -1, got {sense!r}")
     ps = general_set(ps)
-    return _cut(ps.points, check_subset(subset, len(ps)), d, sense, left_count)
+    sub = check_subset(subset, len(ps))
+    if type(left_count) is not int or not 0 < left_count < len(sub):
+        raise ValueError(f"left_count must be in 1..{len(sub) - 1}, got {left_count!r}")
+    return _cut(ps.points, sub, d, sense, left_count)
 
 
 def _cut(points, sub: Sequence[int], d, sense: int, left_count: int) -> Bisection:
@@ -132,17 +139,11 @@ FourParts = Tuple[IndexList, IndexList, IndexList, IndexList]
 
 
 def ham_sandwich_cuts(
-    ps,
-    s1: Sequence[int],
-    s2: Sequence[int],
-    pair: Optional[Tuple[int, int]] = None,
+    ps, s1: Sequence[int], s2: Sequence[int]
 ) -> Iterator[Tuple[Direction, FourParts]]:
     """Stream of simultaneous bisections of disjoint s1 and s2 (distinct
     splits), each as `(e, (s1 left, s1 right, s2 left, s2 right))`: the
     left parts hold exactly the points with the larger keys `cross(e, p)`.
-
-    With `pair`, only cuts keeping both pair members in the same part of
-    s1 are yielded.
 
     Each point pair `(i, j)` is first tested once on the untilted keys
     `c(p) = cross(d, p)`, `d = p_j - p_i`.  The tilt only breaks ties in
@@ -189,8 +190,6 @@ def ham_sandwich_cuts(
             if abs(2 * l1 - n1) > 1 or abs(2 * (t - l1) - n2) > 1:
                 continue
             left = set(order[:t])
-            if pair is not None and (pair[0] in left) != (pair[1] in left):
-                continue
             key = frozenset(left)
             if key in seen:
                 continue

@@ -11,11 +11,11 @@ cross an edge twice (or touch a forbidden edge) is cut immediately.
 Whatever survives to a full cycle is a verified 1-plane Hamiltonian cycle
 by construction.
 
-The packer stacks such cycles level by level: each level bisects every
-part (paired ham-sandwich cuts, stone pairs kept together when possible),
-builds one cycle per part, and splices them into a single cycle through
-exchange moves.  Cut choices are searched depth-first across levels, so a
-dead partition at the bottom backtracks into different cuts above.
+The packer stacks such cycles level by level: each level cuts each pair
+of parts with one ham-sandwich cut, builds one cycle per part on its half,
+and splices them into a single cycle through exchange moves.  Cut choices
+are searched depth-first across levels, so a dead partition at the bottom
+backtracks into different cuts above.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 from operator import lshift, mul
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
+# separating_subset_line: unused here; perfbench/tracer.py patches this name
 from .bisection import Bisection, bisecting_lines, ham_sandwich_cuts, separating_subset_line
 # crossing_report and is_one_plane: unused here; perfbench/tracer.py patches these names
 from .cycles import HamCycle, Packing, crossing_report, is_one_plane
-from .errors import InvalidN, MarchFailed, NoJoinFound, NotSeparable, PackingIncomplete
+from .errors import InvalidN, MarchFailed, NoJoinFound, PackingIncomplete
 from .geometry import (
     CrossingOracle,
     Edge,
@@ -51,15 +52,11 @@ LEVEL_ATTEMPTS = 200  # level attempts one pack may make
 @dataclass
 class LevelParts:
     """Parts of one level in counter-clockwise label order; `cut_case`
-    names how each part was cut for its march, once a level marched on it.
-
-    A stone is a march's terminal same-side edge: the edge that closes the
-    cycle between two points on one side of its cut.  `stones` maps a part
-    index to the stone that lies within that part, which later cuts keep on
-    one side."""
+    names how each part was cut for its march, once a level marched on it:
+    "ham-sandwich" for a half of its pair's cut, "unconstrained" for a cut
+    of its own."""
 
     parts: List[Tuple[int, ...]]
-    stones: Dict[int, Edge]
     cut_case: Dict[int, str] = field(default_factory=dict)
 
 
@@ -384,7 +381,9 @@ def march_cycle(
     position (DegenerateInput otherwise; see `geometry.general_set`).
     With no bisection given, successive bisecting lines are tried until
     one admits a march.  The returned stone list is empty or holds the
-    march's stone (see `LevelParts`); a bare triangle reports no stone.
+    march's stone: its terminal same-side edge, the edge that closes the
+    cycle between two points on one side of its cut.  A bare triangle
+    reports no stone.  The packer ignores stones: its checks are exact.
     Raises ValueError on a subset of fewer than 3 points, or one that is
     not distinct vertices of the set (`geometry.check_subset`).
     """
@@ -632,9 +631,12 @@ def join_cycles(
     order, then c2's); a join never uncrosses both cycles, so a move holds
     at most one created uncrossing.  Added and created edges must avoid
     `forbidden`, and an uncrossed cycle must stay 1-plane.  Crossings are
-    decided exactly on the points' integer coordinates.
+    decided exactly on the points' integer coordinates.  Raises ValueError
+    unless the two cycles together are distinct vertices of the set
+    (`geometry.check_subset`).
     """
     ps = general_set(ps)
+    check_subset(c1.order + c2.order, len(ps))
     xs, ys = [p.x for p in ps.points], [p.y for p in ps.points]
     oracle = coordinate_oracle(ps)
     base = _JoinScreen(c1, c2, xs, ys, oracle)
@@ -701,19 +703,11 @@ def _bisection(e, side, rest) -> Bisection:
     return Bisection(e, side, rest) if len(side) >= len(rest) else Bisection(e, rest, side)
 
 
-def _next_level(cuts, points) -> Tuple[List[Tuple[int, ...]], Dict[int, Edge]]:
-    """The halves of each (cut, stones) pair in ccw order, and the stone
-    each half keeps."""
-    parts = _ccw_part_order(
-        [tuple(sorted(half)) for cut, _ in cuts for half in (cut.left, cut.right)], points
+def _next_level(cuts: List[Bisection], points) -> List[Tuple[int, ...]]:
+    """The halves of each cut, in ccw order."""
+    return _ccw_part_order(
+        [tuple(sorted(half)) for cut in cuts for half in (cut.left, cut.right)], points
     )
-    part_of = {i: pi for pi, p in enumerate(parts) for i in p}
-    stones: Dict[int, Edge] = {}
-    for _, sts in cuts:
-        for v, w in sts:
-            if part_of[v] == part_of[w]:
-                stones[part_of[v]] = (v, w)
-    return parts, stones
 
 
 def _fold(cycles: List[HamCycle], used, ps: PointSet) -> Tuple[HamCycle, List[JoinMove]]:
@@ -741,49 +735,23 @@ def _fold(cycles: List[HamCycle], used, ps: PointSet) -> Tuple[HamCycle, List[Jo
     raise NoJoinFound(str(last_err))
 
 
-def _run_level(ps: PointSet, parts, stones, used, variant):
+def _run_level(ps: PointSet, parts, used, variant):
     """One attempt at a level: marches per part plus the joining fold.
 
-    Parts `2t` and `2t + 1` share one ham-sandwich cut, and each marches on
-    its own half of that cut's split.  A part marches on the cut it was
-    given, and picks its own only when it was given none; a cut that
+    Parts `2t` and `2t + 1` take the variant-th cut of their ham-sandwich
+    stream, and each marches on its own half of that cut's split.  A part
+    whose pair's stream is shorter marches on a cut of its own; a cut that
     admits no march fails the attempt with MarchFailed."""
     part_cuts: List[Optional[Bisection]] = [None] * len(parts)
-    cut_case: Dict[int, str] = {}
     for t in range(0, len(parts), 2):
-        # the stone's part goes first, so its pair stays on one side
-        first = t + 1 if t not in stones and t + 1 in stones else t
-        st, other = stones.get(first), stones.get(first ^ 1)
-        hs = _nth(ham_sandwich_cuts(ps, parts[first], parts[first ^ 1], pair=st), variant)
-        if hs is None:
-            continue
-        e, (l1, r1, l2, r2) = hs
-        if other is not None and (other[0] in l2) != (other[1] in l2):
-            continue
-        part_cuts[first], part_cuts[first ^ 1] = _bisection(e, l1, r1), _bisection(e, l2, r2)
-        cut_case[t] = cut_case[t + 1] = "case1" if st else "ham-sandwich"
-    part_cycles: List[HamCycle] = []
-    child_cuts = []
-    for pi, part in enumerate(parts):
-        st = stones.get(pi)
-        cut = part_cuts[pi]
-        if cut is None and st is not None:
-            # separating-line fallback: split off a balanced stone-side subset
-            try:
-                e, grown = separating_subset_line(ps, part, st, (len(part) + 1) // 2)
-            except NotSeparable:
-                pass
-            else:
-                cut = _bisection(e, grown, tuple(i for i in part if i not in grown))
-                cut_case[pi] = "case2"
-        cyc, used_cut, new_stones = march_cycle(ps, part, bisection=cut, forbidden=used)
-        if cut is None:
-            cut_case[pi] = "unconstrained"
-        part_cycles.append(cyc)
-        child_cuts.append((used_cut, new_stones))
-    merged, moves = _fold(part_cycles, used, ps)
-    parts_out, stones_out = _next_level(child_cuts, ps.points)
-    return merged, moves, parts_out, stones_out, cut_case
+        hs = _nth(ham_sandwich_cuts(ps, parts[t], parts[t + 1]), variant)
+        if hs is not None:
+            e, (l1, r1, l2, r2) = hs
+            part_cuts[t], part_cuts[t + 1] = _bisection(e, l1, r1), _bisection(e, l2, r2)
+    marched = [march_cycle(ps, p, bisection=c, forbidden=used) for p, c in zip(parts, part_cuts)]
+    merged, moves = _fold([cyc for cyc, _, _ in marched], used, ps)
+    cut_case = dict(enumerate("unconstrained" if c is None else "ham-sandwich" for c in part_cuts))
+    return merged, moves, _next_level([cut for _, cut, _ in marched], ps.points), cut_case
 
 
 def pack_general_detailed(ps) -> GeneralPackResult:
@@ -827,13 +795,13 @@ def pack_general_detailed(ps) -> GeneralPackResult:
                 return False
             counter += 1
             try:
-                merged, moves, parts, stones, marched.cut_case = _run_level(
-                    ps, marched.parts, marched.stones, used, variant
+                merged, moves, parts, marched.cut_case = _run_level(
+                    ps, marched.parts, used, variant
                 )
             except (MarchFailed, NoJoinFound) as exc:
                 last_err = exc
                 continue
-            path.append((merged, moves, LevelParts(parts, stones)))
+            path.append((merged, moves, LevelParts(parts)))
             if solve(used | set(merged.edges())):
                 return True
             path.pop()
@@ -841,11 +809,11 @@ def pack_general_detailed(ps) -> GeneralPackResult:
 
     for cuts in itertools.islice(bisecting_lines(ps, range(n)), PER_LEVEL_VARIANTS):
         try:
-            cyc, cut, stones = march_cycle(ps, range(n), bisection=cuts)
+            cyc, cut, _ = march_cycle(ps, range(n), bisection=cuts)
         except MarchFailed as exc:
             last_err = exc
             continue
-        path.append((cyc, [], LevelParts(*_next_level([(cut, stones)], ps.points))))
+        path.append((cyc, [], LevelParts(_next_level([cut], ps.points))))
         if solve(set(cyc.edges())):
             cycles, join_log, levels = zip(*path)
             return GeneralPackResult(Packing(cycles), list(levels), list(join_log))

@@ -4,9 +4,11 @@ from itertools import combinations
 import pytest
 
 from hcpack import (
+    HamCycle,
     Point,
     bisecting_line,
     coordinate_oracle,
+    join_cycles,
     march_cycle,
     separating_subset_line,
 )
@@ -35,6 +37,23 @@ def test_bisecting_line_invariants(n, seed):
     assert len(bi.left) - len(bi.right) in (0, 1)
     # the direction's keys reproduce the returned split exactly, no tie
     assert keys_separate(ps.points, bi.direction, bi.left, bi.right)
+
+
+@pytest.mark.parametrize("sense", [0, 2, -2, 1.0, True])
+def test_cut_at_refuses_a_sense_that_is_not_plus_or_minus_one(sense):
+    """Sense 0 would skip the tilt: on these points with d = (1, 0), the
+    left keys {0, 5} and the right keys {0, -4} would tie across the cut."""
+    pts = [Point(0, 0), Point(10, 0), Point(3, 5), Point(7, -4)]
+    with pytest.raises(ValueError, match="sense must be 1 or -1"):
+        cut_at(pts, range(4), (1, 0), sense, 2)
+
+
+@pytest.mark.parametrize("left_count", [-1, 0, 8, 9, 2.0, True])
+def test_cut_at_refuses_a_left_count_that_leaves_a_side_empty(left_count):
+    """Without the check, -1 would split 7/1 and 0 would leave the left side
+    empty."""
+    with pytest.raises(ValueError, match=r"left_count must be in 1\.\.7"):
+        cut_at(general_instance(8, 1), range(8), (1, 2), 1, left_count)
 
 
 def test_bisection_rejects_a_zero_direction():
@@ -90,22 +109,6 @@ def test_ham_sandwich_rejects_overlapping_sets():
         next(ham_sandwich_cuts(ps, [0, 1, 2, 3], [3, 4, 5, 6]))
 
 
-def test_constrained_ham_sandwich_keeps_pair_together():
-    ps = general_instance(16, 11)
-    s1, s2 = list(range(8)), list(range(8, 16))
-    found = 0
-    for pair in [(0, 1), (2, 5), (3, 7)]:
-        res = next(ham_sandwich_cuts(ps, s1, s2, pair=pair), None)
-        if res is None:
-            continue
-        found += 1
-        _, parts = res
-        s1l = set(parts[0])
-        assert (pair[0] in s1l) == (pair[1] in s1l)
-        assert abs(len(parts[0]) - len(parts[1])) <= 1
-    assert found > 0
-
-
 def test_separating_subset_line_base_case():
     ps = general_instance(8, 4)
     pts = ps.points
@@ -132,19 +135,18 @@ def test_separating_subset_line_not_separable():
         separating_subset_line(pts, range(5), (3, 4), target_size=2)
 
 
-def test_constrained_ham_sandwich_absent_when_pair_straddles_everything():
-    # pair at opposite extremes of s1: every simultaneous bisection must
-    # separate them, so the constrained search comes back empty
+def test_ham_sandwich_cuts_all_split_a_pair_at_opposite_extremes():
+    # 0 and 3 at opposite extremes of s1: every simultaneous bisection
+    # separates them
     pts = [
         Point(-1000, 0), Point(-990, 31), Point(990, 17), Point(1000, 53),
         Point(-50, 200), Point(10, -210), Point(40, 190), Point(-30, -195),
     ]
     s1, s2 = [0, 1, 2, 3], [4, 5, 6, 7]
-    unconstrained = list(ham_sandwich_cuts(pts, s1, s2))
-    assert unconstrained, "sanity: plain cuts exist"
-    for _e, parts in unconstrained:
+    cuts = list(ham_sandwich_cuts(pts, s1, s2))
+    assert cuts, "sanity: plain cuts exist"
+    for _e, parts in cuts:
         assert (0 in parts[0]) != (3 in parts[0])
-    assert next(ham_sandwich_cuts(pts, s1, s2, pair=(0, 3)), None) is None
 
 
 def test_ham_sandwich_two_against_two():
@@ -154,7 +156,7 @@ def test_ham_sandwich_two_against_two():
     assert len(parts[2]) == len(parts[3]) == 1
 
 
-def full_scan_cuts(points, s1, s2, pair=None):
+def full_scan_cuts(points, s1, s2):
     """Reference ham_sandwich_cuts on points in general position: each
     direction's order sorted by a key per point, then every prefix length
     tested for balance."""
@@ -169,8 +171,6 @@ def full_scan_cuts(points, s1, s2, pair=None):
             left = set(order[:t])
             l1 = len(left & set(s1))
             if abs(2 * l1 - len(s1)) > 1 or abs(2 * (t - l1) - len(s2)) > 1:
-                continue
-            if pair is not None and (pair[0] in left) != (pair[1] in left):
                 continue
             if frozenset(left) in seen:
                 continue
@@ -194,10 +194,7 @@ def test_ham_sandwich_stream_matches_a_full_prefix_scan(seed):
     idx = rng.sample(range(n), n)
     cut = rng.randint(1, n - 1)
     s1, s2 = idx[:cut], idx[cut:]
-    pairs = [None] + ([tuple(rng.sample(s1, 2))] if len(s1) > 1 else [])
-    for pair in pairs:
-        want = list(full_scan_cuts(points, s1, s2, pair))
-        assert list(ham_sandwich_cuts(points, s1, s2, pair=pair)) == want, (s1, s2, pair)
+    assert list(ham_sandwich_cuts(points, s1, s2)) == list(full_scan_cuts(points, s1, s2)), (s1, s2)
 
 
 def test_band_test_skips_the_tilt_of_pairs_that_cannot_balance(monkeypatch):
@@ -244,9 +241,7 @@ def test_ham_sandwich_stream_matches_a_full_prefix_scan_on_tiny_grids():
         idx = rng.sample(range(n), n)
         cut = rng.randint(1, n - 1)
         s1, s2 = idx[:cut], idx[cut:]
-        pair = tuple(rng.sample(s1, 2)) if len(s1) > 1 and rng.random() < 0.5 else None
-        want = list(full_scan_cuts(points, s1, s2, pair))
-        assert list(ham_sandwich_cuts(points, s1, s2, pair=pair)) == want
+        assert list(ham_sandwich_cuts(points, s1, s2)) == list(full_scan_cuts(points, s1, s2))
 
     check()
     assert 4 * sum(ties) >= len(ties), (sum(ties), len(ties))
@@ -313,15 +308,21 @@ def test_degenerate_points_are_refused_at_the_door(call, points):
     lambda ps: march_cycle(ps, [True, 2, 3]),  # the cycle (True, 2, 3)
     lambda ps: cut_at(ps, [0.5, 1, 2, 3], (1, 0), 1, 2),
     lambda ps: next(bisecting_lines(ps, [0.5, 1, 2, 3])),
+    # IndexError inside the join screen
+    lambda ps: join_cycles(HamCycle((0, 1, 20)), march_cycle(ps, range(5, 12))[0], frozenset(), ps),
+    # "repeated vertex in cycle" only once a splice runs
+    lambda ps: join_cycles(HamCycle((0, 1, 5)), march_cycle(ps, range(5, 12))[0], frozenset(), ps),
 ], ids=["march-negative", "march-past-end", "march-repeated", "cut_at-past-end",
         "cut_at-negative", "bisecting_lines-repeated", "bisecting_line-repeated",
         "separating-past-end", "separating-negative", "ham_sandwich-s1-negative",
         "ham_sandwich-s2-past-end", "ham_sandwich-s2-repeated", "march-float",
-        "march-bool", "cut_at-float", "bisecting_lines-float"])
+        "march-bool", "cut_at-float", "bisecting_lines-float", "join-past-end",
+        "join-shared-vertex"])
 def test_subsets_that_are_not_distinct_vertices_are_refused(call):
-    """The march and the cut engine share the exact oracle's subset rule
-    (`geometry.check_subset`); no negative index wraps round, no IndexError
-    or TypeError stands in for it, and no bool passes as a vertex."""
+    """The march, the join and the cut engine share the exact oracle's
+    subset rule (`geometry.check_subset`); no negative index wraps round, no
+    IndexError or TypeError stands in for it, and no bool passes as a
+    vertex."""
     with pytest.raises(ValueError, match=r"subset vertices must be distinct and in 0\.\.11"):
         call(general_instance(12, 1))
 

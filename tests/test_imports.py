@@ -6,7 +6,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hcpack"
 # perfbench/tracer.py patches these names on the modules that import them,
 # so each stays imported there although the module itself never reads it
 TRACER_ONLY = {
-    "general": {"crossing_report", "is_one_plane", "segments_properly_cross"},
+    "general": {"crossing_report", "is_one_plane", "segments_properly_cross",
+                "separating_subset_line"},
     "structured": {"crossing_report", "is_one_plane"},
     "instances": {"coordinate_oracle"},
 }
