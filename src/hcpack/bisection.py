@@ -36,9 +36,10 @@ Direction = Tuple[int, int]
 
 @dataclass(frozen=True)
 class Bisection:
-    """A cut direction with the split it induces; left is never smaller than
-    right.  The keys `cross(direction, p)` of one side all exceed those of
-    the other side."""
+    """A cut direction with the split it induces: the keys
+    `cross(direction, p)` of one side all exceed those of the other side.
+    The sides come in either size order; the ladder march puts the larger
+    one on its left itself."""
 
     direction: Direction
     left: IndexList

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import lshift, mul
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,18 +46,17 @@ from .geometry import (
 NODE_CAP = 50000  # march search nodes per bisection
 MAX_CUTS = 60  # bisecting lines a free march tries
 PER_LEVEL_VARIANTS = 8  # cut variants tried per level
-LEVEL_ATTEMPTS = 200  # level attempts one pack may make
+LEVEL_ATTEMPTS = 200  # level attempts below the first level one pack may make
 
 
 @dataclass
 class LevelParts:
-    """Parts of one level in counter-clockwise label order; `cut_case`
-    names how each part was cut for its march, once a level marched on it:
-    "ham-sandwich" for a half of its pair's cut, "unconstrained" for a cut
-    of its own."""
+    """The parts one level marched on, in counter-clockwise label order,
+    and how each part was cut for its march (`cut_case`): "ham-sandwich"
+    for a half of its pair's cut, "unconstrained" for a cut of its own."""
 
     parts: List[Tuple[int, ...]]
-    cut_case: Dict[int, str] = field(default_factory=dict)
+    cut_case: Dict[int, str]
 
 
 @dataclass(frozen=True)
@@ -384,8 +383,9 @@ def march_cycle(
     march's stone: its terminal same-side edge, the edge that closes the
     cycle between two points on one side of its cut.  A bare triangle
     reports no stone.  The packer ignores stones: its checks are exact.
-    Raises ValueError on a subset of fewer than 3 points, or one that is
-    not distinct vertices of the set (`geometry.check_subset`).
+    Raises ValueError on a subset of fewer than 3 points, one that is not
+    distinct vertices of the set (`geometry.check_subset`), or a bisection
+    whose two sides together are not exactly the subset.
     """
     ps = general_set(ps)
     sub = check_subset(subset, len(ps))
@@ -393,6 +393,9 @@ def march_cycle(
         raise ValueError("need at least 3 points")
     cuts: Iterator[Bisection]
     if bisection is not None:
+        if sorted(bisection.left + bisection.right) != sub:
+            last = len(ps) - 1
+            raise ValueError(f"subset vertices must be distinct and in 0..{last}, each on a side")
         cuts = iter([bisection])
     else:
         cuts = itertools.islice(bisecting_lines(ps, sub), MAX_CUTS)
@@ -698,18 +701,6 @@ def _nth(it, idx):
     return next(itertools.islice(it, idx, None), None)
 
 
-def _bisection(e, side, rest) -> Bisection:
-    """The cut direction `e` with its two halves, the larger on the left."""
-    return Bisection(e, side, rest) if len(side) >= len(rest) else Bisection(e, rest, side)
-
-
-def _next_level(cuts: List[Bisection], points) -> List[Tuple[int, ...]]:
-    """The halves of each cut, in ccw order."""
-    return _ccw_part_order(
-        [tuple(sorted(half)) for cut in cuts for half in (cut.left, cut.right)], points
-    )
-
-
 def _fold(cycles: List[HamCycle], used, ps: PointSet) -> Tuple[HamCycle, List[JoinMove]]:
     """Join the part cycles into one, greedily in ccw order; a stuck fold
     restarts from the next seed cycle."""
@@ -735,23 +726,33 @@ def _fold(cycles: List[HamCycle], used, ps: PointSet) -> Tuple[HamCycle, List[Jo
     raise NoJoinFound(str(last_err))
 
 
-def _run_level(ps: PointSet, parts, used, variant):
-    """One attempt at a level: marches per part plus the joining fold.
-
-    Parts `2t` and `2t + 1` take the variant-th cut of their ham-sandwich
-    stream, and each marches on its own half of that cut's split.  A part
-    whose pair's stream is shorter marches on a cut of its own; a cut that
-    admits no march fails the attempt with MarchFailed."""
-    part_cuts: List[Optional[Bisection]] = [None] * len(parts)
+def _level_cuts(ps: PointSet, parts, variant) -> Optional[List[Optional[Bisection]]]:
+    """The cut each part of a level marches on in the level's variant-th
+    attempt.  The first level's single part takes its variant-th bisecting
+    line, and there is no attempt once those run out (None).  Parts `2t`
+    and `2t + 1` take the halves of their variant-th ham-sandwich cut, or
+    None, a free march, once their pair's stream is shorter."""
+    if len(parts) == 1:
+        cut = _nth(bisecting_lines(ps, parts[0]), variant)
+        return None if cut is None else [cut]
+    cuts: List[Optional[Bisection]] = [None] * len(parts)
     for t in range(0, len(parts), 2):
         hs = _nth(ham_sandwich_cuts(ps, parts[t], parts[t + 1]), variant)
         if hs is not None:
             e, (l1, r1, l2, r2) = hs
-            part_cuts[t], part_cuts[t + 1] = _bisection(e, l1, r1), _bisection(e, l2, r2)
-    marched = [march_cycle(ps, p, bisection=c, forbidden=used) for p, c in zip(parts, part_cuts)]
+            cuts[t], cuts[t + 1] = Bisection(e, l1, r1), Bisection(e, l2, r2)
+    return cuts
+
+
+def _run_level(ps: PointSet, parts, cuts, used):
+    """One attempt at a level: each part marches on its cut, the cycles
+    fold into one, and the halves of the cuts marched on, in ccw order,
+    are the next level's parts.  A cut that admits no march fails the
+    attempt with MarchFailed."""
+    marched = [march_cycle(ps, p, bisection=c, forbidden=used) for p, c in zip(parts, cuts)]
     merged, moves = _fold([cyc for cyc, _, _ in marched], used, ps)
-    cut_case = dict(enumerate("unconstrained" if c is None else "ham-sandwich" for c in part_cuts))
-    return merged, moves, _next_level([cut for _, cut, _ in marched], ps.points), cut_case
+    halves = [tuple(sorted(half)) for _, cut, _ in marched for half in (cut.left, cut.right)]
+    return merged, moves, _ccw_part_order(halves, ps.points)
 
 
 def pack_general_detailed(ps) -> GeneralPackResult:
@@ -762,14 +763,14 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     position (DegenerateInput otherwise; see `geometry.general_set`).
     It is validated once, here: every march, join and cut inside gets the
     same PointSet.  The search keeps one path of levels, each entry a
-    level's cycle, its join moves and the parts the next level marches
-    on.  Each level tries
-    up to PER_LEVEL_VARIANTS cut variants depth-first; a level whose parts
-    cannot host a fresh cycle is popped, so the search backtracks into
-    different cuts above.  The whole pack makes at most LEVEL_ATTEMPTS
-    level attempts below level 1.  Raises InvalidN below 4 points, and
-    PackingIncomplete (with the longest path's cycles) if the search ends
-    without reaching k-1 cycles.
+    level's cycle, its join moves and the parts it marched on, from the
+    first level's one part of all points down.  Each level tries up to
+    PER_LEVEL_VARIANTS cut variants depth-first, up to one in which no
+    part had a cut; a level whose parts cannot host a fresh cycle is
+    popped, so the search backtracks into different cuts above.  The pack
+    makes at most LEVEL_ATTEMPTS level attempts below the first level.
+    Raises InvalidN below 4 points, and PackingIncomplete (with the
+    longest path's cycles) if the search ends without reaching k-1 cycles.
     """
     ps = general_set(ps)
     n = len(ps)
@@ -781,43 +782,40 @@ def pack_general_detailed(ps) -> GeneralPackResult:
     best: List[HamCycle] = []
     path: List[Tuple[HamCycle, List[JoinMove], LevelParts]] = []
 
-    def solve(used) -> bool:
-        """Extend the path to k-1 levels.  A failed call may leave a stale
-        cut_case on path[-1]; its caller pops that entry."""
+    def solve(parts, used) -> bool:
+        """Extend the path, from a level that marches on `parts`, to k-1
+        levels."""
         nonlocal counter, last_err, best
         if len(path) > len(best):
             best = [c for c, _, _ in path]
         if len(path) >= k - 1:
             return True
-        marched = path[-1][2]
         for variant in range(PER_LEVEL_VARIANTS):
-            if counter >= LEVEL_ATTEMPTS:
+            if path:  # the first level's attempts are not counted
+                if counter >= LEVEL_ATTEMPTS:
+                    return False
+                counter += 1
+            cuts = _level_cuts(ps, parts, variant)
+            if cuts is None:
                 return False
-            counter += 1
             try:
-                merged, moves, parts, marched.cut_case = _run_level(
-                    ps, marched.parts, used, variant
-                )
+                merged, moves, below = _run_level(ps, parts, cuts, used)
             except (MarchFailed, NoJoinFound) as exc:
                 last_err = exc
-                continue
-            path.append((merged, moves, LevelParts(parts)))
-            if solve(used | set(merged.edges())):
-                return True
-            path.pop()
+            else:
+                case = "ham-sandwich" if len(parts) > 1 else "unconstrained"
+                cut_case = {i: "unconstrained" if c is None else case for i, c in enumerate(cuts)}
+                path.append((merged, moves, LevelParts(parts, cut_case)))
+                if solve(below, used | set(merged.edges())):
+                    return True
+                path.pop()
+            if all(c is None for c in cuts):
+                return False  # every later variant would repeat this attempt
         return False
 
-    for cuts in itertools.islice(bisecting_lines(ps, range(n)), PER_LEVEL_VARIANTS):
-        try:
-            cyc, cut, _ = march_cycle(ps, range(n), bisection=cuts)
-        except MarchFailed as exc:
-            last_err = exc
-            continue
-        path.append((cyc, [], LevelParts(_next_level([cut], ps.points))))
-        if solve(set(cyc.edges())):
-            cycles, join_log, levels = zip(*path)
-            return GeneralPackResult(Packing(cycles), list(levels), list(join_log))
-        path.pop()
+    if solve([tuple(range(n))], set()):
+        cycles, join_log, levels = zip(*path)
+        return GeneralPackResult(Packing(cycles), list(levels), list(join_log))
     raise PackingIncomplete(
         f"search exhausted ({counter} level attempts): {last_err}",
         level=len(best) + 1,

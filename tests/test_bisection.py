@@ -291,6 +291,11 @@ def test_degenerate_points_are_refused_at_the_door(call, points):
         call(points)
 
 
+def _with_right(cut, v):
+    """`cut` with vertex `v` added to its right side."""
+    return Bisection(cut.direction, cut.left, cut.right + (v,))
+
+
 @pytest.mark.parametrize("call", [
     lambda ps: march_cycle(ps, [-1, 0, 1, 2]),  # read -1 as point 11
     lambda ps: march_cycle(ps, [0, 1, 99]),  # IndexError
@@ -312,17 +317,26 @@ def test_degenerate_points_are_refused_at_the_door(call, points):
     lambda ps: join_cycles(HamCycle((0, 1, 20)), march_cycle(ps, range(5, 12))[0], frozenset(), ps),
     # "repeated vertex in cycle" only once a splice runs
     lambda ps: join_cycles(HamCycle((0, 1, 5)), march_cycle(ps, range(5, 12))[0], frozenset(), ps),
+    # the 6-cycle (0, 5, 1, 2, 4, 3) of the cut's points
+    lambda ps: march_cycle(ps, range(8), bisection=bisecting_line(ps, range(6))),
+    # an 8-cycle on points outside the subset
+    lambda ps: march_cycle(ps, range(6), bisection=bisecting_line(ps, range(8))),
+    # IndexError
+    lambda ps: march_cycle(ps, range(6), bisection=_with_right(bisecting_line(ps, range(6)), 40)),
+    # "the bisection's direction does not separate its sides"
+    lambda ps: march_cycle(ps, range(6), bisection=_with_right(bisecting_line(ps, range(6)), 0)),
 ], ids=["march-negative", "march-past-end", "march-repeated", "cut_at-past-end",
         "cut_at-negative", "bisecting_lines-repeated", "bisecting_line-repeated",
         "separating-past-end", "separating-negative", "ham_sandwich-s1-negative",
         "ham_sandwich-s2-past-end", "ham_sandwich-s2-repeated", "march-float",
         "march-bool", "cut_at-float", "bisecting_lines-float", "join-past-end",
-        "join-shared-vertex"])
+        "join-shared-vertex", "march-cut-smaller", "march-cut-larger",
+        "march-cut-past-end", "march-cut-repeated"])
 def test_subsets_that_are_not_distinct_vertices_are_refused(call):
     """The march, the join and the cut engine share the exact oracle's
     subset rule (`geometry.check_subset`); no negative index wraps round, no
     IndexError or TypeError stands in for it, and no bool passes as a
-    vertex."""
+    vertex.  A march's given cut must split exactly its subset."""
     with pytest.raises(ValueError, match=r"subset vertices must be distinct and in 0\.\.11"):
         call(general_instance(12, 1))
 

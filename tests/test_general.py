@@ -468,7 +468,17 @@ def test_large_pack_unchanged():
 # their packing, parts and cut cases, the _run_level calls over the 25
 # runs fall from 192 to 138, and 25 of the 100 runs under small
 # LEVEL_ATTEMPTS end differently.
-LEVEL_SEARCH_DIGEST = "ae0d74e2d43778b2aa57249d61d03e6dba31d7f298ce6a5258000415d3aa5e94"
+# It was then ae0d74e2d43778b2aa57249d61d03e6dba31d7f298ce6a5258000415d3aa5e94
+# while the first level ran in a loop of its own and each level wrote its
+# cut cases onto the previous level's record.  Now `levels[i]` names the
+# parts cycle i marched on (the first level's single part, "unconstrained",
+# and no empty last record), the first level's attempts are _run_level
+# calls too, and a node stops after an attempt in which no part had a cut.
+# Every packing and join move is unchanged, and so are the parts and cut
+# cases, one level later; the _run_level calls over the 25 runs go from
+# 138 to 159 (25 first-level calls added, 4 repeats skipped at (17, 1) and
+# (33, 2)); all 100 runs under small LEVEL_ATTEMPTS end as before.
+LEVEL_SEARCH_DIGEST = "ac7accf818490fe8d895196561a550ba92a919e484be0418fccb2eef1a6dc49f"
 
 
 def test_level_search_unchanged(monkeypatch):
@@ -537,38 +547,75 @@ def test_a_level_attempt_marches_each_part_once(monkeypatch):
 def test_each_part_pair_marches_on_the_halves_of_its_ham_sandwich_cut(monkeypatch):
     """Wherever parts 2t and 2t + 1 have a variant-th ham-sandwich cut,
     both march on its halves, in the stream's own order of the pair."""
-    march, run_level = general.march_cycle, general._run_level
-    marched, attempts = [None], []
+    march, level_cuts, run_level = general.march_cycle, general._level_cuts, general._run_level
+    marched, variants, attempts = [None], [], []
 
     def recorded_march(ps, subset, bisection=None, **kwargs):
         if marched[0] is not None:
             marched[0].append(bisection)
         return march(ps, subset, bisection=bisection, **kwargs)
 
+    def recorded_cuts(ps, parts, variant):
+        variants.append(variant)
+        return level_cuts(ps, parts, variant)
+
     def recorded_level(ps, parts, *rest):
         marched[0] = []
         try:
             return run_level(ps, parts, *rest)
         finally:
-            attempts.append((ps, parts, rest[-1], marched[0]))
+            attempts.append((ps, parts, variants[-1], marched[0]))
             marched[0] = None
 
     monkeypatch.setattr(general, "march_cycle", recorded_march)
+    monkeypatch.setattr(general, "_level_cuts", recorded_cuts)
     monkeypatch.setattr(general, "_run_level", recorded_level)
     for n, seed in product([17, 33], range(1, 6)):
         pack_general_detailed(general_instance(n, seed))
     checked = 0
     for ps, parts, variant, cuts in attempts:
-        for t in range(0, len(parts), 2):
+        for t in range(0, len(parts) - 1, 2):
             hs = general._nth(bisection.ham_sandwich_cuts(ps, parts[t], parts[t + 1]), variant)
             if hs is None:
                 continue
             e, (l1, r1, l2, r2) = hs
-            want = [general._bisection(e, l1, r1), general._bisection(e, l2, r2)]
+            want = [Bisection(e, l1, r1), Bisection(e, l2, r2)]
             got = cuts[t : t + 2]  # a failed march ends the attempt's record
             assert got == want[: len(got)]
             checked += len(got)
     assert checked > 100
+
+
+def test_no_level_attempt_repeats(monkeypatch):
+    """A node stops trying cut variants after an attempt in which no part
+    had a cut, since every later variant would repeat that attempt: no pack
+    marches the same parts on the same cuts with the same edges used twice."""
+    run_level = general._run_level
+    keys = []
+
+    def keyed(ps, parts, cuts, used):
+        keys.append((tuple(parts), frozenset(used), tuple(cuts)))
+        return run_level(ps, parts, cuts, used)
+
+    monkeypatch.setattr(general, "_run_level", keyed)
+    repeats = attempts = 0
+    for n, seed in product([16, 17, 32, 33], range(1, 41)):
+        keys.clear()
+        pack_general_detailed(general_instance(n, seed))
+        attempts += len(keys)
+        repeats += len(keys) - len(set(keys))
+    assert attempts > 900
+    assert repeats == 0
+
+
+@pytest.mark.parametrize("n,seed", [(65, 23), (67, 40)])
+def test_packs_that_repeated_level_attempts_left_short(n, seed):
+    """Both stopped at 4 of 5 cycles after LEVEL_ATTEMPTS attempts while a
+    node repeated its all-free attempt for every later variant."""
+    ps = general_instance(n, seed)
+    cycles = pack_general(ps).cycles
+    assert len(cycles) == n.bit_length() - 2 == 5
+    assert verify_packing(cycles, n, oracle_for(ps))["ok"]
 
 
 def test_uncross_quadrilateral():
@@ -749,8 +796,9 @@ def test_partition_tree_structure():
     ps = general_instance(17, 6)
     res = pack_general_detailed(ps)
     n = 17
+    assert res.levels[0].parts == [tuple(range(n))]
     for li, level in enumerate(res.levels):
-        assert len(level.parts) == 2 ** (li + 1)
+        assert len(level.parts) == 2 ** li
         flat = sorted(v for p in level.parts for v in p)
         assert flat == list(range(n))
 
@@ -758,13 +806,12 @@ def test_partition_tree_structure():
 @pytest.mark.parametrize("n,seed", [(17, 6), (16, 0), (32, 3), (33, 1)])
 def test_partition_tree_cut_cases_name_their_own_parts(n, seed):
     levels = pack_general_detailed(general_instance(n, seed)).levels
+    # the first level's single part marched on a bisecting line of its own
+    assert levels[0].cut_case == {0: "unconstrained"}
+    # every level was cut and marched on, part by part
     for level in levels:
-        assert set(level.cut_case) <= set(range(len(level.parts)))
-    # every level but the last was cut and marched on, part by part
-    for level in levels[:-1]:
         assert set(level.cut_case) == set(range(len(level.parts)))
         assert set(level.cut_case.values()) <= {"ham-sandwich", "unconstrained"}
-    assert levels[-1].cut_case == {}
 
 
 def test_march_cycle_raises_when_everything_forbidden():
