@@ -29,11 +29,42 @@ second < last, and a branch stops as soon as no unused vertex above the
 second remains, so each cycle appears exactly once and already in
 canonical form.  A node tests each child against the closing edge, the
 reflection rule, the live-degree rule and the reachability rule before
-the call, and counts it as a search node either way.  Each edge also has
-a dense id, the index of its pair i < j in lexicographic order; the path
-keeps its edges' ids, and each cycle is kept as a row of positions with
-its n edge ids; only `enumerate_1phc`, and `max_packing_exact` for its
-witness, make `HamCycle`s of rows.
+the call, and counts it as a search node either way.
+
+On a ring whose labels are the subset positions in order (every convex
+set, and a wheel stored with its center last, each over all its
+vertices), turning the rim maps 1-plane cycles to 1-plane cycles, so the
+search grows one representative row per rotation class, or a few, and
+turns out the rest.  With off(u, x) = (x - u) mod m the turns from rim
+position u counterclockwise to x (m to or from a wheel's center, position
+m), a rim vertex's nearer neighbour is the one it reaches in fewer
+turns; in a canonical row 0's is second = order[1], `second` turns away.
+A row is grown only while no interior rim vertex reaches a neighbour in
+fewer turns than `second`, and while every vertex u whose neighbour w is
+`second` turns away reaches w's other neighbour in no fewer turns than 0
+reaches order[2].  Both rules are mask tests on a node's candidates:
+when `last` has become interior the branch ends if last reaches
+order[-2] in fewer than `second` turns, and otherwise keeps only the
+candidates last reaches in at least `second`; at the triple p =
+order[-2], last, v, a p that reaches last in `second` turns keeps only
+the candidates it reaches in at least order[2] turns, and the one
+candidate that reaches last in `second` turns is dropped if it reaches p
+in fewer.  A turn that brings rim vertex u to 0 gives a row whose
+(order[1], order[2]) is (the turns from u to its nearer neighbour w, the
+turns from u to w's other neighbour); the turn that makes this pair
+least passes both rules, so every rotation class keeps a row and no
+cycle is lost.  Each row found and not yet produced is then turned by t =
+1..m-1 (relabel, rotate 0 to the front, take the canonical direction)
+into a set, and sorting it gives the rows in the order the plain search
+finds them, which is lexicographic.  On such a ring the search-node count
+is that of the representative search alone: a candidate the masks remove
+is not counted.  A general set, a proper subset, and a wheel whose center
+is not stored last take the plain search.
+
+Each edge has a dense id, the index of its pair i < j in lexicographic
+order.  Each cycle is kept as a row of positions, and its n edge ids are
+read off the row after the search; only `enumerate_1phc`, and
+`max_packing_exact` for its witness, make `HamCycle`s of rows.
 
 The packing search asks one question: are there t pairwise edge-disjoint
 cycles among the candidates, a bitset over cycle indices?  It builds,
@@ -80,7 +111,7 @@ from .cycles import (
     radial_edge_count,
 )
 from .errors import TooLarge
-from .geometry import Config, PointSet, check_subset, edge, oracle_for
+from .geometry import Config, PointSet, RingOracle, check_subset, edge, oracle_for
 
 DEFAULT_CAP = 8
 
@@ -100,12 +131,16 @@ def enumerate_1phc(
     subset: Optional[Sequence[int]] = None,
     max_n: Optional[int] = None,
 ) -> List[HamCycle]:
-    """Every 1-plane Hamiltonian cycle on the subset, in canonical form.
+    """Every 1-plane Hamiltonian cycle on the subset, in canonical form
+    and lexicographic order.
 
     The list also carries `search_nodes`, the number of search nodes the
-    enumeration visited: a count of its work that repeats exactly.  The
-    subset must hold at least 3 distinct vertices of `ps`, or `ValueError`
-    is raised before any search.
+    enumeration visited: a count of its work that repeats exactly.  On a
+    convex set, or a wheel stored with its center last, searched over all
+    its vertices, the search grows only rows that represent their rotation
+    class and turns out the rest (see the module docstring), and the count
+    is that of the representative search.  The subset must hold at least 3
+    distinct vertices of `ps`, or `ValueError` is raised before any search.
     """
     vertices, rows, edge_ids, nodes = _search(ps, subset, max_n)
     out = _Enumerated(HamCycle(tuple(vertices[p] for p in row)) for row in rows)
@@ -116,8 +151,8 @@ def enumerate_1phc(
 
 def _search(ps: PointSet, subset: Optional[Sequence[int]], max_n: Optional[int]):
     """The enumeration itself: the sorted subset `vertices`, and per cycle
-    found its row of subset positions, canonical, and its edge ids, then
-    the search nodes visited.  No `HamCycle` is built here."""
+    its row of subset positions, canonical, in lexicographic order, and its
+    edge ids, then the search nodes visited.  No `HamCycle` is built here."""
     vertices = check_subset(subset, len(ps)) if subset is not None else list(range(len(ps)))
     if len(vertices) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
@@ -137,14 +172,16 @@ def _search(ps: PointSet, subset: Optional[Sequence[int]], max_n: Optional[int])
         cross[e1] |= pair[e2][2]
         cross[e2] |= pair[e1][2]
     # step[i][j]: the edge bit i*w + j (i < j) of the edge between positions i
-    # and j, its cross mask and its dense id; crossed[i*w + j]: that cross mask
-    # again; inc[i]: the mask of the edges at position i
-    step = [[(0, 0, 0)] * n for _ in range(n)]
+    # and j and its cross mask; eid[i][j]: its dense id; crossed[i*w + j]:
+    # that cross mask again; inc[i]: the mask of the edges at position i
+    step = [[(0, 0)] * n for _ in range(n)]
+    eid = [[0] * n for _ in range(n)]
     crossed = [0] * (n * w)
     inc = [0] * n
     full = 0  # every edge, both bits
     for k, (e, (i, j, both)) in enumerate(pair.items()):
-        step[i][j] = step[j][i] = (1 << i * w + j, cross[e], k)
+        step[i][j] = step[j][i] = (1 << i * w + j, cross[e])
+        eid[i][j] = eid[j][i] = k
         crossed[i * w + j] = cross[e]
         inc[i] |= both
         inc[j] |= both
@@ -152,10 +189,18 @@ def _search(ps: PointSet, subset: Optional[Sequence[int]], max_n: Optional[int])
     low_bits = sum(1 << i * w for i in range(n))
     guard_bits = low_bits << n
     gbit = [1 << i * w + n for i in range(n)]  # gbit[i]: the guard bit of row i
+    # On a ring whose labels are the positions, only representative rows are
+    # grown (see the module docstring): off[u][x] is the turns from rim
+    # position u ccw to x, m to or from the center (position m of a wheel),
+    # and ok[u][s] the positions u reaches in at least s turns.
+    ring = isinstance(oracle, RingOracle) and list(oracle.label) == vertices
+    if ring:
+        m = oracle.m
+        off = [[(x - u) % m if u < m and x < m else m for x in range(n)] for u in range(n)]
+        ok = [[sum(1 << x for x in range(n) if off[u][x] >= s) for s in range(m + 1)]
+              for u in range(n)]
     rows: List[tuple] = []
-    edge_ids: List[List[int]] = []
     order = [0]
-    path: List[int] = []  # the ids of the path's edges
     nodes = 1
 
     # `edges`: the path's edge bits; `once`: the edges that cross a path edge;
@@ -169,13 +214,30 @@ def _search(ps: PointSet, subset: Optional[Sequence[int]], max_n: Optional[int])
         shut = dead | inc[last] if last else dead
         cands = (full & ~dead) >> last * w & unused
         second = order[1] if len(order) > 1 else 0  # 0 until the path has an edge
+        if ring and second:
+            # `last` is interior: it may reach neither neighbour in fewer
+            # turns than 0 reaches order[1].
+            p = order[-2]
+            if off[last][p] < second:
+                return
+            cands &= ok[last][second]
+            if len(order) > 2:
+                # A tie at the triple p, last, v: the vertex at `second` turns
+                # before last may not reach last's other neighbour in fewer
+                # turns than 0 reaches order[2].
+                third = order[2]
+                if off[p][last] == second:
+                    cands &= ok[p][third]
+                tie = (last - second) % m  # the candidate reaching last in `second` turns
+                if last < m and off[tie][p] < third:
+                    cands &= ~(1 << tie)
         reach = guards | gbit[0]  # the unused rows, a child's among them, and the start's
         while cands:
             low = cands & -cands
             cands ^= low
             v = low.bit_length() - 1
             nodes += 1
-            b, c, k = row[v]
+            b, c = row[v]
             now = shut | c & once
             hit = c & edges  # at most one path edge, or b would be dead
             if hit:
@@ -185,7 +247,6 @@ def _search(ps: PointSet, subset: Optional[Sequence[int]], max_n: Optional[int])
                 # The closing edge to position 0 owns bit v of row 0.
                 if not now >> v & 1:
                     rows.append((*order, v))
-                    edge_ids.append(path + [k, step[0][v][2]])  # with the closing edge
                 continue
             # A cycle is kept with order[1] < order[-1], so a vertex above order[1] must remain.
             if not rest >> (second or v):
@@ -202,13 +263,31 @@ def _search(ps: PointSet, subset: Optional[Sequence[int]], max_n: Optional[int])
             if rest & rest - 1 and ((into | guard_bits) - low_bits) & reach != reach:
                 continue
             order.append(v)
-            path.append(k)
             rec(v, rest, left, edges | b, once | c, now)
-            path.pop()
             order.pop()
 
     rec(0, (1 << n) - 2, guard_bits ^ gbit[0], 0, 0, 0)
+    if ring:
+        rows = _turned(rows, m)
+    edge_ids = [[eid[a][b] for a, b in zip(row, row[1:] + row[:1])] for row in rows]
     return vertices, rows, edge_ids, nodes
+
+
+def _turned(rows: List[tuple], m: int) -> List[tuple]:
+    """Every row that turning the rim of m positions makes of one of `rows`,
+    each once, canonical (0 first, order[1] < order[-1]) and sorted: the
+    enumeration's own order.  A wheel's center, position m, stays put."""
+    turns = [[(x + t) % m for x in range(m)] + [m] for t in range(m)]
+    out = set()
+    for row in rows:
+        if row in out:
+            continue
+        for turn in turns:
+            r = list(map(turn.__getitem__, row))
+            i = r.index(0)
+            r = r[i:] + r[:i]
+            out.add(tuple(r) if r[1] < r[-1] else (0, *r[:0:-1]))
+    return sorted(out)
 
 
 class _Enumerated(list):

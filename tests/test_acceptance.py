@@ -99,11 +99,11 @@ def test_criterion_3_tightness():
     for n in (12, 13, 14):
         rep = max_packing_exact(convex_instance(n), max_n=n)
         assert rep.max_packing_size == n // 3, f"convex n={n}: {rep.max_packing_size}"
-    for n in (10, 12):
+    for n in (10, 12, 14):
         rep = max_packing_exact(wheel_instance(n), max_n=n)
-        assert rep.max_packing_size == 3, f"wheel {n}: {rep.max_packing_size}"
+        assert rep.max_packing_size == (n - 1) // 3, f"wheel {n}: {rep.max_packing_size}"
     elapsed = time.time() - t0
-    report("3 exhaustive tightness (convex 3..8, 12..14; wheel 10, 12)", elapsed < 120.0, elapsed)
+    report("3 exhaustive tightness (convex 3..8, 12..14; wheel 10, 12, 14)", elapsed < 120.0, elapsed)
 
 
 def test_criterion_3_convex_n9():

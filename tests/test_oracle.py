@@ -17,6 +17,7 @@ from hcpack import (
     oracle_for,
     property_sweep,
 )
+from hcpack import oracle
 from hcpack.errors import TooLarge
 
 from conftest import (
@@ -176,41 +177,56 @@ def test_subset_outside_the_point_set_or_repeated_rejected(subset):
     assert_subset_rejected(subset, r"distinct and in 0\.\.5")
 
 
-# Search nodes visited on convex 11 and wheel 10, and the enumeration's count
-# before its reachability prunes.  Packing nodes are calls of the search by
-# most-constrained edge; the last entry is the packing nodes of the
-# index-order branch and bound it replaced (`reference_max_packing`), which
-# visited 44 / 76 before its degree bound.  Before the dead-vertex prune and
-# the first packing bound, the same searches visited 144926 / 55681
-# enumeration and 2895 / 7522 packing nodes.
+def plain_oracle_for(ps):
+    """The oracle `oracle_for` gives, wrapped in a plain callable: the
+    exact oracle then takes its plain search, which grows every row, on a
+    ring as on any other set."""
+    ring = oracle_for(ps)
+    return lambda e1, e2: ring(e1, e2)
+
+
+# Search nodes visited on convex 11 and wheel 10, the enumeration nodes of
+# the plain search, and the enumeration's count before its reachability
+# prunes.  The plain search's 26367 / 16515 were the pinned counts until the
+# search on a ring grew only the representative rows of each rotation class.
+# Packing nodes are calls of the search by most-constrained edge; the last
+# entry is the packing nodes of the index-order branch and bound it replaced
+# (`reference_max_packing`), which visited 44 / 76 before its degree bound.
+# Before the dead-vertex prune and the first packing bound, the same searches
+# visited 144926 / 55681 enumeration and 2895 / 7522 packing nodes.
 SEARCH_NODES = {
-    "convex": ({"enumeration": 26367, "packing": 351}, {"enumeration": 42877}, 29),
-    "wheel": ({"enumeration": 16515, "packing": 371}, {"enumeration": 24214}, 16),
+    "convex": ({"enumeration": 6331, "packing": 351}, 26367, {"enumeration": 42877}, 29),
+    "wheel": ({"enumeration": 4092, "packing": 371}, 16515, {"enumeration": 24214}, 16),
 }
 
 
 @pytest.mark.parametrize("config", sorted(SEARCH_NODES))
-def test_search_nodes_pinned(config):
+def test_search_nodes_pinned(config, monkeypatch):
     ps = convex_instance(11) if config == "convex" else wheel_instance(10)
     rep = max_packing_exact(ps, max_n=11)
-    pinned, before, previous = SEARCH_NODES[config]
+    pinned, plain, before, previous = SEARCH_NODES[config]
     assert rep.search_nodes == pinned
     assert rep.search_nodes == max_packing_exact(ps, max_n=11).search_nodes
     assert all(rep.search_nodes[k] < before[k] for k in before)
     cycles = enumerate_1phc(ps, max_n=11)
     assert cycles.search_nodes == pinned["enumeration"]
     assert reference_max_packing(cycles.edge_ids, len(ps))[1] == previous
+    monkeypatch.setattr(oracle, "oracle_for", plain_oracle_for)
+    assert max_packing_exact(ps, max_n=11).search_nodes == {**pinned, "enumeration": plain}
 
 
 # Search nodes (enumeration, packing), the same before the reachability prunes
 # and the index-order packing search's degree bound, the packing nodes of that
 # search (`reference_max_packing`), and 1-plane cycle counts on larger convex
 # and wheel sets, and on general sets and a general subset, whose crossing
-# masks come from the pairwise report instead of the ring sweep.
+# masks come from the pairwise report instead of the ring sweep.  Before the
+# search on a ring grew only the representative rows of each rotation class,
+# convex 12, convex 13 and wheel 12 visited 83097, 263687 and 172028
+# enumeration nodes; the general rows take the plain search and did not move.
 WIDER_SEARCH_NODES = [
-    pytest.param("convex", 12, None, None, (83097, 779), (137519, 69), 33, 1860, id="convex-12"),
-    pytest.param("convex", 13, None, None, (263687, 2237), (441520, 244), 101, 4395, id="convex-13"),
-    pytest.param("wheel", 12, None, None, (172028, 3665), (272114, 1782), 290, 6347, id="wheel-12"),
+    pytest.param("convex", 12, None, None, (18181, 779), (137519, 69), 33, 1860, id="convex-12"),
+    pytest.param("convex", 13, None, None, (52713, 2237), (441520, 244), 101, 4395, id="convex-13"),
+    pytest.param("wheel", 12, None, None, (35570, 3665), (272114, 1782), 290, 6347, id="wheel-12"),
     pytest.param("general", 9, 1, None, (7917, 56), (10462, 5), 5, 820, id="general-9-1"),
     pytest.param("general", 9, 2, None, (9611, 99), (12151, 21), 21, 1078, id="general-9-2"),
     pytest.param("general", 9, 3, None, (13925, 156), (15580, 73), 73, 1947, id="general-9-3"),
@@ -232,6 +248,63 @@ def test_search_nodes_pinned_wider(config, n, seed, subset, nodes, before, previ
     assert rep.one_plane_count == count
     edge_ids = enumerate_1phc(ps, subset=subset, max_n=13).edge_ids
     assert reference_max_packing(edge_ids, len(subset or ps))[1] == previous
+
+
+RING_CASES = [
+    pytest.param("convex", n, seed, id=f"convex-{n}-{seed}") for n in range(3, 13) for seed in range(3)
+] + [pytest.param("wheel", n, None, id=f"wheel-{n}") for n in range(4, 13, 2)]
+
+
+@pytest.mark.parametrize("config,n,seed", RING_CASES)
+def test_representative_search_matches_plain(config, n, seed, monkeypatch):
+    # a convex set, or a wheel stored with its center last, grows only the
+    # representative rows of each rotation class and turns out the rest:
+    # every row, edge id and packing result must be the plain search's
+    ps = wheel_instance(n) if config == "wheel" else generate(Config.CONVEX, n, seed=seed).to_point_set()
+    cycles = enumerate_1phc(ps, max_n=12)
+    rep = max_packing_exact(ps, max_n=12)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "oracle_for", plain_oracle_for)
+        plain_cycles = enumerate_1phc(ps, max_n=12)
+        plain = max_packing_exact(ps, max_n=12)
+    assert list(cycles) == list(plain_cycles)
+    assert cycles.edge_ids == plain_cycles.edge_ids
+    assert rep.one_plane_count == plain.one_plane_count == len(plain_cycles)
+    assert rep.max_packing_size == plain.max_packing_size
+    assert rep.witness == plain.witness
+    assert rep.search_nodes["packing"] == plain.search_nodes["packing"]
+    assert rep.search_nodes["enumeration"] == cycles.search_nodes
+    assert cycles.search_nodes <= plain_cycles.search_nodes
+    if n > 3:  # the plain search was reached: it visits more nodes
+        assert cycles.search_nodes < plain_cycles.search_nodes
+
+
+def wheel_with_center_at(n, c):
+    *rim, center = wheel_instance(n).points
+    rim.insert(c, center)
+    return PointSet(tuple(rim), Config.WHEEL, center_index=c)
+
+
+# (enumeration, packing) nodes of inputs that keep the plain search: wheels
+# whose center is not stored last, and proper subsets of a convex set (a
+# convex 10-subset visits the 8445 nodes of the plain search on convex 10).
+PLAIN_SEARCH_NODES = [
+    pytest.param(wheel_with_center_at(8, 0), None, (1550, 54), id="wheel-8-center-0"),
+    pytest.param(wheel_with_center_at(8, 1), None, (1595, 53), id="wheel-8-center-1"),
+    pytest.param(wheel_with_center_at(8, 4), None, (1571, 54), id="wheel-8-center-4"),
+    pytest.param(wheel_with_center_at(10, 0), None, (15312, 230), id="wheel-10-center-0"),
+    pytest.param(wheel_with_center_at(10, 1), None, (16255, 376), id="wheel-10-center-1"),
+    pytest.param(wheel_with_center_at(10, 5), None, (16043, 380), id="wheel-10-center-5"),
+    pytest.param(convex_instance(12), [0, 1, 2, 4, 5, 6, 8, 9, 10, 11], (8445, 165), id="convex-12-sub-10"),
+    pytest.param(convex_instance(12), [1, 2, 3, 5, 6, 7, 9, 10, 11], (2736, 63), id="convex-12-sub-9"),
+    pytest.param(convex_instance(11), list(range(1, 11)), (8445, 165), id="convex-11-sub-10"),
+]
+
+
+@pytest.mark.parametrize("ps,subset,nodes", PLAIN_SEARCH_NODES)
+def test_plain_search_nodes_kept(ps, subset, nodes):
+    rep = max_packing_exact(ps, subset=subset, max_n=12)
+    assert (rep.search_nodes["enumeration"], rep.search_nodes["packing"]) == nodes
 
 
 REFERENCE_CASES = (
@@ -339,8 +412,6 @@ def test_property_sweep_rejects_general(monkeypatch):
     (wheel_instance(8), "wheel-boundary", "check_wheel_boundary"),
 ], ids=["convex", "wheel"])
 def test_property_sweep_reports_a_failing_check(monkeypatch, ps, name, check):
-    import hcpack.oracle as oracle
-
     monkeypatch.setattr(oracle, check, lambda *args: False)
     rep = property_sweep(ps, max_n=10)
     failed = [c for c in rep["counterexamples"] if c["check"] == name]
