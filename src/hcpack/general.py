@@ -6,24 +6,24 @@ across the line: the one hull bridge of the remaining points from one
 side to the other.  The written-down move rules leave several geometric
 cases open, so the march runs as a depth-first search: each step tries
 that pair's rung and its two bridges, rule-conforming moves first, every
-added edge keeps incremental crossing counts, and any branch that would
-cross an edge twice (or touch a forbidden edge) is cut immediately.
+added edge takes a lane of the crossing engine (`_Lanes`), and any branch
+that would cross an edge twice (or touch a forbidden edge) is cut at once.
 Whatever survives to a full cycle is a verified 1-plane Hamiltonian cycle
 by construction.
 
 The packer stacks such cycles level by level: each level cuts each pair
 of parts with one ham-sandwich cut, builds one cycle per part on its half,
-and splices them into a single cycle through exchange moves.  Cut choices
-are searched depth-first across levels, so a dead partition at the bottom
-backtracks into different cuts above.
+and splices them into a single cycle through exchange moves, screened on
+the same engine.  Cut choices are searched depth-first across levels, so
+a dead partition at the bottom backtracks into different cuts above.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import lshift, mul
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 # separating_subset_line: unused here; perfbench/tracer.py patches this name
@@ -83,107 +83,110 @@ class GeneralPackResult:
 # ladder march
 
 
-def _lane_width(xs, ys) -> int:
-    """Bits per lane for the packed side tests on these coordinates.
+class _Lanes:
+    """Edges held on the flat integer coordinates of points in general
+    position, one lane each, and the held edges a segment properly crosses.
 
-    A side value `ux * (y - ay) - uy * (x - ax)` of three of the points has
-    absolute value at most 8 M^2, M the largest |coordinate|, so with
-    W = 2 * bitlen(M) + 5 it lies strictly inside +-(2^(W-1) - 1)."""
-    return 2 * max(max(map(abs, xs)), max(map(abs, ys))).bit_length() + 5
+    A held edge (c, d) owns a lane of W = 2 * bitlen(M) + 5 bits, M the
+    largest |coordinate|, in five packed integers: its line `(ux, uy, k)`,
+    on which a point p lies on the side `ux * p.y - uy * p.x - k` of
+    c -> d, and its end c = `(px, py)`; its end d is c + (ux, uy).  A free
+    lane holds 0 in all five.  Each lane of an evaluation below is a side
+    value of three of the points, at most 8 M^2 in absolute value (at most
+    4 M^2 in a free lane), so strictly inside +-bias, bias = 2^(W-1) - 1
+    per lane: each lane of `bias + D` and `bias - D` is in [0, 2^W), no
+    carry or borrow crosses a lane for any integer input, and a lane's top
+    bit is set exactly when D's lane value is > 0, or < 0 respectively.
 
-
-class _FlatLedger:
-    """The march's edge set, grown and shrunk one edge at a time, never
-    holding an edge crossed twice, on flat integer coordinates of points
-    in general position.
-
-    Each held edge `(c, d)` owns a lane of `width` bits in three packed
-    integers `ux`, `uy` and `k`: its line `(ux, uy, k)`, on which a point p
-    lies on the side `ux * p.y - uy * p.x - k` of c -> d, is added at the
-    lane's offset and subtracted on `remove`.  So `ux * y - uy * x - k` is
-    the sum of every held line's side value of (x, y), each at its lane.
-    Each lane value is a side value of three points, so by `_lane_width`
-    it stays strictly inside +-bias, bias = 2^(width-1) - 1 per lane: in
-    `bias + D` and `bias - D` every lane then holds a value in [0, 2^width),
-    no carry or borrow crosses into the next lane, and the top bit of a
-    lane is set exactly when D's lane value is > 0 or < 0 respectively.
-    Free lanes hold 0 and set no bit.  Two such evaluations give the held
-    lines that strictly separate the ends of a new edge at once; only for
-    those lanes are the held edge's ends tested against the new line.  A
-    zero determinant can only be a shared endpoint, which never crosses.
-    A new edge is refused when it would cross an edge that is already
-    crossed, or two edges; neither depends on the order the crossing
-    lanes are read in, so every verdict is `is_one_plane`'s.  Lanes are
-    added one at a time when no freed lane is left, so the packed integers
-    grow with the edges the march holds at once, not with the point count.
+    `crossing(a, b)` is three evaluations and no loop over lanes.  The held
+    lines at a and at b give the lanes whose line strictly separates a and
+    b.  The segment's line at the packed ends c gives each lane's side
+    value of c, and adding the first two's difference gives d's: a held
+    line's side of a less its side of b is the segment's side of d less
+    its side of c.  Their top bits give the lanes whose ends the segment
+    strictly separates.  An edge at a or b has that vertex on its line, so
+    is never separated, and in general position a separated edge has no
+    end on the segment's line: the lanes in both are the held edges the
+    segment properly crosses.  A mask sets the top bit of each of its
+    lanes (`bit`).  A released lane is taken again first, so the packed
+    integers grow with the edges held at once.
     """
 
     def __init__(self, xs: List[int], ys: List[int]):
         self.xs, self.ys = xs, ys
-        self.width = _lane_width(xs, ys)
-        # edge -> (lane, ux, uy, k, edges crossing it)
-        self.crossed: Dict[Edge, Tuple[int, int, int, int, List[Edge]]] = {}
-        self.lane_edge: List[Edge] = []  # the edge last held in each lane
-        self.free: List[int] = []
-        self.ux = self.uy = self.k = 0
-        self.bias = self.top = 0  # 2^(width-1) - 1 and 2^(width-1) per lane
+        self.width = 2 * max(max(map(abs, xs)), max(map(abs, ys))).bit_length() + 5
+        self.lane: Dict[Edge, int] = {}  # held edge -> its lane
+        self.edges: List[Edge] = []  # the edge last held in each lane
+        self.spare: List[int] = []  # released lanes
+        self.ux = self.uy = self.k = self.px = self.py = 0
+        self.ones = self.bias = self.top = 0  # 1, 2^(W-1) - 1 and 2^(W-1) per lane
 
-    def add(self, e: Edge) -> bool:
-        """Insert `e`; refuse it if present or if any edge would then be
-        crossed twice."""
-        crossed = self.crossed
-        if e in crossed:
-            return False
-        xs, ys, width = self.xs, self.ys, self.width
-        a, b = e
-        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-        vx, vy = bx - ax, by - ay
-        k = vx * ay - vy * ax
-        ux, uy, kh, bias = self.ux, self.uy, self.k, self.bias
-        da = ux * ay - uy * ax - kh
-        db = ux * by - uy * bx - kh
-        sep = ((da + bias) & (bias - db) | (bias - da) & (db + bias)) & self.top
-        hit: List[Edge] = []
-        while sep:
-            low = sep & -sep
-            sep ^= low
-            f = self.lane_edge[low.bit_length() // width - 1]
-            c, d = f
-            d3 = vx * ys[c] - vy * xs[c] - k
-            d4 = vx * ys[d] - vy * xs[d] - k
-            if (d3 > 0) == (d4 > 0):
-                continue
-            if crossed[f][4] or hit:
-                return False
-            hit.append(f)
-        if self.free:
-            lane = self.free.pop()
-            self.lane_edge[lane] = e
+    def bit(self, lane: int) -> int:
+        return 1 << self.width * lane + self.width - 1
+
+    def indices(self, mask: int) -> Iterator[int]:
+        """The lanes set in `mask`, ascending."""
+        width = self.width
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            yield low.bit_length() // width - 1
+
+    def _put(self, e: Edge, lane: int, sign: int) -> None:
+        """Add (sign 1) or take away (sign -1) the terms of `e` at `lane`."""
+        c, d = e
+        xs, ys, shift = self.xs, self.ys, self.width * lane
+        cx, cy = sign * xs[c], sign * ys[c]
+        ux, uy = sign * xs[d] - cx, sign * ys[d] - cy
+        self.ux += ux << shift
+        self.uy += uy << shift
+        self.k += sign * (ux * cy - uy * cx) << shift
+        self.px += cx << shift
+        self.py += cy << shift
+
+    def hold(self, e: Edge) -> int:
+        """Put `e` in a lane, a released one first; returns the lane."""
+        if self.spare:
+            lane = self.spare.pop()
+            self.edges[lane] = e
         else:
-            lane = len(self.lane_edge)
-            self.lane_edge.append(e)
-            high = 1 << width * lane + width - 1  # the new lane's top bit
-            self.top |= high
-            self.bias += high - (1 << width * lane)
-        shift = width * lane
-        self.ux += vx << shift
-        self.uy += vy << shift
-        self.k += k << shift
-        crossed[e] = (lane, vx, vy, k, hit)
-        for f in hit:
-            crossed[f][4].append(e)
-        return True
+            lane = len(self.edges)
+            self.edges.append(e)
+            self.ones += 1 << self.width * lane
+            self.top |= self.bit(lane)
+            self.bias = self.top - self.ones
+        self.lane[e] = lane
+        self._put(e, lane, 1)
+        return lane
 
-    def remove(self, e: Edge) -> None:
-        crossed = self.crossed
-        lane, vx, vy, k, hits = crossed.pop(e)
-        for f in hits:
-            crossed[f][4].remove(e)
-        shift = self.width * lane
-        self.ux -= vx << shift
-        self.uy -= vy << shift
-        self.k -= k << shift
-        self.free.append(lane)
+    def release(self, e: Edge) -> int:
+        """Empty the lane of the held edge `e`; returns the lane."""
+        lane = self.lane.pop(e)
+        self._put(e, lane, -1)
+        self.spare.append(lane)
+        return lane
+
+    def side(self, v: int) -> int:
+        """Every held line's side value of point v, packed."""
+        return self.ux * self.ys[v] - self.uy * self.xs[v] - self.k
+
+    def crossing(self, a: int, b: int) -> int:
+        """The lanes of the held edges the segment ab properly crosses."""
+        xs, ys, ux, uy, k = self.xs, self.ys, self.ux, self.uy, self.k
+        return self.across(a, b, ux * ys[a] - uy * xs[a] - k, ux * ys[b] - uy * xs[b] - k)
+
+    def across(self, a: int, b: int, da: int, db: int) -> int:
+        """`crossing(a, b)` from the packed side values `da` and `db`."""
+        bias = self.bias
+        sep = ((da + bias) & (bias - db) | (bias - da) & (db + bias)) & self.top
+        if not sep:
+            return 0
+        xs, ys = self.xs, self.ys
+        ax, ay = xs[a], ys[a]
+        vx, vy = xs[b] - ax, ys[b] - ay
+        kv = (vx * ay - vy * ax) * self.ones - bias
+        at_c = vx * self.py - vy * self.px - kv  # each lane: its first end's side + bias
+        return sep & (at_c ^ at_c + da - db)  # da - db: d's side less c's
 
 
 class _March:
@@ -216,21 +219,35 @@ class _March:
         self.sweep = (sorted(low, key=by_sweep), sorted(high, key=by_sweep))
         self.forbidden = forbidden
         self.nodes = 0
-        self.ledger = _FlatLedger(xs, ys)
+        self.lanes = _Lanes(xs, ys)
+        self.crossed = 0  # the lanes of held edges that a held edge crosses
+        self.trail: List[int] = []  # `crossed` before each held edge was added
         self.adj: Dict[int, List[int]] = {i: [] for i in left + right}
         self.stone: Optional[Edge] = None
 
     # -- incremental edge bookkeeping ----------------------------------------
     def _try_add(self, u: int, w: int) -> bool:
+        """Hold the edge uw unless it is forbidden or held, or would cross
+        two held edges or one already crossed: `is_one_plane`'s verdict."""
         e = edge(u, w)
-        if e in self.forbidden or not self.ledger.add(e):
+        lanes = self.lanes
+        if e in self.forbidden or e in lanes.lane:
             return False
+        m = lanes.crossing(u, w)
+        if m & m - 1 or m & self.crossed:
+            return False
+        lane = lanes.hold(e)
+        self.trail.append(self.crossed)
+        if m:
+            self.crossed |= m | lanes.bit(lane)
         self.adj[u].append(w)
         self.adj[w].append(u)
         return True
 
     def _undo(self, u: int, w: int) -> None:
-        self.ledger.remove(edge(u, w))
+        """Take back uw, the edge added last."""
+        self.lanes.release(edge(u, w))
+        self.crossed = self.trail.pop()
         self.adj[u].pop()
         self.adj[w].pop()
 
@@ -447,143 +464,124 @@ def _splice(c1: HamCycle, c2: HamCycle, u2: int, v2: int, pattern: int) -> HamCy
 
 
 class _JoinScreen:
-    """Crossing accounting for candidate joins of two vertex-disjoint cycles
-    on points in general position.
+    """Crossing accounting for candidate joins of two vertex-disjoint
+    1-plane cycles on points in general position, on one `_Lanes` holding
+    the edges of both: a fresh screen holds c1's `edges()` in lanes 0, 1,
+    ..., then c2's.  Lane f's `crossed[f]` masks the lanes whose edges
+    cross its edge, and `counts[f]` counts them.
 
     An added edge shares one endpoint with each removed edge, so it crosses
     neither, and the screen edges it hits do not depend on the candidate:
-    `hits(a)` memoizes them in edge order and stops at 2, since an added
-    edge crossed twice fails every candidate it is in.  Both cycles are
-    1-plane, so a candidate `(r1, r2, a1, a2)` can only fail on the added
-    edges or on an edge whose count changes or is already over 1:
+    `hits(a)` is the `crossing` mask of `a`, memoized, as is each vertex's
+    packed side value.  Both cycles are 1-plane, so a candidate
+    `(r1, r2, a1, a2)` can only fail on the added edges or on an edge whose
+    count changes or is already over 1:
 
-    - either added edge has 2 hits;
+    - either added edge hits two edges or more;
     - `a1` crosses `a2` and either added edge has a hit;
     - some hit edge or edge crossed twice in the union (`over`), other than
       `r1` and `r2`, ends with `counts[f] - [f x r1] - [f x r2]` plus its
       hits by `a1` and `a2` above 1.
 
-    Side tests are packed into lanes of `width` bits (see `_FlatLedger` for
-    the layout and why no carry crosses a lane).  Lane t holds vertex
-    `ring[t]`, where `ring` lists c1's cycle order, a copy of c1's first
-    vertex, c2's cycle order and a copy of c2's first vertex, and the line
-    from `ring[t]` to the next vertex on its cycle, which is `ring[t + 1]`.
-    So screen edge i sits in lane i, or i + 1 past c1.  A copy's lane holds
-    no edge: its line runs from the copy to itself, and no point lies
-    strictly left of it.  The lines are packed once, so each vertex's side
-    mask `left[w]`, the top bit of lane t set when `w` lies strictly left
-    of that lane's line, is one packed evaluation.  A point lies on an
-    edge's line only if it ends that edge, so for an edge not at u or v
-    the lane of `left[u] ^ left[v]` is set exactly when the edge's line
-    separates u and v.  `_crossing_lanes(u, v)` evaluates the line of u
-    and v once over the packed vertices: the edge in lane t has its ends
-    strictly on opposite sides when `ring[t]` is strictly left and
-    `ring[t + 1]` strictly right, or the other way round, which an edge at
-    u or v never has, as u and v lie on that line.  The segment crosses
-    the edges set in both masks.  That test gives `hits(a)`, and the
-    screen's own crossing counts and pairs, each edge against the lanes
-    above its own; `own_pairs` lists the crossing pairs within one cycle.
-    The oracle decides only whether `a1` crosses `a2`.  `candidate_ok` is
-    only asked about 1-plane cycles.
+    The oracle decides only whether `a1` crosses `a2`.  `uncrossed` derives
+    an uncross variant's screen by editing four lanes, and
+    `keeps_one_plane` tells from the two created lanes whether the
+    uncrossed cycle stays 1-plane.
     """
 
-    def __init__(
-        self, c1: HamCycle, c2: HamCycle, xs: List[int], ys: List[int], oracle: CrossingOracle
-    ):
-        self.xs, self.ys, self.oracle = xs, ys, oracle
+    def __init__(self, c1: HamCycle, c2: HamCycle, xs, ys, oracle: CrossingOracle):
+        self.oracle = oracle
         self.cycles = (c1, c2)
-        self.es1, self.es2 = c1.edges(), c2.edges()
-        edges = self.edges = self.es1 + self.es2
-        self.index = {e: i for i, e in enumerate(edges)}
-        n1 = self.n1 = len(c1)
-        ring = c1.order + c1.order[:1] + c2.order + c2.order[:1]
-        far = c1.order[1:] + c1.order[:1] * 2 + c2.order[1:] + c2.order[:1] * 2  # lines' far ends
-        px, py = [xs[w] for w in ring], [ys[w] for w in ring]
-        qx, qy = [xs[w] for w in far], [ys[w] for w in far]
-        width = self.width = _lane_width(px, py)
-        shifts = range(0, width * len(ring), width)
-        x, y = sum(map(lshift, px, shifts)), sum(map(lshift, py, shifts))
-        ux, uy = sum(map(lshift, qx, shifts)) - x, sum(map(lshift, qy, shifts)) - y
-        k = sum(map(lshift, map(int.__sub__, map(mul, qx, py), map(mul, qy, px)), shifts))
-        self.x, self.y = x, y
-        ones = self.ones = ((1 << width * len(ring)) - 1) // ((1 << width) - 1)
-        top = self.top = ones << width - 1
-        bias = self.bias = top - ones
-        self.left = {w: (ux * ys[w] - uy * xs[w] - k + bias) & top for w in ring}
-        # the screen's own crossings: edge i against the edges in the lanes
-        # above its own
-        counts = self.counts = [0] * len(edges)
-        crossed = self.crossed = [0] * len(edges)  # bit j of crossed[i]: i x j
-        for i, (c, d) in enumerate(edges):
-            lane = i + (i >= n1)
-            m = self._crossing_lanes(c, d) >> width * (lane + 1)
-            while m:
-                low = m & -m
-                m ^= low
-                j = lane + low.bit_length() // width
-                j -= j > n1
-                counts[i] += 1
-                counts[j] += 1
-                crossed[i] |= 1 << j
-                crossed[j] |= 1 << i
-        self.over = tuple(i for i, c in enumerate(counts) if c > 1)
-        self._hits: Dict[Edge, Tuple[int, ...]] = {}
+        lanes = self.lanes = _Lanes(xs, ys)
+        for e in c1.edges() + c2.edges():
+            lanes.hold(e)
+        self.crossed = [lanes.crossing(*e) for e in lanes.edges]
+        self.counts = [m.bit_count() for m in self.crossed]
+        self._settle()
 
-    def own_pairs(self, which: int) -> List[Tuple[int, int]]:
-        """Index pairs i < j, ascending, of the crossing edges within cycle
-        `which` (0 or 1), as indices into that cycle's `edges()`."""
-        lo, hi = (0, len(self.es1)) if which == 0 else (len(self.es1), len(self.edges))
-        pairs = []
-        for i in range(lo, hi):
-            m = self.crossed[i] >> i + 1 & (1 << hi - i - 1) - 1  # bit b: edge i + 1 + b
-            while m:
-                pairs.append((i - lo, i - lo + (m & -m).bit_length()))
-                m &= m - 1
-        return pairs
+    def _settle(self) -> None:
+        bit = self.lanes.bit
+        self.over = sum(bit(f) for f, count in enumerate(self.counts) if count > 1)
+        self._hits: Dict[Edge, int] = {}
+        self._side = functools.cache(self.lanes.side)
 
-    def _crossing_lanes(self, u: int, v: int) -> int:
-        """The top bits of the lanes whose edges the segment from screen
-        vertex u to screen vertex v properly crosses."""
-        xs, ys, width, bias, top = self.xs, self.ys, self.width, self.bias, self.top
-        ax, ay = xs[u], ys[u]
-        dx, dy = xs[v] - ax, ys[v] - ay
-        side = dx * self.y - dy * self.x - (dx * ay - dy * ax) * self.ones
-        lt, rt = (bias + side) & top, (bias - side) & top
-        return (self.left[u] ^ self.left[v]) & (lt & rt >> width | rt & lt >> width)
+    def uncrossed(self, which: int, nc: HamCycle, removed, created) -> "_JoinScreen":
+        """This screen with cycle `which` uncrossed into `nc`: the `removed`
+        edges' lanes released, the `created` edges held, and only the
+        crossings and counts those four lanes touch changed."""
+        twin = copy.copy(self)
+        twin.cycles = (nc, self.cycles[1]) if which == 0 else (self.cycles[0], nc)
+        lanes = twin.lanes = copy.copy(self.lanes)
+        lanes.lane, lanes.edges, lanes.spare = dict(lanes.lane), lanes.edges[:], lanes.spare[:]
+        crossed, counts = twin.crossed, twin.counts = self.crossed[:], self.counts[:]
+        for e in removed:
+            f = lanes.release(e)
+            for g in lanes.indices(crossed[f]):
+                crossed[g] ^= lanes.bit(f)
+                counts[g] -= 1
+            crossed[f] = counts[f] = 0
+        for e in created:
+            f = lanes.hold(e)
+            m = crossed[f] = lanes.crossing(*e)
+            counts[f] = m.bit_count()
+            for g in lanes.indices(m):
+                crossed[g] |= lanes.bit(f)
+                counts[g] += 1
+        twin._settle()
+        return twin
 
-    def hits(self, a: Edge) -> Tuple[int, ...]:
-        """Indices of the first (at most 2) screen edges `a` crosses."""
+    def keeps_one_plane(self, which: int, created) -> bool:
+        """Whether cycle `which`, uncrossed from a 1-plane cycle into the
+        edges `created`, is 1-plane: only they and the edges they cross can
+        be crossed more often than before, so it is unless one of those is
+        crossed twice within the cycle."""
+        own, crossed, lanes = self._own(which), self.crossed, self.lanes
+        for e in created:
+            m = crossed[lanes.lane[e]] & own
+            if m & m - 1:
+                return False
+            for g in lanes.indices(m):
+                x = crossed[g] & own
+                if x & x - 1:
+                    return False
+        return True
+
+    def own_pairs(self, which: int) -> List[Tuple[Edge, Edge]]:
+        """The crossing pairs within cycle `which` by ascending lanes: on a
+        fresh screen, its `edges()` pairs (e_i, e_j), i < j, ascending."""
+        own, lanes, edges = self._own(which), self.lanes, self.lanes.edges
+        return [(edges[f], edges[g]) for f in lanes.indices(own)
+                for g in lanes.indices(self.crossed[f] & own) if g > f]
+
+    def _own(self, which: int) -> int:
+        """The lanes of cycle `which`."""
+        lane, bit = self.lanes.lane, self.lanes.bit
+        return sum(bit(lane[e]) for e in self.cycles[which].edges())
+
+    def hits(self, a: Edge) -> int:
+        """The lanes of the screen edges `a` crosses."""
         h = self._hits.get(a)
-        if h is not None:
-            return h
-        m = self._crossing_lanes(*a)
-        width, n1 = self.width, self.n1
-        found: List[int] = []
-        while m and len(found) < 2:
-            low = m & -m
-            m ^= low
-            lane = low.bit_length() // width - 1
-            found.append(lane - (lane > n1))
-        h = self._hits[a] = tuple(found)
+        if h is None:
+            u, v = a
+            h = self._hits[a] = self.lanes.across(u, v, self._side(u), self._side(v))
         return h
 
     def candidate_ok(self, r1: Edge, r2: Edge, a1: Edge, a2: Edge) -> bool:
         """All merged-cycle crossing counts stay <= 1."""
         h1 = self.hits(a1)
-        if len(h1) > 1:
+        if h1 & h1 - 1:
             return False
         h2 = self.hits(a2)
-        if len(h2) > 1:
+        if h2 & h2 - 1:
             return False
         if (h1 or h2) and self.oracle(a1, a2):
             return False
-        i1, i2 = self.index[r1], self.index[r2]
+        lanes = self.lanes
+        b1, b2 = lanes.bit(lanes.lane[r1]), lanes.bit(lanes.lane[r2])
         counts, crossed = self.counts, self.crossed
-        for f in h1 + h2 + self.over:
-            if f == i1 or f == i2:
-                continue
-            x = crossed[f]
-            if counts[f] - (x >> i1 & 1) - (x >> i2 & 1) + (f in h1) + (f in h2) > 1:
+        for f in lanes.indices((h1 | h2 | self.over) & ~(b1 | b2)):
+            x, b = crossed[f], lanes.bit(f)
+            if counts[f] - (x & b1 > 0) - (x & b2 > 0) + (h1 == b) + (h2 == b) > 1:
                 return False
         return True
 
@@ -598,7 +596,7 @@ def _plain_join(screen: _JoinScreen, forbidden, extra_uncross=()):
     """The first exchange in canonical order that avoids `forbidden` and
     that the screen accepts; the screen is exact, so its splice is 1-plane."""
     c1, c2 = screen.cycles
-    es1, es2 = sorted(screen.es1), sorted(screen.es2)
+    es1, es2 = sorted(c1.edges()), sorted(c2.edges())
     flips2 = _reversed_in(es2, c2)  # once for all r1
     for r1, flip1 in zip(es1, _reversed_in(es1, c1)):
         u1, u2 = r1[::-1] if flip1 else r1
@@ -634,7 +632,8 @@ def join_cycles(
     order, then c2's); a join never uncrosses both cycles, so a move holds
     at most one created uncrossing.  Added and created edges must avoid
     `forbidden`, and an uncrossed cycle must stay 1-plane.  Crossings are
-    decided exactly on the points' integer coordinates.  Raises ValueError
+    decided exactly on the points' integer coordinates, by one screen over
+    both cycles, from which each variant's is derived.  Raises ValueError
     unless the two cycles together are distinct vertices of the set
     (`geometry.check_subset`).
     """
@@ -647,16 +646,14 @@ def join_cycles(
     if r:
         return r
     for which, c in enumerate((c1, c2)):
-        es = c.edges()
-        old = set(es)
-        for pair in sorted((es[i], es[j]) for i, j in base.own_pairs(which)):
+        old = set(c.edges())
+        for pair in sorted(base.own_pairs(which)):
             nc = uncross(c, pair, oracle)
             created = tuple(e for e in nc.edges() if e not in old)
             if any(e in forbidden for e in created):
                 continue
-            screen = _JoinScreen(*((nc, c2), (c1, nc))[which], xs, ys, oracle)
-            ends = [i for p in screen.own_pairs(which) for i in p]
-            if len(ends) != len(set(ends)):
+            screen = base.uncrossed(which, nc, pair, created)
+            if not screen.keeps_one_plane(which, created):
                 continue  # an edge of nc is crossed twice
             r = _plain_join(screen, forbidden, [(pair, created)])
             if r:

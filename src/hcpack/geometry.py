@@ -65,8 +65,9 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
 
 def check_edge(a, b, n: int) -> None:
     """The one edge rule for the crossing oracles and passes over vertex
-    indices: refuse an edge that is not two distinct vertices of 0..n-1."""
-    if not (0 <= a < n and 0 <= b < n) or a == b:
+    indices: refuse an edge that is not two distinct vertices of 0..n-1,
+    each of type `int` (so no float and no bool)."""
+    if type(a) is not int or type(b) is not int or not (0 <= a < n and 0 <= b < n) or a == b:
         raise ValueError(f"edge {(a, b)} is not two distinct vertices of 0..{n - 1}")
 
 
@@ -366,7 +367,8 @@ class RingOracle:
 
     `label[v]` is the ring position (0..m-1, ccw) of vertex `v`; on a wheel
     the center is labelled `m`, and `wheel` makes calls go to `wheel_cross`
-    instead of `convex_cross`.  Calling it decides one pair as those do;
+    instead of `convex_cross`.  Calling it decides one pair as those do,
+    once both edges pass `check_edge` (ValueError otherwise);
     `cycles.crossing_report` reads `m` and `label` to find every crossing
     of an edge list in one sweep around the ring.  Calls never relabel a
     convex ring, so its labels must be 0..m-1 in order; a wheel's must
@@ -384,9 +386,11 @@ class RingOracle:
         self.m, self.label, self.wheel = m, label, wheel
 
     def __call__(self, e1: Edge, e2: Edge) -> bool:
+        label = self.label
+        check_edge(*e1, len(label))
+        check_edge(*e2, len(label))
         if not self.wheel:
             return convex_cross(self.m, e1, e2)
-        label = self.label
         return wheel_cross(self.m, (label[e1[0]], label[e1[1]]), (label[e2[0]], label[e2[1]]))
 
 

@@ -368,6 +368,24 @@ def _ring_refusal(es):
     return re.escape(str(ring.value))
 
 
+@pytest.mark.parametrize("bad", [(0.5, 2), (1.0, 2), (True, 2), (2, False)],
+                         ids=["half", "float", "true", "false"])
+def test_edge_rule_refuses_a_vertex_that_is_not_an_int(bad):
+    """A float or bool vertex is refused with the edge rule's ValueError in
+    a CoordinateOracle or RingOracle call, the lane pass and the ring sweep,
+    never answered and never a stray TypeError."""
+    ps = general_instance(12, 1)
+    orc, ring, wheel = coordinate_oracle(ps), convex_oracle(12), wheel_oracle(12)
+    message = re.escape(f"edge {bad} is not two distinct vertices of 0..11")
+    for call in (lambda: orc(bad, (0, 3)), lambda: orc((0, 3), bad),
+                 lambda: ring(bad, (0, 3)), lambda: wheel((0, 3), bad),
+                 lambda: crossing_report([(0, 3), bad], orc),
+                 lambda: crossing_report([bad, (0, 3)], ring),
+                 lambda: crossing_report([bad, (0, 3)], wheel)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("es", [[(0, 9), (0, 2)], [(0, 1), (2, 9)], [(-1, 2), (0, 3)], [(0, 1), (3, 3)]])
 def test_flat_pass_refuses_an_edge_naming_no_point(es):
     """An edge outside 0..n-1, or with one vertex twice, is refused as the

@@ -25,7 +25,7 @@ from hcpack import (
 from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
 from hcpack.errors import DegenerateInput, HcpackError, MarchFailed, NoJoinFound
-from hcpack.general import _FlatLedger, _JoinScreen, _March, _splice
+from hcpack.general import _JoinScreen, _March, _splice
 from hcpack.geometry import PointSet, convex_hull, in_general_position, oracle_for, orientation
 
 from conftest import CrossLedger, degenerate_lists, general_instance, keys_separate
@@ -324,35 +324,43 @@ def test_march_on_degenerate_lists_raises_only_package_errors():
     assert stray == []
 
 
+def _assert_march_state(march, ref):
+    """The march's lanes hold CrossLedger's edges, each crossing exactly the
+    held edges CrossLedger lists for it, and its crossed mask marks exactly
+    the held edges CrossLedger lists as crossed."""
+    lanes = march.lanes
+    assert set(lanes.lane) == set(ref.crossed)
+    for e, hits in ref.crossed.items():
+        assert {lanes.edges[f] for f in lanes.indices(lanes.crossing(*e))} == set(hits), e
+    assert march.crossed == sum(lanes.bit(lanes.lane[e]) for e, hits in ref.crossed.items() if hits)
+
+
 def test_march_ledger_agrees_with_cross_ledger(monkeypatch):
-    """Every add and remove of the march's ledger gives CrossLedger's
-    verdict and leaves the same crossing lists, in order."""
-    verdicts = set()
+    """Every edge the march tries gets CrossLedger's verdict (a forbidden
+    edge aside), and every add and undo leaves the march's lanes in
+    CrossLedger's state."""
+    verdicts, refs = set(), {}
+    try_add, undo = _March._try_add, _March._undo
 
-    class Twin:
-        def __init__(self, xs, ys):
-            oracle = coordinate_oracle([Point(x, y) for x, y in zip(xs, ys)])
-            self.flat, self.ref = _FlatLedger(xs, ys), CrossLedger(oracle)
+    def checked_add(march, u, w):
+        if march not in refs:
+            points = [Point(x, y) for x, y in zip(march.xs, march.ys)]
+            refs[march] = CrossLedger(coordinate_oracle(points))
+        e = edge(u, w)
+        want = e not in march.forbidden and refs[march].add(e)
+        assert try_add(march, u, w) == want, e
+        _assert_march_state(march, refs[march])
+        verdicts.add(want)
+        return want
 
-        def same_state(self):
-            assert [(f, hits) for f, (*_, hits) in self.flat.crossed.items()] == list(
-                self.ref.crossed.items()
-            )
+    def checked_undo(march, u, w):
+        undo(march, u, w)
+        refs[march].remove(edge(u, w))
+        _assert_march_state(march, refs[march])
+        verdicts.add("remove")
 
-        def add(self, e):
-            outcomes = [self.ref.add(e), self.flat.add(e)]
-            assert outcomes[0] == outcomes[1], e
-            self.same_state()
-            verdicts.add(outcomes[0])
-            return outcomes[0]
-
-        def remove(self, e):
-            self.ref.remove(e)
-            self.flat.remove(e)
-            self.same_state()
-            verdicts.add("remove")
-
-    monkeypatch.setattr(general, "_FlatLedger", Twin)
+    monkeypatch.setattr(_March, "_try_add", checked_add)
+    monkeypatch.setattr(_March, "_undo", checked_undo)
     for n in (16, 17, 24, 32, 48, 64):
         for seed in (1, 2, 3):
             march_cycle(general_instance(n, seed), range(n))
@@ -361,18 +369,19 @@ def test_march_ledger_agrees_with_cross_ledger(monkeypatch):
 
 def test_flat_ledger_refuses_an_edge_it_holds():
     """Adding a held edge again is refused, as CrossLedger refuses it, and
-    leaves every packed line, lane and crossing list as it was."""
+    leaves every packed line, lane and crossed mask as it was."""
     ps = general_instance(12, 1)
-    xs, ys = [p.x for p in ps.points], [p.y for p in ps.points]
-    flat, ref = _FlatLedger(xs, ys), CrossLedger(coordinate_oracle(ps.points))
+    march = _March(ps.points, bisecting_line(ps, range(12)), frozenset())
+    ref = CrossLedger(coordinate_oracle(ps.points))
     for e in combinations(range(12), 2):
-        assert flat.add(e) == ref.add(e)
-    assert any(hits for *_, hits in flat.crossed.values())
-    before = copy.deepcopy(vars(flat))
+        assert march._try_add(*e) == ref.add(e)
+    _assert_march_state(march, ref)
+    assert march.crossed
+    before = copy.deepcopy((vars(march.lanes), march.crossed, march.adj))
     for e in list(ref.crossed):
         assert not ref.add(e)
-        assert not flat.add(e)
-    assert vars(flat) == before
+        assert not march._try_add(*e)
+    assert (vars(march.lanes), march.crossed, march.adj) == before
 
 
 def test_fold_raises_once_every_seed_is_stuck(monkeypatch):
@@ -868,15 +877,23 @@ def _assert_screen_exact(c1, c2, pts, oracle):
     return screen
 
 
-@pytest.mark.parametrize("n", [16, 17, 32, 33])
-def test_join_screen_agrees_with_splice_check_while_packing(n, monkeypatch):
-    screens = []
+def _record_screens(monkeypatch, log):
+    """Append to `log` every join screen the packer makes, built fresh
+    (`fresh` True) or derived by `uncrossed` (`fresh` False), in order;
+    each screen lists in `asked` the candidates it was asked about, with
+    its verdicts."""
 
     class Recording(_JoinScreen):
         def __init__(self, *args):
             super().__init__(*args)
-            self.asked = []
-            screens.append(self)
+            self.fresh, self.asked = True, []
+            log.append(self)
+
+        def uncrossed(self, *args):
+            twin = super().uncrossed(*args)
+            twin.fresh, twin.asked = False, []
+            log.append(twin)
+            return twin
 
         def candidate_ok(self, *cand):
             ok = super().candidate_ok(*cand)
@@ -884,6 +901,17 @@ def test_join_screen_agrees_with_splice_check_while_packing(n, monkeypatch):
             return ok
 
     monkeypatch.setattr(general, "_JoinScreen", Recording)
+
+
+def _edges_in(screen, mask):
+    lanes = screen.lanes
+    return {lanes.edges[f] for f in lanes.indices(mask)}
+
+
+@pytest.mark.parametrize("n", [16, 17, 32, 33])
+def test_join_screen_agrees_with_splice_check_while_packing(n, monkeypatch):
+    screens = []
+    _record_screens(monkeypatch, screens)
     outcomes = set()
     for seed in (1, 2, 3):
         ps = general_instance(n, seed)
@@ -923,58 +951,56 @@ def test_join_splices_an_accepted_candidate_without_a_second_check(n, monkeypatc
 
 def test_a_join_uncrosses_at_most_one_cycle_while_packing(monkeypatch):
     """After the plain exchanges a join tries single-cycle uncross variants
-    only: over every join made while packing general n = 16..64, no screen
-    has both its cycles changed from the join's inputs, and every move
-    records at most one created uncrossing (both 0 and 1 occur)."""
-    inputs, both_changed = [], []
-
-    class Recording(_JoinScreen):
-        def __init__(self, c1, c2, *args):
-            super().__init__(c1, c2, *args)
-            j1, j2 = inputs[-1]
-            if c1 != j1 and c2 != j2:
-                both_changed.append((len(c1), len(c2)))
-
+    only: over every join made while packing general n = 16..64, the join
+    builds one screen, on its inputs, and derives every other by editing
+    lanes; no screen has both its cycles changed from the join's inputs,
+    and every move records at most one created uncrossing (both 0 and 1
+    occur)."""
+    screens, joins = [], []
+    _record_screens(monkeypatch, screens)
     real_join = general.join_cycles
 
     def recorded_join(c1, c2, *args):
-        inputs.append((c1, c2))
-        return real_join(c1, c2, *args)
+        first = len(screens)
+        try:
+            return real_join(c1, c2, *args)
+        finally:
+            made = screens[first:]
+            joins.append([(s.fresh, s.cycles[0] == c1, s.cycles[1] == c2) for s in made])
 
-    monkeypatch.setattr(general, "_JoinScreen", Recording)
     monkeypatch.setattr(general, "join_cycles", recorded_join)
-    records = set()
-    for n, seed in product([16, 17, 24, 32, 33, 48, 64], [1, 2, 3]):
+    records, derived = set(), 0
+    cases = [*product([16, 17, 24, 32, 33, 48, 64], [1, 2, 3]), (64, 4), (64, 5)]
+    for n, seed in cases:
+        joins.clear()
         result = pack_general_detailed(general_instance(n, seed))
-        assert both_changed == [], (n, seed, both_changed)
+        for made in joins:
+            assert made[0] == (True, True, True), (n, seed)
+            assert all(not fresh and (same1 or same2) for fresh, same1, same2 in made[1:])
+            derived += len(made) - 1
         records |= {len(mv.created_uncrossings) for moves in result.join_log for mv in moves}
     assert records == {0, 1}
+    assert derived
 
 
 def test_join_screens_give_each_cycles_crossings_while_packing(monkeypatch):
     """Over every join made while packing general n = 16..64, each screen's
-    `own_pairs` are `crossing_report`'s pairs for both its cycles, and an
-    uncrossed cycle goes on to be joined exactly when `is_one_plane` holds
-    for it (both verdicts occur)."""
+    `own_pairs` are `crossing_report`'s pairs for both its cycles (in its
+    order on a fresh screen), and an uncrossed cycle goes on to be joined
+    exactly when `is_one_plane` holds for it (both verdicts occur)."""
     events, joined = [], set()
-
-    class Recording(_JoinScreen):
-        def __init__(self, *args):
-            super().__init__(*args)
-            events.append(("screen", self))
-
+    _record_screens(monkeypatch, events)
     real_uncross, real_plain_join = general.uncross, general._plain_join
 
     def recorded_uncross(*args):
         nc = real_uncross(*args)
-        events.append(("uncross", nc))
+        events.append(nc)
         return nc
 
     def recorded_plain_join(screen, *args):
         joined.add(id(screen))
         return real_plain_join(screen, *args)
 
-    monkeypatch.setattr(general, "_JoinScreen", Recording)
     monkeypatch.setattr(general, "uncross", recorded_uncross)
     monkeypatch.setattr(general, "_plain_join", recorded_plain_join)
     verdicts = set()
@@ -985,17 +1011,61 @@ def test_join_screens_give_each_cycles_crossings_while_packing(monkeypatch):
         joined.clear()
         pack_general_detailed(ps)
         # an uncrossed cycle whose created edges are allowed gets the next screen
-        for (kind, item), (_, after) in zip(events, events[1:] + [(None, None)]):
-            if kind == "screen":
+        for item, after in zip(events, events[1:] + [None]):
+            if isinstance(item, _JoinScreen):
                 for which, c in enumerate(item.cycles):
-                    es = c.edges()
                     want = crossing_report(c, orc).pairs
-                    assert [(es[i], es[j]) for i, j in item.own_pairs(which)] == want
+                    got = item.own_pairs(which)
+                    if item.fresh:
+                        assert got == want
+                    else:
+                        assert set(map(frozenset, got)) == set(map(frozenset, want))
             elif isinstance(after, _JoinScreen) and item in after.cycles:
                 kept = id(after) in joined
                 assert kept == is_one_plane(item, orc), (n, seed, item)
                 verdicts.add(kept)
     assert verdicts == {True, False}
+
+
+def _fresh_twin(screen, points):
+    """A screen built fresh on `screen`'s cycles."""
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    return _JoinScreen(*screen.cycles, xs, ys, coordinate_oracle(points))
+
+
+def test_derived_screens_match_fresh_screens_while_packing(monkeypatch):
+    """Every screen derived by `uncrossed` while packing general n = 16..64
+    gives what a screen built fresh on its cycles gives: the hit set of
+    every cross-cycle edge, each held edge's crossings and count, each
+    cycle's own crossing pairs, and the verdict on every exchange."""
+    screens = []
+    _record_screens(monkeypatch, screens)
+    derived = 0
+    for n, seed in product([16, 17, 32, 33, 48, 64], [1, 2, 3]):
+        ps = general_instance(n, seed)
+        screens.clear()
+        pack_general_detailed(ps)
+        for screen in screens:
+            if screen.fresh:
+                continue
+            derived += 1
+            fresh = _fresh_twin(screen, ps.points)
+            c1, c2 = screen.cycles
+            for a in map(edge, *zip(*product(c1.order, c2.order))):
+                assert _edges_in(screen, screen.hits(a)) == _edges_in(fresh, fresh.hits(a)), a
+            for s in (screen, fresh):
+                assert set(s.lanes.lane) == set(c1.edges()) | set(c2.edges())
+            for e in screen.lanes.lane:
+                f, g = screen.lanes.lane[e], fresh.lanes.lane[e]
+                assert screen.counts[f] == fresh.counts[g], e
+                assert _edges_in(screen, screen.crossed[f]) == _edges_in(fresh, fresh.crossed[g])
+            assert _edges_in(screen, screen.over) == _edges_in(fresh, fresh.over)
+            for which in (0, 1):
+                got, want = screen.own_pairs(which), fresh.own_pairs(which)
+                assert set(map(frozenset, got)) == set(map(frozenset, want))
+            for cand in _exchanges(c1, c2):
+                assert screen.candidate_ok(*cand) == fresh.candidate_ok(*cand), cand
+    assert derived > 100
 
 
 def test_join_screen_counts_an_edge_crossed_twice():
@@ -1005,12 +1075,31 @@ def test_join_screen_counts_an_edge_crossed_twice():
     orc = coordinate_oracle(pts)
     c1, c2 = HamCycle((0, 1, 2)), HamCycle((3, 4, 5, 6))
     screen = _assert_screen_exact(c1, c2, pts, orc)
-    assert [screen.edges[f] for f in screen.over] == [(0, 1)]
+    assert _edges_in(screen, screen.over) == {(0, 1)}
     # some exchange fails on the base alone: its added edges cross nothing
     assert any(
         not screen.hits(a1) and not screen.hits(a2) and not screen.candidate_ok(r1, r2, a1, a2)
         for r1, r2, a1, a2 in _exchanges(c1, c2)
     )
+
+
+def test_derived_screen_refuses_a_created_edge_crossed_twice():
+    """Uncrossing (2, 3) and (4, 5) creates (3, 5), which crosses (0, 1)
+    and (1, 6), two edges nothing else crosses: the derived screen refuses
+    the uncrossed cycle, as `is_one_plane` does."""
+    pts = [Point(22, 14), Point(19, 3), Point(18, 25), Point(19, 2), Point(17, 28),
+           Point(20, 14), Point(30, 11), Point(100, 100), Point(130, 101), Point(101, 131)]
+    orc = coordinate_oracle(pts)
+    c1, c2 = HamCycle((0, 1, 6, 3, 2, 5, 4)), HamCycle((7, 8, 9))
+    base = _JoinScreen(c1, c2, [p.x for p in pts], [p.y for p in pts], orc)
+    pair = ((2, 3), (4, 5))
+    assert is_one_plane(c1, orc) and pair in base.own_pairs(0)
+    nc = uncross(c1, pair, orc)
+    created = tuple(e for e in nc.edges() if e not in c1.edges())
+    screen = base.uncrossed(0, nc, pair, created)
+    assert _edges_in(screen, screen.hits((3, 5))) == {(0, 1), (1, 6)}
+    assert not is_one_plane(nc, orc)
+    assert not screen.keeps_one_plane(0, created)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1096,15 +1185,15 @@ def _pack_record(points):
 
 
 def _assert_hits_exact(screens, points):
-    """Every cross-cycle pair's `hits` are the first two screen edges the
-    oracle says it crosses, in edge order."""
+    """Every cross-cycle pair's `hits` are the screen edges the oracle says
+    it crosses."""
     orc = coordinate_oracle(points)
     for screen in screens:
         c1, c2 = screen.cycles
         for u, v in product(c1.order, c2.order):
             a = edge(u, v)
-            want = list(islice((j for j, f in enumerate(screen.edges) if orc(a, f)), 2))
-            assert list(screen.hits(a)) == want, (a, want)
+            want = {f for f in screen.lanes.lane if orc(a, f)}
+            assert _edges_in(screen, screen.hits(a)) == want, (a, want)
 
 
 # lane values of these sets run far past 64 bits: 2^64 + 1 and 3^40 scale
@@ -1116,15 +1205,9 @@ OFFSETS = [(-3 * 10**30, 7 * 10**29), (-(2**90), 5)]
 def test_scaled_sets_pack_and_screen_as_the_unscaled(monkeypatch):
     """A positive scale and an offset keep every orientation, so the packed
     side tests must give the same packing and join log; the screens made on
-    the scaled sets keep exact hits."""
+    the scaled sets, fresh or derived, keep exact hits."""
     screens = []
-
-    class Recording(_JoinScreen):
-        def __init__(self, *args):
-            super().__init__(*args)
-            screens.append(self)
-
-    monkeypatch.setattr(general, "_JoinScreen", Recording)
+    _record_screens(monkeypatch, screens)
     for n, seed in product([16, 17, 24, 32, 33], [1, 2, 3]):
         points = general_instance(n, seed).points
         want = _pack_record(points)
@@ -1137,13 +1220,7 @@ def test_scaled_sets_pack_and_screen_as_the_unscaled(monkeypatch):
 
 def test_join_screen_hits_match_the_oracle_while_packing(monkeypatch):
     screens = []
-
-    class Recording(_JoinScreen):
-        def __init__(self, *args):
-            super().__init__(*args)
-            screens.append(self)
-
-    monkeypatch.setattr(general, "_JoinScreen", Recording)
+    _record_screens(monkeypatch, screens)
     cases = [*product([16, 17, 24, 32, 33], [1, 2, 3]), (48, 1), (64, 1)]
     for n, seed in cases:
         ps = general_instance(n, seed)
