@@ -46,10 +46,19 @@ class Bisection:
     right: IndexList
 
     def __post_init__(self):
-        if tuple(self.direction) == (0, 0):
-            raise ValueError("direction must be nonzero")
+        _check_direction(self.direction)
         object.__setattr__(self, "left", tuple(self.left))
         object.__setattr__(self, "right", tuple(self.right))
+
+
+def _check_direction(d) -> None:
+    """Refuse a direction that is not two coordinates of type `int` (so no
+    float and no bool), or is zero: the keys `cross(d, p)` are exact on
+    ints only."""
+    if not (type(d) in (tuple, list) and len(d) == 2 and type(d[0]) is int and type(d[1]) is int):
+        raise ValueError(f"direction must be two ints, got {d!r}")
+    if d[0] == d[1] == 0:
+        raise ValueError("direction must be nonzero")
 
 
 def _primitive(dx: int, dy: int) -> Direction:
@@ -78,11 +87,10 @@ def cut_at(ps, subset: Sequence[int], d, sense: int, left_count: int) -> Bisecti
     """Split `subset` along the tilted direction `e` of a nonzero `d`, tilted
     to the side `sense` (1 or -1): the `left_count` largest keys
     `cross(e, p)` go left, so both sides are nonempty.  Raises ValueError
-    on a zero `d` (before any tilt), another `sense`, a subset that is not
-    distinct vertices of the set (`check_subset`), or a `left_count`
-    outside 1..len(subset) - 1."""
-    if tuple(d) == (0, 0):
-        raise ValueError("direction must be nonzero")
+    on a `d` that is zero or not two ints (before any tilt), another
+    `sense`, a subset that is not distinct vertices of the set
+    (`check_subset`), or a `left_count` outside 1..len(subset) - 1."""
+    _check_direction(d)
     if type(sense) is not int or sense not in (1, -1):
         raise ValueError(f"sense must be 1 or -1, got {sense!r}")
     ps = general_set(ps)

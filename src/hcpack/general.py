@@ -222,7 +222,6 @@ class _March:
         self.lanes = _Lanes(xs, ys)
         self.crossed = 0  # the lanes of held edges that a held edge crosses
         self.trail: List[int] = []  # `crossed` before each held edge was added
-        self.adj: Dict[int, List[int]] = {i: [] for i in left + right}
         self.stone: Optional[Edge] = None
 
     # -- incremental edge bookkeeping ----------------------------------------
@@ -240,16 +239,12 @@ class _March:
         self.trail.append(self.crossed)
         if m:
             self.crossed |= m | lanes.bit(lane)
-        self.adj[u].append(w)
-        self.adj[w].append(u)
         return True
 
     def _undo(self, u: int, w: int) -> None:
         """Take back uw, the edge added last."""
         self.lanes.release(edge(u, w))
         self.crossed = self.trail.pop()
-        self.adj[u].pop()
-        self.adj[w].pop()
 
     # -- move generation ------------------------------------------------------
     def _bridge(self, r1, r2) -> Optional[Tuple[int, int]]:
@@ -336,11 +331,15 @@ class _March:
             r1.discard(v1)
             r2.discard(v2)
             if self._dfs(r1, r2, v1, v2):
-                start = self.left0[0]
-                cyc = [start]
+                # the held edges are the cycle's, in the order they were added
+                adj: Dict[int, List[int]] = {i: [] for i in self.left0 + self.right0}
+                for a, b in self.lanes.lane:
+                    adj[a].append(b)
+                    adj[b].append(a)
+                cyc = [self.left0[0]]
                 prev = None
                 while len(cyc) < n:
-                    a, b = self.adj[cyc[-1]]
+                    a, b = adj[cyc[-1]]
                     nxt = b if a == prev else a
                     prev = cyc[-1]
                     cyc.append(nxt)
@@ -385,6 +384,15 @@ class _March:
         return False
 
 
+def _check_forbidden(forbidden) -> None:
+    """Refuse a forbidden entry that is not an edge `(a, b)` with a < b:
+    the engines test membership of such edges only, so any other entry
+    would forbid nothing."""
+    for e in forbidden:
+        if type(e) is not tuple or len(e) != 2 or not e[0] < e[1]:
+            raise ValueError(f"forbidden entry {e!r} is not an edge (a, b) with a < b")
+
+
 def march_cycle(
     ps,
     subset: Sequence[int],
@@ -401,11 +409,13 @@ def march_cycle(
     cycle between two points on one side of its cut.  A bare triangle
     reports no stone.  The packer ignores stones: its checks are exact.
     Raises ValueError on a subset of fewer than 3 points, one that is not
-    distinct vertices of the set (`geometry.check_subset`), or a bisection
-    whose two sides together are not exactly the subset.
+    distinct vertices of the set (`geometry.check_subset`), a bisection
+    whose two sides together are not exactly the subset, or a forbidden
+    entry that is not an edge `(a, b)` with a < b.
     """
     ps = general_set(ps)
     sub = check_subset(subset, len(ps))
+    _check_forbidden(forbidden)
     if len(sub) < 3:
         raise ValueError("need at least 3 points")
     cuts: Iterator[Bisection]
@@ -467,26 +477,26 @@ class _JoinScreen:
     """Crossing accounting for candidate joins of two vertex-disjoint
     1-plane cycles on points in general position, on one `_Lanes` holding
     the edges of both: a fresh screen holds c1's `edges()` in lanes 0, 1,
-    ..., then c2's.  Lane f's `crossed[f]` masks the lanes whose edges
-    cross its edge, and `counts[f]` counts them.
+    ..., then c2's, and `own[which]` masks cycle `which`'s lanes.  Lane
+    f's `crossed[f]` masks the lanes whose edges cross its edge.
 
     An added edge shares one endpoint with each removed edge, so it crosses
     neither, and the screen edges it hits do not depend on the candidate:
     `hits(a)` is the `crossing` mask of `a`, memoized, as is each vertex's
     packed side value.  Both cycles are 1-plane, so a candidate
     `(r1, r2, a1, a2)` can only fail on the added edges or on an edge whose
-    count changes or is already over 1:
+    crossings change or already number more than 1:
 
     - either added edge hits two edges or more;
     - `a1` crosses `a2` and either added edge has a hit;
     - some hit edge or edge crossed twice in the union (`over`), other than
-      `r1` and `r2`, ends with `counts[f] - [f x r1] - [f x r2]` plus its
-      hits by `a1` and `a2` above 1.
+      `r1` and `r2`, ends with its crossings in `crossed[f]` other than `r1`
+      and `r2`, plus its hits by `a1` and `a2`, above 1.
 
     The oracle decides only whether `a1` crosses `a2`.  `uncrossed` derives
-    an uncross variant's screen by editing four lanes, and
-    `keeps_one_plane` tells from the two created lanes whether the
-    uncrossed cycle stays 1-plane.
+    an uncross variant's screen by editing four lanes: the two created
+    edges take back the two lanes the removed edges release, so `own`
+    stays as the fresh screen set it.
     """
 
     def __init__(self, c1: HamCycle, c2: HamCycle, xs, ys, oracle: CrossingOracle):
@@ -496,67 +506,54 @@ class _JoinScreen:
         for e in c1.edges() + c2.edges():
             lanes.hold(e)
         self.crossed = [lanes.crossing(*e) for e in lanes.edges]
-        self.counts = [m.bit_count() for m in self.crossed]
+        first = lanes.top & (1 << lanes.width * len(c1)) - 1
+        self.own = (first, lanes.top ^ first)
         self._settle()
 
     def _settle(self) -> None:
         bit = self.lanes.bit
-        self.over = sum(bit(f) for f, count in enumerate(self.counts) if count > 1)
+        self.over = sum(bit(f) for f, m in enumerate(self.crossed) if m.bit_count() > 1)
         self._hits: Dict[Edge, int] = {}
         self._side = functools.cache(self.lanes.side)
 
     def uncrossed(self, which: int, nc: HamCycle, removed, created) -> "_JoinScreen":
         """This screen with cycle `which` uncrossed into `nc`: the `removed`
-        edges' lanes released, the `created` edges held, and only the
-        crossings and counts those four lanes touch changed."""
+        edges' lanes released, the `created` edges held in them, and only
+        the crossings those four lanes touch changed."""
         twin = copy.copy(self)
         twin.cycles = (nc, self.cycles[1]) if which == 0 else (self.cycles[0], nc)
         lanes = twin.lanes = copy.copy(self.lanes)
         lanes.lane, lanes.edges, lanes.spare = dict(lanes.lane), lanes.edges[:], lanes.spare[:]
-        crossed, counts = twin.crossed, twin.counts = self.crossed[:], self.counts[:]
+        crossed = twin.crossed = self.crossed[:]
         for e in removed:
             f = lanes.release(e)
             for g in lanes.indices(crossed[f]):
                 crossed[g] ^= lanes.bit(f)
-                counts[g] -= 1
-            crossed[f] = counts[f] = 0
+            crossed[f] = 0
         for e in created:
             f = lanes.hold(e)
             m = crossed[f] = lanes.crossing(*e)
-            counts[f] = m.bit_count()
             for g in lanes.indices(m):
                 crossed[g] |= lanes.bit(f)
-                counts[g] += 1
         twin._settle()
         return twin
 
-    def keeps_one_plane(self, which: int, created) -> bool:
-        """Whether cycle `which`, uncrossed from a 1-plane cycle into the
-        edges `created`, is 1-plane: only they and the edges they cross can
-        be crossed more often than before, so it is unless one of those is
-        crossed twice within the cycle."""
-        own, crossed, lanes = self._own(which), self.crossed, self.lanes
-        for e in created:
-            m = crossed[lanes.lane[e]] & own
-            if m & m - 1:
+    def one_plane(self, which: int) -> bool:
+        """Whether cycle `which` is 1-plane: none of its edges crosses two
+        of its edges.  Such an edge would be crossed twice in the union, so
+        only the lanes of `over` are looked at."""
+        own, crossed = self.own[which], self.crossed
+        for f in self.lanes.indices(own & self.over):
+            if (crossed[f] & own).bit_count() > 1:
                 return False
-            for g in lanes.indices(m):
-                x = crossed[g] & own
-                if x & x - 1:
-                    return False
         return True
 
     def own_pairs(self, which: int) -> List[Tuple[Edge, Edge]]:
         """The crossing pairs within cycle `which` by ascending lanes: on a
         fresh screen, its `edges()` pairs (e_i, e_j), i < j, ascending."""
-        own, lanes, edges = self._own(which), self.lanes, self.lanes.edges
+        own, lanes, edges = self.own[which], self.lanes, self.lanes.edges
         return [(edges[f], edges[g]) for f in lanes.indices(own)
                 for g in lanes.indices(self.crossed[f] & own) if g > f]
-
-    def _own(self, which: int) -> int:
-        """The lanes of cycle `which`."""
-        lane, bit = self.lanes.lane, self.lanes.bit
-        return sum(bit(lane[e]) for e in self.cycles[which].edges())
 
     def hits(self, a: Edge) -> int:
         """The lanes of the screen edges `a` crosses."""
@@ -576,12 +573,11 @@ class _JoinScreen:
             return False
         if (h1 or h2) and self.oracle(a1, a2):
             return False
-        lanes = self.lanes
-        b1, b2 = lanes.bit(lanes.lane[r1]), lanes.bit(lanes.lane[r2])
-        counts, crossed = self.counts, self.crossed
-        for f in lanes.indices((h1 | h2 | self.over) & ~(b1 | b2)):
-            x, b = crossed[f], lanes.bit(f)
-            if counts[f] - (x & b1 > 0) - (x & b2 > 0) + (h1 == b) + (h2 == b) > 1:
+        lanes, crossed = self.lanes, self.crossed
+        kept = ~(lanes.bit(lanes.lane[r1]) | lanes.bit(lanes.lane[r2]))
+        for f in lanes.indices((h1 | h2 | self.over) & kept):
+            b = lanes.bit(f)
+            if (crossed[f] & kept).bit_count() + (h1 == b) + (h2 == b) > 1:
                 return False
         return True
 
@@ -635,10 +631,12 @@ def join_cycles(
     decided exactly on the points' integer coordinates, by one screen over
     both cycles, from which each variant's is derived.  Raises ValueError
     unless the two cycles together are distinct vertices of the set
-    (`geometry.check_subset`).
+    (`geometry.check_subset`) and every forbidden entry is an edge
+    `(a, b)` with a < b.
     """
     ps = general_set(ps)
     check_subset(c1.order + c2.order, len(ps))
+    _check_forbidden(forbidden)
     xs, ys = [p.x for p in ps.points], [p.y for p in ps.points]
     oracle = coordinate_oracle(ps)
     base = _JoinScreen(c1, c2, xs, ys, oracle)
@@ -653,7 +651,7 @@ def join_cycles(
             if any(e in forbidden for e in created):
                 continue
             screen = base.uncrossed(which, nc, pair, created)
-            if not screen.keeps_one_plane(which, created):
+            if not screen.one_plane(which):
                 continue  # an edge of nc is crossed twice
             r = _plain_join(screen, forbidden, [(pair, created)])
             if r:

@@ -68,6 +68,18 @@ def test_cut_at_refuses_a_zero_direction():
         cut_at(general_instance(6, 1), range(6), (0, 0), 1, 3)
 
 
+@pytest.mark.parametrize("d", [(1.0, 2), (1, True), (4.47e18, 1.46e18), (1, 2, 3), "12"])
+def test_a_cut_direction_must_be_two_ints(d):
+    """Keys `cross(d, p)` are exact on ints only: a float direction would
+    key points in floating point (inexact past 2^53), and `cut_at` would
+    raise a stray TypeError from making it primitive."""
+    ps = general_instance(12, 1)
+    with pytest.raises(ValueError, match="direction must be two ints"):
+        cut_at(ps, range(12), d, 1, 6)
+    with pytest.raises(ValueError, match="direction must be two ints"):
+        Bisection(d, tuple(range(6)), tuple(range(6, 12)))
+
+
 def test_bisecting_lines_are_distinct_splits():
     ps = general_instance(10, 5)
     seen = set()

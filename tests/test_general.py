@@ -377,11 +377,12 @@ def test_flat_ledger_refuses_an_edge_it_holds():
         assert march._try_add(*e) == ref.add(e)
     _assert_march_state(march, ref)
     assert march.crossed
-    before = copy.deepcopy((vars(march.lanes), march.crossed, march.adj))
+    # the held edges' order too: the finished cycle is walked in it
+    before = copy.deepcopy((vars(march.lanes), list(march.lanes.lane), march.crossed))
     for e in list(ref.crossed):
         assert not ref.add(e)
         assert not march._try_add(*e)
-    assert (vars(march.lanes), march.crossed, march.adj) == before
+    assert (vars(march.lanes), list(march.lanes.lane), march.crossed) == before
 
 
 def test_fold_raises_once_every_seed_is_stuck(monkeypatch):
@@ -836,6 +837,37 @@ def test_march_cycle_raises_when_everything_forbidden():
         march_cycle(ps, range(6), forbidden=everything)
 
 
+@pytest.mark.parametrize("bad", [(5, 0), (3, 3), (0, 5, 7), 5])
+def test_march_cycle_refuses_a_forbidden_entry_that_is_not_an_edge(bad):
+    """The march tests membership of edges (a, b), a < b, only: (5, 0)
+    would forbid nothing, and the plain march on general n = 12, seed 1,
+    holds (0, 5)."""
+    ps = general_instance(12, 1)
+    assert (0, 5) in march_cycle(ps, range(12))[0].edges()
+    with pytest.raises(ValueError, match="is not an edge"):
+        march_cycle(ps, range(12), forbidden=frozenset({bad}))
+
+
+def test_join_cycles_refuses_a_forbidden_entry_that_is_not_an_edge(monkeypatch):
+    """A join packing general n = 16, seed 1, adds (5, 12); with (12, 5)
+    added to its forbidden edges it is refused, not made again."""
+    joins = []
+    join = general.join_cycles
+
+    def recorded(c1, c2, forbidden, ps):
+        merged, mv = join(c1, c2, forbidden, ps)
+        joins.append((c1, c2, forbidden, mv))
+        return merged, mv
+
+    monkeypatch.setattr(general, "join_cycles", recorded)
+    ps = general_instance(16, 1)
+    pack_general_detailed(ps)
+    c1, c2, used, _ = next(j for j in joins if (5, 12) in j[3].added)
+    for bad in [(12, 5), (5, 5), (5, 12, 0)]:
+        with pytest.raises(ValueError, match="is not an edge"):
+            join(c1, c2, set(used) | {bad}, ps)
+
+
 def test_join_cycles_raises_when_links_forbidden():
     from hcpack.errors import NoJoinFound
 
@@ -1036,8 +1068,10 @@ def _fresh_twin(screen, points):
 def test_derived_screens_match_fresh_screens_while_packing(monkeypatch):
     """Every screen derived by `uncrossed` while packing general n = 16..64
     gives what a screen built fresh on its cycles gives: the hit set of
-    every cross-cycle edge, each held edge's crossings and count, each
-    cycle's own crossing pairs, and the verdict on every exchange."""
+    every cross-cycle edge, each held edge's crossings and their count,
+    each cycle's own crossing pairs and 1-plane verdict, and the verdict on
+    every exchange.  On both, each cycle's fixed ownership mask is the
+    lanes of its edges."""
     screens = []
     _record_screens(monkeypatch, screens)
     derived = 0
@@ -1054,15 +1088,20 @@ def test_derived_screens_match_fresh_screens_while_packing(monkeypatch):
             for a in map(edge, *zip(*product(c1.order, c2.order))):
                 assert _edges_in(screen, screen.hits(a)) == _edges_in(fresh, fresh.hits(a)), a
             for s in (screen, fresh):
-                assert set(s.lanes.lane) == set(c1.edges()) | set(c2.edges())
+                lanes = s.lanes
+                assert set(lanes.lane) == set(c1.edges()) | set(c2.edges())
+                for which, c in enumerate(s.cycles):
+                    assert s.own[which] == sum(lanes.bit(lanes.lane[e]) for e in c.edges())
             for e in screen.lanes.lane:
                 f, g = screen.lanes.lane[e], fresh.lanes.lane[e]
-                assert screen.counts[f] == fresh.counts[g], e
-                assert _edges_in(screen, screen.crossed[f]) == _edges_in(fresh, fresh.crossed[g])
+                m, w = screen.crossed[f], fresh.crossed[g]
+                assert m.bit_count() == w.bit_count(), e
+                assert _edges_in(screen, m) == _edges_in(fresh, w)
             assert _edges_in(screen, screen.over) == _edges_in(fresh, fresh.over)
             for which in (0, 1):
                 got, want = screen.own_pairs(which), fresh.own_pairs(which)
                 assert set(map(frozenset, got)) == set(map(frozenset, want))
+                assert screen.one_plane(which) == fresh.one_plane(which)
             for cand in _exchanges(c1, c2):
                 assert screen.candidate_ok(*cand) == fresh.candidate_ok(*cand), cand
     assert derived > 100
@@ -1094,12 +1133,13 @@ def test_derived_screen_refuses_a_created_edge_crossed_twice():
     base = _JoinScreen(c1, c2, [p.x for p in pts], [p.y for p in pts], orc)
     pair = ((2, 3), (4, 5))
     assert is_one_plane(c1, orc) and pair in base.own_pairs(0)
+    assert base.one_plane(0) and base.one_plane(1)
     nc = uncross(c1, pair, orc)
     created = tuple(e for e in nc.edges() if e not in c1.edges())
     screen = base.uncrossed(0, nc, pair, created)
     assert _edges_in(screen, screen.hits((3, 5))) == {(0, 1), (1, 6)}
     assert not is_one_plane(nc, orc)
-    assert not screen.keeps_one_plane(0, created)
+    assert not screen.one_plane(0) and screen.one_plane(1)
 
 
 @pytest.mark.parametrize("seed", range(6))
