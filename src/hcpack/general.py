@@ -264,8 +264,6 @@ class _March:
         """
         if not r1 or not r2:
             return None
-        if len(r1) == len(r2) == 1:
-            return next(iter(r1)), next(iter(r2))
         low, high = (r1, r2) if self.bs > 0 else (r2, r1)
         lows, highs = self.sweep
         sweep = itertools.chain(filter(low.__contains__, lows), filter(high.__contains__, highs))
@@ -318,12 +316,6 @@ class _March:
     # -- search ---------------------------------------------------------------
     def run(self) -> Tuple[HamCycle, Optional[Edge]]:
         n = len(self.left0) + len(self.right0)
-        if n == 3:
-            order = sorted(self.left0 + self.right0)
-            cyc = HamCycle(tuple(order))
-            if any(e in self.forbidden for e in cyc.edges()):
-                raise MarchFailed("triangle edge forbidden")
-            return cyc, None
         r1, r2 = set(self.left0), set(self.right0)
         pair = self._bridge(r1, r2)
         if pair is not None and self._try_add(*pair):
@@ -406,8 +398,9 @@ def march_cycle(
     With no bisection given, successive bisecting lines are tried until
     one admits a march.  The returned stone list is empty or holds the
     march's stone: its terminal same-side edge, the edge that closes the
-    cycle between two points on one side of its cut.  A bare triangle
-    reports no stone.  The packer ignores stones: its checks are exact.
+    cycle between two points on one side of its cut (on a triangle, the
+    edge whose ends lie on one side).  The packer ignores stones: its
+    checks are exact.
     Raises ValueError on a subset of fewer than 3 points, one that is not
     distinct vertices of the set (`geometry.check_subset`), a bisection
     whose two sides together are not exactly the subset, or a forbidden

@@ -368,7 +368,8 @@ class RingOracle:
     `label[v]` is the ring position (0..m-1, ccw) of vertex `v`; on a wheel
     the center is labelled `m`, and `wheel` makes calls go to `wheel_cross`
     instead of `convex_cross`.  Calling it decides one pair as those do,
-    once both edges pass `check_edge` (ValueError otherwise);
+    once both edges pass `check_edge` (ValueError otherwise), but answers
+    False for two edges that share a vertex, as every other oracle does;
     `cycles.crossing_report` reads `m` and `label` to find every crossing
     of an edge list in one sweep around the ring.  Calls never relabel a
     convex ring, so its labels must be 0..m-1 in order; a wheel's must
@@ -387,11 +388,15 @@ class RingOracle:
 
     def __call__(self, e1: Edge, e2: Edge) -> bool:
         label = self.label
-        check_edge(*e1, len(label))
-        check_edge(*e2, len(label))
+        a, b = e1
+        c, d = e2
+        check_edge(a, b, len(label))
+        check_edge(c, d, len(label))
+        if a == c or a == d or b == c or b == d:
+            return False
         if not self.wheel:
             return convex_cross(self.m, e1, e2)
-        return wheel_cross(self.m, (label[e1[0]], label[e1[1]]), (label[e2[0]], label[e2[1]]))
+        return wheel_cross(self.m, (label[a], label[b]), (label[c], label[d]))
 
 
 def convex_oracle(n: int) -> RingOracle:

@@ -196,7 +196,9 @@ def _general_points(n: int, seed: Optional[int]) -> Tuple[List[Tuple[int, int]],
 
     Nearly every draw is in general position as it stands, so the first n
     candidates are validated once, as one PointSet; only if that refuses
-    them is the draw repeated from the same seed, candidate by candidate."""
+    them is the draw repeated from the same seed, candidate by candidate.
+    A missing seed is 0, as for convex draws."""
+    seed = seed if seed is not None else 0
     rng = random.Random(seed)
     pts = [(rng.randint(-RADIUS, RADIUS), rng.randint(-RADIUS, RADIUS)) for _ in range(n)]
     try:

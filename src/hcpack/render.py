@@ -34,14 +34,15 @@ _MARGIN = 40.0
 def _transform(ps: PointSet):
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1)
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0, 1)
     scale = (_SIZE - 2 * _MARGIN) / span
 
     def tx(p):
         # svg y grows downward
         return (
-            _MARGIN + (p.x - min(xs)) * scale,
-            _SIZE - _MARGIN - (p.y - min(ys)) * scale,
+            _MARGIN + (p.x - x0) * scale,
+            _SIZE - _MARGIN - (p.y - y0) * scale,
         )
 
     return tx

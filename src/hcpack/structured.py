@@ -13,8 +13,8 @@ All three cycle families are alternating zigzags around the hull:
 Rotating anchors in steps of (n+3)/2 for odd n, or 3 for even n, tiles the
 boundary so the k = floor(n/3) cycles stay pairwise edge-disjoint.  The
 wheel packing takes the zigzags on its n-1 rim points (odd, so
-THREE_BOUNDARY) and splices the center into one chord per cycle, at a slot
-given in closed form by `n mod 8` and `n mod 3` (see `_splice_slots`).
+THREE_BOUNDARY) and splices the center into one chord per cycle: the
+first of four chords near the center whose radial ends are still free.
 """
 
 from __future__ import annotations
@@ -126,60 +126,36 @@ def pack_convex(n: int) -> Packing:
     return Packing(tuple(cycles))
 
 
-_SMALL_SLOTS = {10: (6, 3, 7), 12: (8, 8, 8)}  # digest-pinned packings the rule misses
-
-
-def _splice_slots(n: int) -> list[int]:
-    """Splice slot of each wheel cycle: the center goes after `rim[pos]`.
-
-    Each chord of a THREE_BOUNDARY zigzag on the m = n-1 rim points is
-    crossed once.  From the boundary edge at slot 0 to the boundary couple
-    mid-way the chords grow to a near-diameter and shrink again, and the
-    way back does the same.  A radial to rim point u crosses each chord
-    whose short arc holds u, so the center can enter only the four chords
-    nearest it, slots p, p+1 out and r, r+1 back (p = (n-2)//4,
-    r = (3n-4)//4): one radial then crosses nothing, the other only the
-    chord that crossed the replaced one.  Cycles can clash only on radials;
-    each takes the first of r+1, r, p+1, p whose radial ends are free.
-    Put rim point v at 2v mod m: each cycle is the one before turned by 3,
-    and the four slots' radial ends lie 3, 1, 1, 3 apart (n = 0 mod 4) or
-    1, 3, 3, 1 (n = 2 mod 4).  For n = 2 (mod 4) the ends of r+1 are
-    adjacent and never clash.  Otherwise the far end of r+1 is the next
-    cycle's near one, and that cycle takes r (n = 4 mod 8) or, where r
-    clashes too, p+1 = n/4 (n = 0 mod 8, alternating with r+1).  The k
-    turns by 3 go once round the rim, so the last cycle can meet the first
-    and falls back: to n/4 for n = 0 (mod 8) and n = 1 (mod 3), to p for
-    n = 4 (mod 8) and n not a multiple of 3.
-    """
-    k = (n - 1) // 3
-    if n in _SMALL_SLOTS:
-        return list(_SMALL_SLOTS[n])
-    if n % 4 == 2:
-        return [(3 * n - 2) // 4] * k
-    if n % 8 == 0:
-        slots = [n // 4 if i % 2 else 3 * n // 4 for i in range(k)]
-        wraps, last = n % 3 == 1, n // 4
-    else:
-        slots = [3 * n // 4] + [3 * n // 4 - 1] * (k - 1)
-        wraps, last = n % 3 != 0, (n - 4) // 4
-    if wraps:
-        slots[-1] = last
-    return slots
-
-
 def pack_wheel(n: int) -> Packing:
     """floor((n-1)/3) cycles on the wheel; center stored as index n-1.
 
-    Each convex zigzag on the n-1 rim points (`_zigzags(n - 1)`) gets the
-    center spliced in at its `_splice_slots` slot.  Nothing is searched:
-    `_verify_family` is the proof, and a wrong slot raises
-    `ConstructionFailed`.
+    Each convex zigzag on the n-1 rim points (`_zigzags(n - 1)`), in
+    order, gets the center spliced in after `order[s]`, at the first slot
+    s of r+1, r, p+1, p (p = (n-2)//4, r = (3n-4)//4) whose two rim ends no
+    earlier cycle has joined to the center; with none free it takes p.
+    Nothing else is searched: `_verify_family` is the proof, and a clash
+    raises `ConstructionFailed`.
     """
     if n % 2 != 0 or n < 10:
         raise InvalidN(f"wheel packing needs even n >= 10, got {n}")
-    cycles = [
-        HamCycle(z.order[: pos + 1] + (n - 1,) + z.order[pos + 1 :])
-        for z, pos in zip(_zigzags(n - 1), _splice_slots(n))
-    ]
+    # Each chord of a zigzag is crossed once; its chords grow to a
+    # near-diameter and shrink again on the way out to the boundary couple
+    # mid-way, and again on the way back.  A radial to rim point u crosses
+    # each chord whose short arc holds u, so the center can replace only
+    # the four chords nearest it, slots p, p+1 out and r, r+1 back: one
+    # radial then crosses nothing, the other only the chord that crossed
+    # the replaced one.  The zigzags are edge-disjoint, so cycles can
+    # clash only on a radial.
+    p, r = (n - 2) // 4, (3 * n - 4) // 4
+    joined = set()  # rim points an earlier cycle joined to the center
+    cycles = []
+    for z in _zigzags(n - 1):
+        o = z.order
+        for s in (r + 1, r, p + 1, p):  # with none free, s ends at p
+            if o[s] not in joined and o[s + 1] not in joined:
+                break
+        joined.add(o[s])
+        joined.add(o[s + 1])
+        cycles.append(HamCycle(o[: s + 1] + (n - 1,) + o[s + 1 :]))
     _verify_family(cycles, n, wheel_oracle(n), f"pack_wheel({n})")
     return Packing(tuple(cycles))

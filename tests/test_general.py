@@ -10,6 +10,7 @@ from hcpack import (
     Point,
     march_cycle,
     are_edge_disjoint,
+    convex_oracle,
     coordinate_oracle,
     crossing_report,
     edge,
@@ -21,6 +22,7 @@ from hcpack import (
     uncross,
     verify_hamiltonian,
     verify_packing,
+    wheel_oracle,
 )
 from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
@@ -32,10 +34,14 @@ from conftest import CrossLedger, degenerate_lists, general_instance, keys_separ
 
 
 def test_march_cycle_triangle():
+    # an odd march ends with a stone: on a triangle, the edge between the
+    # two points on one side of the cut
     ps = general_instance(3, 0)
     cyc, cut, stones = march_cycle(ps, range(3))
     assert verify_hamiltonian(cyc, 3)
-    assert stones == []
+    assert len(cut.left) == 2 and len(cut.right) == 1
+    assert stones == [edge(*cut.left)]
+    assert stones[0] in cyc.edges()
 
 
 def test_march_cycle_reproduces_reference_march(reference_13_points):
@@ -151,8 +157,9 @@ def test_march_cycle_refuses_two_points_and_a_forbidden_triangle():
     ps = general_instance(6, 1)
     with pytest.raises(ValueError, match="need at least 3 points"):
         march_cycle(ps, [0, 1])
-    with pytest.raises(MarchFailed, match="triangle edge forbidden"):
-        march_cycle(ps, [0, 1, 2], forbidden=frozenset({(0, 2)}))
+    for e in combinations((0, 1, 2), 2):
+        with pytest.raises(MarchFailed):
+            march_cycle(ps, [0, 1, 2], forbidden=frozenset({e}))
 
 
 def test_march_cycle_stops_at_the_node_cap(monkeypatch):
@@ -642,6 +649,15 @@ def test_uncross_requires_crossing_pair():
     orc = coordinate_oracle(pts)
     with pytest.raises(ValueError):
         uncross(HamCycle((0, 1, 2, 3)), ((0, 1), (2, 3)), orc)
+
+
+@pytest.mark.parametrize("orc", [convex_oracle(6), wheel_oracle(6)], ids=["convex", "wheel"])
+def test_uncross_requires_crossing_pair_on_a_ring(orc):
+    # two edges sharing a vertex do not cross, on a ring as elsewhere
+    with pytest.raises(ValueError, match="do not cross"):
+        uncross(HamCycle((0, 1, 2, 3, 4, 5)), ((0, 1), (1, 2)), orc)
+    with pytest.raises(ValueError, match="do not cross"):
+        uncross(HamCycle((0, 1, 2, 3, 4, 5)), ((0, 5), (4, 5)), orc)
 
 
 def test_uncross_removes_crossing_from_one_plane_cycle():

@@ -11,7 +11,9 @@ from hcpack import (
     PointSet,
     convex_cross,
     convex_hull,
+    convex_oracle,
     coordinate_oracle,
+    crossing_report,
     edge,
     in_general_position,
     orientation,
@@ -209,6 +211,17 @@ def test_wheel_oracle_relabels_center():
     shifted = lambda e: tuple(sorted(v for v in e))
     # radial (center,1st rim) vs far chord crosses iff rim index inside arc
     assert orc((0, 1), (7, 2)) == wheel_cross(m, (7, 0), (6, 1))
+
+
+@pytest.mark.parametrize("orc", [convex_oracle(7), wheel_oracle(8), wheel_oracle(8, center_index=3)],
+                         ids=["convex7", "wheel8", "wheel8-center3"])
+def test_ring_oracle_agrees_with_the_ring_sweep(orc):
+    # every pair, sharing a vertex or not: the oracle answers True exactly
+    # on the pairs the sweep reports, and False on the rest
+    edges = list(combinations(range(len(orc.label)), 2))
+    want = {frozenset(pair) for pair in crossing_report(edges, orc).pairs}
+    got = {frozenset(pair) for pair in combinations(edges, 2) if orc(*pair)}
+    assert got == want
 
 
 def test_convex_hull_examples():

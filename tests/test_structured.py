@@ -16,6 +16,7 @@ from hcpack import (
     pack_wheel,
     radial_edge_count,
     verify_hamiltonian,
+    verify_packing,
     wheel_oracle,
 )
 from hcpack import cycles, geometry, structured
@@ -25,13 +26,22 @@ from hcpack.geometry import Config
 from conftest import CountingRing
 
 # sha256 over the cycle orders of pack_convex(n), n = 3..130, then of
-# pack_wheel(n), even n = 10..80, recorded before pack_wheel took its rims
-# from the convex zigzags; a change to it means a packer's output changed.
-STRUCTURED_PACKINGS_DIGEST = "c26aff931c2f14c4efd241f5fd2ec70ea0d48463fc0e365a95a5a468973ef167"
+# pack_wheel(n), even n = 10..80; a change to it means a packer's output
+# changed.  Re-pinned when pack_wheel came to take the first free slot of
+# r+1, r, p+1, p everywhere: n = 10 and 12 now splice at slots (7, 7, 7)
+# and (9, 8, 8), where a table kept (6, 3, 7) and (8, 8, 8) from older
+# output; every other n is unchanged (WHEEL_14_400_DIGEST).  It was
+# c26aff931c2f14c4efd241f5fd2ec70ea0d48463fc0e365a95a5a468973ef167.
+STRUCTURED_PACKINGS_DIGEST = "86c3ff92372ce04627f66f0df1ee41a7b71441687bb9ad894111ec9d3455ccd4"
 
-# sha256 over the cycle orders of pack_wheel(n), even n = 10..200, recorded
-# while pack_wheel still searched for its splice slots
-WHEEL_PACKINGS_DIGEST = "0933c97fff5a71dc33974b827d9ddebc6ab8599d30b1146d1329cd90e05fb74a"
+# sha256 over the cycle orders of pack_wheel(n), even n = 10..200,
+# re-pinned for n = 10 and 12 as above.  It was
+# 0933c97fff5a71dc33974b827d9ddebc6ab8599d30b1146d1329cd90e05fb74a.
+WHEEL_PACKINGS_DIGEST = "c55c375927284cf668069eea161b09d40b773dc959a57c123197efc410c78e12"
+
+# sha256 over the cycle orders of pack_wheel(n), even n = 14..400, recorded
+# while the slots still came from a closed form in n mod 8 and n mod 3
+WHEEL_14_400_DIGEST = "719e69455f0f1e4845bb95dd240b76a6b1291d4d093bdd2be15134831e31fde0"
 
 # Frozen reference packings used as regression fixtures.
 REF_CONVEX_12 = [
@@ -272,8 +282,22 @@ def test_wheel_packings_unchanged_to_200():
     assert digest.hexdigest() == WHEEL_PACKINGS_DIGEST
 
 
+def test_wheel_packings_unchanged_from_14_to_400():
+    digest = hashlib.sha256()
+    for n in range(14, 401, 2):
+        digest.update(repr([c.order for c in pack_wheel(n).cycles]).encode())
+    assert digest.hexdigest() == WHEEL_14_400_DIGEST
+
+
+@pytest.mark.parametrize("n, slots", [(10, (7, 7, 7)), (12, (9, 8, 8))])
+def test_small_wheels_take_the_first_free_slot(n, slots):
+    packing = pack_wheel(n)
+    assert tuple(c.order.index(n - 1) - 1 for c in packing.cycles) == slots
+    assert verify_packing(packing.cycles, n, wheel_oracle(n))["ok"]
+
+
 def test_pack_wheel_slot_rule_holds_beyond_the_digest():
-    """The slot rule has no fallback: past n = 200 a wrong slot would raise."""
+    """Past n = 200 every wheel still packs: a radial clash would raise."""
     for n in range(202, 257, 2):
         assert len(pack_wheel(n)) == (n - 1) // 3
 
@@ -334,11 +358,23 @@ def test_turned_copies_of_a_tangled_cycle_fail_the_packers(monkeypatch, pack, n,
 
 
 def test_pack_wheel_slot_miss_is_a_construction_failure(monkeypatch):
-    # 3n/4 for every cycle: each cycle stays 1-plane, but at n = 0 (mod 8)
-    # consecutive cycles share a radial
-    monkeypatch.setattr(structured, "_splice_slots", lambda n: [3 * n // 4] * ((n - 1) // 3))
+    # the same zigzags with the first two swapped: at n = 28 the last cycle
+    # finds the radial ends of all four slots taken and falls back to p,
+    # so it is 1-plane and its rim edges are disjoint from the others',
+    # but it shares a radial with an earlier cycle
+    real = structured._zigzags
+    monkeypatch.setattr(structured, "_zigzags", lambda m: [*real(m)[1::-1], *real(m)[2:]])
+    spliced = []
+    real_verify = structured._verify_family
+    monkeypatch.setattr(structured, "_verify_family",
+                        lambda cs, *rest: (spliced.append(cs), real_verify(cs, *rest)))
     with pytest.raises(ConstructionFailed):
-        pack_wheel(32)
+        pack_wheel(28)
+    (cs,) = spliced
+    assert all(is_one_plane(c, wheel_oracle(28)) for c in cs)
+    seen = [e for c in cs for e in c.edges()]
+    assert sorted({e for e in seen if seen.count(e) > 1}) == [(7, 27)]
+    assert cs[-1].order.index(27) - 1 == (28 - 2) // 4
 
 
 # perfbench/tracer.py patches these names on hcpack.structured, where the
