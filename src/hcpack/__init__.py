@@ -53,6 +53,6 @@ from .geometry import (
 from .instances import InstanceFile, PackingFile, generate
 from .oracle import EnumerationReport, enumerate_1phc, max_packing_exact, property_sweep
 from .render import render_svg
-from .structured import BoundaryPlan, ZigzagSpec, generate_zigzag, pack_convex, pack_wheel
+from .structured import pack_convex, pack_wheel
 
 __version__ = "0.1.0"

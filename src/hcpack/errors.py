@@ -29,10 +29,6 @@ class ConstructionFailed(HcpackError):
     """A generated packing candidate failed verification."""
 
 
-class NonHamiltonian(HcpackError):
-    """An index schedule revisited a vertex."""
-
-
 class MarchFailed(HcpackError):
     """The ladder march exhausted its move space."""
 

@@ -104,8 +104,9 @@ class InstanceFile:
             raise DegenerateInput(f"malformed instance file {path}: {exc}") from exc
         if config not in {c.value for c in Config}:
             raise DegenerateInput(f"malformed instance file {path}: unknown config {config!r}")
-        values = chain(chain.from_iterable(points), [] if center is None else [center])
-        _require_integers(values, f"instance file {path}: coordinates and center_index")
+        optional = [v for v in (center, seed) if v is not None]
+        values = chain(chain.from_iterable(points), optional)
+        _require_integers(values, f"instance file {path}: coordinates, center_index and seed")
         return cls(points=points, config=config, center_index=center, seed=seed)
 
 
@@ -147,20 +148,20 @@ class PackingFile:
         return cls(instance_hash=digest, cycles=cycles, removed_edges=removed)
 
 
-def _regular_polygon(m: int, radius: int, rotation_steps: int = 4) -> List[Tuple[int, int]]:
+def _regular_polygon(m: int, radius: int) -> List[Tuple[int, int]]:
+    """m points on a circle, turned an eighth of a step off the axes."""
     pts = []
     for i in range(m):
-        ang = 2 * math.pi * i / m + math.pi / (rotation_steps * m)
+        ang = 2 * math.pi * i / m + math.pi / (4 * m)
         pts.append((round(radius * math.cos(ang)), round(radius * math.sin(ang))))
     return pts
 
 
-def _convex_points(n: int, seed: Optional[int]) -> Tuple[List[Tuple[int, int]], PointSet]:
+def _convex_points(n: int, seed: int) -> Tuple[List[Tuple[int, int]], PointSet]:
     # jitter inside a guard band that keeps the ccw hull order intact
     band = max(1, int(RADIUS * (1 - math.cos(math.pi / n)) / 4))
-    base = seed if seed is not None else 0
     for attempt in range(64):
-        rng = random.Random(base * 1000003 + attempt)
+        rng = random.Random(seed * 1000003 + attempt)
         raw = _regular_polygon(n, RADIUS)
         pts = [
             (x + rng.randint(-band, band), y + rng.randint(-band, band))
@@ -189,16 +190,14 @@ def _wheel_points(n: int) -> Tuple[List[Tuple[int, int]], PointSet]:
     raise DegenerateInput(f"could not draw a wheel instance with n={n}")
 
 
-def _general_points(n: int, seed: Optional[int]) -> Tuple[List[Tuple[int, int]], PointSet]:
+def _general_points(n: int, seed: int) -> Tuple[List[Tuple[int, int]], PointSet]:
     """n points drawn uniformly from the square of side 2 * RADIUS, a
     candidate repeating a point or collinear with two earlier ones drawn
     again, with the PointSet that accepts them.
 
     Nearly every draw is in general position as it stands, so the first n
     candidates are validated once, as one PointSet; only if that refuses
-    them is the draw repeated from the same seed, candidate by candidate.
-    A missing seed is 0, as for convex draws."""
-    seed = seed if seed is not None else 0
+    them is the draw repeated from the same seed, candidate by candidate."""
     rng = random.Random(seed)
     pts = [(rng.randint(-RADIUS, RADIUS), rng.randint(-RADIUS, RADIUS)) for _ in range(n)]
     try:
@@ -230,7 +229,10 @@ def _general_points(n: int, seed: Optional[int]) -> Tuple[List[Tuple[int, int]],
 def generate(config: Config, n: int, seed: Optional[int] = None) -> InstanceFile:
     """A fresh validated instance of the requested configuration.  The
     draw keeps the `PointSet` that accepted it, so `to_point_set` does not
-    validate it again."""
+    validate it again.  A missing seed is 0, and is recorded as 0, so a
+    seedless instance and its seed-0 twin are one file."""
+    if seed is None:
+        seed = 0
     if config is Config.CONVEX:
         if n < 3:
             raise InvalidN("convex instances need n >= 3")

@@ -1,27 +1,24 @@
 """Explicit maximum packings for convex position and the regular wheel.
 
-All three cycle families are alternating zigzags around the hull:
+All three cycle families are alternating zigzags around the hull, each
+an offset schedule from an anchor a:
 
-* ``THREE_BOUNDARY`` (odd n): from an anchor a, visit a, a+1, a-1, a+3,
-  a-3, ... through every odd offset.  Gives one single boundary edge at
-  (a, a+1) and a consecutive couple opposite it.
-* ``TWO_BOUNDARY`` (even n, family A): odd offsets outward, the antipode,
+* ``_offsets_three`` (odd n): visit a, a+1, a-1, a+3, a-3, ... through
+  every odd offset.  Gives one single boundary edge at (a, a+1) and a
+  consecutive couple opposite it.
+* ``_offsets_two`` (even n, family A): odd offsets outward, the antipode,
   then even offsets back in.  Two single boundary edges, antipodal.
-* ``FOUR_BOUNDARY`` (even n, family B): a boundary couple around the
+* ``_offsets_four`` (even n, family B): a boundary couple around the
   anchor, a zigzag out, and the antipodal couple.
 
 Rotating anchors in steps of (n+3)/2 for odd n, or 3 for even n, tiles the
 boundary so the k = floor(n/3) cycles stay pairwise edge-disjoint.  The
 wheel packing takes the zigzags on its n-1 rim points (odd, so
-THREE_BOUNDARY) and splices the center into one chord per cycle: the
+``_offsets_three``) and splices the center into one chord per cycle: the
 first of four chords near the center whose radial ends are still free.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
-from typing import Tuple
 
 from .cycles import (
     HamCycle,
@@ -30,14 +27,8 @@ from .cycles import (
     is_one_plane,  # unused here; perfbench/tracer.py patches this name
     verify_packing,
 )
-from .errors import ConstructionFailed, InvalidN, NonHamiltonian
+from .errors import ConstructionFailed, InvalidN
 from .geometry import convex_oracle, wheel_oracle
-
-
-class BoundaryPlan(Enum):
-    TWO_BOUNDARY = "two"
-    FOUR_BOUNDARY = "four"
-    THREE_BOUNDARY = "three"
 
 
 def _offsets_three(n: int) -> list[int]:
@@ -56,34 +47,6 @@ def _offsets_four(n: int) -> list[int]:
     return out + [-mag if mag % 2 else mag for mag in range(m - 1, 1, -1)]
 
 
-@dataclass(frozen=True)
-class ZigzagSpec:
-    """Index schedule for one constructed cycle.
-
-    `pattern` is the resolved offset schedule relative to `anchor`.
-    """
-
-    n: int
-    anchor: int
-    plan: BoundaryPlan
-    pattern: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        odd = self.plan is BoundaryPlan.THREE_BOUNDARY
-        if (self.n % 2 == 1) != odd:
-            raise InvalidN(f"{self.plan.value}-boundary zigzags need {'odd' if odd else 'even'} n")
-        offsets = {"three": _offsets_three, "two": _offsets_two, "four": _offsets_four}
-        object.__setattr__(self, "pattern", tuple(offsets[self.plan.value](self.n)))
-
-
-def generate_zigzag(spec: ZigzagSpec) -> HamCycle:
-    """Expand the offset schedule into a Hamiltonian cycle."""
-    seq = [(spec.anchor + o) % spec.n for o in spec.pattern]
-    if len(set(seq)) != len(seq):
-        raise NonHamiltonian(f"offset schedule revisits an index: {spec}")
-    return HamCycle(tuple(seq))
-
-
 def _verify_family(cycles, n, oracle, label):
     if not verify_packing(cycles, n, oracle)["ok"]:
         raise ConstructionFailed(f"{label}: cycles are not Hamiltonian, 1-plane and edge-disjoint")
@@ -93,24 +56,24 @@ def _zigzags(n: int) -> list[HamCycle]:
     """The floor(n/3) convex zigzag cycles on n points, unverified.
 
     Each family's schedule is expanded once, at anchor 0 (so a schedule
-    that revisits an index still raises `NonHamiltonian`), and each
+    that revisits an index raises `HamCycle`'s ValueError), and each
     anchor's cycle is that order turned by the anchor: one list lookup per
-    vertex, which equals `generate_zigzag` at that anchor.
+    vertex.
     """
     k = n // 3
     if n % 2 == 1:
         m = (n - 1) // 2
-        families = [(BoundaryPlan.THREE_BOUNDARY, [((m + 2) * i) % n for i in range(k)])]
+        families = [(_offsets_three, [((m + 2) * i) % n for i in range(k)])]
     else:
         t_a = (k + 1) // 2
         families = [
-            (BoundaryPlan.TWO_BOUNDARY, [3 * i for i in range(t_a)]),
-            (BoundaryPlan.FOUR_BOUNDARY, [3 * j + 2 for j in range(k - t_a)]),
+            (_offsets_two, [3 * i for i in range(t_a)]),
+            (_offsets_four, [3 * j + 2 for j in range(k - t_a)]),
         ]
     cycles = []
-    for plan, anchors in families:
+    for offsets, anchors in families:
         if anchors:
-            base = generate_zigzag(ZigzagSpec(n, 0, plan)).order
+            base = HamCycle(tuple(o % n for o in offsets(n))).order
             for a in anchors:
                 turn = [*range(a, n), *range(a)]  # turn[v] = (v + a) % n
                 cycles.append(HamCycle(tuple(map(turn.__getitem__, base))))

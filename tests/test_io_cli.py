@@ -101,10 +101,12 @@ def test_generate_deterministic():
 
 @pytest.mark.parametrize("config, n", [(Config.CONVEX, 9), (Config.WHEEL, 10), (Config.GENERAL, 9)])
 def test_seedless_draws_are_reproducible(config, n):
-    # a missing seed draws as seed 0 for every configuration
+    # a missing seed draws and is recorded as seed 0 for every configuration
     a, b = generate(config, n), generate(config, n)
     assert a.digest() == b.digest()
-    assert a.points == generate(config, n, seed=0).points
+    twin = generate(config, n, seed=0)
+    assert (a.seed, a.points, a.canonical_json(), a.digest()) == (
+        0, twin.points, twin.canonical_json(), twin.digest())
 
 
 def test_instance_roundtrip(tmp_path):
@@ -317,6 +319,23 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"config": "convex"}')
     assert run_cli("pack", "--in", str(bad), "--out", str(tmp_path / "x.json")) == 2
+
+
+@pytest.mark.parametrize("seed, code", [
+    ("abc", 2), ([1, 2], 2), (True, 2), (1.0, 2), (None, 0), (7, 0),
+], ids=["string", "list", "bool", "float", "null", "int"])
+def test_cli_instance_seed_must_be_null_or_an_integer(tmp_path, capsys, seed, code):
+    """A seed is hashed into the instance digest, so junk there is
+    malformed input, as in every other field."""
+    inst = tmp_path / "c9.json"
+    run_cli("generate", "--config", "convex", "--n", "9", "--out", str(inst))
+    doc = json.loads(inst.read_text())
+    doc["seed"] = seed
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("pack", "--in", str(inst), "--out", str(tmp_path / "p.json")) == code
+    if code:
+        assert f"seed must be integers, got {seed!r}" in capsys.readouterr().err
 
 
 def test_cli_oracle(tmp_path, capsys):

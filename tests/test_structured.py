@@ -3,14 +3,11 @@ import hashlib
 import pytest
 
 from hcpack import (
-    BoundaryPlan,
     HamCycle,
-    ZigzagSpec,
     boundary_edge_count,
     check_boundary_minimum,
     check_wheel_boundary,
     convex_oracle,
-    generate_zigzag,
     is_one_plane,
     pack_convex,
     pack_wheel,
@@ -82,22 +79,13 @@ def canon_edges(edges):
 
 
 def test_zigzag_three_boundary_reference():
-    spec = ZigzagSpec(13, 0, BoundaryPlan.THREE_BOUNDARY)
-    cyc = generate_zigzag(spec)
+    cyc = structured._zigzags(13)[0]
     assert cyc.order == (0, 1, 12, 3, 10, 5, 8, 7, 6, 9, 4, 11, 2)
     assert canon_edges(cyc.edges()) == canon_edges(REF_CONVEX_13[0])
 
 
 def test_zigzag_triangle():
-    spec = ZigzagSpec(3, 0, BoundaryPlan.THREE_BOUNDARY)
-    assert generate_zigzag(spec).order == (0, 1, 2)
-
-
-def test_zigzag_plans_validate_parity():
-    with pytest.raises(InvalidN):
-        ZigzagSpec(12, 0, BoundaryPlan.THREE_BOUNDARY)
-    with pytest.raises(InvalidN):
-        ZigzagSpec(13, 0, BoundaryPlan.TWO_BOUNDARY)
+    assert [c.order for c in structured._zigzags(3)] == [(0, 1, 2)]
 
 
 def test_pack_convex_reference_sizes():
@@ -197,32 +185,19 @@ def test_pack_wheel_full_range(n):
         seen |= es
 
 
-def test_generate_zigzag_rejects_revisiting_schedule():
-    import dataclasses
-
-    from hcpack.errors import NonHamiltonian
-
-    spec = ZigzagSpec(13, 0, BoundaryPlan.THREE_BOUNDARY)
-    object.__setattr__(spec, "pattern", (0, 1, 1, 3))
-    with pytest.raises(NonHamiltonian):
-        generate_zigzag(spec)
-
-
 def _zigzags_anchor_by_anchor(n):
-    """`structured._zigzags` restated: one `generate_zigzag` per anchor."""
+    """`structured._zigzags` restated: each anchor's schedule expanded anew."""
+
+    def expand(offsets, a):
+        return HamCycle(tuple((a + o) % n for o in offsets(n)))
+
     k = n // 3
     if n % 2 == 1:
         m = (n - 1) // 2
-        return [
-            generate_zigzag(ZigzagSpec(n, ((m + 2) * i) % n, BoundaryPlan.THREE_BOUNDARY))
-            for i in range(k)
-        ]
+        return [expand(structured._offsets_three, ((m + 2) * i) % n) for i in range(k)]
     t_a = (k + 1) // 2
-    return [
-        generate_zigzag(ZigzagSpec(n, 3 * i, BoundaryPlan.TWO_BOUNDARY)) for i in range(t_a)
-    ] + [
-        generate_zigzag(ZigzagSpec(n, 3 * j + 2, BoundaryPlan.FOUR_BOUNDARY))
-        for j in range(k - t_a)
+    return [expand(structured._offsets_two, 3 * i) for i in range(t_a)] + [
+        expand(structured._offsets_four, 3 * j + 2) for j in range(k - t_a)
     ]
 
 
@@ -233,10 +208,8 @@ def test_zigzags_equal_anchor_by_anchor_expansion():
 
 
 def test_zigzag_schedule_revisiting_an_index_raises_in_zigzags(monkeypatch):
-    from hcpack.errors import NonHamiltonian
-
     monkeypatch.setattr(structured, "_offsets_three", lambda n: [0, 1, 1] + list(range(3, n)))
-    with pytest.raises(NonHamiltonian):
+    with pytest.raises(ValueError, match="repeated vertex"):
         structured._zigzags(13)
 
 
