@@ -8,8 +8,9 @@ distinct points totally.
 
 Each public entry point takes its points through `geometry.general_set`
 once: a bare point sequence with a duplicate or a collinear triple raises
-`DegenerateInput`, and everything behind the door works on distinct
-points, so no split can tie.
+`DegenerateInput`, and everything behind the door works on the set's
+`PointSet.xs` and `ys` (distinct points), so no split can tie.  One
+helper, `_order`, tilts a candidate direction and sorts by its keys.
 
 Searches enumerate candidate directions from input point pairs, in both
 orientations and both tilt senses; that reproduces the classical
@@ -28,7 +29,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import NotSeparable
-from .geometry import Point, check_subset, general_set
+from .geometry import check_subset, general_set
 
 IndexList = Tuple[int, ...]
 Direction = Tuple[int, int]
@@ -66,21 +67,17 @@ def _primitive(dx: int, dy: int) -> Direction:
     return dx // g, dy // g
 
 
-def _tilted(points, subset, d, sense) -> Direction:
-    """Primitive direction whose cross orders subset totally.
+def _order(xs, ys, sub: Sequence[int], d, sense: int) -> Tuple[Direction, list]:
+    """The primitive direction `e` whose keys `cross(e, p)` order `sub`
+    totally, and `sub` by descending key.
 
-    Order: cross(d, p) first, then sense * -dot(d, p).  Distinct points
-    cannot tie in both components.
+    `e` is `d` tilted to the side `sense`: its order is cross(d, p) first,
+    then sense * -dot(d, p).  Distinct points cannot tie in both components.
     """
     d0x, d0y = _primitive(*d)
-    big = 2 * max(abs(d0x * points[i].x + d0y * points[i].y) for i in subset) + 2
-    ex = big * d0x - sense * d0y
-    ey = big * d0y + sense * d0x
-    return _primitive(ex, ey)
-
-
-def _cross(e, p: Point) -> int:
-    return e[0] * p.y - e[1] * p.x
+    big = 2 * max(abs(d0x * xs[i] + d0y * ys[i]) for i in sub) + 2
+    ex, ey = e = _primitive(big * d0x - sense * d0y, big * d0y + sense * d0x)
+    return e, sorted(sub, key=lambda i: ey * xs[i] - ex * ys[i])  # -cross(e, p)
 
 
 def cut_at(ps, subset: Sequence[int], d, sense: int, left_count: int) -> Bisection:
@@ -97,25 +94,22 @@ def cut_at(ps, subset: Sequence[int], d, sense: int, left_count: int) -> Bisecti
     sub = check_subset(subset, len(ps))
     if type(left_count) is not int or not 0 < left_count < len(sub):
         raise ValueError(f"left_count must be in 1..{len(sub) - 1}, got {left_count!r}")
-    return _cut(ps.points, sub, d, sense, left_count)
+    return _cut(ps.xs, ps.ys, sub, d, sense, left_count)
 
 
-def _cut(points, sub: Sequence[int], d, sense: int, left_count: int) -> Bisection:
-    e = _tilted(points, sub, d, sense)
-    order = sorted(sub, key=lambda i: -_cross(e, points[i]))
-    left, right = order[:left_count], order[left_count:]
-    return Bisection(e, tuple(sorted(left)), tuple(sorted(right)))
+def _cut(xs, ys, sub: Sequence[int], d, sense: int, left_count: int) -> Bisection:
+    e, order = _order(xs, ys, sub, d, sense)
+    return Bisection(e, sorted(order[:left_count]), sorted(order[left_count:]))
 
 
-def _pair_directions(points, idx_a: Sequence[int], idx_b: Sequence[int], keep=None):
+def _pair_directions(xs, ys, idx_a: Sequence[int], idx_b: Sequence[int], keep=None):
     """The four `(d, sense)` candidates of each point pair, in canonical
     order; with `keep`, only those of the pairs whose `(dx, dy)` it accepts."""
     for i in sorted(idx_a):
         for j in sorted(idx_b):
             if i == j:
                 continue
-            dx = points[j].x - points[i].x
-            dy = points[j].y - points[i].y
+            dx, dy = xs[j] - xs[i], ys[j] - ys[i]
             if keep is not None and not keep(dx, dy):
                 continue
             for d in ((dx, dy), (-dx, -dy)):
@@ -130,8 +124,8 @@ def bisecting_lines(ps, subset: Sequence[int]) -> Iterator[Bisection]:
     sub = check_subset(subset, len(ps))
     nl = (len(sub) + 1) // 2
     seen = set()
-    for d, sense in _pair_directions(ps.points, sub, sub):
-        bi = _cut(ps.points, sub, d, sense, nl)
+    for d, sense in _pair_directions(ps.xs, ps.ys, sub, sub):
+        bi = _cut(ps.xs, ps.ys, sub, d, sense, nl)
         if bi.left not in seen:
             seen.add(bi.left)
             yield bi
@@ -164,20 +158,20 @@ def ham_sandwich_cuts(
     one test serves all four `(±d, sense)` directions; the stream is the
     same as without the test.
     """
-    points = general_set(ps).points
-    s1 = check_subset(s1, len(points))
-    s2 = check_subset(s2, len(points))
+    ps = general_set(ps)
+    xs, ys = ps.xs, ps.ys
+    s1 = check_subset(s1, len(xs))
+    s2 = check_subset(s2, len(xs))
     both = s1 + s2
     in_s1 = set(s1)
     if len(set(both)) != len(both):
         raise ValueError("s1 and s2 must be disjoint sets")
-    xs, ys = [points[i].x for i in both], [points[i].y for i in both]
     # floor(|s|/2) strictly on each side; an odd set's extra point may land
     # on either side, so only these prefix lengths can balance both sets
     n1, n2 = len(s1), len(s2)
     t_lo = max(n1 // 2 + n2 // 2, 1)
     t_hi = min((n1 + 1) // 2 + (n2 + 1) // 2, len(both) - 1)
-    xy1, xy2 = list(zip(xs[:n1], ys[:n1])), list(zip(xs[n1:], ys[n1:]))
+    xy1, xy2 = [(xs[i], ys[i]) for i in s1], [(xs[i], ys[i]) for i in s2]
     lo1, hi1, lo2, hi2 = n1 // 2 - 1, (n1 + 1) // 2, n2 // 2 - 1, (n2 + 1) // 2
 
     def bands_meet(dx, dy):
@@ -189,10 +183,8 @@ def ham_sandwich_cuts(
 
     seen = set()
     keep = bands_meet if min(n1, n2) > 1 else None  # a singleton's band is unbounded
-    for d, sense in _pair_directions(points, s1, s2, keep):
-        e = ex, ey = _tilted(points, both, d, sense)
-        keys = [ey * x - ex * y for x, y in zip(xs, ys)]  # -cross(e, p)
-        order = [both[j] for j in sorted(range(len(both)), key=keys.__getitem__)]
+    for d, sense in _pair_directions(xs, ys, s1, s2, keep):
+        e, order = _order(xs, ys, both, d, sense)
         l1 = sum(i in in_s1 for i in order[: t_lo - 1])  # s1 in order[:t - 1]
         for t in range(t_lo, t_hi + 1):
             l1 += order[t - 1] in in_s1
@@ -226,17 +218,16 @@ def separating_subset_line(
     the sub-subset is grown point by point from the pair, so it is exactly
     the target-size prefix of that order.
     """
-    points = general_set(ps).points
-    sub = check_subset(subset, len(points))
+    ps = general_set(ps)
+    sub = check_subset(subset, len(ps))
     pset = set(pair)
     if not pset <= set(sub):
         raise ValueError("pair must lie in subset")
     if target_size is None:
         target_size = (len(sub) + 1) // 2
     target_size = max(2, min(target_size, len(sub) - 1))
-    for d, sense in _pair_directions(points, sub, sub):
-        e = _tilted(points, sub, d, sense)
-        order = sorted(sub, key=lambda i: -_cross(e, points[i]))
+    for d, sense in _pair_directions(ps.xs, ps.ys, sub, sub):
+        e, order = _order(ps.xs, ps.ys, sub, d, sense)
         if set(order[:2]) != pset:
             continue
         return e, tuple(sorted(order[:target_size]))

@@ -152,7 +152,7 @@ def _generic_pairs(es: Sequence[Edge], oracle: CrossingOracle) -> Iterator[Tuple
 
 
 def _coordinate_pairs(
-    es: Sequence[Edge], xs: List[int], ys: List[int]
+    es: Sequence[Edge], xs: Sequence[int], ys: Sequence[int]
 ) -> Iterator[Tuple[int, int]]:
     """`_crossing_pairs` for a `CoordinateOracle` with coordinates `xs`
     and `ys`, whose points are in general position, in lane-packed side

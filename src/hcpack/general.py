@@ -112,7 +112,7 @@ class _Lanes:
     integers grow with the edges held at once.
     """
 
-    def __init__(self, xs: List[int], ys: List[int]):
+    def __init__(self, xs: Sequence[int], ys: Sequence[int]):
         self.xs, self.ys = xs, ys
         self.width = 2 * max(max(map(abs, xs)), max(map(abs, ys))).bit_length() + 5
         self.lane: Dict[Edge, int] = {}  # held edge -> its lane
@@ -194,16 +194,16 @@ class _March:
 
     Every point gets the key `cross(d, p)` along the cut direction `d`; the
     cut separates the sides, so every right key lies on one side `bs` of
-    every left key.  The coordinates are copied once into flat integer
-    lists, and each side is sorted once by `(key, -dot(d, p))`.
+    every left key.  It reads the set's `PointSet.xs` and `ys`, and each
+    side is sorted once by `(key, -dot(d, p))`.
     """
 
-    def __init__(self, points, bisection: Bisection, forbidden):
+    def __init__(self, ps: PointSet, bisection: Bisection, forbidden):
         left, right = list(bisection.left), list(bisection.right)
         if len(left) < len(right):
             left, right = right, left
         self.left0, self.right0 = left, right
-        xs, ys = self.xs, self.ys = [p.x for p in points], [p.y for p in points]
+        xs, ys = self.xs, self.ys = ps.xs, ps.ys
         dx, dy = bisection.direction
         key = self.key = {i: dx * ys[i] - dy * xs[i] for i in left + right}
         lo, hi = min(key[i] for i in left), max(key[i] for i in left)
@@ -422,7 +422,7 @@ def march_cycle(
     last = None
     for cut in cuts:
         try:
-            cyc, stone = _March(ps.points, cut, forbidden).run()
+            cyc, stone = _March(ps, cut, forbidden).run()
         except MarchFailed as exc:
             last = exc
             continue
@@ -492,10 +492,10 @@ class _JoinScreen:
     stays as the fresh screen set it.
     """
 
-    def __init__(self, c1: HamCycle, c2: HamCycle, xs, ys, oracle: CrossingOracle):
+    def __init__(self, c1: HamCycle, c2: HamCycle, ps: PointSet, oracle: CrossingOracle):
         self.oracle = oracle
         self.cycles = (c1, c2)
-        lanes = self.lanes = _Lanes(xs, ys)
+        lanes = self.lanes = _Lanes(ps.xs, ps.ys)
         for e in c1.edges() + c2.edges():
             lanes.hold(e)
         self.crossed = [lanes.crossing(*e) for e in lanes.edges]
@@ -630,9 +630,8 @@ def join_cycles(
     ps = general_set(ps)
     check_subset(c1.order + c2.order, len(ps))
     _check_forbidden(forbidden)
-    xs, ys = [p.x for p in ps.points], [p.y for p in ps.points]
     oracle = coordinate_oracle(ps)
-    base = _JoinScreen(c1, c2, xs, ys, oracle)
+    base = _JoinScreen(c1, c2, ps, oracle)
     r = _plain_join(base, forbidden)
     if r:
         return r
@@ -659,17 +658,17 @@ def join_cycles(
 # the level driver
 
 
-def _ccw_part_order(parts: List[Tuple[int, ...]], points) -> List[Tuple[int, ...]]:
+def _ccw_part_order(parts: List[Tuple[int, ...]], xs, ys) -> List[Tuple[int, ...]]:
     """Parts by exact angular order of centroids around the global centroid."""
     total = sum(len(p) for p in parts)
-    gx = sum(points[i].x for p in parts for i in p)
-    gy = sum(points[i].y for p in parts for i in p)
+    gx = sum(xs[i] for p in parts for i in p)
+    gy = sum(ys[i] for p in parts for i in p)
 
     def keyed(part):
         """The part's centroid vector from the global centroid (scaled by
         `total`), its half plane, its smallest label, and the part."""
-        vx = total * sum(points[i].x for i in part) - len(part) * gx
-        vy = total * sum(points[i].y for i in part) - len(part) * gy
+        vx = total * sum(xs[i] for i in part) - len(part) * gx
+        vy = total * sum(ys[i] for i in part) - len(part) * gy
         return vx, vy, 0 if (vy > 0 or (vy == 0 and vx > 0)) else 1, min(part), part
 
     def cmp(k1, k2):
@@ -740,7 +739,7 @@ def _run_level(ps: PointSet, parts, cuts, used):
     marched = [march_cycle(ps, p, bisection=c, forbidden=used) for p, c in zip(parts, cuts)]
     merged, moves = _fold([cyc for cyc, _, _ in marched], used, ps)
     halves = [tuple(sorted(half)) for _, cut, _ in marched for half in (cut.left, cut.right)]
-    return merged, moves, _ccw_part_order(halves, ps.points)
+    return merged, moves, _ccw_part_order(halves, ps.xs, ps.ys)
 
 
 def pack_general_detailed(ps) -> GeneralPackResult:

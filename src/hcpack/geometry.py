@@ -14,7 +14,7 @@ determinants are zero only at a shared vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence, Tuple
@@ -249,11 +249,17 @@ class PointSet:
     Each configuration is checked for exactly what its crossing oracle
     assumes; the convex and wheel checks imply general position, so only
     general sets test it directly.
+
+    `xs` and `ys`, the points' coordinates made once a set is valid, are
+    what every engine behind `general_set` reads; they take no part in
+    construction, equality, hashing or repr.
     """
 
     points: Tuple[Point, ...]
     config: Config = Config.GENERAL
     center_index: Optional[int] = None
+    xs: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ys: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -268,7 +274,7 @@ class PointSet:
         elif self.config is Config.WHEEL:
             if n % 2 != 0:
                 raise InvalidN(f"wheel sets need even n, got {n}")
-            if self.center_index is None or not 0 <= self.center_index < n:
+            if type(self.center_index) is not int or not 0 <= self.center_index < n:
                 raise DegenerateInput("wheel sets need a valid center_index")
             rim = [self.points[i] for i in self.rim_order()]
             if not _is_ccw_convex_order(rim):
@@ -280,6 +286,8 @@ class PointSet:
                 raise ConfigMismatch("center_index only applies to wheel sets")
             if not in_general_position(self.points):
                 raise DegenerateInput("duplicate or collinear points")
+        object.__setattr__(self, "xs", tuple(p.x for p in self.points))
+        object.__setattr__(self, "ys", tuple(p.y for p in self.points))
 
     def __len__(self):
         return len(self.points)
@@ -416,8 +424,8 @@ class CoordinateOracle:
     """Exact crossing test over vertex indices of a point set in general
     position (`general_set`: a bare point sequence is validated).
 
-    The coordinates are copied once into two flat integer lists, `xs` and
-    `ys`, and each call works on those: both edges must pass `check_edge`
+    The coordinates are the set's own `PointSet.xs` and `ys`, shared, not
+    copied, and each call works on those: both edges must pass `check_edge`
     (ValueError otherwise), a shared index never crosses, and otherwise the
     orientation determinants are computed inline.  Four distinct points in
     general position give no zero determinant, so the signs decide every
@@ -428,9 +436,8 @@ class CoordinateOracle:
     __slots__ = ("xs", "ys")
 
     def __init__(self, ps):
-        points = general_set(ps).points
-        self.xs = [p.x for p in points]
-        self.ys = [p.y for p in points]
+        ps = general_set(ps)
+        self.xs, self.ys = ps.xs, ps.ys
 
     def __call__(self, e1: Edge, e2: Edge) -> bool:
         a, b = e1

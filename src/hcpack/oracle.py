@@ -427,8 +427,11 @@ def property_sweep(ps: PointSet, max_n: Optional[int] = None) -> dict:
 
     Convex sets run the boundary-edge minima and companion-edge checks;
     wheel sets run the two-radial-edges and per-side boundary checks.
-    Returns the checked count and any counterexamples verbatim.
+    Returns the checked count and any counterexamples verbatim; a general
+    set raises ValueError before anything is enumerated.
     """
+    if ps.config is Config.GENERAL:
+        raise ValueError("property sweep applies to convex and wheel sets")
     n = len(ps)
     cycles = enumerate_1phc(ps, max_n=max_n)
     counterexamples = []
@@ -441,14 +444,12 @@ def property_sweep(ps: PointSet, max_n: Optional[int] = None) -> dict:
             ):
                 if not pred(c, n):
                     counterexamples.append({"check": name, "cycle": list(c.order)})
-    elif ps.config is Config.WHEEL:
+    else:
         for c in cycles:
             if radial_edge_count(c, n, ps.center_index) != 2:
                 counterexamples.append({"check": "two-radial", "cycle": list(c.order)})
             if not check_wheel_boundary(c, n, ps.center_index):
                 counterexamples.append({"check": "wheel-boundary", "cycle": list(c.order)})
-    else:
-        raise ValueError("property sweep applies to convex and wheel sets")
     return {
         "n": n,
         "config": ps.config.value,

@@ -32,17 +32,17 @@ _MARGIN = 40.0
 
 
 def _transform(ps: PointSet):
-    xs = [p.x for p in ps.points]
-    ys = [p.y for p in ps.points]
+    """The svg position of vertex i, from the set's `xs` and `ys`."""
+    xs, ys = ps.xs, ps.ys
     x0, y0 = min(xs), min(ys)
     span = max(max(xs) - x0, max(ys) - y0, 1)
     scale = (_SIZE - 2 * _MARGIN) / span
 
-    def tx(p):
+    def tx(i):
         # svg y grows downward
         return (
-            _MARGIN + (p.x - x0) * scale,
-            _SIZE - _MARGIN - (p.y - y0) * scale,
+            _MARGIN + (xs[i] - x0) * scale,
+            _SIZE - _MARGIN - (ys[i] - y0) * scale,
         )
 
     return tx
@@ -63,20 +63,20 @@ def render_svg(
     for ci, cyc in enumerate(cycles):
         color = CYCLE_COLORS[ci % len(CYCLE_COLORS)]
         for a, b in cyc.edges():
-            (x1, y1), (x2, y2) = tx(ps.points[a]), tx(ps.points[b])
+            (x1, y1), (x2, y2) = tx(a), tx(b)
             out.append(
                 f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
                 f'stroke="{color}" stroke-width="1.6"/>'
             )
         if removed_edges and ci < len(removed_edges):
             for a, b in removed_edges[ci]:
-                (x1, y1), (x2, y2) = tx(ps.points[a]), tx(ps.points[b])
+                (x1, y1), (x2, y2) = tx(a), tx(b)
                 out.append(
                     f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
                     f'stroke="{color}" stroke-width="1.2" stroke-dasharray="6,5"/>'
                 )
-    for i, p in enumerate(ps.points):
-        x, y = tx(p)
+    for i in range(len(ps)):
+        x, y = tx(i)
         out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="black"/>')
         out.append(
             f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="12" '

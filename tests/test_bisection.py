@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -168,17 +169,44 @@ def test_ham_sandwich_two_against_two():
     assert len(parts[2]) == len(parts[3]) == 1
 
 
-def full_scan_cuts(points, s1, s2):
-    """Reference ham_sandwich_cuts on points in general position: each
-    direction's order sorted by a key per point, then every prefix length
-    tested for balance."""
-    from hcpack.bisection import _cross, _pair_directions, _tilted
+def reference_tilt(points, subset, d, sense):
+    """The primitive direction `big * u + sense * perp(u)`, u the primitive
+    `d` and perp(u) = (-u.y, u.x), with `big` above twice every |dot(u, p)|:
+    its keys cross(e, p) order `subset` by cross(d, p), then by
+    sense * -dot(d, p)."""
+    g = gcd(*d)
+    ux, uy = d[0] // g, d[1] // g
+    big = 2 * max(abs(ux * points[i].x + uy * points[i].y) for i in subset) + 2
+    ex, ey = big * ux - sense * uy, big * uy + sense * ux
+    g = gcd(ex, ey)
+    return ex // g, ey // g
 
+
+def full_scan_cuts(points, s1, s2):
+    """Reference ham_sandwich_cuts on points in general position, written
+    apart from the cut engine: every pair i of s1, j of s2 gives d = p_j - p_i
+    then -d, each tilted to sense 1 then -1; each direction's order is
+    checked against its untilted keys, then every prefix length is tested
+    for balance."""
     s1, s2 = sorted(s1), sorted(s2)
     both, seen = s1 + s2, set()
-    for d, sense in _pair_directions(points, s1, s2):
-        e = _tilted(points, both, d, sense)
-        order = sorted(both, key=lambda i: -_cross(e, points[i]))
+    cross = lambda e, i: e[0] * points[i].y - e[1] * points[i].x
+    dot = lambda e, i: e[0] * points[i].x + e[1] * points[i].y
+    candidates = [
+        (d, sense)
+        for i in s1
+        for j in s2
+        for d in ((points[j].x - points[i].x, points[j].y - points[i].y),
+                  (points[i].x - points[j].x, points[i].y - points[j].y))
+        for sense in (1, -1)
+    ]
+    for d, sense in candidates:
+        e = reference_tilt(points, both, d, sense)
+        order = sorted(both, key=lambda i: -cross(e, i))
+        # the tilt refines the untilted order and breaks its ties by sense
+        untilted = [(cross(d, i), -sense * dot(d, i)) for i in order]
+        assert untilted == sorted(untilted, reverse=True)
+        assert len({cross(e, i) for i in both}) == len(both)
         for t in range(1, len(both)):
             left = set(order[:t])
             l1 = len(left & set(s1))
@@ -215,8 +243,8 @@ def test_band_test_skips_the_tilt_of_pairs_that_cannot_balance(monkeypatch):
     import hcpack.bisection as bisection
 
     calls = []
-    tilted = bisection._tilted
-    monkeypatch.setattr(bisection, "_tilted", lambda *a: calls.append(a) or tilted(*a))
+    order = bisection._order
+    monkeypatch.setattr(bisection, "_order", lambda *a: calls.append(a) or order(*a))
     ps = general_instance(28, 1)
     s1, s2 = list(range(14)), list(range(14, 28))
     next(ham_sandwich_cuts(ps, s1, s2))

@@ -28,7 +28,9 @@ from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
 from hcpack.errors import DegenerateInput, HcpackError, MarchFailed, NoJoinFound
 from hcpack.general import _JoinScreen, _March, _splice
-from hcpack.geometry import PointSet, convex_hull, in_general_position, oracle_for, orientation
+from hcpack.geometry import (
+    PointSet, convex_hull, general_set, in_general_position, oracle_for, orientation,
+)
 
 from conftest import CrossLedger, degenerate_lists, general_instance, keys_separate
 
@@ -129,7 +131,7 @@ def test_march_bridge_is_the_one_extreme_pair(n):
         ps = general_instance(n, 40 + seed)
         for cut in islice(bisecting_lines(ps, range(n)), 3):
             assert keys_separate(ps.points, cut.direction, cut.left, cut.right)
-            march = _March(ps.points, cut, frozenset())
+            march = _March(ps, cut, frozenset())
             left, right = march.left0, march.right0
             for _ in range(20):
                 r1 = set(rng.sample(left, rng.randint(1, len(left))))
@@ -378,7 +380,7 @@ def test_flat_ledger_refuses_an_edge_it_holds():
     """Adding a held edge again is refused, as CrossLedger refuses it, and
     leaves every packed line, lane and crossed mask as it was."""
     ps = general_instance(12, 1)
-    march = _March(ps.points, bisecting_line(ps, range(12)), frozenset())
+    march = _March(ps, bisecting_line(ps, range(12)), frozenset())
     ref = CrossLedger(coordinate_oracle(ps.points))
     for e in combinations(range(12), 2):
         assert march._try_add(*e) == ref.add(e)
@@ -413,9 +415,9 @@ def test_ccw_part_order_breaks_a_direction_tie_by_smallest_label(near, far):
     come in the order of their smallest labels, whichever is nearer."""
     xy = {near[0]: (9, 1), near[1]: (11, -1), far[0]: (19, 2), far[1]: (21, -2),
           4: (-31, 1), 5: (-29, -1)}
-    points = [Point(*xy[i]) for i in range(6)]
-    assert in_general_position(points)
-    order = general._ccw_part_order([(4, 5), far, near], points)
+    xs, ys = zip(*(xy[i] for i in range(6)))
+    assert in_general_position([Point(*xy[i]) for i in range(6)])
+    order = general._ccw_part_order([(4, 5), far, near], xs, ys)
     assert order == [(0, 3), (1, 2), (4, 5)]
 
 
@@ -913,10 +915,10 @@ def _exchanges(c1, c2):
             yield r1, r2, edge(r1[0], v1), edge(r1[1], v2)
 
 
-def _assert_screen_exact(c1, c2, pts, oracle):
+def _assert_screen_exact(c1, c2, ps, oracle):
     """candidate_ok agrees with the splice's own 1-plane check on every
     exchange; returns the screen."""
-    screen = _JoinScreen(c1, c2, [p.x for p in pts], [p.y for p in pts], oracle)
+    screen = _JoinScreen(c1, c2, ps, oracle)
     for r1, r2, a1, a2 in _exchanges(c1, c2):
         merged = _merged(c1, c2, r1, r2, a1)
         want = (set(c1.edges()) | set(c2.edges()) | {a1, a2}) - {r1, r2}
@@ -1075,10 +1077,9 @@ def test_join_screens_give_each_cycles_crossings_while_packing(monkeypatch):
     assert verdicts == {True, False}
 
 
-def _fresh_twin(screen, points):
+def _fresh_twin(screen, ps):
     """A screen built fresh on `screen`'s cycles."""
-    xs, ys = [p.x for p in points], [p.y for p in points]
-    return _JoinScreen(*screen.cycles, xs, ys, coordinate_oracle(points))
+    return _JoinScreen(*screen.cycles, ps, coordinate_oracle(ps))
 
 
 def test_derived_screens_match_fresh_screens_while_packing(monkeypatch):
@@ -1099,7 +1100,7 @@ def test_derived_screens_match_fresh_screens_while_packing(monkeypatch):
             if screen.fresh:
                 continue
             derived += 1
-            fresh = _fresh_twin(screen, ps.points)
+            fresh = _fresh_twin(screen, ps)
             c1, c2 = screen.cycles
             for a in map(edge, *zip(*product(c1.order, c2.order))):
                 assert _edges_in(screen, screen.hits(a)) == _edges_in(fresh, fresh.hits(a)), a
@@ -1129,7 +1130,7 @@ def test_join_screen_counts_an_edge_crossed_twice():
            Point(4, 3), Point(16, 3), Point(16, -3), Point(4, -3)]
     orc = coordinate_oracle(pts)
     c1, c2 = HamCycle((0, 1, 2)), HamCycle((3, 4, 5, 6))
-    screen = _assert_screen_exact(c1, c2, pts, orc)
+    screen = _assert_screen_exact(c1, c2, general_set(pts), orc)
     assert _edges_in(screen, screen.over) == {(0, 1)}
     # some exchange fails on the base alone: its added edges cross nothing
     assert any(
@@ -1146,7 +1147,7 @@ def test_derived_screen_refuses_a_created_edge_crossed_twice():
            Point(20, 14), Point(30, 11), Point(100, 100), Point(130, 101), Point(101, 131)]
     orc = coordinate_oracle(pts)
     c1, c2 = HamCycle((0, 1, 6, 3, 2, 5, 4)), HamCycle((7, 8, 9))
-    base = _JoinScreen(c1, c2, [p.x for p in pts], [p.y for p in pts], orc)
+    base = _JoinScreen(c1, c2, general_set(pts), orc)
     pair = ((2, 3), (4, 5))
     assert is_one_plane(c1, orc) and pair in base.own_pairs(0)
     assert base.one_plane(0) and base.one_plane(1)
@@ -1165,7 +1166,7 @@ def test_join_screen_exact_on_interleaved_cycles(seed):
     order = random.Random(seed).sample(range(14), 14)
     c1, _, _ = march_cycle(ps, order[:7])
     c2, _, _ = march_cycle(ps, order[7:])
-    _assert_screen_exact(c1, c2, ps.points, coordinate_oracle(ps.points))
+    _assert_screen_exact(c1, c2, ps, coordinate_oracle(ps))
 
 
 def test_pack_general_incomplete_is_honest(monkeypatch):

@@ -24,7 +24,9 @@ from hcpack import (
 from hcpack.errors import CollinearOverlap, ConfigMismatch, DegenerateInput, SharedEndpoint
 from hcpack.geometry import RingOracle, check_subset
 
-from conftest import general_position_subset, regular_polygon_points
+from conftest import (
+    convex_instance, general_instance, general_position_subset, regular_polygon_points, wheel_instance,
+)
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.builds(Point, coords, coords)
@@ -276,3 +278,32 @@ SQUARE = (Point(0, 0), Point(10, 1), Point(9, 11), Point(-1, 10))
 def test_validation_refuses(build, exc, says):
     with pytest.raises(exc, match=says):
         build()
+
+
+@pytest.mark.parametrize("ps", [convex_instance(9), wheel_instance(10), general_instance(12, 1)],
+                         ids=["convex", "wheel", "general"])
+def test_point_set_coordinate_view(ps):
+    """`xs` and `ys` are tuples of the points' coordinates, made once and
+    shared with the verifier's oracle; they do not change construction,
+    equality, hashing or repr."""
+    assert type(ps.xs) is tuple and type(ps.ys) is tuple
+    assert ps.xs == tuple(p.x for p in ps.points) and ps.ys == tuple(p.y for p in ps.points)
+    twin = PointSet(list(ps.points), ps.config, ps.center_index)
+    assert twin == ps and hash(twin) == hash(ps) and twin.xs == ps.xs
+    assert repr(ps) == (
+        f"PointSet(points={ps.points!r}, config={ps.config!r}, center_index={ps.center_index!r})"
+    )
+    orc = coordinate_oracle(ps)
+    assert orc.xs is ps.xs and orc.ys is ps.ys
+
+
+@pytest.mark.parametrize("c", [9.0, "9", True])
+def test_wheel_center_index_must_be_an_int(c):
+    points = wheel_instance(10).points
+    with pytest.raises(DegenerateInput, match="wheel sets need a valid center_index"):
+        PointSet(points, Config.WHEEL, c)
+
+
+def test_wheel_center_index_int_is_taken():
+    ps = PointSet(wheel_instance(10).points, Config.WHEEL, 9)
+    assert ps.center_index == 9 and ps == wheel_instance(10)

@@ -407,6 +407,19 @@ def test_property_sweep_rejects_general(monkeypatch):
         property_sweep(general_instance(5, 0))
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_property_sweep_refuses_general_before_any_search(monkeypatch, n):
+    # n = 8 is within the enumeration cap and n = 12 above it: neither searches
+    from conftest import general_instance
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(oracle, "_search", no_search)
+    with pytest.raises(ValueError, match="property sweep applies to convex and wheel sets"):
+        property_sweep(general_instance(n, 1))
+
+
 @pytest.mark.parametrize("ps, name, check", [
     (convex_instance(6), "companion-edges", "check_companion_edges"),
     (wheel_instance(8), "wheel-boundary", "check_wheel_boundary"),
