@@ -222,7 +222,6 @@ class _March:
         self.lanes = _Lanes(xs, ys)
         self.crossed = 0  # the lanes of held edges that a held edge crosses
         self.trail: List[int] = []  # `crossed` before each held edge was added
-        self.stone: Optional[Edge] = None
 
     # -- incremental edge bookkeeping ----------------------------------------
     def _try_add(self, u: int, w: int) -> bool:
@@ -314,7 +313,7 @@ class _March:
         yield from (m for m, ok in zip(bridges, conforming) if not ok)
 
     # -- search ---------------------------------------------------------------
-    def run(self) -> Tuple[HamCycle, Optional[Edge]]:
+    def run(self) -> HamCycle:
         n = len(self.left0) + len(self.right0)
         r1, r2 = set(self.left0), set(self.right0)
         pair = self._bridge(r1, r2)
@@ -335,7 +334,7 @@ class _March:
                     nxt = b if a == prev else a
                     prev = cyc[-1]
                     cyc.append(nxt)
-                return HamCycle(tuple(cyc)), self.stone
+                return HamCycle(tuple(cyc))
         raise MarchFailed(f"march exhausted after {self.nodes} nodes")
 
     def _dfs(self, r1, r2, e1, e2) -> bool:
@@ -344,17 +343,15 @@ class _March:
             raise MarchFailed(f"node cap {NODE_CAP} hit")
         if not r1 and not r2:
             return self._try_add(e1, e2)
-        for ri, ei_, eo_ in ((r1, e1, e2), (r2, e2, e1)):
-            ro = r2 if ri is r1 else r1
-            if not ro and len(ri) == 1:
-                w = next(iter(ri))
-                if not self._try_add(ei_, w):
-                    return False
-                if not self._try_add(eo_, w):
-                    self._undo(ei_, w)
-                    return False
-                self.stone = edge(ei_, w)
-                return True
+        if not r2 and len(r1) == 1:
+            # r1 starts as the larger side and every step takes a point of each side
+            w = next(iter(r1))
+            if not self._try_add(e1, w):
+                return False
+            if not self._try_add(e2, w):
+                self._undo(e1, w)
+                return False
+            return True
         pair = self._bridge(r1, r2)
         if pair is None:
             return False
@@ -390,21 +387,19 @@ def march_cycle(
     subset: Sequence[int],
     bisection: Optional[Bisection] = None,
     forbidden: FrozenSet[Edge] = frozenset(),
-) -> Tuple[HamCycle, Bisection, List[Edge]]:
+) -> Tuple[HamCycle, Bisection]:
     """A verified 1-plane Hamiltonian cycle on `subset` via the ladder march.
 
     `ps` is a PointSet, or a point sequence that must be in general
     position (DegenerateInput otherwise; see `geometry.general_set`).
     With no bisection given, successive bisecting lines are tried until
-    one admits a march.  The returned stone list is empty or holds the
-    march's stone: its terminal same-side edge, the edge that closes the
-    cycle between two points on one side of its cut (on a triangle, the
-    edge whose ends lie on one side).  The packer ignores stones: its
-    checks are exact.
+    one admits a march, and the cut marched on is returned beside the
+    cycle.  Every edge of the cycle joins the two sides of its cut, except
+    one on an odd subset, which is the paper's stone.
     Raises ValueError on a subset of fewer than 3 points, one that is not
     distinct vertices of the set (`geometry.check_subset`), a bisection
-    whose two sides together are not exactly the subset, or a forbidden
-    entry that is not an edge `(a, b)` with a < b.
+    with an empty side or whose two sides together are not exactly the
+    subset, or a forbidden entry that is not an edge `(a, b)` with a < b.
     """
     ps = general_set(ps)
     sub = check_subset(subset, len(ps))
@@ -413,6 +408,8 @@ def march_cycle(
         raise ValueError("need at least 3 points")
     cuts: Iterator[Bisection]
     if bisection is not None:
+        if not bisection.left or not bisection.right:
+            raise ValueError("a bisection needs a point on each side")
         if sorted(bisection.left + bisection.right) != sub:
             last = len(ps) - 1
             raise ValueError(f"subset vertices must be distinct and in 0..{last}, each on a side")
@@ -422,11 +419,11 @@ def march_cycle(
     last = None
     for cut in cuts:
         try:
-            cyc, stone = _March(ps, cut, forbidden).run()
+            cyc = _March(ps, cut, forbidden).run()
         except MarchFailed as exc:
             last = exc
             continue
-        return cyc, cut, [] if stone is None else [stone]
+        return cyc, cut
     raise MarchFailed(f"no bisection admits a march: {last}")
 
 
@@ -737,8 +734,8 @@ def _run_level(ps: PointSet, parts, cuts, used):
     are the next level's parts.  A cut that admits no march fails the
     attempt with MarchFailed."""
     marched = [march_cycle(ps, p, bisection=c, forbidden=used) for p, c in zip(parts, cuts)]
-    merged, moves = _fold([cyc for cyc, _, _ in marched], used, ps)
-    halves = [tuple(sorted(half)) for _, cut, _ in marched for half in (cut.left, cut.right)]
+    merged, moves = _fold([cyc for cyc, _ in marched], used, ps)
+    halves = [half for _, cut in marched for half in (cut.left, cut.right)]
     return merged, moves, _ccw_part_order(halves, ps.xs, ps.ys)
 
 

@@ -49,7 +49,7 @@ class Point:
     y: int
 
     def __post_init__(self):
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        if type(self.x) is not int or type(self.y) is not int:
             raise TypeError("coordinates must be integers")
 
 
@@ -263,6 +263,8 @@ class PointSet:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        if not all(isinstance(p, Point) for p in self.points):
+            raise TypeError("points must be Point instances")
         n = len(self.points)
         if n < 3:
             raise DegenerateInput("need at least 3 points")

@@ -58,6 +58,18 @@ def test_crossing_report_examples():
     assert rep6.max_count >= 2
 
 
+@pytest.mark.parametrize("orc", [
+    convex_oracle(6),
+    coordinate_oracle(general_instance(6, 1)),
+    lambda e1, e2: pytest.fail(f"asked about {e1} and {e2}"),
+], ids=["ring", "coordinate", "callable"])
+def test_crossing_report_of_no_edges_is_empty(orc):
+    """An empty edge list has no pair to decide on any of the three paths:
+    the ring sweep, the lane pass and the pairwise scan."""
+    rep = crossing_report([], orc)
+    assert (rep.counts, rep.pairs, rep.max_count) == ({}, [], 0)
+
+
 def test_is_one_plane():
     assert is_one_plane(HamCycle((0, 2, 1, 3)), convex_oracle(4))
     # the five-point star has every edge crossed twice

@@ -26,7 +26,7 @@ from hcpack import (
 )
 from hcpack import bisection, cycles, general, geometry
 from hcpack.bisection import Bisection, bisecting_line, bisecting_lines, cut_at
-from hcpack.errors import DegenerateInput, HcpackError, MarchFailed, NoJoinFound
+from hcpack.errors import DegenerateInput, HcpackError, MarchFailed, NoJoinFound, PackingIncomplete
 from hcpack.general import _JoinScreen, _March, _splice
 from hcpack.geometry import (
     PointSet, convex_hull, general_set, in_general_position, oracle_for, orientation,
@@ -35,15 +35,21 @@ from hcpack.geometry import (
 from conftest import CrossLedger, degenerate_lists, general_instance, keys_separate
 
 
+def stones(cyc, cut):
+    """The edges of a marched cycle whose two ends lie on one side of its
+    cut: the paper's stone on an odd subset, none on an even one."""
+    left = set(cut.left)
+    return [e for e in cyc.edges() if (e[0] in left) == (e[1] in left)]
+
+
 def test_march_cycle_triangle():
     # an odd march ends with a stone: on a triangle, the edge between the
     # two points on one side of the cut
     ps = general_instance(3, 0)
-    cyc, cut, stones = march_cycle(ps, range(3))
+    cyc, cut = march_cycle(ps, range(3))
     assert verify_hamiltonian(cyc, 3)
     assert len(cut.left) == 2 and len(cut.right) == 1
-    assert stones == [edge(*cut.left)]
-    assert stones[0] in cyc.edges()
+    assert stones(cyc, cut) == [edge(*cut.left)]
 
 
 def test_march_cycle_reproduces_reference_march(reference_13_points):
@@ -53,7 +59,7 @@ def test_march_cycle_reproduces_reference_march(reference_13_points):
     right = (0, 2, 4, 7, 9, 11)
     cut = cut_at(pts, range(13), (-19, 63), 1, 7)
     assert cut.left == left and cut.right == right
-    cyc, _, stones = march_cycle(reference_13_points, range(13), bisection=cut)
+    cyc, used_cut = march_cycle(reference_13_points, range(13), bisection=cut)
     want = {
         edge(*e)
         for e in [
@@ -62,20 +68,15 @@ def test_march_cycle_reproduces_reference_march(reference_13_points):
         ]
     }
     assert set(cyc.edges()) == want
-    assert stones == [(10, 12)]
-
-
-def test_march_cycle_stone_endpoints_same_side(reference_13_points):
-    cut = cut_at(reference_13_points.points, range(13), (-19, 63), 1, 7)
-    _, used_cut, stones = march_cycle(reference_13_points, range(13), bisection=cut)
-    assert set(stones[0]) <= set(used_cut.left)
+    assert used_cut == cut
+    assert stones(cyc, used_cut) == [(10, 12)]
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_march_cycle_output_is_enumerated(n):
     for seed in range(4):
         ps = general_instance(n, seed)
-        cyc, _, _ = march_cycle(ps, range(n))
+        cyc, _ = march_cycle(ps, range(n))
         catalog = enumerate_1phc(ps)
         assert cyc.canonical() in catalog
 
@@ -84,24 +85,28 @@ def test_march_cycle_output_is_enumerated(n):
 def test_march_cycle_random_instances(n):
     for seed in range(5):
         ps = general_instance(n, 100 + seed)
-        cyc, cut, stones = march_cycle(ps, range(n))
+        cyc, cut = march_cycle(ps, range(n))
         assert verify_hamiltonian(cyc, n)
         assert is_one_plane(cyc, coordinate_oracle(ps.points))
-        # odd subsets leave a stone, even ones close cleanly
-        assert len(stones) == (1 if n % 2 else 0)
+        # odd subsets leave a stone, with both ends on the larger side;
+        # even ones close cleanly
+        got = stones(cyc, cut)
+        assert len(got) == (1 if n % 2 else 0)
+        larger = max(cut.left, cut.right, key=len)
+        assert all(set(e) <= set(larger) for e in got)
 
 
 def test_march_cycle_respects_forbidden():
     ps = general_instance(9, 7)
-    cyc1, _, _ = march_cycle(ps, range(9))
-    cyc2, _, _ = march_cycle(ps, range(9), forbidden=frozenset(cyc1.edges()))
+    cyc1, _ = march_cycle(ps, range(9))
+    cyc2, _ = march_cycle(ps, range(9), forbidden=frozenset(cyc1.edges()))
     assert are_edge_disjoint(cyc1, cyc2)
 
 
 def test_march_cycle_on_subset():
     ps = general_instance(12, 3)
     sub = [1, 2, 4, 6, 7, 9, 11]
-    cyc, _, _ = march_cycle(ps, sub)
+    cyc, _ = march_cycle(ps, sub)
     assert sorted(cyc.order) == sub
     assert is_one_plane(cyc, coordinate_oracle(ps.points))
 
@@ -178,17 +183,30 @@ def test_march_cycle_on_a_five_one_split_fails():
         march_cycle(ps, range(6), bisection=cut)
 
 
+@pytest.mark.parametrize("left, right", [((0, 1, 2, 3), ()), ((), (0, 1, 2, 3))],
+                         ids=["empty-right", "empty-left"])
+def test_march_cycle_refuses_a_one_sided_bisection(left, right):
+    """A cut with an empty side is malformed input, not a search that ran
+    out of bisections."""
+    ps = general_instance(12, 1)
+    with pytest.raises(ValueError, match="a point on each side"):
+        march_cycle(ps, range(4), bisection=Bisection((1, 0), left, right))
+
+
 def test_march_cycle_takes_the_larger_side_as_left():
     ps = general_instance(7, 1)
     bi = bisecting_line(ps, range(7))
     assert len(bi.left) > len(bi.right)
     swapped = Bisection(bi.direction, bi.right, bi.left)
-    cyc, _, stones = march_cycle(ps, range(7), bisection=bi)
-    assert march_cycle(ps, range(7), bisection=swapped)[::2] == (cyc, stones)
+    cyc, _ = march_cycle(ps, range(7), bisection=bi)
+    cyc2, cut2 = march_cycle(ps, range(7), bisection=swapped)
+    assert cut2 == swapped
+    assert (cyc2, stones(cyc2, cut2)) == (cyc, stones(cyc, bi))
 
 
-# sha256 over march_cycle's cycle and stones for n = 48, 64, 96, 128 and
-# seeds 1-3, recorded before the march's pair search became a hull bridge
+# sha256 over march_cycle's cycle and its stones (read off the cycle and
+# cut by `stones`) for n = 48, 64, 96, 128 and seeds 1-3, recorded before
+# the march's pair search became a hull bridge
 LARGE_MARCH_DIGEST = "9b920f61e0236ea2f4b52ddda5bfe46a26f94baa3d079a7c3922c76d6ee1d9dc"
 
 
@@ -197,8 +215,8 @@ def test_large_march_unchanged():
     for n in (48, 64, 96, 128):
         for seed in (1, 2, 3):
             ps = general_instance(n, seed)
-            cyc, _, stones = march_cycle(ps, range(n))
-            digest.update(repr((n, seed, cyc.order, stones)).encode())
+            cyc, cut = march_cycle(ps, range(n))
+            digest.update(repr((n, seed, cyc.order, stones(cyc, cut))).encode())
     assert digest.hexdigest() == LARGE_MARCH_DIGEST
 
 
@@ -245,13 +263,13 @@ def test_march_bridge_matches_a_fresh_hull_at_every_node(monkeypatch):
 
 
 def march_outcome(points):
-    """march_cycle's cycle and stones on all of `points`, or the name of the
+    """march_cycle's cycle and its stones on all of `points`, or the name of the
     exception it raises."""
     try:
-        cyc, _, stones = march_cycle(points, range(len(points)))
+        cyc, cut = march_cycle(points, range(len(points)))
     except Exception as exc:
         return type(exc).__name__
-    return cyc.order, stones
+    return cyc.order, stones(cyc, cut)
 
 
 def test_general_packer_refuses_points_not_in_general_position():
@@ -665,7 +683,7 @@ def test_uncross_requires_crossing_pair_on_a_ring(orc):
 def test_uncross_removes_crossing_from_one_plane_cycle():
     ps = general_instance(10, 13)
     orc = coordinate_oracle(ps.points)
-    cyc, _, _ = march_cycle(ps, range(10))
+    cyc, _ = march_cycle(ps, range(10))
     crossing = [
         (a, b)
         for i, a in enumerate(cyc.edges())
@@ -1164,8 +1182,8 @@ def test_join_screen_exact_on_interleaved_cycles(seed):
     # two marched cycles on interleaved halves cross each other often
     ps = general_instance(14, 100 + seed)
     order = random.Random(seed).sample(range(14), 14)
-    c1, _, _ = march_cycle(ps, order[:7])
-    c2, _, _ = march_cycle(ps, order[7:])
+    c1, _ = march_cycle(ps, order[:7])
+    c2, _ = march_cycle(ps, order[7:])
     _assert_screen_exact(c1, c2, ps, coordinate_oracle(ps))
 
 
@@ -1179,6 +1197,25 @@ def test_pack_general_incomplete_is_honest(monkeypatch):
         pack_general(ps)
     assert exc.value.level >= 2
     assert 1 <= len(exc.value.cycles) < 3
+
+
+def test_pack_stops_when_the_first_levels_bisecting_lines_run_out(monkeypatch):
+    """General n = 4, seed 1, has fewer balanced bisecting lines than
+    PER_LEVEL_VARIANTS: with every attempt failing, the first level tries
+    each line once and the search ends with no cycle."""
+    ps = general_instance(4, 1)
+    assert len(list(bisecting_lines(ps, range(4)))) == 4 < general.PER_LEVEL_VARIANTS
+    attempts = []
+
+    def failing(ps, parts, cuts, used):
+        attempts.append(cuts)
+        raise MarchFailed("no march here")
+
+    monkeypatch.setattr(general, "_run_level", failing)
+    with pytest.raises(PackingIncomplete, match=r"search exhausted \(0 level attempts\): no march here") as exc:
+        pack_general_detailed(ps)
+    assert [cut for cuts in attempts for cut in cuts] == list(bisecting_lines(ps, range(4)))
+    assert exc.value.level == 1 and exc.value.cycles == []
 
 
 def test_reference_instance_hull(reference_13_points):

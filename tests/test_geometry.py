@@ -22,7 +22,7 @@ from hcpack import (
     wheel_oracle,
 )
 from hcpack.errors import CollinearOverlap, ConfigMismatch, DegenerateInput, SharedEndpoint
-from hcpack.geometry import RingOracle, check_subset
+from hcpack.geometry import RingOracle, check_subset, general_set
 
 from conftest import (
     convex_instance, general_instance, general_position_subset, regular_polygon_points, wheel_instance,
@@ -263,6 +263,14 @@ SQUARE = (Point(0, 0), Point(10, 1), Point(9, 11), Point(-1, 10))
 
 @pytest.mark.parametrize("build, exc, says", [
     (lambda: Point(0, 0.5), TypeError, "coordinates must be integers"),
+    # a bool is an int subclass, but no integer rule of the package takes one
+    (lambda: Point(True, 0), TypeError, "coordinates must be integers"),
+    (lambda: Point(0, False), TypeError, "coordinates must be integers"),
+    # the entries are refused before any validator reads a coordinate
+    (lambda: PointSet(((0, 0), (1, 2), (3, 1))), TypeError, "Point instances"),
+    (lambda: PointSet((Point(0, 0), (1, 2), Point(3, 1)), Config.CONVEX), TypeError,
+     "Point instances"),
+    (lambda: general_set([(0, 0), (1, 2), (3, 1)]), TypeError, "Point instances"),
     (lambda: edge(3, 3), ValueError, "two distinct vertices"),
     (lambda: PointSet(SQUARE[:2]), DegenerateInput, "at least 3 points"),
     (lambda: PointSet(SQUARE).rim_order(), ConfigMismatch, "needs a wheel set"),
@@ -272,7 +280,8 @@ SQUARE = (Point(0, 0), Point(10, 1), Point(9, 11), Point(-1, 10))
     # all collinear: the hull refuses them, so they are not in convex order
     (lambda: PointSet([Point(i, 2 * i) for i in range(4)], Config.CONVEX), DegenerateInput,
      "not in ccw convex order"),
-], ids=["float-coordinate", "loop-edge", "two-points", "rim-of-a-general-set",
+], ids=["float-coordinate", "bool-x", "bool-y", "tuple-points", "one-tuple-point",
+        "tuple-points-at-the-door", "loop-edge", "two-points", "rim-of-a-general-set",
         "convex-index-out-of-range", "even-wheel-rim", "even-ring-oracle-rim",
         "collinear-convex-set"])
 def test_validation_refuses(build, exc, says):

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hcpack"
@@ -52,3 +53,41 @@ def test_unused_import_scan_sees_a_stray_name():
         "    return pair(a, b), os.sep\n"
     )
     assert unused_imports(source) == {"convex_hull": 3}
+
+
+def absolute_imports(source):
+    """The top-level names of a module's absolute imports, each with its
+    line; a relative import names the package's own modules."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found[alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found[node.module.split(".")[0]] = node.lineno
+    return found
+
+
+def test_package_needs_only_the_standard_library():
+    """`pyproject.toml` declares no dependencies, so every absolute import
+    in the package names a standard-library module."""
+    outside = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = absolute_imports(path.read_text())
+        extra = {n: line for n, line in names.items() if n not in sys.stdlib_module_names}
+        if extra:
+            outside[path.name] = extra
+    assert outside == {}
+
+
+def test_standard_library_scan_sees_a_third_party_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from hypothesis.strategies import integers\n"
+        "from .geometry import edge\n"
+        "from . import cycles\n"
+    )
+    names = absolute_imports(source)
+    assert names == {"__future__": 1, "os": 2, "numpy": 2, "hypothesis": 3}
+    assert {n for n in names if n not in sys.stdlib_module_names} == {"numpy", "hypothesis"}
